@@ -1,9 +1,10 @@
 //! `simbench`: the simulator's own performance baseline.
 //!
 //! Measures the event-scheduler microbenchmark (calendar queue vs the
-//! `OracleQueue` reference heap, hold model), per-experiment
-//! wall-clock, and the parallel-delivery `threads` axis (fault-sweep
-//! wall-clock at 1/2/4/8 worker threads), then writes
+//! `OracleQueue` reference heap, hold model on a large and on a
+//! router-shaped population), events/sec on the golden scenario,
+//! per-experiment wall-clock, and the parallel-delivery `threads` axis
+//! (fault-sweep wall-clock at 1/2/4/8 worker threads), then writes
 //! `BENCH_sim.json` — the recorded perf trajectory that later PRs must
 //! not regress. Before timing anything it runs lock-step differential
 //! checks and refuses to emit numbers from a scheduler — or a parallel
@@ -19,15 +20,23 @@
 use std::time::Instant;
 
 use npr_bench::BENCH_WINDOW;
-use npr_core::us;
+use npr_core::{ms, us, FlowKey, Key, Router, RouterConfig};
+use npr_forwarders::slow::route_updater_pe;
 use npr_sim::{CalendarQueue, OracleQueue, Time, XorShift64};
+use npr_traffic::{udp_frame, CbrSource, FrameSpec, MixSource, TraceSource};
 use npr_vrp::VrpBackend;
 
-/// Steady-state pending-event population for the hold model. Matches
-/// the order of magnitude of a busy full-system run (every context,
-/// port, controller, and slow-path timer holds pending events) and
-/// makes the heap's `O(log n)` vs the calendar's `O(1)` visible.
+/// Steady-state pending-event population for the large hold model.
+/// Every context, port, controller, and slow-path timer of many
+/// chassis at once: makes the heap's `O(log n)` vs the calendar's
+/// `O(1)` visible.
 const PENDING: usize = 8192;
+
+/// Pending events of one busy router (what `Router` actually holds:
+/// one per context, port and server), and the size of the event each
+/// entry carries there.
+const ROUTER_PENDING: usize = 40;
+type RouterPayload = [u64; 3];
 
 /// A delay distribution shaped like the simulator's: mostly short
 /// compute/memory latencies within the wheel horizon, a tail of
@@ -41,39 +50,149 @@ fn hold_delay(rng: &mut XorShift64) -> Time {
     }
 }
 
-/// Hold model on the calendar queue: pop one event, schedule its
-/// successor. Returns events completed per wall-clock second.
-fn hold_calendar(ops: u64) -> f64 {
+/// The delay mix one router schedules with: wakeups at `now`, whole
+/// MicroEngine cycles (5 000 ps), memory and DMA completions at
+/// arbitrary picoseconds, and a thin tail at and past the wheel horizon.
+fn router_delay(rng: &mut XorShift64) -> Time {
+    match rng.below(16) {
+        0..=2 => 0,                               // Dispatch at `now`.
+        3..=9 => (1 + rng.below(24)) * 5_000,     // Context swap, compute, token.
+        10..=12 => 40_000 + rng.below(200_000),   // Memory completions.
+        13 => 500_000,                            // DMA.
+        14 => 2_000_000 + rng.below(100_000),     // The horizon edge.
+        _ => 6_720_000,                           // Frame interarrival: spills.
+    }
+}
+
+/// The two queues behind one face, so one hold loop times both.
+trait HoldQueue<E>: Default {
+    fn schedule(&mut self, at: Time, ev: E);
+    fn pop(&mut self) -> Option<(Time, E)>;
+    fn len(&self) -> usize;
+}
+
+impl<E> HoldQueue<E> for CalendarQueue<E> {
+    fn schedule(&mut self, at: Time, ev: E) {
+        CalendarQueue::schedule(self, at, ev);
+    }
+    fn pop(&mut self) -> Option<(Time, E)> {
+        CalendarQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        CalendarQueue::len(self)
+    }
+}
+
+impl<E> HoldQueue<E> for OracleQueue<E> {
+    fn schedule(&mut self, at: Time, ev: E) {
+        OracleQueue::schedule(self, at, ev);
+    }
+    fn pop(&mut self) -> Option<(Time, E)> {
+        OracleQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        OracleQueue::len(self)
+    }
+}
+
+/// Hold model: with `pending` events queued, pop one and schedule its
+/// successor `delay` later, `ops` times. Returns events completed per
+/// wall-clock second.
+fn hold<E, Q: HoldQueue<E>>(
+    pending: usize,
+    payload: impl Fn(usize) -> E,
+    delay: impl Fn(&mut XorShift64) -> Time,
+    ops: u64,
+) -> f64 {
     let mut rng = XorShift64::new(0xBEEF);
-    let mut q: CalendarQueue<u32> = CalendarQueue::new();
-    for i in 0..PENDING {
-        q.schedule(rng.below(2_000_000), i as u32);
+    let mut q = Q::default();
+    for i in 0..pending {
+        q.schedule(rng.below(2_000_000), payload(i));
     }
     let t0 = Instant::now();
     for _ in 0..ops {
         let (t, v) = q.pop().expect("population is conserved");
-        q.schedule(t + hold_delay(&mut rng), v);
+        q.schedule(t + delay(&mut rng), v);
     }
     let dt = t0.elapsed();
-    assert_eq!(q.len(), PENDING);
+    assert_eq!(q.len(), pending);
     ops as f64 / dt.as_secs_f64()
 }
 
-/// The identical hold model on the oracle heap.
-fn hold_oracle(ops: u64) -> f64 {
-    let mut rng = XorShift64::new(0xBEEF);
-    let mut q: OracleQueue<u32> = OracleQueue::new();
-    for i in 0..PENDING {
-        q.schedule(rng.below(2_000_000), i as u32);
+/// Calendar and oracle medians over `reps` alternating runs of one
+/// hold population (alternating keeps frequency scaling and cache
+/// state comparable).
+fn hold_pair<E>(
+    pending: usize,
+    payload: impl Fn(usize) -> E + Copy,
+    delay: impl Fn(&mut XorShift64) -> Time + Copy,
+    reps: usize,
+    ops: u64,
+) -> (f64, f64) {
+    let mut cal = Vec::with_capacity(reps);
+    let mut ora = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        cal.push(hold::<E, CalendarQueue<E>>(pending, payload, delay, ops));
+        ora.push(hold::<E, OracleQueue<E>>(pending, payload, delay, ops));
     }
+    (median(cal), median(ora))
+}
+
+/// The golden scenario of `crates/core/tests/determinism.rs` (the
+/// scaled-down `robust_router`: a flood on seven ports, a traced
+/// control stream installing routes through the Pentium on the
+/// eighth), run over the same 0.5 ms + 2 ms. Returns events dispatched
+/// and wall seconds.
+fn golden_scenario() -> (u64, f64) {
+    let mut cfg = RouterConfig::line_rate();
+    cfg.divert_sa_permille = 333;
+    let mut router = Router::new(cfg);
+    let ctl = FrameSpec {
+        src: u32::from_be_bytes([10, 0, 0, 9]),
+        dst: u32::from_be_bytes([10, 1, 0, 1]),
+        sport: 2600,
+        dport: 89,
+        ..Default::default()
+    };
+    let ctl_key = FlowKey {
+        src: ctl.src,
+        dst: ctl.dst,
+        sport: ctl.sport,
+        dport: ctl.dport,
+    };
+    router
+        .install(Key::Flow(ctl_key), route_updater_pe(1_000), None)
+        .expect("route updater admitted");
+    for p in (0..8).filter(|&p| p != 1) {
+        router.attach_cbr(p, 0.95, u64::MAX, ((p + 1) % 8) as u8);
+    }
+    let updates = (0..40u8)
+        .map(|i| {
+            let payload = [11, i, 0, 0, 16, i % 8];
+            (Time::from(i) * 50_000_000, udp_frame(&ctl, &payload))
+        })
+        .collect();
+    let bg_dst = u32::from_be_bytes([10, 2, 0, 1]);
+    let bg = CbrSource::new(
+        100_000_000,
+        0.8,
+        FrameSpec {
+            dst: bg_dst,
+            ..Default::default()
+        },
+        u64::MAX,
+    );
+    router.attach_source(
+        1,
+        Box::new(MixSource::new(vec![
+            Box::new(TraceSource::new(updates)),
+            Box::new(bg),
+        ])),
+    );
+    router.trace_destination(bg_dst, 64);
     let t0 = Instant::now();
-    for _ in 0..ops {
-        let (t, v) = q.pop().expect("population is conserved");
-        q.schedule(t + hold_delay(&mut rng), v);
-    }
-    let dt = t0.elapsed();
-    assert_eq!(q.len(), PENDING);
-    ops as f64 / dt.as_secs_f64()
+    std::hint::black_box(router.measure(us(500), ms(2)));
+    (router.events_dispatched(), t0.elapsed().as_secs_f64())
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -186,23 +305,40 @@ fn main() {
     }
     println!("vrp backend differential: {vrp_progs} programs x 3 fills OK");
 
-    // 2. Events/sec, median over repetitions, alternating the two
-    //    queues so frequency scaling and cache state stay comparable.
+    // 2. Events/sec, median over repetitions, on two populations: the
+    //    large one the calendar was built for, and the one a router
+    //    actually holds (few entries, each a 24-byte event).
     let (reps, ops) = if quick { (5, 400_000u64) } else { (9, 2_000_000) };
-    let mut cal_rates = Vec::with_capacity(reps);
-    let mut ora_rates = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        cal_rates.push(hold_calendar(ops));
-        ora_rates.push(hold_oracle(ops));
-    }
-    let cal = median(cal_rates);
-    let ora = median(ora_rates);
+    let (cal, ora) = hold_pair(PENDING, |i| i as u32, hold_delay, reps, ops);
     let speedup = cal / ora;
     println!(
         "event queue (hold model, {PENDING} pending): calendar {:.2} Mev/s, \
          oracle {:.2} Mev/s, speedup {speedup:.2}x",
         cal / 1e6,
         ora / 1e6
+    );
+    let (rs_cal, rs_ora) =
+        hold_pair::<RouterPayload>(ROUTER_PENDING, |i| [i as u64; 3], router_delay, reps, ops);
+    let rs_speedup = rs_cal / rs_ora;
+    println!(
+        "event queue (router-shaped, {ROUTER_PENDING} pending x {} B): calendar {:.2} Mev/s, \
+         oracle {:.2} Mev/s, speedup {rs_speedup:.2}x",
+        std::mem::size_of::<RouterPayload>(),
+        rs_cal / 1e6,
+        rs_ora / 1e6
+    );
+
+    // 2b. The end-to-end host figure: events/sec on the golden
+    //     scenario (fastest of three, the usual floor against host
+    //     noise; the event count is exact).
+    let (golden_events, golden_s) = (0..3)
+        .map(|_| golden_scenario())
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("three runs");
+    println!(
+        "golden scenario: {golden_events} events in {:.1} ms, {:.2} Mev/s",
+        golden_s * 1e3,
+        golden_events as f64 / golden_s / 1e6
     );
 
     // 3. Per-experiment wall-clock over representative experiments.
@@ -335,8 +471,22 @@ fn main() {
         "    \"oracle_events_per_sec\": {},\n",
         ora.round()
     ));
-    json.push_str(&format!("    \"speedup\": {speedup:.3}\n"));
+    json.push_str(&format!("    \"speedup\": {speedup:.3},\n"));
+    json.push_str(&format!(
+        "    \"router_shaped\": {{ \"pending_events\": {ROUTER_PENDING}, \
+         \"payload_bytes\": {}, \"calendar_events_per_sec\": {}, \
+         \"oracle_events_per_sec\": {}, \"speedup\": {rs_speedup:.3} }}\n",
+        std::mem::size_of::<RouterPayload>(),
+        rs_cal.round(),
+        rs_ora.round()
+    ));
     json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"golden_scenario\": {{ \"events\": {golden_events}, \"wall_ms\": {:.1}, \
+         \"events_per_sec\": {} }},\n",
+        golden_s * 1e3,
+        (golden_events as f64 / golden_s).round()
+    ));
     json.push_str(&format!(
         "  \"differential_check\": {{ \"lock_step_ops\": {diff_ops}, \"ok\": true }},\n"
     ));

@@ -247,6 +247,7 @@ impl Router {
             issued: now,
         };
         self.ctl.submitted += 1;
-        self.events.schedule(now, PlaneEvent::CtlSubmit(op));
+        self.events
+            .schedule(now, PlaneEvent::CtlSubmit(Box::new(op)));
     }
 }

@@ -143,6 +143,11 @@ impl ControlOp {
 }
 
 /// Typed inter-plane messages on the shared event queue.
+///
+/// The queue moves one of these per `schedule` and per `pop`, and most
+/// are `Machine`. The rare variants with a large payload (a packet
+/// head, a control op) box it so they do not set the size of every
+/// entry; `plane_event_stays_small` holds the line.
 #[derive(Debug)]
 pub enum PlaneEvent {
     /// Fast path: a machine event (context dispatch, DMA completion,
@@ -150,7 +155,7 @@ pub enum PlaneEvent {
     Machine(IxpEv),
     /// Fast path: an admitted control op lands in the instruction
     /// store (freeze window starts now).
-    CtlApply(ControlOp),
+    CtlApply(Box<ControlOp>),
     /// StrongARM: look for work.
     SaPoll,
     /// StrongARM: the current job finished. The generation number guards
@@ -162,7 +167,7 @@ pub enum PlaneEvent {
         gen: u64,
     },
     /// StrongARM: a control op crossed the bus from the Pentium.
-    CtlAdmit(ControlOp),
+    CtlAdmit(Box<ControlOp>),
     /// Watchdog pulse: scheduled by the health monitor when it first
     /// observes a stall, so detection happens at the configured bound
     /// even if the event queue would otherwise go quiet. A no-op at the
@@ -171,7 +176,7 @@ pub enum PlaneEvent {
     /// bit-identical.
     HealthPulse,
     /// Pentium: a packet arrived over PCI.
-    PeArrive(PeItem),
+    PeArrive(Box<PeItem>),
     /// Pentium: look for work.
     PeWake,
     /// Pentium: the current job finished.
@@ -184,10 +189,10 @@ pub enum PlaneEvent {
         /// IXP-side descriptor.
         desc: u32,
         /// Possibly modified head bytes.
-        head: [u8; 64],
+        head: Box<[u8; 64]>,
     },
     /// Pentium: the operator submitted a control op.
-    CtlSubmit(ControlOp),
+    CtlSubmit(Box<ControlOp>),
 }
 
 impl PlaneEvent {
@@ -407,12 +412,20 @@ impl Plane for FastPath {
 mod tests {
     use super::*;
 
-    fn op(verb: ControlVerb) -> ControlOp {
-        ControlOp {
+    fn op(verb: ControlVerb) -> Box<ControlOp> {
+        Box::new(ControlOp {
             seq: 0,
             verb,
             issued: 0,
-        }
+        })
+    }
+
+    #[test]
+    fn plane_event_stays_small() {
+        // Every queue entry is `(at, seq, PlaneEvent)`: 24 bytes here
+        // keeps it at 40. A new variant that breaks this should box
+        // its payload.
+        assert!(core::mem::size_of::<PlaneEvent>() <= 24);
     }
 
     #[test]

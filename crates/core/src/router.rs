@@ -81,6 +81,8 @@ pub struct Router {
     /// Total VRP budget for the configured line rate.
     pub vrp_budget: VrpBudget,
     pub(crate) events: EventQueue<PlaneEvent>,
+    /// Host-side accounting: not part of [`Router::fingerprint`].
+    events_dispatched: u64,
     /// Coalesces same-timestamp [`PlaneEvent::SaPoll`] wakeups (many
     /// producers poke the StrongARM; one poll drains them all).
     pub(crate) sa_waker: Wakeup,
@@ -267,6 +269,7 @@ impl Router {
             istore: IStore::new(),
             vrp_budget: VrpBudget::default(),
             events: EventQueue::new(),
+            events_dispatched: 0,
             sa_waker: Wakeup::new(),
             pe_waker: Wakeup::new(),
             started: false,
@@ -287,6 +290,13 @@ impl Router {
     /// Current simulation time.
     pub fn now(&self) -> Time {
         self.events.now()
+    }
+
+    /// Events dispatched since construction: the denominator for
+    /// host-side cost per event (`simbench` reports events/sec on the
+    /// golden scenario with it).
+    pub fn events_dispatched(&self) -> u64 {
+        self.events_dispatched
     }
 
     /// Injects a synthetic VRP padding program directly into
@@ -413,6 +423,7 @@ impl Router {
         // `peek_time`/`pop` pair would race with anything scheduled
         // between the two calls).
         while let Some((at, ev)) = self.events.pop_if_at_or_before(t) {
+            self.events_dispatched += 1;
             self.dispatch(at, ev);
             // The health monitor samples between events: it observes
             // the planes but schedules nothing, so a fault-free run is

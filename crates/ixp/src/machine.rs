@@ -732,9 +732,8 @@ impl<W> Ixp<W> {
                     }
                     let mut done = done;
                     if !self.cfg.ideal_ports {
-                        let cfg = self.cfg.clone();
-                        let cap = cfg.port_rx_buf_mps;
-                        let (_, release) = self.hw.ports[port].admit_tx(&cfg, done, &mp, cap);
+                        let cap = self.cfg.port_rx_buf_mps;
+                        let (_, release) = self.hw.ports[port].admit_tx(&self.cfg, done, &mp, cap);
                         done = done.max(release);
                     } else {
                         // Ideal mode still counts transmissions.
@@ -840,8 +839,7 @@ impl<W> Ixp<W> {
     }
 
     fn prime_port(&mut self, p: PortId, sched: &mut impl Sched) {
-        let cfg = self.cfg.clone();
-        if let Some(t) = self.hw.ports[p].refill_pending(&cfg, p) {
+        if let Some(t) = self.hw.ports[p].refill_pending(&self.cfg, p) {
             // A source may supply frames stamped before this clock
             // domain's present (e.g. a fabric switch injecting frames
             // captured while this router ran ahead in its epoch):

@@ -48,6 +48,13 @@ fn run(ixp: &mut Ixp<World>, world: &mut World, limit: Time) -> Time {
 }
 
 #[test]
+fn ixp_ev_stays_small() {
+    // `IxpEv` rides inside every entry of the embedding event queue
+    // (`PlaneEvent::Machine`), which budgets 24 bytes for the event.
+    assert!(core::mem::size_of::<IxpEv>() <= 16);
+}
+
+#[test]
 fn compute_occupies_issue_slot_exclusively() {
     // Two contexts on the same ME, each computing 100 cycles twice:
     // they serialize on the issue slot.

@@ -22,7 +22,7 @@
 //! simulation's runs are in the millisecond range.
 
 use core::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
@@ -68,6 +68,9 @@ const BUCKET_WIDTH: Time = 1 << BUCKET_SHIFT;
 const NUM_BUCKETS: usize = 512;
 const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 
+/// Words of the wheel's occupancy bitmap (one bit per slot).
+const OCC_WORDS: usize = NUM_BUCKETS / 64;
+
 /// A deterministic discrete-event queue over event type `E`, backed by
 /// a hierarchical calendar (timing wheel + overflow spill).
 ///
@@ -75,6 +78,10 @@ const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 /// the clock to that event's timestamp. Scheduling an event in the past is
 /// a logic error and panics in debug builds; in release builds the event is
 /// clamped to "now" to keep the clock monotone.
+///
+/// Every `schedule` and `pop` moves one `(at, seq, E)` entry, so keep
+/// `E` small: box the payload of a rare fat variant rather than let it
+/// set the size of every entry (DESIGN.md §5).
 ///
 /// # Examples
 ///
@@ -93,9 +100,10 @@ const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Sorted (by `(at, seq)`) drain region: every pending event with
-    /// `at < active_end`. Non-empty whenever the queue is non-empty.
-    active: VecDeque<Entry<E>>,
+    /// Drain region: every pending event with `at < active_end`, in
+    /// *descending* `(at, seq)` order so the next event pops off the
+    /// back. Non-empty whenever the queue is non-empty.
+    active: Vec<Entry<E>>,
     /// Exclusive upper time bound of `active` — the end of the bucket
     /// the cursor sits on.
     active_end: Time,
@@ -105,9 +113,11 @@ pub struct EventQueue<E> {
     /// The timing wheel: slot `(at >> BUCKET_SHIFT) & BUCKET_MASK`
     /// holds events of one bucket, in insertion (seq) order.
     wheel: Vec<Vec<Entry<E>>>,
-    /// Events currently on the wheel (excluding `active`).
-    wheel_len: usize,
+    /// Bit `s` is set iff `wheel[s]` is non-empty. The cursor's bit is
+    /// always clear.
+    occupied: [u64; OCC_WORDS],
     /// Spill level: events at or beyond the wheel horizon, sorted.
+    /// Every spill event is later than every wheel event.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
     len: usize,
     seq: u64,
@@ -128,11 +138,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self {
-            active: VecDeque::new(),
+            active: Vec::new(),
             active_end: BUCKET_WIDTH,
             cursor: 0,
             wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            wheel_len: 0,
+            occupied: [0; OCC_WORDS],
             overflow: BinaryHeap::new(),
             len: 0,
             seq: 0,
@@ -163,6 +173,14 @@ impl<E> EventQueue<E> {
             .saturating_add((NUM_BUCKETS as Time - 1) * BUCKET_WIDTH)
     }
 
+    /// Appends `e` to its wheel slot and marks the slot occupied.
+    #[inline]
+    fn push_wheel(&mut self, e: Entry<E>) {
+        let slot = ((e.at >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
+        self.wheel[slot].push(e);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
     /// Schedules `ev` at absolute time `at` (clamped to `now` if earlier).
     pub fn schedule(&mut self, at: Time, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
@@ -171,20 +189,14 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         let entry = Entry { at, seq, ev };
         if at < self.active_end {
-            // Lands in the drain region: keep it sorted. The new entry
-            // carries the largest seq ever issued, so its position is
-            // after every existing entry at the same or an earlier
+            // Lands in the drain region: keep it sorted (descending).
+            // The new entry carries the largest seq ever issued, so it
+            // pops after every existing entry at the same or an earlier
             // timestamp — FIFO tie-break preserved by construction.
-            let idx = self.active.partition_point(|e| e.at <= at);
-            if idx == self.active.len() {
-                self.active.push_back(entry);
-            } else {
-                self.active.insert(idx, entry);
-            }
+            let idx = self.active.partition_point(|e| e.at > at);
+            self.active.insert(idx, entry);
         } else if at < self.wheel_end() {
-            let slot = ((at >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-            self.wheel[slot].push(entry);
-            self.wheel_len += 1;
+            self.push_wheel(entry);
         } else {
             self.overflow.push(Reverse(entry));
         }
@@ -203,7 +215,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = self.active.pop_front()?;
+        let e = self.active.pop()?;
         self.now = e.at;
         self.len -= 1;
         if self.active.is_empty() && self.len > 0 {
@@ -241,43 +253,61 @@ impl<E> EventQueue<E> {
 
     /// Peeks at the timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.active.front().map(|e| e.at)
+        self.active.last().map(|e| e.at)
     }
 
-    /// Advances the cursor to the next occupied bucket and drains it
-    /// into `active`. Caller guarantees `active` is empty; leaves it
+    /// The first occupied wheel slot after the cursor, in rotation
+    /// order, or `None` when the wheel is dry.
+    fn next_occupied(&self) -> Option<usize> {
+        let start = (self.cursor + 1) & (NUM_BUCKETS - 1);
+        let (w0, b0) = (start / 64, start % 64);
+        let rest = self.occupied[w0] & (!0 << b0);
+        if rest != 0 {
+            return Some(w0 * 64 + rest.trailing_zeros() as usize);
+        }
+        // The last step revisits `w0` whole: its bits at or above `b0`
+        // are clear, so a hit there is a slot that wrapped around.
+        (1..=OCC_WORDS).find_map(|i| {
+            let w = (w0 + i) % OCC_WORDS;
+            let word = self.occupied[w];
+            (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+        })
+    }
+
+    /// Advances the cursor to the next occupied bucket and takes it as
+    /// `active`. Caller guarantees `active` is empty; leaves it
     /// non-empty whenever the queue holds events.
+    ///
+    /// The cursor goes there in one jump. That is sound because spill
+    /// events sit at or beyond the horizon the wheel had *before* the
+    /// jump, later than every event on the wheel: none can belong in a
+    /// bucket the jump skips or lands on, so migrating them once,
+    /// against the new horizon, puts each where slot-by-slot rotation
+    /// would have.
     fn refill(&mut self) {
         debug_assert!(self.active.is_empty());
-        if self.wheel_len == 0 {
-            // The wheel is dry: jump straight to the bucket of the
-            // earliest spill event instead of rotating through empty
-            // slots.
-            let Some(Reverse(head)) = self.overflow.peek() else {
-                return;
-            };
-            let bucket = head.at >> BUCKET_SHIFT;
-            self.cursor = (bucket & BUCKET_MASK) as usize;
-            self.active_end = (bucket + 1) << BUCKET_SHIFT;
-            self.migrate_overflow();
-            self.drain_cursor();
-            debug_assert!(!self.active.is_empty());
-            return;
-        }
-        // Rotate to the next occupied slot; every wheel event is within
-        // one rotation of the cursor by construction.
-        for _ in 0..NUM_BUCKETS {
-            self.cursor = (self.cursor + 1) & (NUM_BUCKETS - 1);
-            self.active_end += BUCKET_WIDTH;
-            // The slot just vacated behind the cursor now maps one full
-            // horizon ahead: pull any spill events that fall inside it.
-            self.migrate_overflow();
-            if !self.wheel[self.cursor].is_empty() {
-                self.drain_cursor();
-                return;
+        match self.next_occupied() {
+            Some(slot) => {
+                // Every wheel event is within one rotation of the
+                // cursor by construction.
+                let ahead = (slot as u64).wrapping_sub(self.cursor as u64) & BUCKET_MASK;
+                self.cursor = slot;
+                self.active_end += ahead * BUCKET_WIDTH;
+            }
+            None => {
+                // The wheel is dry: go to the bucket of the earliest
+                // spill event.
+                let Some(Reverse(head)) = self.overflow.peek() else {
+                    return;
+                };
+                let bucket = head.at >> BUCKET_SHIFT;
+                self.cursor = (bucket & BUCKET_MASK) as usize;
+                self.active_end = (bucket + 1) << BUCKET_SHIFT;
             }
         }
-        unreachable!("wheel_len > 0 but no occupied bucket within one rotation");
+        self.migrate_overflow();
+        self.take_cursor_bucket();
+        debug_assert!(!self.active.is_empty());
     }
 
     /// Moves every spill event now inside the wheel horizon onto the
@@ -289,21 +319,22 @@ impl<E> EventQueue<E> {
                 break;
             }
             let Reverse(e) = self.overflow.pop().expect("peeked entry");
-            let slot = ((e.at >> BUCKET_SHIFT) & BUCKET_MASK) as usize;
-            self.wheel[slot].push(e);
-            self.wheel_len += 1;
+            self.push_wheel(e);
         }
     }
 
-    /// Drains the cursor's bucket into `active` in `(at, seq)` order.
-    fn drain_cursor(&mut self) {
+    /// Swaps the cursor's bucket with the (empty) `active` and orders
+    /// it for popping off the back. The slot inherits `active`'s spent
+    /// allocation, so buffers circulate instead of being copied.
+    fn take_cursor_bucket(&mut self) {
         let cursor = self.cursor;
-        let slot = &mut self.wheel[cursor];
-        // Keys are unique (seq is), so an unstable sort is
-        // deterministic; within one timestamp seq order == FIFO order.
-        slot.sort_unstable_by_key(|e| (e.at, e.seq));
-        self.wheel_len -= slot.len();
-        self.active.extend(slot.drain(..));
+        core::mem::swap(&mut self.active, &mut self.wheel[cursor]);
+        self.occupied[cursor / 64] &= !(1 << (cursor % 64));
+        if self.active.len() > 1 {
+            // Keys are unique (seq is), so an unstable sort is
+            // deterministic; within one timestamp seq order == FIFO order.
+            self.active.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+        }
     }
 }
 

@@ -9,7 +9,9 @@
 //! clock. Timestamp regimes are chosen adversarially for a calendar
 //! queue: clusters of duplicate timestamps inside one bucket, streams
 //! straddling bucket boundaries, and far-future spikes that exercise
-//! the overflow spill level and the dry-wheel jump.
+//! the overflow spill level and the dry-wheel jump. Two more regimes
+//! aim at the drain path and the bitmap jump (`check_router_shaped`,
+//! `check_jumps`).
 
 use npr_check::prelude::*;
 use npr_sim::{CalendarQueue, OracleQueue, Time, XorShift64};
@@ -147,8 +149,146 @@ fn check_regime(seed: u64, regime: Regime) -> Result<(), String> {
     Ok(())
 }
 
+/// Both queues driven as one: every call applies to the calendar and
+/// the oracle and compares each observable before returning.
+#[derive(Default)]
+struct Pair {
+    cal: CalendarQueue<u64>,
+    ora: OracleQueue<u64>,
+    next_val: u64,
+}
+
+impl Pair {
+    fn schedule(&mut self, at: Time) -> Result<(), String> {
+        self.cal.schedule(at, self.next_val);
+        self.ora.schedule(at, self.next_val);
+        self.next_val += 1;
+        self.observe("schedule")
+    }
+
+    /// `pop_if_at_or_before(deadline)` on both.
+    fn pop_by(&mut self, deadline: Time) -> Result<Option<(Time, u64)>, String> {
+        let (a, b) = (
+            self.cal.pop_if_at_or_before(deadline),
+            self.ora.pop_if_at_or_before(deadline),
+        );
+        if a != b {
+            return Err(format!("pop by {deadline}: {a:?} != oracle {b:?}"));
+        }
+        self.observe("pop")?;
+        Ok(a)
+    }
+
+    /// Pops both dry.
+    fn drain(&mut self) -> Result<(), String> {
+        while self.pop_by(Time::MAX / 2)?.is_some() {}
+        Ok(())
+    }
+
+    fn observe(&self, after: &str) -> Result<(), String> {
+        let cal = (self.cal.peek_time(), self.cal.len(), self.cal.now());
+        let ora = (self.ora.peek_time(), self.ora.len(), self.ora.now());
+        if cal != ora {
+            return Err(format!(
+                "after {after} (value {}): (peek, len, now) {cal:?} != oracle {ora:?}",
+                self.next_val
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The router's population: a few dozen pending events, most a whole
+/// number of 5 000 ps MicroEngine cycles ahead, drained in deadline
+/// slices, with bursts landing at `now` while a bucket drains.
+fn check_router_shaped(seed: u64) -> Result<(), String> {
+    let mut rng = XorShift64::new(seed);
+    let mut q = Pair::default();
+    for _ in 0..24 {
+        q.schedule(rng.below(40) * 5_000)?;
+    }
+    let mut deadline = 0;
+    let mut popped = 0;
+    while popped < 1_500 && !q.cal.is_empty() {
+        deadline += rng.below(3 * HORIZON);
+        while let Some((now, _)) = q.pop_by(deadline)? {
+            popped += 1;
+            // Hold the population near 40 and never past 64.
+            let children = match q.cal.len() {
+                0..=31 => 2,
+                32..=47 => rng.below(3),
+                48..=60 => rng.below(2),
+                _ => 0,
+            };
+            for _ in 0..children {
+                let d = match rng.below(10) {
+                    0..=1 => 0,                            // Burst at `now`.
+                    2..=4 => (1 + rng.below(40)) * 5_000,  // ME cycles.
+                    5 => 1 + rng.below(300_000),           // Memory completion.
+                    6 => 80_000,                           // 80 ns.
+                    7 => 500_000,                          // 500 ns.
+                    8 => 2_000_000 + rng.below(100_000),   // 2 us: the horizon edge.
+                    _ => 6_720_000,                        // Frame time: spills.
+                };
+                q.schedule(now + d)?;
+            }
+        }
+    }
+    if popped < 1_000 {
+        return Err(format!("only {popped} events popped"));
+    }
+    q.drain()
+}
+
+/// Aims at the bitmap jump: wheel events several buckets apart, with
+/// spill events sitting at exactly the horizon the wheel had before the
+/// jump, one picosecond either side of it and one full rotation ahead;
+/// and at the dry wheel followed by an insert into the cursor's bucket.
+fn check_jumps(seed: u64) -> Result<(), String> {
+    let mut rng = XorShift64::new(seed);
+    let mut q = Pair::default();
+    for round in 0..24 {
+        // The cursor sits on the bucket of the next event (or of the
+        // last one popped when dry); the wheel ends 511 buckets later.
+        let head = q.cal.peek_time().unwrap_or(q.cal.now());
+        let edge = (head / BUCKET + 512) * BUCKET;
+        let now = q.cal.now();
+        for _ in 0..1 + rng.below(3) {
+            q.schedule(now + (2 + rng.below(500)) * BUCKET + rng.below(BUCKET))?;
+        }
+        for at in [edge, edge - 1, edge + 1, edge + HORIZON] {
+            for _ in 0..rng.below(3) {
+                q.schedule(at)?;
+            }
+        }
+        if round % 3 == 2 {
+            // Run dry, then insert into the bucket the cursor was left
+            // on, then past it.
+            q.drain()?;
+            let now = q.cal.now();
+            q.schedule(now + rng.below(BUCKET - now % BUCKET))?;
+            q.schedule(now + (1 + rng.below(600)) * BUCKET)?;
+            q.schedule(now)?;
+        }
+        for _ in 0..rng.below(6) {
+            q.pop_by(Time::MAX / 2)?;
+        }
+    }
+    q.drain()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn router_shaped_population_matches_oracle(seed: u64) {
+        prop_assert_eq!(check_router_shaped(seed), Ok(()));
+    }
+
+    #[test]
+    fn bucket_jumps_past_horizon_spills_match_oracle(seed: u64) {
+        prop_assert_eq!(check_jumps(seed), Ok(()));
+    }
 
     #[test]
     fn clustered_duplicate_timestamps_match_oracle(seed: u64) {

@@ -123,8 +123,9 @@ for suite in differential faults parallel_differential; do
     fi
 done
 
-# Record the scheduler perf baseline: events/sec (calendar vs oracle)
-# and per-experiment wall-clock, plus the VRP backend axis (service
+# Record the scheduler perf baseline: events/sec (calendar vs oracle,
+# on a large and on a router-shaped population; golden scenario end to
+# end) and per-experiment wall-clock, plus the VRP backend axis (service
 # corpus + forwarder-heavy throughput on both tiers and the compiled
 # speedup), and the parallel `threads` axis (fault-sweep wall-clock at
 # 1/2/4/8 worker threads). simbench exits nonzero if the calendar
@@ -132,6 +133,16 @@ done
 # fuzz sweep, or if the parallel fault sweep is not bit-identical to
 # the sequential one.
 cargo run --release --offline --bin simbench -- --quick --out BENCH_sim.json
+
+# Calendar-vs-heap gate on the population a router actually holds (~40
+# pending 24-byte events): the calendar is only worth its machinery if
+# it beats the plain heap there, not just at 8192 pending.
+rs_speedup="$(grep '"router_shaped"' BENCH_sim.json | grep -o '"speedup": [0-9.]*' | grep -o '[0-9.]*$')"
+if ! awk -v s="${rs_speedup:-0}" 'BEGIN { exit !(s >= 1.0) }'; then
+    echo "ERROR: calendar queue slower than the oracle heap on the router-shaped population (${rs_speedup:-missing}x)" >&2
+    exit 1
+fi
+echo "event queue: router-shaped population, calendar ${rs_speedup}x the oracle heap"
 
 # Parallel fault-sweep speedup gate: on hosts with at least 4 cores
 # the threaded sweep must beat the sequential one by at least 2x
