@@ -208,13 +208,13 @@ fn bench_extensions(c: &mut Criterion) {
             r.ixp.hw.ports[5].tx_frames
         })
     });
-    // Two-chassis fabric epoch stepping.
+    // Two-chassis fabric in lock-step.
     g.bench_function("fabric_2x", |b| {
         b.iter(|| {
             let mut f =
                 npr_fabric::Fabric::new(npr_fabric::FabricConfig::single_switch(2, RouterConfig::line_rate()));
             f.member_mut(0).attach_cbr(0, 0.5, 200, 9);
-            f.run_until(ms(5), 0);
+            f.run_lockstep(ms(5), 1);
             f.switched()
         })
     });

@@ -9,13 +9,20 @@
 //! it should not be — shifts packet interleavings and changes the
 //! digest even when throughput assertions would still pass.
 //!
+//! The same digest must come out however the run is cut into
+//! `Router::run_until` calls: where a simulation is observed is not
+//! part of the model (DESIGN.md §13, slicing invariance).
+//!
 //! If this test fails after an *intentional* semantics change, rerun
 //! with the new digest printed (`cargo test -p npr-core --test
 //! determinism -- --nocapture`) and update `GOLDEN_DIGEST` in the same
 //! PR, noting why the schedule moved.
 
+use npr_check::prelude::*;
+use npr_check::CheckRng;
 use npr_core::{ms, us, FlowKey, Key, Router, RouterConfig};
 use npr_forwarders::slow::route_updater_pe;
+use npr_sim::Time;
 use npr_traffic::{udp_frame, CbrSource, FrameSpec, MixSource, TraceSource};
 use npr_vrp::VrpBackend;
 
@@ -51,6 +58,16 @@ impl Digest {
 /// fault-free run (`sa_resets == quarantines == 0`), on whichever
 /// thread the scenario happens to execute.
 fn run_scenario(backend: VrpBackend) -> (u64, npr_core::Report) {
+    run_scenario_sliced(backend, |router, t| router.run_until(t))
+}
+
+/// [`run_scenario`] with its two spans (warm-up, then the measurement
+/// window) advanced by `advance(router, span_end)`, which must leave
+/// the router run to `span_end` and may get there in any steps.
+fn run_scenario_sliced(
+    backend: VrpBackend,
+    mut advance: impl FnMut(&mut Router, Time),
+) -> (u64, npr_core::Report) {
     let mut cfg = RouterConfig::line_rate();
     cfg.divert_sa_permille = 333;
     cfg.vrp_backend = backend;
@@ -113,7 +130,12 @@ fn run_scenario(backend: VrpBackend) -> (u64, npr_core::Report) {
     // output is covered by the bit-identical requirement too.
     router.trace_destination(u32::from_be_bytes([10, 2, 0, 1]), 64);
 
-    let report = router.measure(us(500), ms(2));
+    // `Router::measure`, with the stepping handed to `advance`.
+    advance(&mut router, us(500));
+    router.mark();
+    let t0 = router.now().max(us(500));
+    advance(&mut router, t0 + ms(2));
+    let report = router.report();
 
     // Liveness floor — a digest of a dead run would pin nothing.
     assert!(report.forward_mpps > 0.1, "flood stalled: {report:?}");
@@ -253,5 +275,40 @@ fn golden_digest_holds_at_every_thread_count() {
                 "worker {i} at threads={threads} moved the digest: {d:#018X}"
             );
         }
+    }
+}
+
+#[test]
+fn golden_digest_holds_stepped_one_timestamp_at_a_time() {
+    // The finest slicing there is: `run_until` returns at every
+    // pending event timestamp.
+    let (got, _) = run_scenario_sliced(VrpBackend::Compiled, |router, t| {
+        router.start();
+        while let Some(next) = router.next_event_time().filter(|&next| next <= t) {
+            router.run_until(next);
+        }
+        router.run_until(t);
+    });
+    assert_eq!(got, GOLDEN_DIGEST, "stepping moved the digest: {got:#018X}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 2 } else { 8 }))]
+
+    #[test]
+    fn golden_digest_holds_cut_at_random_instants(seed: u64) {
+        let (_, whole) = run_scenario(VrpBackend::Compiled);
+        let mut rng = CheckRng::new(seed);
+        let (got, report) = run_scenario_sliced(VrpBackend::Compiled, |router, t| {
+            let from = router.now();
+            let mut cuts: Vec<Time> = (0..32).map(|_| from + rng.below(t - from)).collect();
+            cuts.sort_unstable();
+            for cut in cuts {
+                router.run_until(cut);
+            }
+            router.run_until(t);
+        });
+        prop_assert_eq!(got, GOLDEN_DIGEST, "cuts moved the digest: {got:#018X}");
+        prop_assert_eq!(report, whole, "cuts moved the Report");
     }
 }

@@ -1,22 +1,20 @@
 //! The fabric proper: N member routers wired by a [`Topology`], with
-//! inter-chassis links as modeled servers and two stepping modes.
+//! inter-chassis links as modeled servers.
 //!
 //! Each member is a full [`Router`] whose gigabit ports `8..8+u` are
 //! the internal uplinks, wrapped in a [`MemberShard`] — the unit of
-//! parallelism for `npr_sim::delivery`. Two stepping modes exist:
+//! parallelism for `npr_sim::delivery`. [`Fabric::run_lockstep`] is
+//! the one way to move a fabric through time: the epoch grid is the
+//! link latency (the minimum cross-chassis latency, hence a safe
+//! lookahead), members advance concurrently under a chosen thread
+//! count, and cross-shard frames are merged deterministically on
+//! `(arrival, source, emission)`, so every thread count is
+//! bit-identical to the single-threaded oracle (DESIGN.md §13).
 //!
-//! * [`Fabric::run_until`] — the legacy coarse-epoch mode: members
-//!   advance in long lock-step slices (default 100 µs) and uplink
-//!   frames switch at each boundary, relying on the port primer's
-//!   past-timestamp clamp. Kept bit-for-bit as-is for the experiments
-//!   that baselined on it.
-//! * [`Fabric::run_lockstep`] — the conservative parallel mode: the
-//!   epoch grid is the link latency (the minimum cross-chassis
-//!   latency, hence a safe lookahead), members advance concurrently
-//!   under a chosen thread count, and cross-shard frames are merged
-//!   deterministically on `(arrival, source, emission)` so every
-//!   thread count is bit-identical to the single-threaded oracle
-//!   (DESIGN.md §13).
+//! The outcome does not depend on where the barriers fall either, so
+//! a run may be cut at any instant: a port takes the frames bound for
+//! it in `(arrival, source)` order, and only once that order is
+//! settled (see [`Inbox`]).
 //!
 //! Frames delivered to a member are tagged with the member's current
 //! *generation*; [`Fabric::rejoin_chassis`] bumps it, so anything
@@ -28,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use npr_core::{ms, Router, RouterConfig};
+use npr_core::{Router, RouterConfig};
 use npr_ixp::TrafficSource;
 use npr_packet::{EthernetFrame, Frame, Ipv4Header, MacAddr, Mp};
 use npr_route::NextHop;
@@ -37,36 +35,68 @@ use npr_sim::{run_threads, EngineStats, Outbox, Shard, Time};
 use crate::topology::{FabricConfig, Steer, Topology, Wire, UPLINK_PORT};
 use crate::Link;
 
-/// A timestamped, generation-tagged frame queue shared between the
-/// fabric and a member port. `Arc<Mutex<..>>` rather than
-/// `Rc<RefCell<..>>` so a shard (and the router inside it) is `Send`;
-/// the lock is never contended — only the thread currently stepping
-/// the owning shard touches it.
-type SharedFrameQueue = Arc<Mutex<VecDeque<(Time, u64, Frame)>>>;
+/// One frame on its way to a member port.
+pub(crate) struct Arrival {
+    /// When its first bit reaches the port.
+    at: Time,
+    /// The member that sent it.
+    src: usize,
+    /// The receiving member's incarnation it was addressed to.
+    generation: u64,
+    frame: Frame,
+}
 
-/// A pull source backed by a shared queue the fabric pushes into.
+/// The frames bound for one member port, in the order the port takes
+/// them: by `(arrival, source)`, first in first out within a key.
+///
+/// Barriers deliver frames in emission order, not arrival order (a
+/// frame held up on a busy link lands after one sent later on an idle
+/// one), so what sits here at a given instant depends on where the
+/// barriers fell. The arrivals at or before `settled` do not: once
+/// every member has advanced to `b`, anything still unsent arrives
+/// after `b` plus the link latency. The port is offered only those, so
+/// the sequence it takes is a function of the traffic alone.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    pub(crate) frames: VecDeque<Arrival>,
+    settled: Time,
+}
+
+/// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` so a shard (and the
+/// router inside it) is `Send`; the lock is never contended — only the
+/// thread currently stepping the owning shard touches it.
+type SharedInbox = Arc<Mutex<Inbox>>;
+
+/// A pull source backed by a shared inbox the fabric pushes into.
 /// Frames tagged with a stale generation (their target incarnation was
 /// torn down by a chassis re-join) are fenced here: counted, skipped,
 /// never delivered to the new incarnation.
-struct SharedQueueSource {
-    q: SharedFrameQueue,
+struct InboxSource {
+    inbox: SharedInbox,
     generation: Arc<AtomicU64>,
     taken: Arc<AtomicU64>,
     fenced: Arc<AtomicU64>,
 }
 
-impl TrafficSource for SharedQueueSource {
+impl TrafficSource for InboxSource {
     fn next_frame(&mut self) -> Option<(Time, Frame)> {
-        let mut q = self.q.lock().expect("uplink queue poisoned");
+        let mut inbox = self.inbox.lock().expect("uplink inbox poisoned");
         let cur = self.generation.load(Ordering::Relaxed);
-        while let Some((at, gen, frame)) = q.pop_front() {
-            if gen == cur {
+        while inbox.head_settled() {
+            let a = inbox.frames.pop_front().expect("head checked");
+            if a.generation == cur {
                 self.taken.fetch_add(1, Ordering::Relaxed);
-                return Some((at, frame));
+                return Some((a.at, a.frame));
             }
             self.fenced.fetch_add(1, Ordering::Relaxed);
         }
         None
+    }
+}
+
+impl Inbox {
+    fn head_settled(&self) -> bool {
+        self.frames.front().is_some_and(|a| a.at <= self.settled)
     }
 }
 
@@ -78,7 +108,7 @@ pub(crate) struct FabricPort {
     pub(crate) wire: Wire,
     pub(crate) link: Link,
     /// Frames switched toward this member, pulled by the port source.
-    pub(crate) inbox: SharedFrameQueue,
+    pub(crate) inbox: SharedInbox,
     /// Frames the source actually delivered into the router.
     pub(crate) taken: Arc<AtomicU64>,
 }
@@ -119,6 +149,8 @@ pub struct MemberShard {
     pub(crate) tx_carry: u64,
     /// The resident route-updater, installed lazily on first re-steer.
     pub(crate) updater: Option<npr_core::Fid>,
+    /// The least latency of any link into this member.
+    pub(crate) lookahead_ps: Time,
 }
 
 impl MemberShard {
@@ -126,8 +158,7 @@ impl MemberShard {
     /// frames, routes them per-wire, and carries them across the link
     /// model: returns `(dest, dest_port_ix, arrival, frame)` for every
     /// switchable frame, counting unroutable ones as switch drops and
-    /// down-link ones in the link's own ledger. The single switching
-    /// implementation shared by both stepping modes.
+    /// down-link ones in the link's own ledger.
     /// `now` drives the reassembly age-out: an entry untouched for
     /// `reassembly_age_ps` is abandoned and counted, so a frame whose
     /// closing MP never arrives (a corrupted position tag carried
@@ -175,20 +206,10 @@ impl MemberShard {
         out
     }
 
-    /// Queues a switched frame for this member's port `ix` source,
-    /// tagged with the member's current generation.
-    fn enqueue(&self, ix: usize, at: Time, frame: Frame) {
-        self.ports[ix]
-            .inbox
-            .lock()
-            .expect("uplink queue poisoned")
-            .push_back((at, self.gen_cell.load(Ordering::Relaxed), frame));
-    }
-
     pub(crate) fn queued(&self) -> u64 {
         self.ports
             .iter()
-            .map(|p| p.inbox.lock().expect("uplink queue poisoned").len() as u64)
+            .map(|p| p.inbox.lock().expect("uplink inbox poisoned").frames.len() as u64)
             .sum()
     }
 
@@ -216,32 +237,61 @@ impl MemberShard {
 }
 
 impl Shard for MemberShard {
-    type Msg = (usize, Frame);
+    /// `(receiving fabric-port index, sending member, frame)`.
+    type Msg = (usize, usize, Frame);
 
+    /// The router's next event, or the instant the next held-back
+    /// arrival settles (one lookahead before it lands) if that comes
+    /// first: with every member idle, nothing else would bring the
+    /// barrier that offers it to its port in time.
     fn next_time(&self) -> Option<Time> {
-        self.router.next_event_time()
+        let settles = self.ports.iter().filter_map(|p| {
+            let inbox = p.inbox.lock().expect("uplink inbox poisoned");
+            let head = inbox.frames.front()?;
+            (head.at > inbox.settled).then(|| head.at - self.lookahead_ps)
+        });
+        self.router
+            .next_event_time()
+            .into_iter()
+            .chain(settles)
+            .min()
     }
 
-    fn advance(&mut self, horizon: Time, out: &mut Outbox<(usize, Frame)>) {
+    fn advance(&mut self, horizon: Time, out: &mut Outbox<Self::Msg>) {
         self.router.run_until(horizon);
         for (dest, ix, at, frame) in self.collect_switched(horizon) {
-            out.send(dest, at, (ix, frame));
+            out.send(dest, at, (ix, self.k, frame));
         }
     }
 
-    fn deliver(&mut self, at: Time, (ix, frame): (usize, Frame)) {
-        self.enqueue(ix, at, frame);
+    /// Files the frame in its port's inbox, tagged with this member's
+    /// current generation.
+    fn deliver(&mut self, at: Time, (ix, src, frame): Self::Msg) {
+        let mut inbox = self.ports[ix].inbox.lock().expect("uplink inbox poisoned");
+        let after = inbox.frames.partition_point(|a| (a.at, a.src) <= (at, src));
+        inbox.frames.insert(
+            after,
+            Arrival {
+                at,
+                src,
+                generation: self.gen_cell.load(Ordering::Relaxed),
+                frame,
+            },
+        );
     }
 
-    fn flush(&mut self) {
-        for ix in 0..self.ports.len() {
-            let nonempty = !self.ports[ix]
-                .inbox
-                .lock()
-                .expect("uplink queue poisoned")
-                .is_empty();
-            if nonempty {
-                self.router.poke_port(self.ports[ix].port);
+    /// Every member has reached `horizon` and its frames are in:
+    /// arrivals up to one link latency past it are settled. Offers them
+    /// to the ports, re-arming any that had run dry.
+    fn flush(&mut self, horizon: Time) {
+        let settled = horizon + self.lookahead_ps;
+        for p in &self.ports {
+            let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
+            inbox.settled = settled;
+            let ready = inbox.head_settled();
+            drop(inbox);
+            if ready {
+                self.router.poke_port(p.port);
             }
         }
     }
@@ -311,12 +361,7 @@ impl Fabric {
         for k in 0..n {
             let channels: Vec<_> = fports
                 .iter()
-                .map(|_| {
-                    (
-                        Arc::new(Mutex::new(VecDeque::new())) as SharedFrameQueue,
-                        Arc::new(AtomicU64::new(0)),
-                    )
-                })
+                .map(|_| (SharedInbox::default(), Arc::new(AtomicU64::new(0))))
                 .collect();
             let gen_cell = Arc::new(AtomicU64::new(0));
             let fenced = Arc::new(AtomicU64::new(0));
@@ -348,13 +393,14 @@ impl Fabric {
                 rx_carry: 0,
                 tx_carry: 0,
                 updater: None,
+                lookahead_ps: fabric.link_latency_ps,
             });
         }
         fabric
     }
 
-    /// The pre-refactor constructor: `n` members behind one ideal
-    /// gigabit switch (bit-identical to the old `npr_core::Fabric`).
+    /// The paper's sketch: `n` members behind one ideal gigabit
+    /// switch.
     pub fn single_switch(n: usize, base: RouterConfig) -> Self {
         Self::new(FabricConfig::single_switch(n, base))
     }
@@ -371,7 +417,7 @@ impl Fabric {
         k: usize,
         n: usize,
         fports: &[usize],
-        channels: &[(SharedFrameQueue, Arc<AtomicU64>)],
+        channels: &[(SharedInbox, Arc<AtomicU64>)],
         gen_cell: &Arc<AtomicU64>,
         fenced: &Arc<AtomicU64>,
     ) -> (Router, Vec<Option<u8>>) {
@@ -413,8 +459,8 @@ impl Fabric {
             r.ixp.hw.ports[UPLINK_PORT + ix].tx_capture = Some(Vec::new());
             r.attach_source(
                 UPLINK_PORT + ix,
-                Box::new(SharedQueueSource {
-                    q: Arc::clone(q),
+                Box::new(InboxSource {
+                    inbox: Arc::clone(q),
                     generation: Arc::clone(gen_cell),
                     taken: Arc::clone(taken),
                     fenced: Arc::clone(fenced),
@@ -506,60 +552,15 @@ impl Fabric {
         &self.shards[k].ports[ix].link
     }
 
-    /// Runs the whole fabric until `t`, stepping members in `epoch`-long
-    /// slices and switching uplink traffic at each boundary. The epoch
-    /// bounds the inter-chassis latency error; 0 defaults to 100 us.
-    ///
-    /// This is the legacy coarse-epoch mode: an epoch may far exceed
-    /// the real link latency, so a frame's arrival stamp can lie in
-    /// the receiving member's past — the port primer clamps it to "now"
-    /// on injection. Sequential by construction; retained bit-for-bit
-    /// for the experiments baselined on it. [`Fabric::run_lockstep`] is
-    /// the latency-accurate (and parallelizable) mode.
-    pub fn run_until(&mut self, t: Time, epoch: Time) {
-        let epoch = if epoch == 0 { ms(1) / 10 } else { epoch };
-        while self.clock < t {
-            self.clock = (self.clock + epoch).min(t);
-            for s in &mut self.shards {
-                s.router.run_until(self.clock);
-            }
-            self.switch_frames();
-        }
-    }
-
-    /// Drains captured uplink MPs, reassembles frames, and injects them
-    /// into their destination members (legacy-mode boundary switching;
-    /// iteration order — member, then capture order — is part of the
-    /// preserved behavior).
-    fn switch_frames(&mut self) {
-        let n = self.shards.len();
-        let now = self.clock;
-        for k in 0..n {
-            for (dest, ix, at, frame) in self.shards[k].collect_switched(now) {
-                self.shards[dest].enqueue(ix, at, frame);
-            }
-        }
-        for k in 0..n {
-            for ix in 0..self.shards[k].ports.len() {
-                let nonempty = !self.shards[k].ports[ix]
-                    .inbox
-                    .lock()
-                    .expect("uplink queue poisoned")
-                    .is_empty();
-                if nonempty {
-                    let port = self.shards[k].ports[ix].port;
-                    self.shards[k].router.poke_port(port);
-                }
-            }
-        }
-    }
-
     /// Runs the whole fabric until `t` under the conservative parallel
     /// engine: epoch grid = the link latency (the cross-chassis
     /// lookahead; serialization on a finite-capacity link only pushes
     /// arrivals later), `threads` ≤ 1 selects the lock-step sequential
-    /// oracle, larger counts the `Parallel` strategy. Bit-identical at
-    /// every thread count — gated by the fabric differential suite.
+    /// oracle, larger counts the `Parallel` strategy.
+    ///
+    /// Bit-identical at every thread count, and however the span up to
+    /// `t` is cut into calls (each call ends in a barrier at its `t`) —
+    /// gated by the fabric differential and slicing suites.
     pub fn run_lockstep(&mut self, t: Time, threads: usize) -> EngineStats {
         for s in &mut self.shards {
             // The engine polls `next_time` before any shard advances;

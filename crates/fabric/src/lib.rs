@@ -6,9 +6,8 @@
 //! into a first-class topology crate.
 //!
 //! A [`Fabric`] composes N full [`npr_core::Router`]s under a
-//! [`Topology`] — the paper's single gigabit switch (bit-identical to
-//! the pre-refactor `npr_core::Fabric`), a bidirectional ring, or a
-//! two-tier spine/leaf — with the inter-chassis links as modeled
+//! [`Topology`] — the paper's single gigabit switch, a bidirectional
+//! ring, or a two-tier spine/leaf — with the inter-chassis links as modeled
 //! servers ([`Link`]: latency plus finite serialization capacity, so
 //! contention is visible, not absorbed). Wiring is config-driven via
 //! [`FabricConfig`], which composes per-member `RouterConfig`s.
@@ -22,10 +21,10 @@
 //! [`Fabric::conservation`] asserts end-to-end packet conservation
 //! across the whole cluster.
 //!
-//! Stepping: [`Fabric::run_until`] is the legacy coarse-epoch mode;
-//! [`Fabric::run_lockstep`] shards by chassis on the conservative
-//! parallel engine (`npr_sim::delivery`) with the link latency as
-//! lookahead — bit-identical at every thread count.
+//! Stepping: [`Fabric::run_lockstep`] shards by chassis on the
+//! conservative parallel engine (`npr_sim::delivery`) with the link
+//! latency as lookahead — bit-identical at every thread count and
+//! however a run is cut into calls.
 //!
 //! # Quick start
 //!

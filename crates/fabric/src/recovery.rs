@@ -81,12 +81,7 @@ impl Fabric {
     pub fn chassis_quiet(&self, m: usize) -> bool {
         let s = &self.shards[m];
         let c = s.router.conservation();
-        c.in_flight == 0
-            && c.holds()
-            && s.ports
-                .iter()
-                .all(|p| p.inbox.lock().expect("uplink queue poisoned").is_empty())
-            && s.partial.is_empty()
+        c.in_flight == 0 && c.holds() && s.queued() == 0 && s.partial.is_empty()
     }
 
     /// Re-joins the drained member `m` as a fresh incarnation:
@@ -106,9 +101,9 @@ impl Fabric {
             .store(s.generation, std::sync::atomic::Ordering::Relaxed);
         let mut stale = 0u64;
         for p in &s.ports {
-            let mut q = p.inbox.lock().expect("uplink queue poisoned");
-            stale += q.len() as u64;
-            q.clear();
+            let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
+            stale += inbox.frames.len() as u64;
+            inbox.frames.clear();
         }
         s.fenced
             .fetch_add(stale, std::sync::atomic::Ordering::Relaxed);

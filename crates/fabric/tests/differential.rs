@@ -1,16 +1,18 @@
-//! Refactor differential: the single-switch topology must be
-//! *bit-identical* to the pre-refactor `npr_core::Fabric`.
+//! Fabric differential: pinned fingerprints of the canonical
+//! single-switch scenarios, and exact counts on every topology.
 //!
-//! The fingerprints pinned here were captured by running the canonical
-//! scenarios against the pre-refactor implementation (same build mode
-//! independence verified: debug and release produce identical values).
-//! Any divergence — route programming order, switch iteration order,
-//! arrival arithmetic, fingerprint fold — trips a pin.
+//! The pins hold the fabric to itself across refactors (debug and
+//! release produce identical values). Any divergence — route
+//! programming order, switch iteration order, arrival arithmetic,
+//! fingerprint fold — trips one. The two cross-traffic pins were taken
+//! under the coarse-epoch stepping mode this crate once had and were
+//! re-pinned under `run_lockstep` when that mode was deleted; the
+//! lock-step pins date from the parallel engine.
 //!
-//! The second half migrates the pre-refactor unit suite wholesale (same
-//! scenarios, same exact expected counts), then adds the topology
-//! coverage the old sketch lacked: ring and spine/leaf cross-traffic,
-//! multi-hop transit, link serialization visible under contention.
+//! The second half is the unit suite of the single-switch sketch (same
+//! scenarios, same exact expected counts), then the topology coverage
+//! the sketch lacked: ring and spine/leaf cross-traffic, multi-hop
+//! transit, link serialization visible under contention.
 
 use npr_core::{ms, us, RouterConfig};
 use npr_fabric::{Fabric, FabricConfig, Topology, UPLINK_PORT};
@@ -32,34 +34,35 @@ fn cbr(dst_net: u8, frac: f64, frames: u64) -> Box<CbrSource> {
 }
 
 // ---------------------------------------------------------------------
-// Pre-refactor pins (captured from the old npr_core::Fabric).
+// Pinned fingerprints.
 // ---------------------------------------------------------------------
 
 #[test]
-fn pin_legacy_two_member_cross_traffic() {
+fn pin_two_member_cross_traffic() {
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(0, cbr(9, 0.5, 200));
-    f.run_until(ms(40), 0);
-    assert_eq!(f.switched(), 200);
-    assert_eq!(f.member(1).ixp.hw.ports[1].tx_frames, 200);
+    f.run_lockstep(ms(40), 1);
+    assert_eq!(f.switched(), 200, "all frames crossed the switch");
     assert_eq!(
-        f.fingerprint(),
-        0xe20bb37a95577c7c,
-        "single-switch legacy mode diverged from the pre-refactor Fabric"
+        f.member(1).ixp.hw.ports[1].tx_frames, 200,
+        "delivered on the owner's external port"
     );
+    assert_eq!(f.total_drops(), 0);
+    assert_eq!(f.fingerprint(), 0xb78d310ba594879b);
 }
 
 #[test]
-fn pin_legacy_four_member_bidirectional() {
+fn pin_four_member_bidirectional() {
     let mut f = Fabric::single_switch(4, RouterConfig::line_rate());
     for k in 0..4usize {
         let dst_net = (((k + 1) % 4) * 8) as u8;
         f.member_mut(k).attach_source(0, cbr(dst_net, 0.9, 300));
     }
-    f.run_until(ms(40), 0);
+    f.run_lockstep(ms(40), 1);
     assert_eq!(f.switched(), 1200);
     assert_eq!(f.external_tx(), 1200);
-    assert_eq!(f.fingerprint(), 0x984ade6dee0bd465);
+    assert_eq!(f.total_drops(), 0);
+    assert_eq!(f.fingerprint(), 0x0410898ea3e7a42d);
 }
 
 #[test]
@@ -145,39 +148,26 @@ fn pin_lockstep_compound_faults() {
         )
         .unwrap();
     let stats = f.run_lockstep(ms(2), 1);
-    assert_eq!(f.switched(), 339);
-    assert_eq!(f.fingerprint(), 0x02515484a853c620);
+    assert_eq!(f.switched(), 338);
+    assert_eq!(f.fingerprint(), 0x3fc621dd100ab6cc);
     assert_eq!(
         stats,
         EngineStats {
-            epochs: 998,
-            delivered: 339
+            epochs: 999,
+            delivered: 338
         }
     );
 }
 
 // ---------------------------------------------------------------------
-// Migrated pre-refactor unit suite (same scenarios, same counts).
+// The single-switch unit suite (same scenarios, same counts).
 // ---------------------------------------------------------------------
-
-#[test]
-fn cross_chassis_forwarding_works() {
-    let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
-    f.member_mut(0).attach_source(0, cbr(9, 0.5, 200));
-    f.run_until(ms(40), 0);
-    assert_eq!(f.switched(), 200, "all frames crossed the switch");
-    assert_eq!(
-        f.member(1).ixp.hw.ports[1].tx_frames, 200,
-        "delivered on the owner's external port"
-    );
-    assert_eq!(f.total_drops(), 0);
-}
 
 #[test]
 fn local_traffic_never_touches_the_switch() {
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(0, cbr(3, 0.5, 100));
-    f.run_until(ms(20), 0);
+    f.run_lockstep(ms(20), 1);
     assert_eq!(f.switched(), 0);
     assert_eq!(f.member(0).ixp.hw.ports[3].tx_frames, 100);
 }
@@ -192,7 +182,7 @@ fn uplink_saturation_drops_visibly_not_silently() {
         f.member_mut(0)
             .attach_source(p, cbr(8 + p as u8, 0.95, 2_000));
     }
-    f.run_until(ms(60), 0);
+    f.run_lockstep(ms(60), 1);
     let delivered = f.external_tx();
     let drops = f.total_drops();
     assert!(delivered > 0);
@@ -204,38 +194,52 @@ fn uplink_saturation_drops_visibly_not_silently() {
 }
 
 #[test]
-fn multi_mp_frames_straddling_an_epoch_boundary_reassemble() {
-    // Large frames segment into many 64-byte MPs on the uplink; a tiny
-    // epoch all but guarantees some frames are mid-flight at a
-    // boundary. The switch must hold their MPs across the boundary and
-    // still deliver every frame intact.
-    let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
-    f.member_mut(0).attach_source(
-        0,
-        Box::new(CbrSource::new(
-            100_000_000,
-            0.9,
-            FrameSpec {
-                len: 600, // ~10 MPs per frame.
-                dst: u32::from_be_bytes([10, 9, 0, 1]),
-                ..Default::default()
-            },
-            40,
-        )),
-    );
-    let epoch = us(2);
+fn multi_mp_frames_straddling_a_cut_reassemble() {
+    // Large frames segment into many 64-byte MPs on the uplink; cutting
+    // the run every 1.3 us, off the 2 us barrier grid, all but
+    // guarantees some frames are mid-flight at a cut. The switch must
+    // hold their MPs across it, deliver every frame intact, and end
+    // where the uncut run ends.
+    let build = || {
+        let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
+        f.member_mut(0).attach_source(
+            0,
+            Box::new(CbrSource::new(
+                100_000_000,
+                0.9,
+                FrameSpec {
+                    len: 600, // ~10 MPs per frame.
+                    dst: u32::from_be_bytes([10, 9, 0, 1]),
+                    ..Default::default()
+                },
+                40,
+            )),
+        );
+        f
+    };
+    let mut f = build();
     let mut saw_partial = false;
     let mut t = 0;
     while t < ms(8) {
-        t += epoch;
-        f.run_until(t, epoch);
+        t = (t + us(13) / 10).min(ms(8));
+        f.run_lockstep(t, 1);
         saw_partial |= f.pending_uplink_mps(0) > 0;
     }
-    assert!(saw_partial, "2 us epochs should catch a frame mid-reassembly");
+    assert!(
+        saw_partial,
+        "1.3 us cuts should catch a frame mid-reassembly"
+    );
     assert_eq!(f.pending_uplink_mps(0), 0, "no MPs stranded at the end");
     assert_eq!(f.switched(), 40, "every frame crossed the switch");
     assert_eq!(f.member(1).ixp.hw.ports[1].tx_frames, 40);
     assert_eq!(f.total_drops(), 0);
+    let mut uncut = build();
+    uncut.run_lockstep(ms(8), 1);
+    assert_eq!(
+        f.fingerprint(),
+        uncut.fingerprint(),
+        "the cuts changed the outcome"
+    );
 }
 
 #[test]
@@ -253,23 +257,10 @@ fn unroutable_subnets_count_one_switch_drop_per_frame() {
         },
     );
     f.member_mut(0).attach_source(0, cbr(200, 0.5, 3));
-    f.run_until(ms(20), 0);
+    f.run_lockstep(ms(20), 1);
     assert_eq!(f.switch_drops(), 3, "one drop per unroutable frame");
     assert_eq!(f.switched(), 0);
     assert_eq!(f.external_tx(), 0, "nothing was delivered");
-}
-
-#[test]
-fn bidirectional_cross_traffic_is_lossless() {
-    let mut f = Fabric::single_switch(4, RouterConfig::line_rate());
-    for k in 0..4usize {
-        let dst_net = (((k + 1) % 4) * 8) as u8;
-        f.member_mut(k).attach_source(0, cbr(dst_net, 0.9, 300));
-    }
-    f.run_until(ms(40), 0);
-    assert_eq!(f.switched(), 1200);
-    assert_eq!(f.external_tx(), 1200);
-    assert_eq!(f.total_drops(), 0);
 }
 
 #[test]
@@ -372,26 +363,6 @@ fn spine_leaf_spreads_subnets_across_spines() {
     assert_eq!(f.member(1).ixp.hw.ports[1].tx_frames, 60);
     assert_eq!(f.member(2).ixp.hw.ports[1].tx_frames, 60);
     assert_conserves(&f);
-}
-
-#[test]
-fn legacy_epoch_mode_works_on_all_topologies() {
-    for cfg in [
-        FabricConfig::single_switch(3, RouterConfig::line_rate()),
-        FabricConfig::ring(3, RouterConfig::line_rate()),
-        FabricConfig::spine_leaf(3, RouterConfig::line_rate()),
-    ] {
-        let name = cfg.topology.name();
-        let mut f = Fabric::new(cfg);
-        for k in 0..3usize {
-            let dst_net = (((k + 1) % 3) * 8) as u8;
-            f.member_mut(k).attach_source(0, cbr(dst_net, 0.5, 50));
-        }
-        f.run_until(ms(20), 0);
-        assert_eq!(f.switched(), 150, "{name}");
-        assert_eq!(f.external_tx(), 150, "{name}");
-        assert_conserves(&f);
-    }
 }
 
 #[test]

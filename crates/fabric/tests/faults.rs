@@ -304,15 +304,35 @@ fn drain_resteers_neighbors_and_rejoin_replays_provisioning() {
 
 #[test]
 fn rejoin_fences_stale_generation_frames() {
-    // Legacy-mode boundary switching leaves the final epoch's frames
-    // queued in the victim's fabric inboxes (pulled lazily by its rx
-    // path). A re-join must fence them: counted, never delivered to the
-    // new incarnation.
-    let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
-    f.member_mut(0).attach_source(0, cbr(9, 0.5, 120));
-    f.run_until(ms(1), 0);
+    // Members 0 and 2 send 600-byte frames to member 1 in step: two
+    // land on its uplink together, and while the ten MPs of one come
+    // off the wire the other waits in the victim's fabric inbox
+    // (pulled lazily by its rx path). A re-join must fence what waits
+    // there: counted, never delivered to the new incarnation.
+    let mut f = Fabric::single_switch(3, RouterConfig::line_rate());
+    for k in [0, 2] {
+        f.member_mut(k).attach_source(
+            0,
+            Box::new(CbrSource::new(
+                100_000_000,
+                0.9,
+                FrameSpec {
+                    len: 600,
+                    dst: u32::from_be_bytes([10, 9, 0, 1]),
+                    ..Default::default()
+                },
+                120,
+            )),
+        );
+    }
+    let mut t = us(500);
+    f.run_lockstep(t, 1);
+    while f.queued_frames() == 0 {
+        t += us(1);
+        assert!(t < ms(2), "no cut found a frame waiting in an inbox");
+        f.run_lockstep(t, 1);
+    }
     let stale = f.queued_frames();
-    assert!(stale > 0, "no frames left queued at the boundary");
     f.drain_chassis(1, us(100), 0);
     f.rejoin_chassis(1);
     assert_eq!(
@@ -323,7 +343,7 @@ fn rejoin_fences_stale_generation_frames() {
     assert_eq!(f.queued_frames(), 0);
     // The rest of the burst flows to the new incarnation (the old
     // one's deliveries ride the carry ledgers, not its lost counters).
-    f.run_lockstep(f.now() + ms(4), 1);
+    f.run_lockstep(f.now() + ms(6), 1);
     assert!(f.drain(us(100), 2_000), "fabric failed to quiesce");
     let delivered = f.member(1).ixp.hw.ports[1].tx_frames;
     assert!(delivered > 0, "new incarnation received nothing");

@@ -838,18 +838,23 @@ impl<W> Ixp<W> {
         }
     }
 
+    /// Schedules the `RxArrive` for the head of `p`'s pending MPs
+    /// unless one is already outstanding, so priming is idempotent.
     fn prime_port(&mut self, p: PortId, sched: &mut impl Sched) {
+        if self.hw.ports[p].rx_armed {
+            return;
+        }
         if let Some(t) = self.hw.ports[p].refill_pending(&self.cfg, p) {
-            // A source may supply frames stamped before this clock
-            // domain's present (e.g. a fabric switch injecting frames
-            // captured while this router ran ahead in its epoch):
-            // deliver them immediately rather than in the past.
+            // A source attached mid-run may stamp its first frame in
+            // this machine's past: deliver it now rather than then.
             sched.at(t.max(sched.now()), IxpEv::RxArrive(p));
+            self.hw.ports[p].rx_armed = true;
         }
     }
 
     fn rx_arrive(&mut self, p: PortId, sched: &mut impl Sched) {
         let now = sched.now();
+        self.hw.ports[p].rx_armed = false;
         if let Some(f) = self.faults.as_mut() {
             if f.roll(FaultClass::PortFlap) {
                 let dur = f.draw_window(
@@ -860,11 +865,9 @@ impl<W> Ixp<W> {
                 self.hw.ports[p].inject_flap(now, dur);
             }
         }
-        let next = self.hw.ports[p].deliver_pending(now);
-        match next {
-            Some(t) => sched.at(t.max(now), IxpEv::RxArrive(p)),
-            None => self.prime_port(p, sched),
-        }
+        self.hw.ports[p].deliver_pending(now);
+        // Arms the next MP of this frame, or pulls the next frame.
+        self.prime_port(p, sched);
         // Wake contexts polling this port.
         if self.hw.ports[p].rdy() {
             for c in 0..NUM_CTX {

@@ -298,6 +298,57 @@ fn wait_rx_blocks_until_arrival() {
 }
 
 #[test]
+fn repriming_a_port_mid_frame_leaves_its_mps_on_schedule() {
+    // One 200-byte frame on a 100 Mbps port: four MPs, due when their
+    // last byte is off the wire. A fabric barrier re-primes the port
+    // whenever it has delivered a frame, which may be at any instant.
+    // Re-priming must not schedule a second arrival for a port that
+    // has one outstanding, or the MPs behind it land early.
+    let cfg = ChipConfig {
+        ideal_ports: false,
+        ..ChipConfig::default()
+    };
+    let mut ixp: Ixp<World> = Ixp::new(cfg);
+    let mut sent = false;
+    ixp.set_source(
+        0,
+        Box::new(move || {
+            let first = !sent;
+            sent = true;
+            first.then(|| (0, vec![1u8; 200]))
+        }),
+    );
+    let mut w = World::default();
+    let mut q = Q(EventQueue::new());
+    ixp.start(&mut w, &mut q);
+    let mut landed = Vec::new();
+    loop {
+        // Several barriers before the first MP and between every two.
+        for _ in 0..3 {
+            ixp.reprime_port(0, &mut q);
+        }
+        let Some((at, ev)) = q.0.pop_if_at_or_before(100_000_000) else {
+            break;
+        };
+        assert!(matches!(ev, IxpEv::RxArrive(0)), "unexpected {ev:?}");
+        ixp.handle(ev, &mut w, &mut q);
+        landed.push((at, ixp.hw.ports[0].rx_mps));
+    }
+    // 64, 128 and 192 bytes in, then the whole frame plus its 24 bytes
+    // of wire overhead; one arrival event each.
+    assert_eq!(
+        landed,
+        [
+            (5_120_000, 1),
+            (10_240_000, 2),
+            (15_360_000, 3),
+            (17_920_000, 4)
+        ]
+    );
+    assert_eq!(ixp.hw.ports[0].rx_frames, 1);
+}
+
+#[test]
 fn tx_path_counts_frames() {
     let mut ixp: Ixp<World> = Ixp::new(ChipConfig::ideal());
     let mp = Mp::segment(&[0u8; 60], 3, 0).pop().unwrap();

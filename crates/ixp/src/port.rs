@@ -75,6 +75,10 @@ pub struct PortData {
 
     pub(crate) source: Option<Box<dyn TrafficSource>>,
     pub(crate) pending: VecDeque<(Time, Mp)>,
+    /// An `RxArrive` for the head of `pending` is scheduled and not yet
+    /// dispatched. At most one may be outstanding per port: a second
+    /// would pop the following MP before its wire time.
+    pub(crate) rx_armed: bool,
     pub(crate) last_frame_end: Time,
     pub(crate) frame_seq: u64,
     pub(crate) dropping_frame: Option<u64>,
@@ -112,6 +116,7 @@ impl PortData {
             flaps: 0,
             source: None,
             pending: VecDeque::new(),
+            rx_armed: false,
             last_frame_end: 0,
             frame_seq: 0,
             dropping_frame: None,
@@ -165,9 +170,7 @@ impl PortData {
     /// the frame on overflow). Returns the time of the next pending MP.
     pub(crate) fn deliver_pending(&mut self, now: Time) -> Option<Time> {
         if let Some(&(t, _)) = self.pending.front() {
-            // `t <= now` except for cross-clock-domain injections
-            // (fabric), whose deliveries were clamped to the present.
-            let _ = (t, now);
+            debug_assert!(t <= now, "MP delivered before its wire time");
             let (_, mp) = self.pending.pop_front().expect("checked front");
             if self.dropping_frame == Some(mp.frame_id) {
                 self.rx_mps_dropped += 1;

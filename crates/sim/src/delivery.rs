@@ -88,10 +88,11 @@ pub trait Shard: Send {
     /// between epochs, in the deterministic merge order.
     fn deliver(&mut self, at: Time, msg: Self::Msg);
 
-    /// Called once per barrier after the shard received at least one
-    /// message — the hook for coalesced post-delivery work (re-arming a
-    /// drained port, waking a poller). Default: nothing.
-    fn flush(&mut self) {}
+    /// Called on every shard at every barrier, after the messages of
+    /// the epoch that ended at `horizon` were delivered — the hook for
+    /// coalesced post-delivery work (re-arming a drained port, waking a
+    /// poller). Default: nothing.
+    fn flush(&mut self, _horizon: Time) {}
 }
 
 /// Cross-shard messages emitted by one shard during one epoch, in
@@ -285,16 +286,12 @@ pub fn run<D: Delivery, S: Shard>(
             }
         }
         merged.sort_by_key(|&(at, src, emit, _, _)| (at, src, emit));
-        let mut touched = vec![false; shards.len()];
         for (at, _, _, dest, msg) in merged {
             shards[dest].deliver(at, msg);
-            touched[dest] = true;
             stats.delivered += 1;
         }
-        for (i, hit) in touched.into_iter().enumerate() {
-            if hit {
-                shards[i].flush();
-            }
+        for s in shards.iter_mut() {
+            s.flush(horizon);
         }
     }
     stats

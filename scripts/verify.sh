@@ -29,98 +29,58 @@ cargo build --release --offline --benches --examples
 # exactly once without timing.
 cargo bench --offline --bench paper -- --test
 
-# The differential-oracle suite is the scheduler's correctness gate: it
-# must run (not just compile) and actually execute its properties. A
-# filtered-out or skipped suite fails this step.
-diff_out="$(cargo test -q --offline -p npr-sim --test differential 2>&1)" || {
-    echo "$diff_out"
-    echo "ERROR: differential-oracle suite failed" >&2
-    exit 1
+# A gate is a test suite that must pass *and* must have executed at
+# least one test: a filtered-out or skipped suite fails, not just a red
+# one. `gate <label> <cargo test args...>`.
+gate() {
+    local label="$1" out
+    shift
+    out="$(cargo test -q --offline "$@" 2>&1)" || {
+        echo "$out"
+        echo "ERROR: $label failed" >&2
+        exit 1
+    }
+    echo "$out"
+    if ! echo "$out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
+        echo "ERROR: $label ran zero tests" >&2
+        exit 1
+    fi
 }
-echo "$diff_out"
-if ! echo "$diff_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: differential-oracle suite ran zero tests" >&2
-    exit 1
-fi
+
+# The differential-oracle suite is the scheduler's correctness gate.
+gate "differential-oracle suite" -p npr-sim --test differential
 
 # The VRP backend differential suite is the compiled tier's correctness
 # gate: the interpreter is the semantic oracle, and the compiled block
 # machine must match it bit-for-bit (results, cycles, MP and flow-state
-# mutations) over the shared fuzz corpus. Zero tests executed is a
-# failure, same as the scheduler gate above.
-vrp_diff_out="$(cargo test -q --offline -p npr-vrp --test differential 2>&1)" || {
-    echo "$vrp_diff_out"
-    echo "ERROR: VRP backend differential suite failed" >&2
-    exit 1
-}
-echo "$vrp_diff_out"
-if ! echo "$vrp_diff_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: VRP backend differential suite ran zero tests" >&2
-    exit 1
-fi
+# mutations) over the shared fuzz corpus.
+gate "VRP backend differential suite" -p npr-vrp --test differential
 
 # Same gate one layer up: the full router must produce identical packet
 # digests, drop accounting, and health decisions on both backends
 # across the fault corpus (release, so the full seeded sweeps run).
-backend_out="$(cargo test -q --release --offline -p npr-core --test backend_differential 2>&1)" || {
-    echo "$backend_out"
-    echo "ERROR: router backend differential suite failed" >&2
-    exit 1
-}
-echo "$backend_out"
-if ! echo "$backend_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: router backend differential suite ran zero tests" >&2
-    exit 1
-fi
+gate "router backend differential suite" --release -p npr-core --test backend_differential
 
 # The parallel-delivery differential gates: the conservative parallel
 # engine must match the lock-step sequential oracle bit-for-bit, first
 # at the engine level (npr-sim: seeded scenario generator plus the
 # fault corpus, threads 2/4/8), then at the router level (npr-core:
 # real fabrics under the full 8-class corpus, plus scatter sweeps).
-# Release, so the full proptest case counts run; zero tests executed
-# fails either gate.
-par_sim_out="$(cargo test -q --release --offline -p npr-sim --test parallel_differential 2>&1)" || {
-    echo "$par_sim_out"
-    echo "ERROR: engine parallel differential suite failed" >&2
-    exit 1
-}
-echo "$par_sim_out"
-if ! echo "$par_sim_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: engine parallel differential suite ran zero tests" >&2
-    exit 1
-fi
-par_core_out="$(cargo test -q --release --offline -p npr-core --test parallel_differential 2>&1)" || {
-    echo "$par_core_out"
-    echo "ERROR: router parallel differential suite failed" >&2
-    exit 1
-}
-echo "$par_core_out"
-if ! echo "$par_core_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: router parallel differential suite ran zero tests" >&2
-    exit 1
-fi
+# Release, so the full proptest case counts run.
+gate "engine parallel differential suite" --release -p npr-sim --test parallel_differential
+gate "router parallel differential suite" --release -p npr-core --test parallel_differential
 
-# The fabric gates: the multi-chassis topology crate must (a) keep the
-# single-switch topology bit-identical to the pre-refactor fabric and
-# the lockstep engine thread-invariant on every topology (differential
-# suite, which carries the pinned fingerprints), (b) contain every
-# fault class to the armed chassis and survive link failure, drain,
-# and re-join with whole-fabric conservation (fault suite), and (c)
-# replay whole clusters bit-for-bit under the parallel engine across
-# the fault corpus (parallel differential). Release; zero tests
-# executed fails each gate.
-for suite in differential faults parallel_differential; do
-    fabric_out="$(cargo test -q --release --offline -p npr-fabric --test "$suite" 2>&1)" || {
-        echo "$fabric_out"
-        echo "ERROR: fabric $suite suite failed" >&2
-        exit 1
-    }
-    echo "$fabric_out"
-    if ! echo "$fabric_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-        echo "ERROR: fabric $suite suite ran zero tests" >&2
-        exit 1
-    fi
+# The fabric gates: the multi-chassis topology crate must (a) keep its
+# pinned fingerprints and the lockstep engine thread-invariant on
+# every topology (differential suite), (b) give the same outcome
+# however a run is cut into `run_lockstep` calls, at every thread count
+# (slicing suite), (c) contain every fault class to the armed chassis
+# and survive link failure, drain, and re-join with whole-fabric
+# conservation (fault suite), and (d) replay whole clusters bit-for-bit
+# under the parallel engine across the fault corpus (parallel
+# differential). Release.
+for suite in differential slicing faults parallel_differential; do
+    gate "fabric $suite suite" --release -p npr-fabric --test "$suite"
 done
 
 # Record the scheduler perf baseline: events/sec (calendar vs oracle,
@@ -161,59 +121,32 @@ if [ "${host_cores:-1}" -ge 4 ]; then
 fi
 echo "parallel sweep: speedup_max=${sweep_speedup}x on ${host_cores} host cores"
 
-# The fault-injection suite is the robustness gate: run it explicitly
-# in release so the full 64-seeded-scenarios-per-class sweep executes
-# (debug builds shrink it to 4), and fail if it ran zero tests.
-fault_out="$(cargo test -q --release --offline -p npr-core --test faults 2>&1)" || {
-    echo "$fault_out"
-    echo "ERROR: fault-injection suite failed" >&2
-    exit 1
-}
-echo "$fault_out"
-if ! echo "$fault_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: fault-injection suite ran zero tests" >&2
-    exit 1
-fi
+# The fault-injection suite is the robustness gate: release, so the
+# full 64-seeded-scenarios-per-class sweep executes (debug builds
+# shrink it to 4).
+gate "fault-injection suite" --release -p npr-core --test faults
 
-# The per-flow queue-manager suite is the overload-isolation gate: run
-# it explicitly in release so the wheel-vs-oracle property suite and
-# the AQM thread-invariance sweep execute at full case counts, and
-# fail if it ran zero tests.
-qm_out="$(cargo test -q --release --offline -p npr-core --test qm 2>&1)" || {
-    echo "$qm_out"
-    echo "ERROR: queue-manager suite failed" >&2
-    exit 1
-}
-echo "$qm_out"
-if ! echo "$qm_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: queue-manager suite ran zero tests" >&2
-    exit 1
-fi
+# The per-flow queue-manager suite is the overload-isolation gate:
+# release, so the wheel-vs-oracle property suite and the AQM
+# thread-invariance sweep execute at full case counts.
+gate "queue-manager suite" --release -p npr-core --test qm
 
 # Chaos-soak gate: one long seeded run with every fault class armed at
 # once; conservation must hold, no StrongARM stall may outlive the
 # health watchdog's detection bound, and the whole run is capped on
-# wall clock. Run in release so the full 20 ms horizon executes, and
-# fail if it ran zero tests. The suite runs twice — once under the
-# sequential oracle and once at the host's thread ceiling (capped at
-# 8) — so the fabric soak exercises the parallel engine too; when
-# threaded it checks itself against the oracle fingerprint in-process.
+# wall clock. Release, so the full 20 ms horizon executes. The suite
+# runs twice — once under the sequential oracle and once at the host's
+# thread ceiling (capped at 8) — so the fabric soak exercises the
+# parallel engine too; when threaded it checks itself against the
+# oracle fingerprint in-process.
 soak_threads="$(nproc 2>/dev/null || echo 1)"
 [ "$soak_threads" -le 8 ] || soak_threads=8
 soak_counts="1"
 [ "$soak_threads" -eq 1 ] || soak_counts="1 $soak_threads"
 for nt in $soak_counts; do
     for pkg in npr-core npr-fabric; do
-        soak_out="$(NPR_SIM_THREADS=$nt cargo test -q --release --offline -p $pkg --test soak 2>&1)" || {
-            echo "$soak_out"
-            echo "ERROR: chaos-soak gate ($pkg) failed at NPR_SIM_THREADS=$nt" >&2
-            exit 1
-        }
-        echo "$soak_out"
-        if ! echo "$soak_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-            echo "ERROR: chaos-soak gate ($pkg) ran zero tests at NPR_SIM_THREADS=$nt" >&2
-            exit 1
-        fi
+        NPR_SIM_THREADS=$nt gate "chaos-soak gate ($pkg) at NPR_SIM_THREADS=$nt" \
+            --release -p $pkg --test soak
     done
 done
 
@@ -234,20 +167,10 @@ if [ ! -s BENCH_recovery.json ]; then
     exit 1
 fi
 
-# The route suite is the internet-scale gate: run it explicitly in
-# release so the million-prefix build/teardown smoke test and the
-# interleaved-churn property test execute at full size, and fail if it
-# ran zero tests.
-route_out="$(cargo test -q --release --offline -p npr-route 2>&1)" || {
-    echo "$route_out"
-    echo "ERROR: route suite failed" >&2
-    exit 1
-}
-echo "$route_out"
-if ! echo "$route_out" | grep -Eq '^test result: ok\. [1-9][0-9]* passed'; then
-    echo "ERROR: route suite ran zero tests" >&2
-    exit 1
-fi
+# The route suite is the internet-scale gate: release, so the
+# million-prefix build/teardown smoke test and the interleaved-churn
+# property test execute at full size.
+gate "route suite" --release -p npr-route
 
 # Record the internet-scale routing sweeps (lookup scaling, Zipf cache
 # hit rate, churn storms). The Zipf alpha=1.0 hit rate is deterministic
