@@ -439,7 +439,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = npr_sim::auto_threads();
     let sweep_speedup_max = sweep_walls[1..]
         .iter()
         .fold(0.0f64, |m, &w| m.max(sweep_walls[0] / w));

@@ -2,8 +2,7 @@
 //!
 //! One function per table and figure of the paper's evaluation. Each
 //! returns structured results carrying both the paper's published value
-//! and our measured value; the `experiments` binary formats them and
-//! `cargo bench` runs reduced-duration versions under Criterion.
+//! and our measured value; the `experiments` binary formats them.
 //!
 //! Run everything with:
 //!
@@ -47,5 +46,6 @@ pub const WARMUP: npr_sim::Time = npr_core::ms(1);
 /// Default measurement window (simulated time).
 pub const WINDOW: npr_sim::Time = npr_core::ms(4);
 
-/// Short window for Criterion benches.
+/// Short window for `simbench`'s per-experiment wall-clocks and the
+/// control-storm unit test.
 pub const BENCH_WINDOW: npr_sim::Time = npr_core::ms(1);

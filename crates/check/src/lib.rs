@@ -1,9 +1,9 @@
-//! # npr-check — in-repo property testing and benchmarking
+//! # npr-check — in-repo property testing
 //!
-//! A small deterministic property-test harness plus a stopwatch bench
-//! runner, replacing the `proptest` and `criterion` crates so the
-//! workspace builds with **zero external dependencies** (the
-//! hermetic-build policy; see DESIGN.md §"Hermetic build").
+//! A small deterministic property-test harness, replacing the
+//! `proptest` crate so the workspace builds with **zero external
+//! dependencies** (the hermetic-build policy; see DESIGN.md §"Hermetic
+//! build").
 //!
 //! The macro surface is deliberately `proptest!`-compatible: a ported
 //! test keeps its body and parameter list, and only the crate paths
@@ -29,7 +29,6 @@
 //! together with the replay seed.
 
 pub mod array;
-pub mod bench;
 pub mod collection;
 mod gen;
 pub mod rng;

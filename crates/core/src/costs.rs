@@ -224,6 +224,19 @@ impl Default for PeCosts {
     }
 }
 
+/// Pentium cycles (733 MHz) to marshal one control operation
+/// (`install`/`remove`/`getdata`/`setdata`) before it crosses the bus:
+/// syscall, descriptor build, doorbell write. ~2.7 us.
+pub const CTL_PE_CYCLES: u64 = 2_000;
+
+/// StrongARM cycles (200 MHz) to field a control doorbell and execute
+/// the operation at its level. ~7.5 us.
+pub const CTL_SA_CYCLES: u64 = 1_500;
+
+/// Control-descriptor size on the PCI bus (verb, fid, lengths,
+/// completion address).
+pub const CTL_DESC_BYTES: usize = 32;
+
 #[cfg(test)]
 mod tests {
     use super::*;

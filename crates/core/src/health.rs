@@ -10,7 +10,7 @@
 //!
 //! The [`HealthMonitor`] piggybacks on the router's event loop: after
 //! every dispatched event, [`Router::health_tick`] checks whether one
-//! or more `health_epoch_ps`-long epochs elapsed and, if so, samples
+//! or more [`EPOCH_PS`]-long epochs elapsed and, if so, samples
 //! the planes' progress counters. It schedules **no events of its
 //! own**, so a fault-free run is bit-identical with the monitor armed —
 //! the golden-digest test pins this.
@@ -18,7 +18,7 @@
 //! Detectors and their escalation ladders:
 //!
 //! * **StrongARM wedge** — the SA holds a job but `jobs_finished` has
-//!   not moved for `health_wedge_epochs` consecutive epochs (deferral
+//!   not moved for [`WEDGE_EPOCHS`] consecutive epochs (deferral
 //!   storms leave `job == None` and never trip this). Recovery is a
 //!   [`crate::sa::StrongArm::soft_reset`] — the held packet re-enters
 //!   its staging queue, the stale completion is fenced by a generation
@@ -27,7 +27,7 @@
 //!   `install` traveled.
 //! * **Runtime budget overrun** — a StrongARM or Pentium forwarder's
 //!   measured per-packet cycle average exceeds its declared cost by
-//!   `health_overrun_factor` ([`npr_vrp::runtime_overrun`]). The ladder
+//!   [`OVERRUN_FACTOR`] ([`npr_vrp::runtime_overrun`]). The ladder
 //!   escalates one rung per offending epoch: warn, then throttle (the
 //!   scheduler preempts at the declared cost), then quarantine — the
 //!   forwarder is unbound from the classifier so its flows fall back to
@@ -36,9 +36,6 @@
 //! * **Interpreter traps** — `health_trap_threshold` traps from one ME
 //!   forwarder within an epoch: warn, then quarantine (verified code
 //!   cannot trap, so a trapping forwarder bypassed verification).
-//! * **Conservation breach** (off by default) — the packet-conservation
-//!   ledger stops balancing; counted, never "repaired" — a breach is a
-//!   simulator bug by definition.
 
 use std::collections::HashMap;
 
@@ -50,6 +47,20 @@ use crate::install::Fid;
 use crate::plane::{Bus, ControlVerb};
 use crate::router::Router;
 use crate::world::Escalation;
+
+/// Sampling epoch, 50 us. The monitor piggybacks on the event loop —
+/// it schedules nothing of its own, so a fault-free run dispatches the
+/// same events with the monitor armed.
+pub const EPOCH_PS: Time = 50_000_000;
+
+/// Epochs of queued-work-but-no-progress before a plane is declared
+/// wedged and the StrongARM is soft-reset.
+pub const WEDGE_EPOCHS: u32 = 4;
+
+/// A slow-path forwarder whose measured cycles/packet exceed its
+/// declared cost by this factor starts climbing the escalation ladder
+/// (warn -> throttle -> quarantine, one rung per epoch).
+pub const OVERRUN_FACTOR: f64 = 1.5;
 
 /// Attempted-cost accounting for one policed forwarder: what it tried
 /// to spend (declared plus overrun, pre-throttle) over how many
@@ -77,8 +88,6 @@ pub struct HealthStats {
     pub quarantines: u64,
     /// StrongARM soft resets performed by the watchdog.
     pub sa_resets: u64,
-    /// Conservation-ledger breaches observed (detector off by default).
-    pub conservation_breaches: u64,
     /// Recovery actions completed (quarantines + resets).
     pub recoveries: u64,
     /// Total detection-to-recovery latency across recoveries.
@@ -103,15 +112,11 @@ struct Ladder {
     first_at: Time,
 }
 
-/// The monitor's state: configuration, epoch cursor, per-detector
-/// snapshots, and the escalation ladders.
+/// The monitor's state: epoch cursor, per-detector snapshots, and the
+/// escalation ladders.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    epoch_ps: Time,
-    wedge_epochs: u32,
-    overrun_factor: f64,
     trap_threshold: u64,
-    check_conservation: bool,
     next_epoch: Time,
     /// Lifetime totals.
     pub stats: HealthStats,
@@ -138,16 +143,11 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Builds a monitor from the router configuration. An
-    /// `health_epoch_ps` of 0 disarms it entirely.
+    /// Builds a monitor from the router configuration.
     pub fn new(cfg: &RouterConfig) -> Self {
         Self {
-            epoch_ps: cfg.health_epoch_ps,
-            wedge_epochs: cfg.health_wedge_epochs.max(1),
-            overrun_factor: cfg.health_overrun_factor,
             trap_threshold: cfg.health_trap_threshold.max(1),
-            check_conservation: cfg.health_check_conservation,
-            next_epoch: cfg.health_epoch_ps,
+            next_epoch: EPOCH_PS,
             stats: HealthStats::default(),
             mark: HealthStats::default(),
             sa_stalled: 0,
@@ -180,8 +180,6 @@ impl HealthMonitor {
             throttles: self.stats.throttles - self.mark.throttles,
             quarantines: self.stats.quarantines - self.mark.quarantines,
             sa_resets: self.stats.sa_resets - self.mark.sa_resets,
-            conservation_breaches: self.stats.conservation_breaches
-                - self.mark.conservation_breaches,
             recoveries: self.stats.recoveries - self.mark.recoveries,
             recovery_latency_sum_ps: self.stats.recovery_latency_sum_ps
                 - self.mark.recovery_latency_sum_ps,
@@ -191,7 +189,7 @@ impl HealthMonitor {
     /// The watchdog's worst-case detection bound: a wedge is reset no
     /// later than this long after it stops making progress.
     pub fn detection_bound_ps(&self) -> Time {
-        self.epoch_ps * Time::from(self.wedge_epochs.max(1))
+        EPOCH_PS * Time::from(WEDGE_EPOCHS)
     }
 }
 
@@ -200,12 +198,12 @@ impl Router {
     /// epoch. Called by `run_until` after every dispatch; cheap when no
     /// epoch boundary passed, and schedules nothing ever.
     pub(crate) fn health_tick(&mut self, at: Time) {
-        if self.health.epoch_ps == 0 || at < self.health.next_epoch {
+        if at < self.health.next_epoch {
             return;
         }
         let mut crossed = 0u32;
         while self.health.next_epoch <= at {
-            self.health.next_epoch += self.health.epoch_ps;
+            self.health.next_epoch += EPOCH_PS;
             self.health.stats.epochs += 1;
             crossed += 1;
         }
@@ -214,9 +212,6 @@ impl Router {
         self.check_qm_overload(crossed);
         self.check_overruns(at);
         self.check_me_traps(at);
-        if self.health.check_conservation && !self.conservation().holds() {
-            self.health.stats.conservation_breaches += 1;
-        }
     }
 
     /// Wedge detector: the SA holds a job but finished nothing since
@@ -241,7 +236,7 @@ impl Router {
             );
         }
         self.health.sa_stalled += crossed;
-        if self.health.sa_stalled >= self.health.wedge_epochs {
+        if self.health.sa_stalled >= WEDGE_EPOCHS {
             self.health.stats.sa_resets += 1;
             self.health.stats.recoveries += 1;
             self.health.stats.recovery_latency_sum_ps +=
@@ -266,7 +261,7 @@ impl Router {
             return;
         }
         self.health.pe_stalled += crossed;
-        if self.health.pe_stalled >= self.health.wedge_epochs && !self.health.pe_warned {
+        if self.health.pe_stalled >= WEDGE_EPOCHS && !self.health.pe_warned {
             self.health.pe_warned = true;
             self.health.stats.warnings += 1;
         }
@@ -291,7 +286,7 @@ impl Router {
             return;
         }
         self.health.qm_overloaded += crossed;
-        if self.health.qm_overloaded >= self.health.wedge_epochs && !self.health.qm_warned {
+        if self.health.qm_overloaded >= WEDGE_EPOCHS && !self.health.qm_warned {
             self.health.qm_warned = true;
             self.health.stats.warnings += 1;
         }
@@ -369,7 +364,7 @@ impl Router {
                 && npr_vrp::runtime_overrun(
                     declared,
                     cycles as f64 / pkts as f64,
-                    self.health.overrun_factor,
+                    OVERRUN_FACTOR,
                 );
             verdicts.push((WhereRun::Sa, fwdr, over));
         }
@@ -393,7 +388,7 @@ impl Router {
                 && npr_vrp::runtime_overrun(
                     declared,
                     cycles as f64 / pkts as f64,
-                    self.health.overrun_factor,
+                    OVERRUN_FACTOR,
                 );
             verdicts.push((WhereRun::Pe, fwdr, over));
         }

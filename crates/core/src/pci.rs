@@ -22,11 +22,14 @@ pub const PCI_TXN_OVERHEAD_PS: Time = 300_000; // 300 ns.
 /// Master back-off before retrying an aborted transaction.
 pub const PCI_RETRY_BACKOFF_PS: Time = 1_000_000; // 1 us.
 
-/// Default retries before the bridge escalates to a locked transaction
-/// that cannot be aborted (bounds the wasted bus time per packet and
-/// keeps the path lossless even at a 100% injected error rate).
-/// Configurable per router via `RouterConfig::pci_max_retries`.
+/// Retries before the bridge escalates to a locked transaction that
+/// cannot be aborted (bounds the wasted bus time per packet and keeps
+/// the path lossless even at a 100% injected error rate). Each
+/// abandonment counts once in `Report::pci_retry_exhausted`.
 pub const PCI_MAX_RETRIES: u32 = 4;
+
+/// Pentium-side I2O packet buffers on a router's bus.
+pub const PE_BUFFERS: usize = 64;
 
 /// The internal routing header prepended to packets crossing the bus
 /// ("an 8-byte internal routing header that informs the Pentium of (1)

@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use npr_packet::BufferHandle;
 use npr_sim::Time;
 
-use crate::costs::PeCosts;
+use crate::costs::{PeCosts, CTL_DESC_BYTES, CTL_PE_CYCLES};
 use crate::health::FwdrStat;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::plane::{Bus, ControlOp, Plane, PlaneEvent, PlaneId};
@@ -218,7 +218,7 @@ impl Pentium {
         // Control operations first: rare, latency-bounded, and they
         // must not starve behind a packet backlog.
         if let Some(op) = self.ctl_q.pop_front() {
-            let cycles = bus.cfg.ctl_pe_cycles;
+            let cycles = CTL_PE_CYCLES;
             bus.ctl.pe_cycles += cycles;
             let dur = cycles * npr_sim::PS_PER_PENTIUM_CYCLE;
             self.busy_ps += dur;
@@ -240,7 +240,7 @@ impl Pentium {
         // Control descriptors do not claim I2O packet buffers.
         if let Some(op) = self.ctl_current.take() {
             self.jobs_finished += 1;
-            let bytes = op.pci_down_bytes(bus.cfg.ctl_desc_bytes);
+            let bytes = op.pci_down_bytes(CTL_DESC_BYTES);
             let done_t = bus.ctl_pci_transfer(bytes);
             bus.send_at(done_t, PlaneEvent::CtlAdmit(Box::new(op)));
             bus.wake_pe_in(0);

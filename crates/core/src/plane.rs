@@ -26,14 +26,14 @@
 //! [`ControlOp`] that traverses the levels with real costs:
 //!
 //! 1. [`PlaneEvent::CtlSubmit`] — the op originates at the Pentium,
-//!    which marshals it for `ctl_pe_cycles`, sharing the single
+//!    which marshals it for `costs::CTL_PE_CYCLES`, sharing the single
 //!    Pentium server with packet forwarders.
 //! 2. The descriptor (plus ME program words or `setdata` payload)
 //!    crosses the PCI bus as an ordinary transaction, contending with
 //!    packet DMA.
 //! 3. [`PlaneEvent::CtlAdmit`] — the StrongARM fields the doorbell and
-//!    executes the op for `ctl_sa_cycles`, ahead of packet work on its
-//!    single server.
+//!    executes the op for `costs::CTL_SA_CYCLES`, ahead of packet work
+//!    on its single server.
 //! 4. For ME code, [`PlaneEvent::CtlApply`] lands the write in the
 //!    instruction store: the mirroring input MicroEngines freeze for
 //!    the 80-cycles-per-slot write window (section 4.5's "requires

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use npr_sim::{LogHistogram, Time};
 
-use crate::aqm::Aqm;
+use crate::aqm::{Aqm, CodelParams, RedParams};
 use crate::classify::FlowKey;
 use crate::config::RouterConfig;
 use crate::qm_sched::WheelSched;
@@ -56,6 +56,13 @@ pub fn flow_slot(key: &FlowKey, nflows: usize) -> usize {
     h ^= h >> 16;
     (h as usize) & (nflows - 1)
 }
+
+/// Virtual-time width of one wheel slot, in bytes of weight-1 service;
+/// also the per-revolution burst a backlogged flow can take before the
+/// wheel moves on (DRR-style quantum). ~2 minimum-size packets: coarser
+/// quanta let a backlogged flow hold the wheel long enough to push a
+/// sparse flow's sojourn past the CoDel target on a 100 Mbps port.
+pub const QUANTUM_BYTES: u64 = 128;
 
 /// One output port's per-flow queue set, scheduler, and AQM controller.
 #[derive(Debug)]
@@ -87,11 +94,11 @@ impl FlowPlane {
         FlowPlane {
             queues: (0..nflows).map(|_| PacketQueue::new(cfg.qm_flow_cap)).collect(),
             stamps: vec![VecDeque::new(); nflows],
-            sched: WheelSched::new(nflows, cfg.qm_quantum_bytes.max(64) * crate::qm_sched::VSCALE),
+            sched: WheelSched::new(nflows, QUANTUM_BYTES * crate::qm_sched::VSCALE),
             aqm: Aqm::new(
                 kind,
-                cfg.qm_red,
-                cfg.qm_codel,
+                RedParams::default(),
+                CodelParams::default(),
                 nflows,
                 cfg.qm_seed ^ (port as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ),

@@ -17,11 +17,12 @@ use npr_sim::{EventQueue, FaultPlan, Time, Wakeup, PS_PER_SEC};
 use npr_vrp::VrpBudget;
 
 use crate::config::{RouterConfig, TrafficTemplate};
+use crate::costs::{PeCosts, SaCosts};
 use crate::health::HealthMonitor;
 use crate::input::InputLoop;
 use crate::install::{Fid, InstallRecord};
 use crate::output::OutputLoop;
-use crate::pci::Pci;
+use crate::pci::{Pci, PE_BUFFERS};
 use crate::pe::Pentium;
 use crate::plane::{Bus, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId};
 use crate::queues::InputDiscipline;
@@ -125,11 +126,9 @@ impl Router {
             cfg.queue_cap,
             cfg.pool_bufs,
         );
-        world.table = npr_route::RoutingTable::with_config(
-            &cfg.route_strides,
-            cfg.route_cache_slots,
-            cfg.route_invalidation,
-        );
+        // The paper's classic 16-8-8 IPv4 trie (`RoutingTable::new`).
+        world.table = npr_route::RoutingTable::new(cfg.route_cache_slots);
+        world.table.set_invalidation(cfg.route_invalidation);
         if cfg.synthetic_routes > 0 {
             // Preload a BGP-like table before the port routes below, so
             // the /16 port routes win any overlap the generator drew.
@@ -162,14 +161,14 @@ impl Router {
 
         let mut ixp: Ixp<RouterWorld> = Ixp::new(cfg.chip.clone());
 
-        // Templates for ideal-port mode.
+        // Templates for ideal-port mode: minimum-size frames.
         if cfg.chip.ideal_ports && cfg.input_ctxs > 0 {
             for p in 0..cfg.ports_in_use {
                 let dst_net = match cfg.traffic {
                     TrafficTemplate::AllToOne => 0usize,
                     _ => (p + 1) % cfg.ports_in_use,
                 };
-                let frame = build_udp_frame(p as u8, dst_net as u8, cfg.frame_len.min(60));
+                let frame = build_udp_frame(p as u8, dst_net as u8, 60);
                 let dst = u32::from_be_bytes([10, dst_net as u8, 0, 1]);
                 world.table.lookup_and_fill(dst);
                 let mp = Mp::segment(&frame, p as u8, 0).remove(0);
@@ -247,14 +246,12 @@ impl Router {
             ixp.set_program(ctx, Box::new(prog));
         }
 
-        let mut sa = StrongArm::new(cfg.sa_costs);
+        let mut sa = StrongArm::new(SaCosts::default());
         sa.use_interrupts = cfg.sa_interrupts;
-        sa.delay_loop_cycles = cfg.sa_delay_loop;
         sa.synth_feed = cfg.sa_synth_feed;
-        let mut pe = Pentium::new(cfg.pe_costs, cfg.pe_classes);
+        let mut pe = Pentium::new(PeCosts::default(), cfg.pe_classes);
         pe.delay_loop_cycles = cfg.pe_delay_loop;
-        let mut pci = Pci::new(cfg.pe_buffers);
-        pci.max_retries = cfg.pci_max_retries;
+        let pci = Pci::new(PE_BUFFERS);
         let fast = FastPath {
             input_mes: cfg.input_ctxs.div_ceil(4),
         };

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use npr_packet::BufferHandle;
 use npr_sim::{cycles_to_ps, FaultClass, Time};
 
-use crate::costs::SaCosts;
+use crate::costs::{SaCosts, CTL_DESC_BYTES, CTL_SA_CYCLES};
 use crate::health::FwdrStat;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::pe::PeItem;
@@ -36,6 +36,16 @@ pub const SA_WEDGE_MIN_PS: Time = 500_000_000;
 
 /// Spread of the injected hang above [`SA_WEDGE_MIN_PS`] (uniform).
 pub const SA_WEDGE_SPREAD_PS: Time = 500_000_000;
+
+/// Retry interval for escalated packets whose MPs have not all landed
+/// in DRAM yet: 6 us — roughly one 64-byte MP wire time at 100 Mbps, so
+/// one retry usually suffices for a frame whose tail is still arriving.
+pub const SA_DEFER_INTERVAL_PS: Time = 6_000_000;
+
+/// Deferral bound before the StrongARM declares a never-assembling
+/// escalated packet dead: 64 retries x the 6 us interval ~ 384 us — far
+/// past any legitimate assembly time, so live packets are never hit.
+pub const SA_MAX_DEFERRALS: u16 = 64;
 
 /// Signature of a StrongARM-local packet transformation: owned bytes
 /// (resizable) + metadata; `false` drops the packet.
@@ -211,7 +221,7 @@ fn assembled(world: &RouterWorld, desc: u32) -> bool {
 
 impl StrongArm {
     /// Defers an incomplete packet: re-queues it and schedules a retry
-    /// after the configured interval.
+    /// after [`SA_DEFER_INTERVAL_PS`].
     fn defer(
         &mut self,
         bus: &mut Bus<'_>,
@@ -219,7 +229,7 @@ impl StrongArm {
         desc: u32,
     ) {
         q(bus.world).enqueue(desc);
-        bus.wake_sa_in(bus.cfg.sa_defer_interval_ps);
+        bus.wake_sa_in(SA_DEFER_INTERVAL_PS);
     }
 
     /// Declares a never-assembling escalated packet dead once its
@@ -230,7 +240,7 @@ impl StrongArm {
         let h = BufferHandle::from_descriptor(desc);
         let meta = bus.world.meta_mut(h);
         meta.deferrals += 1;
-        if meta.aborted || meta.deferrals > bus.cfg.sa_max_deferrals {
+        if meta.aborted || meta.deferrals > SA_MAX_DEFERRALS {
             bus.world.escalations.remove(&desc);
             bus.world.counters.truncated_drops.inc();
             return true;
@@ -245,7 +255,7 @@ impl StrongArm {
         let now = bus.now();
         // Priority 0: control operations (rare; latency-bounded).
         if let Some(op) = self.ctl_q.pop_front() {
-            let cycles = bus.cfg.ctl_sa_cycles;
+            let cycles = CTL_SA_CYCLES;
             bus.ctl.sa_cycles += cycles;
             self.begin_job(bus, SaJob::Control(op), cycles, now);
             return;
@@ -265,7 +275,7 @@ impl StrongArm {
                     continue;
                 }
                 bus.world.sa_pe_q[f].enqueue(desc);
-                bus.wake_sa_in(bus.cfg.sa_defer_interval_ps);
+                bus.wake_sa_in(SA_DEFER_INTERVAL_PS);
                 continue;
             }
             let esc = bus.world.escalations.remove(&desc);
@@ -561,7 +571,7 @@ impl StrongArm {
             bus.send_at(now, PlaneEvent::CtlApply(Box::new(op)));
             return;
         }
-        let up = op.pci_up_bytes(bus.cfg.ctl_desc_bytes);
+        let up = op.pci_up_bytes(CTL_DESC_BYTES);
         if up > 0 {
             let done_t = bus.ctl_pci_transfer(up);
             bus.ctl.complete(&op, done_t);

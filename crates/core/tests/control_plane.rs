@@ -150,7 +150,7 @@ fn control_ops_consume_cycles_at_every_level() {
     assert!(rep.ctl_latency_avg_us > 0.0);
     // getdata's reply crossed the bus upward too: more bytes than the
     // down descriptors alone.
-    let desc = r.cfg.ctl_desc_bytes as u64;
+    let desc = npr_core::costs::CTL_DESC_BYTES as u64;
     assert!(rep.ctl_pci_bytes > 3 * desc);
 }
 

@@ -340,7 +340,7 @@ fn decoy_payload_is_inert_without_faults() {
 
 /// The wedge class actually wedges — and the watchdog actually resets.
 /// Detection must happen within the configured bound: stall onset to
-/// reset is at most `health_wedge_epochs` epochs.
+/// reset is at most `health::WEDGE_EPOCHS` epochs.
 #[test]
 fn sa_wedge_is_detected_and_reset_within_bound() {
     // SA-heavy variant of the shared scenario: a third of the traffic

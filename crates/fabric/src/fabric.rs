@@ -32,7 +32,7 @@ use npr_packet::{EthernetFrame, Frame, Ipv4Header, MacAddr, Mp};
 use npr_route::NextHop;
 use npr_sim::{run_threads, EngineStats, Outbox, Shard, Time};
 
-use crate::topology::{FabricConfig, Steer, Topology, Wire, UPLINK_PORT};
+use crate::topology::{FabricConfig, Steer, Topology, Wire, SWITCH_LATENCY_PS, UPLINK_PORT};
 use crate::Link;
 
 /// One frame on its way to a member port.
@@ -149,8 +149,6 @@ pub struct MemberShard {
     pub(crate) tx_carry: u64,
     /// The resident route-updater, installed lazily on first re-steer.
     pub(crate) updater: Option<npr_core::Fid>,
-    /// The least latency of any link into this member.
-    pub(crate) lookahead_ps: Time,
 }
 
 impl MemberShard {
@@ -248,7 +246,7 @@ impl Shard for MemberShard {
         let settles = self.ports.iter().filter_map(|p| {
             let inbox = p.inbox.lock().expect("uplink inbox poisoned");
             let head = inbox.frames.front()?;
-            (head.at > inbox.settled).then(|| head.at - self.lookahead_ps)
+            (head.at > inbox.settled).then(|| head.at - SWITCH_LATENCY_PS)
         });
         self.router
             .next_event_time()
@@ -284,7 +282,7 @@ impl Shard for MemberShard {
     /// arrivals up to one link latency past it are settled. Offers them
     /// to the ports, re-arming any that had run dry.
     fn flush(&mut self, horizon: Time) {
-        let settled = horizon + self.lookahead_ps;
+        let settled = horizon + SWITCH_LATENCY_PS;
         for p in &self.ports {
             let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
             inbox.settled = settled;
@@ -315,7 +313,6 @@ pub fn owner_of(frame: &[u8], n: usize) -> Option<usize> {
 pub struct Fabric {
     pub(crate) topology: Topology,
     pub(crate) cfgs: Vec<RouterConfig>,
-    pub(crate) link_latency_ps: Time,
     pub(crate) link_capacity_bps: u64,
     pub(crate) shards: Vec<MemberShard>,
     pub(crate) clock: Time,
@@ -347,7 +344,6 @@ impl Fabric {
         let mut fabric = Self {
             topology: cfg.topology,
             cfgs: cfg.members,
-            link_latency_ps: cfg.link_latency_ps,
             link_capacity_bps: cfg.link_capacity_bps,
             shards: Vec::new(),
             clock: 0,
@@ -377,7 +373,7 @@ impl Fabric {
                     .map(|(&ix, (q, taken))| FabricPort {
                         port: UPLINK_PORT + ix,
                         wire: fabric.topology.wire(k, ix, n),
-                        link: Link::new(fabric.link_latency_ps, fabric.link_capacity_bps),
+                        link: Link::new(SWITCH_LATENCY_PS, fabric.link_capacity_bps),
                         inbox: Arc::clone(q),
                         taken: Arc::clone(taken),
                     })
@@ -393,7 +389,6 @@ impl Fabric {
                 rx_carry: 0,
                 tx_carry: 0,
                 updater: None,
-                lookahead_ps: fabric.link_latency_ps,
             });
         }
         fabric
@@ -567,7 +562,7 @@ impl Fabric {
             // an unstarted router would look idle and end the run.
             s.router.start();
         }
-        let stats = run_threads(threads, &mut self.shards, self.link_latency_ps, t);
+        let stats = run_threads(threads, &mut self.shards, SWITCH_LATENCY_PS, t);
         self.clock = self.clock.max(t);
         stats
     }

@@ -141,7 +141,7 @@ impl Fabric {
         self.shards[m].router = r;
         for ix in 0..self.shards[m].ports.len() {
             self.shards[m].ports[ix].link =
-                crate::Link::new(self.link_latency_ps, self.link_capacity_bps);
+                crate::Link::new(crate::SWITCH_LATENCY_PS, self.link_capacity_bps);
         }
         // Steer the cluster back.
         self.drained = None;

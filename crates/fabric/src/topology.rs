@@ -211,7 +211,8 @@ impl Topology {
 
 /// Config-driven wiring for a whole fabric: per-member router configs
 /// composed under one topology, with the inter-chassis link model
-/// (latency plus optional finite capacity) alongside.
+/// ([`SWITCH_LATENCY_PS`] latency plus optional finite capacity)
+/// alongside.
 #[derive(Clone)]
 pub struct FabricConfig {
     /// How members are wired together.
@@ -221,12 +222,9 @@ pub struct FabricConfig {
     /// to budget RI capacity for the internal links (the paper's
     /// future-work point).
     pub members: Vec<RouterConfig>,
-    /// One-way latency of every inter-chassis link. Also the lockstep
-    /// lookahead, so it must stay positive.
-    pub link_latency_ps: Time,
     /// Serialization capacity of every inter-chassis link; `0` models
     /// an infinitely fast link (arrival is exactly
-    /// `tx done + link_latency_ps` — the pre-refactor behavior).
+    /// `tx done + SWITCH_LATENCY_PS` — the pre-refactor behavior).
     pub link_capacity_bps: u64,
     /// Switch-layer reassembly age-out (see [`REASSEMBLY_AGE_PS`]):
     /// an uplink frame still incomplete this long after its last MP is
@@ -242,7 +240,6 @@ impl FabricConfig {
         Self {
             topology: Topology::SingleSwitch,
             members: vec![base; n],
-            link_latency_ps: SWITCH_LATENCY_PS,
             link_capacity_bps: 0,
             reassembly_age_ps: REASSEMBLY_AGE_PS,
         }
@@ -253,7 +250,6 @@ impl FabricConfig {
         Self {
             topology: Topology::Ring,
             members: vec![base; n],
-            link_latency_ps: SWITCH_LATENCY_PS,
             link_capacity_bps: GIGABIT_BPS,
             reassembly_age_ps: REASSEMBLY_AGE_PS,
         }
@@ -264,7 +260,6 @@ impl FabricConfig {
         Self {
             topology: Topology::SpineLeaf { spines: 2 },
             members: vec![base; n],
-            link_latency_ps: SWITCH_LATENCY_PS,
             link_capacity_bps: GIGABIT_BPS,
             reassembly_age_ps: REASSEMBLY_AGE_PS,
         }

@@ -45,7 +45,7 @@ fn rate_for(class: FaultClass) -> u32 {
 /// maximum, so the same chaos scenario soaks both under the sequential
 /// oracle and under the parallel engine — and the parallel run is
 /// additionally checked against the oracle fingerprint in-process.
-fn sim_threads() -> usize {
+fn lockstep_threads() -> usize {
     std::env::var("NPR_SIM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -100,7 +100,7 @@ fn chaos_fabric() -> Fabric {
 #[test]
 fn chaos_soak_fabric_lockstep_is_thread_invariant_and_conserves() {
     let wall = Instant::now();
-    let threads = sim_threads();
+    let threads = lockstep_threads();
     let horizon: Time = ms((HORIZON_MS / 2).max(2));
     let grace = horizon + us(200);
 

@@ -297,9 +297,10 @@ pub fn run<D: Delivery, S: Shard>(
     stats
 }
 
-/// Runs `shards` with the strategy a thread-count knob selects: `0` or
-/// `1` is the [`Sequential`] oracle, anything larger is [`Parallel`].
-/// This is the entry point `RouterConfig::sim_threads` funnels into.
+/// Runs `shards` with the strategy a thread count selects: `0` or `1`
+/// is the [`Sequential`] oracle, anything larger is [`Parallel`]. The
+/// count is the caller's argument (`Fabric::run_lockstep(t, threads)`
+/// passes its own through); no configuration field carries it.
 pub fn run_threads<S: Shard>(
     threads: usize,
     shards: &mut [S],

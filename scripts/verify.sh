@@ -17,17 +17,30 @@ if [ -n "$oversize" ]; then
     exit 1
 fi
 
+# The tracked numbers (ROADMAP "Quality of design"): source lines and
+# the width of the two public structs every caller touches. The config
+# count is a ceiling, not a report: a knob cannot come back without
+# raising it in the same diff. `sed` cuts each struct's body, `grep`
+# counts its `pub name: Type` lines (names may carry digits).
+pub_fields() {
+    sed -n "/^pub struct $1 {/,/^}/p" "$2" | grep -Ec '^    pub [a-z_][a-z0-9_]*:'
+}
+src_loc="$(find crates -path '*/src/*' -name '*.rs' -exec cat {} + | wc -l)"
+cfg_fields="$(pub_fields RouterConfig crates/core/src/config.rs)"
+rep_fields="$(pub_fields Report crates/core/src/report.rs)"
+echo "tracked: crates/*/src ${src_loc} lines, RouterConfig ${cfg_fields} pub fields, Report ${rep_fields} pub fields"
+if [ "$cfg_fields" -gt 32 ]; then
+    echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 32): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
+    exit 1
+fi
+
 # Tier-1: release build + full test suite.
 cargo build --release --offline
 cargo test -q --offline
 
-# Keep the bench harness and every example compiling (they are not run
-# by `cargo test`, so build them explicitly).
-cargo build --release --offline --benches --examples
-
-# The bench binary must also execute: quick mode runs every bench body
-# exactly once without timing.
-cargo bench --offline --bench paper -- --test
+# Keep every example compiling (they are not run by `cargo test`, so
+# build them explicitly).
+cargo build --release --offline --examples
 
 # A gate is a test suite that must pass *and* must have executed at
 # least one test: a filtered-out or skipped suite fails, not just a red
