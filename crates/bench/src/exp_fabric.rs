@@ -177,8 +177,7 @@ fn soak_rate(class: FaultClass) -> u32 {
 
 /// One conservation soak: finite ring cross-traffic plus a local
 /// stream per member, the full compound plan on every member, run then
-/// drained to quiescence and audited. Never calls `mark` (the member
-/// ledgers require unmarked runs).
+/// drained to quiescence and audited.
 pub fn fabric_soak_point(topology: Topology, n: usize, horizon: Time) -> FabricSoakPoint {
     let mut base = RouterConfig::line_rate();
     // Keep the StrongARM and PCI bus busy so the wedge and PCI

@@ -175,16 +175,9 @@ mod tests {
             true,
         ));
         r.set_vrp_pad(pad_program(PadKind::Combo, 64));
-        r.measure(ms(1), ms(1));
-        let (wait_ps, acqs) = r
-            .world
-            .queue_mutex
-            .iter()
-            .flatten()
-            .map(|&m| r.ixp.mutex_stats(m))
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-        assert!(acqs > 0, "contended run must enqueue through the mutex");
-        let wait_ns_per_pkt = wait_ps as f64 / 1e3 / acqs as f64;
+        let rep = r.measure(ms(1), ms(1));
+        // Mean wait per acquisition over the window, ME cycles -> ns.
+        let wait_ns_per_pkt = rep.mutex_wait_cycles * npr_sim::cycles_to_ps(1) as f64 / 1e3;
         assert!(
             wait_ns_per_pkt > 2_000.0,
             "convoy signature gone: mutex wait {wait_ns_per_pkt:.0} ns/pkt"

@@ -147,17 +147,10 @@ pub fn table3() -> Vec<PaperVsMeasured> {
     let c = ChipConfig::default();
     let mk = |name: &str, ctl: &mut MemCtl, bytes: usize, paper_r: f64, paper_w: f64| {
         let r = ps_to_cycles(ctl.access(0, Rw::Read, bytes)) as f64;
-        // Measure the write from idle (fresh controller).
-        let mut fresh = ctl.clone();
-        fresh.reset_stats();
-        let w = {
-            let mut m2 = MemCtl::new("probe", 1000, 1000, 1);
-            let _ = &mut m2;
-            // Use a separate idle instant far in the future to avoid
-            // pipeline occupancy from the read probe.
-            let t0 = 1_000_000_000;
-            ps_to_cycles(ctl.access(t0, Rw::Write, bytes) - t0) as f64
-        };
+        // Measure the write at an idle instant far in the future to
+        // avoid pipeline occupancy from the read probe.
+        let t0 = 1_000_000_000;
+        let w = ps_to_cycles(ctl.access(t0, Rw::Write, bytes) - t0) as f64;
         vec![
             PaperVsMeasured {
                 label: format!("{name} read ({bytes} B)"),

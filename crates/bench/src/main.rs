@@ -23,6 +23,18 @@ use npr_bench::{
 };
 use npr_forwarders::PadKind;
 
+/// Writes `json` to the path following `--out`, when one was given.
+fn write_out(args: &[String], json: String) {
+    if let Some(p) = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+    {
+        std::fs::write(p, json).unwrap_or_else(|e| panic!("write {p}: {e}"));
+        eprintln!("wrote {p}");
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
@@ -224,14 +236,7 @@ fn main() {
             );
         }
         println!("(degradation must be monotone with no cliff; see crates/sim/src/fault.rs)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, curves_json(&curves)).expect("write BENCH_faults.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, curves_json(&curves));
     }
     if all || which == "control" {
         let r = control_storm(WARMUP, WINDOW);
@@ -245,14 +250,7 @@ fn main() {
             r.ctl_ops, r.me_churns, r.ctl_pci_bytes, r.ctl_latency_avg_us
         );
         println!("(design point: control churn must cost the fast path only noise)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, control_json(&r)).expect("write BENCH_control.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, control_json(&r));
     }
     if all || which == "recovery" {
         let results = recovery(WARMUP, WINDOW);
@@ -280,14 +278,7 @@ fn main() {
             );
         }
         println!("(post-recovery throughput must be >= 99% of the fault-free baseline)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, recovery_json(&results)).expect("write BENCH_recovery.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, recovery_json(&results));
     }
     if all || which == "route" {
         let r = route_experiment();
@@ -323,14 +314,7 @@ fn main() {
             );
         }
         println!("(targeted invalidation must hold the hit rate full flushes forfeit)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, route_json(&r)).expect("write BENCH_route.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, route_json(&r));
     }
     if all || which == "qos" {
         let r = qos_experiment();
@@ -360,14 +344,7 @@ fn main() {
             );
         }
         println!("(CoDel must hold p99 sojourn ≥2x below drop-tail; victims keep ≥90% goodput)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, qos_json(&r)).expect("write BENCH_qos.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, qos_json(&r));
     }
     if all || which == "fabric" {
         let r = fabric_experiment();
@@ -394,14 +371,7 @@ fn main() {
             );
         }
         println!("(the ring flattens as transit hops contend; spine/leaf holds its slope)");
-        if let Some(p) = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(p, fabric_json(&r)).expect("write BENCH_fabric.json");
-            eprintln!("wrote {p}");
-        }
+        write_out(&args, fabric_json(&r));
     }
     if all || which == "baseline" {
         let b = baseline(WARMUP, WINDOW);

@@ -103,11 +103,6 @@ pub struct RouterConfig {
     pub out_batch: usize,
     /// Route-cache slots. Varied by: the cache-size ablation.
     pub route_cache_slots: usize,
-    /// VRP interpreter traps per epoch that put an ME forwarder on the
-    /// escalation ladder (traps on a *verified* program mean corrupted
-    /// input or a bad install, not load). Varied by: the `health` test
-    /// (`me_trap_storm_quarantines_the_forwarder`).
-    pub health_trap_threshold: u64,
     /// Execution tier for installed ME bytecode. `Compiled` (default)
     /// lowers each forwarder at admission time into npr-vrp's
     /// direct-threaded chain; `Interp` keeps the reference interpreter.
@@ -170,7 +165,6 @@ impl Default for RouterConfig {
             interleave_rings: true,
             out_batch: 16,
             route_cache_slots: 4096,
-            health_trap_threshold: 8,
             vrp_backend: npr_vrp::VrpBackend::Compiled,
             qm_flows_per_port: 0,
             qm_flow_cap: 32,

@@ -33,7 +33,7 @@
 //!   forwarder is unbound from the classifier so its flows fall back to
 //!   the default IP path, and its in-flight packets are re-aimed at the
 //!   null forwarder so they drain cleanly.
-//! * **Interpreter traps** — `health_trap_threshold` traps from one ME
+//! * **Interpreter traps** — [`TRAP_THRESHOLD`] traps from one ME
 //!   forwarder within an epoch: warn, then quarantine (verified code
 //!   cannot trap, so a trapping forwarder bypassed verification).
 
@@ -42,7 +42,6 @@ use std::collections::HashMap;
 use npr_sim::Time;
 
 use crate::classify::WhereRun;
-use crate::config::RouterConfig;
 use crate::install::Fid;
 use crate::plane::{Bus, ControlVerb};
 use crate::router::Router;
@@ -62,6 +61,12 @@ pub const WEDGE_EPOCHS: u32 = 4;
 /// (warn -> throttle -> quarantine, one rung per epoch).
 pub const OVERRUN_FACTOR: f64 = 1.5;
 
+/// Interpreter traps from one ME forwarder within an epoch that start
+/// its escalation ladder (warn -> quarantine). Verified code cannot
+/// trap, so any sustained rate marks a forwarder that bypassed
+/// verification.
+pub const TRAP_THRESHOLD: u64 = 8;
+
 /// Attempted-cost accounting for one policed forwarder: what it tried
 /// to spend (declared plus overrun, pre-throttle) over how many
 /// packets. The overrun detector diffs these across epochs.
@@ -73,9 +78,8 @@ pub struct FwdrStat {
     pub attempted_cycles: u64,
 }
 
-/// Health accounting: totals since construction. `Router::mark`
-/// snapshots the struct (it is `Copy`) and the report diffs against
-/// the snapshot, like [`crate::plane::CtlStats`].
+/// Health accounting: totals since construction (the report
+/// differences them against `Router::mark`'s snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Sampling epochs elapsed.
@@ -116,11 +120,12 @@ struct Ladder {
 /// escalation ladders.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    trap_threshold: u64,
+    /// Traps per epoch that count as an offending epoch for one ME
+    /// forwarder ([`TRAP_THRESHOLD`] unless a test lowers it).
+    pub trap_threshold: u64,
     next_epoch: Time,
     /// Lifetime totals.
     pub stats: HealthStats,
-    mark: HealthStats,
     // Wedge tracking.
     sa_stalled: u32,
     sa_stall_from: Time,
@@ -142,14 +147,13 @@ pub struct HealthMonitor {
     pub quarantined: Vec<(WhereRun, u32)>,
 }
 
-impl HealthMonitor {
-    /// Builds a monitor from the router configuration.
-    pub fn new(cfg: &RouterConfig) -> Self {
+impl Default for HealthMonitor {
+    /// An armed monitor whose first epoch ends at [`EPOCH_PS`].
+    fn default() -> Self {
         Self {
-            trap_threshold: cfg.health_trap_threshold.max(1),
+            trap_threshold: TRAP_THRESHOLD,
             next_epoch: EPOCH_PS,
             stats: HealthStats::default(),
-            mark: HealthStats::default(),
             sa_stalled: 0,
             sa_stall_from: 0,
             sa_jobs_snapshot: 0,
@@ -166,26 +170,9 @@ impl HealthMonitor {
             quarantined: Vec::new(),
         }
     }
+}
 
-    /// Snapshots the stats at the start of a measurement window.
-    pub fn mark(&mut self) {
-        self.mark = self.stats;
-    }
-
-    /// Stats accumulated since the last mark.
-    pub fn since_mark(&self) -> HealthStats {
-        HealthStats {
-            epochs: self.stats.epochs - self.mark.epochs,
-            warnings: self.stats.warnings - self.mark.warnings,
-            throttles: self.stats.throttles - self.mark.throttles,
-            quarantines: self.stats.quarantines - self.mark.quarantines,
-            sa_resets: self.stats.sa_resets - self.mark.sa_resets,
-            recoveries: self.stats.recoveries - self.mark.recoveries,
-            recovery_latency_sum_ps: self.stats.recovery_latency_sum_ps
-                - self.mark.recovery_latency_sum_ps,
-        }
-    }
-
+impl HealthMonitor {
     /// The watchdog's worst-case detection bound: a wedge is reset no
     /// later than this long after it stops making progress.
     pub fn detection_bound_ps(&self) -> Time {
@@ -276,9 +263,7 @@ impl Router {
     fn check_qm_overload(&mut self, crossed: u32) {
         let Some(qm) = &self.world.qm else { return };
         let cap = qm.cap_drops();
-        // `mark()` resets the plane's counters; a snapshot from before
-        // the reset would read as a spurious quiet epoch at worst.
-        let quiet = cap <= self.health.qm_cap_snapshot;
+        let quiet = cap == self.health.qm_cap_snapshot;
         self.health.qm_cap_snapshot = cap;
         if quiet {
             self.health.qm_overloaded = 0;

@@ -163,19 +163,9 @@ impl Pci {
         self.transfers
     }
 
-    /// Bus utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        self.bus.utilization(horizon)
-    }
-
-    /// Clears counters.
-    pub fn reset_stats(&mut self) {
-        self.bytes_moved = 0;
-        self.transfers = 0;
-        self.errors = 0;
-        self.retries = 0;
-        self.exhausted = 0;
-        self.bus.reset_stats();
+    /// Total time the bus has been occupied.
+    pub(crate) fn busy_ps(&self) -> Time {
+        self.bus.busy_ps()
     }
 }
 
@@ -271,13 +261,6 @@ mod tests {
         }
         assert!(p.errors() > 0, "the 10% rate must abort something");
         // Seed 13 at 10%: no run of 4 consecutive aborts in 64 tries.
-        assert_eq!(p.exhausted(), 0);
-        // reset_stats clears the window counter like its siblings.
-        p.max_retries = 1;
-        let mut always = FaultPlan::new(1).with_rate(FaultClass::PciError, npr_sim::fault::PPM);
-        let _ = p.transfer_faulty(0, 64, Some(&mut always));
-        assert_eq!(p.exhausted(), 1);
-        p.reset_stats();
         assert_eq!(p.exhausted(), 0);
     }
 

@@ -205,12 +205,6 @@ impl Pentium {
         self.inbound.iter().map(|q| q.len()).sum()
     }
 
-    /// Clears accounting.
-    pub fn reset_stats(&mut self) {
-        self.busy_ps = 0;
-        self.done = 0;
-    }
-
     fn wake(&mut self, bus: &mut Bus<'_>) {
         if self.current.is_some() || self.ctl_current.is_some() {
             return;

@@ -117,7 +117,9 @@ pub struct QmPlane {
     nflows: usize,
     flow_cap: usize,
     mem_bytes: usize,
-    sojourn_hist: LogHistogram,
+    /// Window gauge: `Router::mark` re-arms it (a window's maximum and
+    /// percentiles are not the difference of two totals).
+    pub(crate) sojourn_hist: LogHistogram,
     sojourn_sum_ps: u64,
     sojourn_samples: u64,
 }
@@ -299,24 +301,6 @@ impl QmPlane {
             self.sojourn_sum_ps / self.sojourn_samples
         }
     }
-
-    /// Reset windowed statistics (drop counters, sojourn histogram) without
-    /// disturbing queue contents — the `mark()` discipline every other
-    /// counter in the router follows.
-    pub fn reset_stats(&mut self) {
-        for fp in &mut self.ports {
-            fp.early_drops = 0;
-            fp.sojourn_drops = 0;
-            fp.early_by_flow.fill(0);
-            fp.sojourn_by_flow.fill(0);
-            for q in &mut fp.queues {
-                q.reset_stats();
-            }
-        }
-        self.sojourn_hist.reset();
-        self.sojourn_sum_ps = 0;
-        self.sojourn_samples = 0;
-    }
 }
 
 #[cfg(test)]
@@ -453,22 +437,5 @@ mod tests {
         assert_eq!(offered, 20);
         assert_eq!(flow_delivered, delivered, "CoDel discards must not count as delivered");
         assert_eq!(offered, flow_delivered + dropped, "flow ledger must close");
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_but_keeps_contents() {
-        let mut qm = QmPlane::from_config(&qm_cfg(16), 1).unwrap();
-        let k = key(3);
-        for d in 0..40u32 {
-            qm.enqueue(0, &k, d, 60, us(1));
-        }
-        qm.dequeue(0, us(2)).unwrap();
-        assert!(qm.total_drops() > 0);
-        let depth = qm.total_queued();
-        qm.reset_stats();
-        assert_eq!(qm.total_drops(), 0);
-        assert_eq!(qm.total_enqueued(), 0);
-        assert_eq!(qm.sojourn_samples(), 0);
-        assert_eq!(qm.total_queued(), depth, "reset_stats must not drop packets");
     }
 }

@@ -41,7 +41,6 @@ pub struct PacketQueue {
     enqueued: u64,
     dequeued: u64,
     drops: u64,
-    hiwater: usize,
 }
 
 impl PacketQueue {
@@ -53,7 +52,6 @@ impl PacketQueue {
             enqueued: 0,
             dequeued: 0,
             drops: 0,
-            hiwater: 0,
         }
     }
 
@@ -66,7 +64,6 @@ impl PacketQueue {
         }
         self.entries.push_back(desc);
         self.enqueued += 1;
-        self.hiwater = self.hiwater.max(self.entries.len());
         true
     }
 
@@ -100,19 +97,6 @@ impl PacketQueue {
     /// Descriptors rejected because the ring was full.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Highest occupancy observed.
-    pub fn hiwater(&self) -> usize {
-        self.hiwater
-    }
-
-    /// Clears statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.enqueued = 0;
-        self.dequeued = 0;
-        self.drops = 0;
-        self.hiwater = self.entries.len();
     }
 }
 
@@ -210,13 +194,6 @@ impl QueuePlane {
     pub fn total_queued(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
-
-    /// Clears statistics on every queue.
-    pub fn reset_stats(&mut self) {
-        for q in &mut self.queues {
-            q.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,17 +220,6 @@ mod tests {
         assert!(!q.enqueue(3));
         assert_eq!(q.drops(), 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.hiwater(), 2);
-    }
-
-    #[test]
-    fn stats_reset_preserves_contents() {
-        let mut q = PacketQueue::new(4);
-        q.enqueue(1);
-        q.reset_stats();
-        assert_eq!(q.enqueued(), 0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.hiwater(), 1);
     }
 
     #[test]
@@ -337,10 +303,10 @@ mod proptests {
                 } else {
                     q.dequeue();
                 }
+                prop_assert!(q.len() <= 5);
             }
             prop_assert_eq!(q.enqueued() + q.drops(), attempted);
             prop_assert_eq!(q.enqueued(), q.dequeued() + q.len() as u64);
-            prop_assert!(q.hiwater() <= 5);
         }
     }
 }

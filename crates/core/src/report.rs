@@ -1,8 +1,15 @@
 //! Measurement: per-window reports, the packet-conservation ledger,
 //! and the quiescence watchdog.
+//!
+//! Every additive statistic in the router is a lifetime total that
+//! nothing zeroes. A measurement window is an observation: `mark`
+//! keeps one snapshot of the totals and `report` differences the
+//! current totals against it.
 
 use npr_sim::{cycles_to_ps, Time, PENTIUM_HZ, PS_PER_SEC};
 
+use crate::health::HealthStats;
+use crate::plane::CtlStats;
 use crate::router::Router;
 use crate::world::RunMode;
 
@@ -167,21 +174,63 @@ impl Conservation {
     }
 }
 
+/// The lifetime totals a [`Report`] windows, read at one instant
+/// (`at`) by [`Router::totals`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Totals {
+    at: Time,
+    input_pkts: u64,
+    input_mps: u64,
+    output_mps: u64,
+    input_reg_cycles: u64,
+    output_reg_cycles: u64,
+    lap_losses: u64,
+    vrp_drops: u64,
+    vrp_traps: u64,
+    latency_sum_ps: u64,
+    latency_samples: u64,
+    tx_frames: u64,
+    port_drops: u64,
+    queue_drops: u64,
+    escalation_drops: u64,
+    mutex_wait_ps: u64,
+    mutex_acq: u64,
+    sa_done: u64,
+    pe_done: u64,
+    sa_busy_ps: Time,
+    pe_busy_ps: Time,
+    dram_busy_ps: Time,
+    sram_busy_ps: Time,
+    dma_busy_ps: Time,
+    pci_busy_ps: Time,
+    pci_exhausted: u64,
+    ctl: CtlStats,
+    health: HealthStats,
+    qm_early_drops: u64,
+    qm_cap_drops: u64,
+    qm_sojourn_drops: u64,
+    qm_served: u64,
+}
+
 impl Router {
+    /// StrongARM/Pentium staging-queue overflow drops.
+    fn escalation_drops(&self) -> u64 {
+        self.world.sa_local_q.drops()
+            + self.world.sa_miss_q.drops()
+            + self.world.sa_pe_q.iter().map(|q| q.drops()).sum::<u64>()
+    }
+
     /// Builds the packet-conservation ledger from lifetime totals.
     ///
-    /// Valid only on runs that never call [`Router::mark`] (marking
-    /// resets the queue drop statistics the ledger sums) and that do
-    /// not use slow-path fragmentation or the synthetic StrongARM feed
-    /// (both mint packets that were never admitted by the input
-    /// process). Control operations live on their own ledger
-    /// ([`Router::ctl_stats`]) and never appear here — a StrongARM or
-    /// Pentium server busy with a control op holds no packet.
+    /// Not valid on runs that use slow-path fragmentation or the
+    /// synthetic StrongARM feed (both mint packets that were never
+    /// admitted by the input process). Control operations live on
+    /// their own ledger ([`Router::ctl_stats`]) and never appear here —
+    /// a StrongARM or Pentium server busy with a control op holds no
+    /// packet.
     pub fn conservation(&self) -> Conservation {
         let c = &self.world.counters;
-        let escalation_drops = self.world.sa_local_q.drops()
-            + self.world.sa_miss_q.drops()
-            + self.world.sa_pe_q.iter().map(|q| q.drops()).sum::<u64>();
+        let escalation_drops = self.escalation_drops();
         let sa_holds_packet = matches!(
             &self.sa.job,
             Some(j) if !matches!(j, crate::sa::SaJob::Control(_))
@@ -312,19 +361,69 @@ impl Router {
         c.in_flight == 0 && c.holds()
     }
 
-    /// Marks the start of a measurement window.
+    /// Reads every lifetime total a [`Report`] windows.
+    fn totals(&self) -> Totals {
+        let c = &self.world.counters;
+        let ports = &self.ixp.hw.ports;
+        let (mutex_wait_ps, mutex_acq) = self
+            .mutex_ids
+            .iter()
+            .map(|&m| self.ixp.mutex_stats(m))
+            .fold((0u64, 0u64), |(a, b), (x, y)| (a + x, b + y));
+        let qm = self.world.qm.as_ref();
+        Totals {
+            at: self.events.now(),
+            input_pkts: c.input_pkts.total(),
+            input_mps: c.input_mps.total(),
+            output_mps: c.output_mps.total(),
+            input_reg_cycles: c.input_reg_cycles.total(),
+            output_reg_cycles: c.output_reg_cycles.total(),
+            lap_losses: c.lap_losses.total(),
+            vrp_drops: c.vrp_drops.total(),
+            vrp_traps: c.vrp_traps.total(),
+            latency_sum_ps: c.latency_sum_ps.total(),
+            latency_samples: c.latency_samples.total(),
+            tx_frames: ports.iter().map(|p| p.tx_frames).sum(),
+            port_drops: ports.iter().map(|p| p.rx_frames_dropped).sum(),
+            queue_drops: self.world.queues.total_drops(),
+            escalation_drops: self.escalation_drops(),
+            mutex_wait_ps,
+            mutex_acq,
+            sa_done: self.sa.done,
+            pe_done: self.pe.done,
+            sa_busy_ps: self.sa.busy_ps,
+            pe_busy_ps: self.pe.busy_ps,
+            dram_busy_ps: self.ixp.dram.busy_ps(),
+            sram_busy_ps: self.ixp.sram.busy_ps(),
+            dma_busy_ps: self.ixp.dma.busy_ps(),
+            pci_busy_ps: self.pci.busy_ps(),
+            pci_exhausted: self.pci.exhausted(),
+            ctl: self.ctl,
+            health: self.health.stats,
+            qm_early_drops: qm.map_or(0, |q| q.early_drops()),
+            qm_cap_drops: qm.map_or(0, |q| q.cap_drops()),
+            qm_sojourn_drops: qm.map_or(0, |q| q.sojourn_drops()),
+            qm_served: qm.map_or(0, |q| q.sojourn_samples()),
+        }
+    }
+
+    /// Marks the start of a measurement window. Marking is an
+    /// observation: it stores one snapshot of the lifetime totals for
+    /// [`Router::report`] to difference against and re-arms the three
+    /// window *gauges* — `Counters::latency_hist`,
+    /// `Counters::latency_max_ps` and `QmPlane::sojourn_hist` — whose
+    /// maxima and percentiles no two totals yield by subtraction. It
+    /// writes nothing else, and [`Router::conservation`],
+    /// [`Router::fingerprint`], [`Router::drain`] and the health
+    /// monitor read none of the three, so a run is the same run however
+    /// often it is marked (DESIGN.md §13).
     pub fn mark(&mut self) {
-        let now = self.events.now();
-        self.window_start = now;
-        self.world.mark_counters(now);
-        self.ixp.reset_stats();
-        self.pci.reset_stats();
-        self.sa_window_done0 = self.sa.done;
-        self.pe_window_done0 = self.pe.done;
-        self.sa.busy_ps = 0;
-        self.pe.busy_ps = 0;
-        self.ctl_mark = self.ctl;
-        self.health.mark();
+        self.mark = self.totals();
+        self.world.counters.latency_hist.reset();
+        self.world.counters.latency_max_ps = 0;
+        if let Some(qm) = &mut self.world.qm {
+            qm.sojourn_hist.reset();
+        }
     }
 
     /// Runs `warmup`, marks, runs `window`, and reports.
@@ -336,40 +435,51 @@ impl Router {
         self.report()
     }
 
-    /// Builds a report over the current window.
+    /// Builds a report over the current window: the lifetime totals
+    /// now minus the totals at the last [`Router::mark`] (boot, if
+    /// never marked), plus the window gauges.
     pub fn report(&self) -> Report {
-        let now = self.events.now();
-        let w = now.saturating_sub(self.window_start).max(1);
+        let (t, m) = (self.totals(), &self.mark);
+        let w = t.at.saturating_sub(m.at).max(1);
         let secs = w as f64 / PS_PER_SEC as f64;
         let c = &self.world.counters;
-        let input_pkts = c.input_pkts.since_mark() as f64;
-        let tx: u64 = self.ixp.hw.ports.iter().map(|p| p.tx_frames).sum();
-        let port_drops: u64 = self.ixp.hw.ports.iter().map(|p| p.rx_frames_dropped).sum();
+        let input_pkts = (t.input_pkts - m.input_pkts) as f64;
         let forward = match self.cfg.mode {
             RunMode::InputOnly => input_pkts,
-            _ => tx as f64,
+            _ => (t.tx_frames - m.tx_frames) as f64,
         };
-        let (mutex_wait, mutex_acq) = self
-            .mutex_ids
-            .iter()
-            .map(|&m| self.ixp.mutex_stats(m))
-            .fold((0u64, 0u64), |(a, b), (x, y)| (a + x, b + y));
-        let sa_done = (self.sa.done - self.sa_window_done0) as f64;
-        let pe_done = (self.pe.done - self.pe_window_done0) as f64;
+        let mutex_wait = t.mutex_wait_ps - m.mutex_wait_ps;
+        let mutex_acq = t.mutex_acq - m.mutex_acq;
+        let sa_done = (t.sa_done - m.sa_done) as f64;
+        let pe_done = (t.pe_done - m.pe_done) as f64;
+        // A soft reset refunds the unexecuted tail of a wedged job, so
+        // the StrongARM's busy total alone can fall below its mark.
+        let sa_busy = t.sa_busy_ps.saturating_sub(m.sa_busy_ps);
         let sa_spare = if sa_done > 0.0 {
-            (w.saturating_sub(self.sa.busy_ps) as f64 / 1e12) * 200e6 / sa_done
+            (w.saturating_sub(sa_busy) as f64 / 1e12) * 200e6 / sa_done
         } else {
             0.0
         };
         let pe_spare = if pe_done > 0.0 {
-            (w.saturating_sub(self.pe.busy_ps) as f64 / 1e12) * PENTIUM_HZ as f64 / pe_done
+            (w.saturating_sub(t.pe_busy_ps - m.pe_busy_ps) as f64 / 1e12) * PENTIUM_HZ as f64
+                / pe_done
         } else {
             0.0
         };
-        let in_mps = c.input_mps.since_mark() as f64;
-        let out_mps = c.output_mps.since_mark() as f64;
-        let ctl_ops = self.ctl.completed - self.ctl_mark.completed;
-        let hs = self.health.since_mark();
+        let in_mps = (t.input_mps - m.input_mps) as f64;
+        let out_mps = (t.output_mps - m.output_mps) as f64;
+        let ctl_ops = t.ctl.completed - m.ctl.completed;
+        let hs = HealthStats {
+            epochs: t.health.epochs - m.health.epochs,
+            warnings: t.health.warnings - m.health.warnings,
+            throttles: t.health.throttles - m.health.throttles,
+            quarantines: t.health.quarantines - m.health.quarantines,
+            sa_resets: t.health.sa_resets - m.health.sa_resets,
+            recoveries: t.health.recoveries - m.health.recoveries,
+            recovery_latency_sum_ps: t.health.recovery_latency_sum_ps
+                - m.health.recovery_latency_sum_ps,
+        };
+        let qm = self.world.qm.as_ref();
         Report {
             window_ps: w,
             input_mpps: input_pkts / secs / 1e6,
@@ -377,12 +487,12 @@ impl Router {
             input_mmps: in_mps / secs / 1e6,
             output_mmps: out_mps / secs / 1e6,
             input_reg_per_mp: if in_mps > 0.0 {
-                c.input_reg_cycles.since_mark() as f64 / in_mps
+                (t.input_reg_cycles - m.input_reg_cycles) as f64 / in_mps
             } else {
                 0.0
             },
             output_reg_per_mp: if out_mps > 0.0 {
-                c.output_reg_cycles.since_mark() as f64 / out_mps
+                (t.output_reg_cycles - m.output_reg_cycles) as f64 / out_mps
             } else {
                 0.0
             },
@@ -390,41 +500,37 @@ impl Router {
             pe_kpps: pe_done / secs / 1e3,
             sa_spare_cycles: sa_spare,
             pe_spare_cycles: pe_spare,
-            queue_drops: self.world.queues.total_drops(),
-            escalation_drops: self.world.sa_local_q.drops()
-                + self.world.sa_miss_q.drops()
-                + self.world.sa_pe_q.iter().map(|q| q.drops()).sum::<u64>(),
-            port_drops,
-            lap_losses: c.lap_losses.since_mark(),
-            vrp_drops: c.vrp_drops.since_mark(),
+            queue_drops: t.queue_drops - m.queue_drops,
+            escalation_drops: t.escalation_drops - m.escalation_drops,
+            port_drops: t.port_drops - m.port_drops,
+            lap_losses: t.lap_losses - m.lap_losses,
+            vrp_drops: t.vrp_drops - m.vrp_drops,
             mutex_wait_cycles: if mutex_acq > 0 {
                 mutex_wait as f64 / mutex_acq as f64 / cycles_to_ps(1) as f64
             } else {
                 0.0
             },
             latency_avg_us: {
-                let n = c.latency_samples.since_mark();
+                let n = t.latency_samples - m.latency_samples;
                 if n == 0 {
                     0.0
                 } else {
-                    c.latency_sum_ps.since_mark() as f64 / n as f64 / 1e6
+                    (t.latency_sum_ps - m.latency_sum_ps) as f64 / n as f64 / 1e6
                 }
             },
             latency_p50_us: c.latency_hist.percentile(50.0) as f64 / 1e6,
             latency_p99_us: c.latency_hist.percentile(99.0) as f64 / 1e6,
             latency_max_us: c.latency_max_ps as f64 / 1e6,
-            dram_util: self.ixp.dram.busy_ps() as f64 / w as f64,
-            sram_util: self.ixp.sram.busy_ps() as f64 / w as f64,
-            dma_util: self.ixp.dma.busy_ps() as f64 / w as f64,
-            pci_util: self.pci.utilization(w),
+            dram_util: (t.dram_busy_ps - m.dram_busy_ps) as f64 / w as f64,
+            sram_util: (t.sram_busy_ps - m.sram_busy_ps) as f64 / w as f64,
+            dma_util: (t.dma_busy_ps - m.dma_busy_ps) as f64 / w as f64,
+            pci_util: (t.pci_busy_ps - m.pci_busy_ps) as f64 / w as f64,
             ctl_ops,
-            ctl_pe_cycles: self.ctl.pe_cycles - self.ctl_mark.pe_cycles,
-            ctl_sa_cycles: self.ctl.sa_cycles - self.ctl_mark.sa_cycles,
-            ctl_pci_bytes: self.ctl.pci_bytes - self.ctl_mark.pci_bytes,
+            ctl_pe_cycles: t.ctl.pe_cycles - m.ctl.pe_cycles,
+            ctl_sa_cycles: t.ctl.sa_cycles - m.ctl.sa_cycles,
+            ctl_pci_bytes: t.ctl.pci_bytes - m.ctl.pci_bytes,
             ctl_latency_avg_us: if ctl_ops > 0 {
-                (self.ctl.latency_sum_ps - self.ctl_mark.latency_sum_ps) as f64
-                    / ctl_ops as f64
-                    / 1e6
+                (t.ctl.latency_sum_ps - m.ctl.latency_sum_ps) as f64 / ctl_ops as f64 / 1e6
             } else {
                 0.0
             },
@@ -435,22 +541,14 @@ impl Router {
             sa_resets: hs.sa_resets,
             recoveries: hs.recoveries,
             recovery_latency_avg_us: hs.recovery_latency_avg_us(),
-            pci_retry_exhausted: self.pci.exhausted(),
-            vrp_traps: c.vrp_traps.since_mark(),
-            qm_early_drops: self.world.qm.as_ref().map_or(0, |q| q.early_drops()),
-            qm_cap_drops: self.world.qm.as_ref().map_or(0, |q| q.cap_drops()),
-            qm_sojourn_drops: self.world.qm.as_ref().map_or(0, |q| q.sojourn_drops()),
-            qm_sojourn_p50_us: self
-                .world
-                .qm
-                .as_ref()
-                .map_or(0.0, |q| q.sojourn_hist().percentile(50.0) as f64 / 1e6),
-            qm_sojourn_p99_us: self
-                .world
-                .qm
-                .as_ref()
-                .map_or(0.0, |q| q.sojourn_hist().percentile(99.0) as f64 / 1e6),
-            qm_served: self.world.qm.as_ref().map_or(0, |q| q.sojourn_samples()),
+            pci_retry_exhausted: t.pci_exhausted - m.pci_exhausted,
+            vrp_traps: t.vrp_traps - m.vrp_traps,
+            qm_early_drops: t.qm_early_drops - m.qm_early_drops,
+            qm_cap_drops: t.qm_cap_drops - m.qm_cap_drops,
+            qm_sojourn_drops: t.qm_sojourn_drops - m.qm_sojourn_drops,
+            qm_sojourn_p50_us: qm.map_or(0.0, |q| q.sojourn_hist().percentile(50.0) as f64 / 1e6),
+            qm_sojourn_p99_us: qm.map_or(0.0, |q| q.sojourn_hist().percentile(99.0) as f64 / 1e6),
+            qm_served: t.qm_served - m.qm_served,
         }
     }
 }

@@ -26,6 +26,7 @@ use crate::pci::{Pci, PE_BUFFERS};
 use crate::pe::Pentium;
 use crate::plane::{Bus, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId};
 use crate::queues::InputDiscipline;
+use crate::report::Totals;
 use crate::sa::StrongArm;
 use crate::world::{RouterWorld, RunMode};
 
@@ -94,14 +95,12 @@ pub struct Router {
     pub(crate) next_fid: Fid,
     /// Control-plane accounting (lifetime totals).
     pub(crate) ctl: CtlStats,
-    /// Snapshot of `ctl` at the last [`Router::mark`].
-    pub(crate) ctl_mark: CtlStats,
     /// Reserve all StrongARM capacity for bridging (admission policy).
     pub sa_reserved_for_pe: bool,
     pub(crate) mutex_ids: Vec<npr_ixp::MutexId>,
-    pub(crate) window_start: Time,
-    pub(crate) sa_window_done0: u64,
-    pub(crate) pe_window_done0: u64,
+    /// [`Router::totals`] at the last [`Router::mark`] (all zero at
+    /// boot): the start of the window [`Router::report`] covers.
+    pub(crate) mark: Totals,
     /// The runtime health monitor (watchdog, overrun policing,
     /// quarantine, recovery). Armed by default; piggybacks on the event
     /// loop and schedules nothing of its own.
@@ -273,13 +272,10 @@ impl Router {
             installs: HashMap::new(),
             next_fid: 1,
             ctl: CtlStats::default(),
-            ctl_mark: CtlStats::default(),
             sa_reserved_for_pe: false,
             mutex_ids,
-            window_start: 0,
-            sa_window_done0: 0,
-            pe_window_done0: 0,
-            health: HealthMonitor::new(&cfg),
+            mark: Totals::default(),
+            health: HealthMonitor::default(),
             cfg,
         }
     }

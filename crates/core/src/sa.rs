@@ -202,12 +202,6 @@ impl StrongArm {
     pub fn miss_cycles(&self, levels: u32) -> u64 {
         self.costs.local_base + u64::from(levels) * self.costs.lookup_per_level
     }
-
-    /// Clears accounting for a measurement window.
-    pub fn reset_stats(&mut self) {
-        self.busy_ps = 0;
-        self.done = 0;
-    }
 }
 
 /// True when the packet's MPs are all in DRAM (the StrongARM must not

@@ -102,7 +102,8 @@ pub enum Escalation {
     },
 }
 
-/// World-level counters.
+/// World-level counters: lifetime totals, except the two latency
+/// window gauges at the end, which [`crate::Router::mark`] re-arms.
 #[derive(Debug, Default)]
 pub struct Counters {
     /// Packets completed by the input process (enqueued or escalated).
@@ -167,41 +168,10 @@ pub struct Counters {
     pub latency_sum_ps: Counter,
     /// Number of latency samples.
     pub latency_samples: Counter,
-    /// Maximum observed latency in the window, ps.
+    /// Window gauge: maximum observed latency since the last mark, ps.
     pub latency_max_ps: u64,
-    /// Latency distribution (ps) over the window.
+    /// Window gauge: latency distribution (ps) since the last mark.
     pub latency_hist: npr_sim::LogHistogram,
-}
-
-impl Counters {
-    /// Marks every counter at `now` (start of a measurement window).
-    pub fn mark_all(&mut self, now: Time) {
-        self.input_pkts.mark(now);
-        self.input_mps.mark(now);
-        self.vrp_drops.mark(now);
-        self.validation_drops.mark(now);
-        self.no_route_drops.mark(now);
-        self.to_sa.mark(now);
-        self.to_pe.mark(now);
-        self.sa_local_done.mark(now);
-        self.pe_done.mark(now);
-        self.lap_losses.mark(now);
-        self.input_lap_drops.mark(now);
-        self.orphan_mp_drops.mark(now);
-        self.sa_fwdr_drops.mark(now);
-        self.pe_drops.mark(now);
-        self.pe_consumed.mark(now);
-        self.truncated_drops.mark(now);
-        self.vrp_traps.mark(now);
-        self.tx_pkts.mark(now);
-        self.input_reg_cycles.mark(now);
-        self.output_reg_cycles.mark(now);
-        self.output_mps.mark(now);
-        self.latency_sum_ps.mark(now);
-        self.latency_samples.mark(now);
-        self.latency_max_ps = 0;
-        self.latency_hist.reset();
-    }
 }
 
 /// Frame-assembly record for multi-MP packets.
@@ -393,20 +363,6 @@ impl RouterWorld {
             self.me_traps[i] += 1;
         }
     }
-
-    /// Marks a measurement window on all world counters.
-    pub fn mark_counters(&mut self, now: Time) {
-        self.counters.mark_all(now);
-        self.queues.reset_stats();
-        self.sa_local_q.reset_stats();
-        self.sa_miss_q.reset_stats();
-        for q in &mut self.sa_pe_q {
-            q.reset_stats();
-        }
-        if let Some(qm) = &mut self.qm {
-            qm.reset_stats();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,16 +378,6 @@ mod tests {
         assert_eq!(m.in_port, 3);
         assert_eq!(m.mps_total, 24);
         assert_eq!(m.arrival, 42);
-    }
-
-    #[test]
-    fn counters_mark_resets_windows() {
-        let mut w = RouterWorld::new(RunMode::System, 2, 1, 8, 16);
-        w.counters.input_pkts.add(10);
-        w.mark_counters(1000);
-        assert_eq!(w.counters.input_pkts.since_mark(), 0);
-        w.counters.input_pkts.add(5);
-        assert_eq!(w.counters.input_pkts.since_mark(), 5);
     }
 
     #[test]

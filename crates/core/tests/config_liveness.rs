@@ -60,18 +60,6 @@ fn reroute(r: &mut Router) {
     r.run_until(us(800));
 }
 
-/// An installed ME forwarder rots into an always-trapping program
-/// (health.rs's trap storm) under ~6.7 frames, one trap each, per 50 us
-/// epoch: past a threshold of 4, short of 8.
-fn trap_storm(r: &mut Router) {
-    let prog = npr_forwarders::syn_monitor().unwrap();
-    r.install(Key::All, InstallRequest::Me { prog }, None).unwrap();
-    let insns = vec![npr_vrp::Insn::SramRd { dst: 0, off: 92 }, npr_vrp::Insn::Done];
-    let rotted = npr_vrp::VrpProgram { name: "rotted".into(), insns, state_bytes: 4 };
-    r.world.me_forwarders[0].exec = npr_vrp::Executable::new(rotted, r.cfg.vrp_backend);
-    blast(r, 0..1, 1, ms(2));
-}
-
 /// A verified ME forwarder under traffic.
 fn me_forwarder(r: &mut Router) {
     let prog = npr_forwarders::ip_minimal().unwrap();
@@ -108,7 +96,6 @@ fn every_config_field_moves_something() {
         interleave_rings: _,
         out_batch: _,
         route_cache_slots: _,
-        health_trap_threshold: _,
         vrp_backend: _,
         qm_flows_per_port: _,
         qm_flow_cap: _,
@@ -131,7 +118,7 @@ fn every_config_field_moves_something() {
     let overload: Drive = |r| blast(r, 0..2, 2, ms(3));
     let converge: Drive = |r| blast(r, 0..8, 1, ms(2));
 
-    let rows: [(&str, RouterConfig, Vary, Drive); 32] = [
+    let rows: [(&str, RouterConfig, Vary, Drive); 31] = [
         ("chip", ideal(), |c| c.chip = npr_ixp::ChipConfig::default(), idle),
         ("mode", ideal(), |c| c.mode = RunMode::InputOnly, idle),
         // npr-fabric members: 12 input contexts, 9 ports with one uplink.
@@ -186,7 +173,6 @@ fn every_config_field_moves_something() {
         ("out_batch", ideal(), |c| c.out_batch = 1, idle),
         // The eight template destinations collide in a 16-slot cache.
         ("route_cache_slots", ideal(), |c| c.route_cache_slots = 16, idle),
-        ("health_trap_threshold", wire(), |c| c.health_trap_threshold = 4, trap_storm),
         ("vrp_backend", wire(), |c| c.vrp_backend = npr_vrp::VrpBackend::Interp, me_forwarder),
         ("qm_flows_per_port", wire(), |c| c.qm_flows_per_port = 256, built),
         ("qm_flow_cap", qos(AqmKind::DropTail), |c| c.qm_flow_cap = 64, built),

@@ -100,9 +100,8 @@ fn rotted() -> npr_vrp::VrpProgram {
 
 #[test]
 fn me_trap_storm_quarantines_the_forwarder() {
-    let mut cfg = RouterConfig::line_rate();
-    cfg.health_trap_threshold = 4;
-    let mut r = Router::new(cfg);
+    let mut r = Router::new(RouterConfig::line_rate());
+    r.health.trap_threshold = 4;
     let fid = r
         .install(
             Key::All,

@@ -110,7 +110,10 @@ impl Fabric {
     pub fn report(&self) -> FabricReport {
         let members: Vec<Report> = self.members().map(|r| r.report()).collect();
         let window = self.clock.saturating_sub(self.mark_clock).max(1) as f64;
-        let external_mpps = (self.external_tx() - self.mark_external_tx) as f64 / window * 1e6;
+        // Saturating: a member re-joined since the mark restarts its
+        // port totals from zero.
+        let external_mpps =
+            self.external_tx().saturating_sub(self.mark_external_tx) as f64 / window * 1e6;
         let sum = |f: &dyn Fn(&Report) -> u64| members.iter().map(f).sum::<u64>();
         FabricReport {
             external_mpps,

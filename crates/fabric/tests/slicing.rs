@@ -10,11 +10,14 @@
 //! and under the compound fault corpus, through a link failure and
 //! restore mid-run, at threads 1/2/4/8:
 //!
-//! * cuts at seeded random picosecond instants,
+//! * cuts at seeded random picosecond instants, with a `Fabric::mark()`
+//!   at some of them (marking is an observation too),
 //! * a cut at every pending event timestamp (`next_event_time()`), the
 //!   finest slicing there is,
 //!
-//! comparing `fingerprint()`, `report()` and `conservation()`.
+//! comparing `fingerprint()`, `report()` and `conservation()`. Every
+//! run marks once at the link restore, so the compared report covers
+//! the same window however many earlier marks a slicing took.
 //!
 //! `scripts/verify.sh` runs this in release with a zero-tests-ran
 //! check, like the other fabric gates.
@@ -128,6 +131,7 @@ impl Scenario {
         f.fail_link(member, ix);
         advance(&mut f, restore);
         f.restore_link(member, ix);
+        f.mark();
         advance(&mut f, HORIZON);
         Observed {
             fingerprint: f.fingerprint(),
@@ -217,12 +221,18 @@ fn check(topology: Topology, seed: u64) -> Result<(), String> {
             }
 
             let mut rng = CheckRng::new(seed ^ threads as u64);
+            let restore = sc.link_outage().1;
             let random = sc.run(|f, t| {
                 let from = f.now();
                 let mut cuts: Vec<Time> = (0..CUTS).map(|_| from + rng.below(t - from)).collect();
                 cuts.sort_unstable();
                 for cut in cuts {
                     f.run_lockstep(cut, threads);
+                    // Marks before the shared one at `restore` must
+                    // leave no trace in anything compared below.
+                    if cut < restore && rng.bool() {
+                        f.mark();
+                    }
                 }
                 f.run_lockstep(t, threads);
             });

@@ -52,11 +52,6 @@ impl HashUnit {
     pub fn uses(&self) -> u64 {
         self.uses
     }
-
-    /// Clears the use counter.
-    pub fn reset(&mut self) {
-        self.uses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -82,8 +77,6 @@ mod tests {
         u.hash(1);
         u.hash_flow(1, 2, 3, 4);
         assert_eq!(u.uses(), 3);
-        u.reset();
-        assert_eq!(u.uses(), 0);
     }
 
     #[test]

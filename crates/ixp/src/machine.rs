@@ -421,24 +421,6 @@ impl<W> Ixp<W> {
         (mx.wait_ps, mx.acquisitions)
     }
 
-    /// Clears measurement counters (ports, memories, DMA, mutex waits).
-    pub fn reset_stats(&mut self) {
-        self.dram.reset_stats();
-        self.sram.reset_stats();
-        self.scratch.reset_stats();
-        self.dma.reset_stats();
-        self.dma_tx.reset_stats();
-        for p in &mut self.hw.ports {
-            p.reset_stats();
-        }
-        for m in &mut self.mutexes {
-            m.wait_ps = 0;
-            m.acquisitions = 0;
-        }
-        self.reg_cycles = 0;
-        self.hw.hash.reset();
-    }
-
     /// Starts the machine: queues every loaded context for dispatch and
     /// primes port receive schedules.
     pub fn start(&mut self, world: &mut W, sched: &mut impl Sched) {

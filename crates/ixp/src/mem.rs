@@ -158,14 +158,6 @@ impl MemCtl {
     pub fn queued_ps(&self) -> Time {
         self.server.queued_ps()
     }
-
-    /// Clears statistics (not timing state) for a measurement window.
-    pub fn reset_stats(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
-        self.bytes = 0;
-        self.server.reset_stats();
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +214,6 @@ mod tests {
         m.access(0, Rw::Read, 32);
         m.access(0, Rw::Write, 8);
         assert_eq!((m.reads(), m.writes(), m.bytes()), (1, 1, 40));
-        m.reset_stats();
-        assert_eq!((m.reads(), m.writes(), m.bytes()), (0, 0, 0));
     }
 
     #[test]

@@ -235,17 +235,6 @@ impl PortData {
         }
         self.tx_free_at
     }
-
-    /// Clears counters for a measurement window.
-    pub fn reset_stats(&mut self) {
-        self.rx_mps = 0;
-        self.rx_frames = 0;
-        self.rx_frames_dropped = 0;
-        self.rx_mps_dropped = 0;
-        self.tx_mps = 0;
-        self.tx_frames = 0;
-        self.tx_bytes = 0;
-    }
 }
 
 /// Picoseconds for `bytes` at `rate_bps`.

@@ -121,13 +121,6 @@ impl Server {
             self.busy_ps as f64 / horizon as f64
         }
     }
-
-    /// Resets counters (not the clock) — used between measurement phases.
-    pub fn reset_stats(&mut self) {
-        self.busy_ps = 0;
-        self.jobs = 0;
-        self.queued_ps = 0;
-    }
 }
 
 /// Batches wakeup events that share a timestamp.
@@ -241,17 +234,6 @@ mod tests {
         s.admit(0, 25, 25);
         assert!((s.utilization(100) - 0.25).abs() < 1e-12);
         assert_eq!(s.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_only() {
-        let mut s = Server::new("t");
-        s.admit(0, 10, 10);
-        s.reset_stats();
-        assert_eq!(s.busy_ps(), 0);
-        assert_eq!(s.jobs(), 0);
-        // Clock state is preserved.
-        assert_eq!(s.free_at(), 10);
     }
 
     #[test]

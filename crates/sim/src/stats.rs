@@ -1,13 +1,11 @@
-//! Measurement helpers: counters with warmup-window support.
+//! Measurement helpers: lifetime counters and a log-scaled histogram.
 //!
 //! The paper's experiments report steady-state forwarding rates; our
-//! harness likewise discards a warmup prefix. [`Counter`] supports taking
-//! a snapshot at the start of the measurement window and computing a rate
-//! over the window.
+//! harness likewise discards a warmup prefix. A [`Counter`] is never
+//! zeroed: a measurement window is the difference between two readings
+//! of its total, taken by whoever observes the window.
 
-use crate::time::{Time, PS_PER_SEC};
-
-/// A monotonically increasing event counter with a snapshot marker.
+/// A monotonically increasing event counter.
 ///
 /// # Examples
 ///
@@ -16,15 +14,13 @@ use crate::time::{Time, PS_PER_SEC};
 ///
 /// let mut c = Counter::default();
 /// c.add(5);
-/// c.mark(1_000); // Start measurement window at t = 1000 ps.
+/// let mark = c.total(); // Start of a measurement window.
 /// c.add(10);
-/// assert_eq!(c.since_mark(), 10);
+/// assert_eq!(c.total() - mark, 10);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Counter {
     total: u64,
-    mark_value: u64,
-    mark_time: Time,
 }
 
 impl Counter {
@@ -44,36 +40,6 @@ impl Counter {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// Marks the start of a measurement window at time `now`.
-    pub fn mark(&mut self, now: Time) {
-        self.mark_value = self.total;
-        self.mark_time = now;
-    }
-
-    /// Count accumulated since the last [`Counter::mark`].
-    pub fn since_mark(&self) -> u64 {
-        self.total - self.mark_value
-    }
-
-    /// Events per second over `[mark, now]`.
-    pub fn rate_per_sec(&self, now: Time) -> f64 {
-        let dt = now.saturating_sub(self.mark_time);
-        if dt == 0 {
-            return 0.0;
-        }
-        self.since_mark() as f64 * PS_PER_SEC as f64 / dt as f64
-    }
-}
-
-/// Converts an events-per-second rate to the paper's Mpps unit.
-pub fn to_mpps(rate_per_sec: f64) -> f64 {
-    rate_per_sec / 1e6
-}
-
-/// Converts an events-per-second rate to Kpps.
-pub fn to_kpps(rate_per_sec: f64) -> f64 {
-    rate_per_sec / 1e3
 }
 
 #[cfg(test)]
@@ -86,31 +52,10 @@ mod tests {
         c.inc();
         c.add(2);
         assert_eq!(c.total(), 3);
-        c.mark(100);
-        assert_eq!(c.since_mark(), 0);
+        let mark = c.total();
         c.add(7);
-        assert_eq!(c.since_mark(), 7);
+        assert_eq!(c.total() - mark, 7);
         assert_eq!(c.total(), 10);
-    }
-
-    #[test]
-    fn rate_over_window() {
-        let mut c = Counter::default();
-        c.mark(0);
-        c.add(1_000);
-        // 1000 events over 1 us = 1e9 events/s.
-        let rate = c.rate_per_sec(1_000_000);
-        assert!((rate - 1e9).abs() < 1.0);
-        assert!((to_mpps(rate) - 1e3).abs() < 1e-6);
-        assert!((to_kpps(rate) - 1e6).abs() < 1e-3);
-    }
-
-    #[test]
-    fn zero_window_rate_is_zero() {
-        let mut c = Counter::default();
-        c.mark(50);
-        c.add(10);
-        assert_eq!(c.rate_per_sec(50), 0.0);
     }
 }
 

@@ -44,7 +44,7 @@ fn main() {
     );
     for p in [4usize, 5, 6] {
         println!(
-            "LSP via port {p}: {} frames",
+            "LSP via port {p}: {} frames since boot",
             router.ixp.hw.ports[p].tx_frames
         );
     }

@@ -32,10 +32,11 @@ fn main() {
     println!("IX-bus    : {:.1}%", report.dma_util * 100.0);
 
     // The transmitted packets really crossed the router: look at the
-    // per-port counters.
+    // per-port counters (lifetime totals, warm-up included — only the
+    // report above is windowed).
     for (i, p) in router.ixp.hw.ports.iter().enumerate().take(2) {
         println!(
-            "port {i}: rx {} frames, tx {} frames",
+            "port {i}: rx {} frames, tx {} frames since boot",
             p.rx_frames, p.tx_frames
         );
     }
