@@ -6,10 +6,11 @@
 //! whether the design survives that jump:
 //!
 //! 1. **Lookup scaling** — does the multibit trie hold its rate from
-//!    1 k to 1 M prefixes, and what does the arena cost in bytes? This
-//!    sweep is host wall-clock (the trie runs on the StrongARM as real
-//!    code, not simulated cycles), so the Mpps numbers are indicative,
-//!    not gated.
+//!    1 k to 1 M prefixes, what does the arena cost in bytes, and what
+//!    do building the table and changing one route cost? The rates and
+//!    times in this sweep are host wall-clock (the trie runs on the
+//!    StrongARM as real code, not simulated cycles), so they are
+//!    indicative, not gated.
 //! 2. **Cache hit rate** — the 4096-slot route cache fronting the trie
 //!    lives or dies by flow popularity. Zipf-ranked destinations over a
 //!    generated table measure the hit rate the StrongARM miss path
@@ -59,6 +60,12 @@ pub struct ScalePoint {
     pub routes: usize,
     /// Host wall-clock lookups per second, millions.
     pub lookup_mpps: f64,
+    /// Host wall-clock milliseconds of the `RoutingTable::load` call
+    /// alone (table synthesis is outside the stopwatch).
+    pub build_ms: f64,
+    /// Host wall-clock nanoseconds per `insert` of a fresh /24 into the
+    /// built table with a warm cache: the median of `UPDATE_SAMPLES`.
+    pub update_ns: f64,
     /// Trie arena footprint in bytes.
     pub trie_bytes: usize,
     /// Mean trie levels touched per lookup (the SRAM-transfer count the
@@ -103,9 +110,14 @@ pub struct RouteResult {
     pub churn: Vec<ChurnPoint>,
 }
 
-/// Measures raw trie lookups per second at each table size. Host
-/// wall-clock: this is the one number in the harness that depends on
-/// the build machine, which is why verify.sh never gates it.
+/// Fresh-route inserts timed per table size for `update_ns`.
+const UPDATE_SAMPLES: u32 = 1_000;
+
+/// Measures, at each table size, the bulk build, raw trie lookups per
+/// second and the cost of one route update. `lookup_mpps`, `build_ms`
+/// and `update_ns` are host wall-clock and depend on the build machine,
+/// which is why verify.sh gates none of them; `trie_bytes` and
+/// `mean_levels` are exact for a size.
 pub fn lookup_scaling(sizes: &[usize]) -> Vec<ScalePoint> {
     const LOOKUPS: usize = 1 << 21;
     sizes
@@ -113,7 +125,9 @@ pub fn lookup_scaling(sizes: &[usize]) -> Vec<ScalePoint> {
         .map(|&n| {
             let routes = synth_table(&TableSpec::internet(n, 0x5CA1_AB1E));
             let mut table = RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
+            let t0 = std::time::Instant::now();
             table.load(routes.iter().cloned());
+            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
             let dsts = sample_dsts(&routes, 1 << 16, 11);
             let mut acc = 0u64;
             // Warm pass so first-touch page faults stay out of the timing.
@@ -129,16 +143,45 @@ pub fn lookup_scaling(sizes: &[usize]) -> Vec<ScalePoint> {
             }
             let secs = t0.elapsed().as_secs_f64();
             std::hint::black_box(acc);
-            let stats = table.trie_stats();
+            // Read the exact fields before the update pass below adds
+            // lookups and routes of its own.
+            let trie_bytes = table.trie_stats().bytes;
+            let mean_levels = table.mean_lookup_levels();
             ScalePoint {
                 prefixes: n,
                 routes: routes.len(),
                 lookup_mpps: (reps * dsts.len()) as f64 / secs / 1e6,
-                trie_bytes: stats.bytes,
-                mean_levels: table.mean_lookup_levels(),
+                build_ms,
+                update_ns: update_ns(&mut table, &dsts),
+                trie_bytes,
+                mean_levels,
             }
         })
         .collect()
+}
+
+/// Median host time of one `insert` of a route the table does not hold,
+/// with the cache filled first — the steady state a routing protocol's
+/// update meets, where targeted invalidation pays its pass over the
+/// slots. The /24s come from 240.0.0.0/4, which the generator never
+/// draws from, so every one is new.
+fn update_ns(table: &mut RoutingTable, dsts: &[u32]) -> f64 {
+    for &d in dsts {
+        table.lookup_and_fill(d);
+    }
+    let next_hop = table
+        .lookup_slow(dsts[0])
+        .0
+        .expect("sampled destinations resolve");
+    let mut samples: Vec<u64> = (0..UPDATE_SAMPLES)
+        .map(|i| {
+            let t0 = std::time::Instant::now();
+            table.insert(0xF000_0000 | (i << 12), 24, next_hop);
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
 }
 
 /// A line-rate router preloaded with the synthetic table, all eight
@@ -286,10 +329,13 @@ pub fn route_json(r: &RouteResult) -> String {
     for (i, p) in r.scaling.iter().enumerate() {
         j.push_str(&format!(
             "    {{\"prefixes\": {}, \"routes\": {}, \"lookup_mpps\": {:.2}, \
+             \"build_ms\": {:.2}, \"update_ns\": {:.0}, \
              \"trie_bytes\": {}, \"mean_levels\": {:.3}}}{}\n",
             p.prefixes,
             p.routes,
             p.lookup_mpps,
+            p.build_ms,
+            p.update_ns,
             p.trie_bytes,
             p.mean_levels,
             if i + 1 < r.scaling.len() { "," } else { "" }
@@ -331,7 +377,7 @@ mod tests {
         let pts = lookup_scaling(&[1_000, 10_000]);
         assert_eq!(pts.len(), 2);
         for p in &pts {
-            assert!(p.lookup_mpps > 0.0);
+            assert!(p.lookup_mpps > 0.0 && p.build_ms > 0.0 && p.update_ns > 0.0);
             assert!(p.routes >= p.prefixes * 9 / 10);
             assert!(p.mean_levels >= 1.0 && p.mean_levels <= 3.0);
         }
@@ -385,6 +431,8 @@ mod tests {
                 prefixes: 1000,
                 routes: 1000,
                 lookup_mpps: 10.0,
+                build_ms: 0.25,
+                update_ns: 900.0,
                 trie_bytes: 524288,
                 mean_levels: 1.5,
             }],
@@ -403,6 +451,7 @@ mod tests {
         });
         assert!(j.starts_with("{\n"));
         assert!(j.ends_with("}\n"));
+        assert!(j.contains("\"build_ms\": 0.25, \"update_ns\": 900, \"trie_bytes\""));
         assert!(j.contains("\"hit_rate\": 0.9000"));
         assert!(j.contains("\"mode\": \"targeted\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

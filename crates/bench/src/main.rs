@@ -284,15 +284,17 @@ fn main() {
         let r = route_experiment();
         println!("\n== Internet-scale routing: trie scaling, Zipf cache, churn ==");
         println!(
-            "{:>10} {:>10} {:>12} {:>12} {:>8}",
-            "prefixes", "routes", "lookup Mpps", "trie MiB", "levels"
+            "{:>10} {:>10} {:>12} {:>10} {:>10} {:>12} {:>8}",
+            "prefixes", "routes", "lookup Mpps", "build ms", "update ns", "trie MiB", "levels"
         );
         for p in &r.scaling {
             println!(
-                "{:>10} {:>10} {:>12.1} {:>12.2} {:>8.3}",
+                "{:>10} {:>10} {:>12.1} {:>10.1} {:>10.0} {:>12.2} {:>8.3}",
                 p.prefixes,
                 p.routes,
                 p.lookup_mpps,
+                p.build_ms,
+                p.update_ns,
                 p.trie_bytes as f64 / (1024.0 * 1024.0),
                 p.mean_levels
             );

@@ -40,6 +40,9 @@ struct Slot {
 #[derive(Debug)]
 pub struct RouteCache {
     slots: Vec<Slot>,
+    /// Number of valid slots. Zero lets both invalidators return without
+    /// touching `slots`: an empty cache has nothing to invalidate.
+    live: usize,
     hits: u64,
     misses: u64,
     epoch_hits: u64,
@@ -64,6 +67,7 @@ impl RouteCache {
                 };
                 size
             ],
+            live: 0,
             hits: 0,
             misses: 0,
             epoch_hits: 0,
@@ -94,6 +98,7 @@ impl RouteCache {
     /// Installs or replaces the binding for `addr`.
     pub fn install(&mut self, addr: u32, nh: u32) {
         let i = self.index(addr);
+        self.live += usize::from(!self.slots[i].valid);
         self.slots[i] = Slot {
             addr,
             nh,
@@ -103,22 +108,34 @@ impl RouteCache {
 
     /// Invalidates every slot (the recompute-then-swap control plane
     /// does this after any routing-table change so stale bindings cannot
-    /// be used).
+    /// be used). Costs one pass over the slots only if the cache holds
+    /// anything; on an empty cache it returns at once.
     pub fn flush(&mut self) {
+        if self.live == 0 {
+            return;
+        }
         for s in &mut self.slots {
             s.valid = false;
         }
+        self.live = 0;
     }
 
     /// Invalidates only the slots whose cached destination is covered by
     /// `addr/plen` — the targeted alternative to [`flush`](Self::flush):
     /// a single route update no longer empties all slots, so unrelated
-    /// flows keep their fast-path hits through a churn storm.
+    /// flows keep their fast-path hits through a churn storm. Like
+    /// `flush`, it costs one pass over the slots only if the cache holds
+    /// anything — so a bulk load into a cold cache pays nothing here,
+    /// and one into a warm cache still pays the pass per route.
     pub fn invalidate_covered(&mut self, addr: u32, plen: u8) {
+        if self.live == 0 {
+            return;
+        }
         let addr = mask(addr, plen);
         for s in &mut self.slots {
             if s.valid && mask(s.addr, plen) == addr {
                 s.valid = false;
+                self.live -= 1;
             }
         }
     }
@@ -155,7 +172,67 @@ impl RouteCache {
 
 #[cfg(test)]
 mod tests {
+    use npr_check::prelude::*;
+
     use super::*;
+
+    /// The reference invalidators: the unconditional scans `flush` and
+    /// `invalidate_covered` were before the live count let them return
+    /// early. They leave `live` alone, so it goes stale on the reference;
+    /// nothing reads it there.
+    fn scan_flush(c: &mut RouteCache) {
+        for s in &mut c.slots {
+            s.valid = false;
+        }
+    }
+
+    fn scan_invalidate_covered(c: &mut RouteCache, addr: u32, plen: u8) {
+        let addr = mask(addr, plen);
+        for s in &mut c.slots {
+            if s.valid && mask(s.addr, plen) == addr {
+                s.valid = false;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Any history of installs, lookups and both invalidators keeps
+        /// the live count equal to a recount of the valid slots, and
+        /// leaves the cache slot for slot where always-scanning leaves
+        /// it. Short histories on a small cache, so it is empty, full
+        /// and emptied again many times over.
+        #[test]
+        fn live_count_tracks_valid_slots_and_early_return_is_exact(
+            ops in npr_check::collection::vec((0u8..8, 0u32..48, 0u8..=32, any::<u32>()), 0..96),
+        ) {
+            let mut c = RouteCache::new(16);
+            let mut r = RouteCache::new(16);
+            for &(kind, a, plen, nh) in &ops {
+                // A few dozen addresses that share leading bytes, so a
+                // prefix covers some slots and spares others.
+                let addr = a.wrapping_mul(0x0101_0101) << 3;
+                match kind {
+                    0..=3 => {
+                        c.install(addr, nh);
+                        r.install(addr, nh);
+                    }
+                    4 | 5 => prop_assert_eq!(c.lookup(addr), r.lookup(addr)),
+                    6 => {
+                        c.invalidate_covered(addr, plen);
+                        scan_invalidate_covered(&mut r, addr, plen);
+                    }
+                    _ => {
+                        c.flush();
+                        scan_flush(&mut r);
+                    }
+                }
+                prop_assert_eq!(c.live, c.slots.iter().filter(|s| s.valid).count());
+                prop_assert_eq!(&c.slots, &r.slots);
+            }
+            prop_assert_eq!(c.stats(), r.stats());
+        }
+    }
 
     #[test]
     fn miss_then_install_then_hit() {

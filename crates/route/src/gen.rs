@@ -12,11 +12,10 @@
 //! 1M prefixes the /16 share caps at its space and the rejected draws
 //! fall through to roomier lengths (exactly what a real RIB does).
 
-use std::collections::HashSet;
-
 use npr_check::CheckRng;
 use npr_packet::MacAddr;
 
+use crate::hash::RouteSet;
 use crate::table::{NextHop, Route};
 use crate::trie::mask;
 
@@ -110,7 +109,8 @@ pub fn neighbors(spec: &TableSpec) -> Vec<NextHop> {
 pub fn synth_table(spec: &TableSpec) -> Vec<Route> {
     let nbrs = neighbors(spec);
     let mut rng = CheckRng::new(spec.seed);
-    let mut seen: HashSet<(u32, u8)> = HashSet::with_capacity(spec.prefixes * 2);
+    let mut seen: RouteSet<(u32, u8)> =
+        RouteSet::with_capacity_and_hasher(spec.prefixes, Default::default());
     let mut out = Vec::with_capacity(spec.prefixes);
     while out.len() < spec.prefixes {
         let plen = draw_plen(&mut rng);
@@ -146,6 +146,8 @@ pub fn sample_dsts(table: &[Route], n: usize, seed: u64) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -154,6 +156,28 @@ mod tests {
         assert_eq!(synth_table(&spec), synth_table(&spec));
         let other = TableSpec::internet(10_000, 8);
         assert_ne!(synth_table(&spec), synth_table(&other));
+    }
+
+    /// `(prefixes, seed)` names one exact table: an order-sensitive
+    /// 64-bit fold over every `(addr, plen, next_hop)`. The `seen` set
+    /// only answers "drawn before?", so its hasher and capacity are free
+    /// to change and may not move a single route.
+    #[test]
+    fn synth_table_is_pinned() {
+        let fold = synth_table(&TableSpec::internet(10_000, 7))
+            .iter()
+            .fold(0u64, |h, r| {
+                let m = r.next_hop.mac.0;
+                let nh = m
+                    .iter()
+                    .fold(u64::from(r.next_hop.port), |a, &b| (a << 8) | u64::from(b));
+                npr_check::rng::mix(h ^ (u64::from(r.addr) << 8 | u64::from(r.plen)))
+                    ^ npr_check::rng::mix(nh)
+            });
+        assert_eq!(
+            fold, 0x18b2_e466_9696_2bee,
+            "synthetic table moved: {fold:#018x}"
+        );
     }
 
     #[test]

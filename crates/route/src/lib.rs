@@ -25,6 +25,7 @@
 pub mod cache;
 pub mod classify;
 pub mod gen;
+pub(crate) mod hash;
 pub mod table;
 pub mod trie;
 

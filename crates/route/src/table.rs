@@ -18,11 +18,10 @@
 //! the array without bound and a withdrawn neighbor's MAC can no longer
 //! be resolved.
 
-use std::collections::HashMap;
-
 use npr_packet::MacAddr;
 
 use crate::cache::RouteCache;
+use crate::hash::RouteMap;
 use crate::trie::{PrefixTrie, TrieStats};
 
 /// A next hop: which port to emit on and which MAC to address.
@@ -79,7 +78,7 @@ pub struct RoutingTable {
     /// Free next-hop slots, reused before the array grows.
     free: Vec<u32>,
     /// Dedup index over live next hops.
-    index: HashMap<NextHop, u32>,
+    index: RouteMap<NextHop, u32>,
     cache: RouteCache,
     invalidation: Invalidation,
 }
@@ -99,7 +98,7 @@ impl RoutingTable {
             next_hops: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: RouteMap::default(),
             cache: RouteCache::new(cache_slots),
             invalidation,
         }
@@ -124,15 +123,15 @@ impl RoutingTable {
         let i = match self.free.pop() {
             Some(i) => {
                 self.next_hops[i as usize] = next_hop;
+                self.refs[i as usize] = 1;
                 i
             }
             None => {
                 self.next_hops.push(next_hop);
+                self.refs.push(1);
                 (self.next_hops.len() - 1) as u32
             }
         };
-        self.refs.resize(self.next_hops.len(), 0);
-        self.refs[i as usize] = 1;
         self.index.insert(next_hop, i);
         i
     }
@@ -178,8 +177,15 @@ impl RoutingTable {
         }
     }
 
-    /// Bulk-installs routes (synthetic table preload).
+    /// Bulk-installs routes (synthetic table preload): observably the
+    /// same `insert`s in order — table, next-hop arena, cache contents
+    /// and cache statistics — with the route map grown once up front
+    /// from the iterator's `size_hint`. Into a cold cache that is O(n)
+    /// for n routes; a warm cache still pays its invalidation pass per
+    /// route (see [`RouteCache::invalidate_covered`]).
     pub fn load<I: IntoIterator<Item = Route>>(&mut self, routes: I) {
+        let routes = routes.into_iter();
+        self.trie.reserve_routes(routes.size_hint().0);
         for r in routes {
             self.insert(r.addr, r.plen, r.next_hop);
         }
@@ -259,12 +265,81 @@ impl RoutingTable {
 
 #[cfg(test)]
 mod tests {
+    use npr_check::prelude::*;
+
     use super::*;
+    use crate::gen::sample_dsts;
+    use crate::trie::mask;
 
     fn nh(port: u8) -> NextHop {
         NextHop {
             port,
             mac: MacAddr::for_port(port),
+        }
+    }
+
+    /// An address in a universe small enough that prefixes drawn from it
+    /// cover some cached destinations and spare others: first octet
+    /// 10..18, the other three 0..4.
+    fn small_addr((a, b, c, d): (u32, u32, u32, u32)) -> u32 {
+        (10 + a) << 24 | b << 16 | c << 8 | d
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// `load` is the same `insert`s in order, whatever the cache
+        /// holds when it starts: a twin table fed one route at a time
+        /// answers every slow and fast lookup alike and reports the same
+        /// counts, cache statistics and trie shape, in both invalidation
+        /// modes, cache cold or warm.
+        #[test]
+        fn load_is_the_same_inserts_in_order(
+            base in npr_check::collection::vec((0u32..8, 0u8..4), 1..6),
+            bulk in npr_check::collection::vec(
+                ((0u32..8, 0u32..4, 0u32..4, 0u32..4), 8u8..=32, 0u8..6), 0..48),
+            dsts in npr_check::collection::vec((0u32..8, 0u32..4, 0u32..4, 0u32..4), 1..64),
+            warm: bool,
+        ) {
+            let bulk: Vec<Route> = bulk
+                .iter()
+                .map(|&(a, plen, n)| Route { addr: mask(small_addr(a), plen), plen, next_hop: nh(n) })
+                .collect();
+            let dsts: Vec<u32> = dsts.iter().map(|&d| small_addr(d)).collect();
+            for mode in [Invalidation::FullFlush, Invalidation::Targeted] {
+                let mut loaded = RoutingTable::with_config(&[16, 8, 8], 64, mode);
+                let mut twin = RoutingTable::with_config(&[16, 8, 8], 64, mode);
+                let mut all = bulk.clone();
+                for &(o, n) in &base {
+                    let r = Route { addr: (10 + o) << 24, plen: 8, next_hop: nh(n) };
+                    loaded.insert(r.addr, r.plen, r.next_hop);
+                    twin.insert(r.addr, r.plen, r.next_hop);
+                    all.push(r);
+                }
+                if warm {
+                    for &d in &dsts {
+                        prop_assert_eq!(loaded.lookup_and_fill(d), twin.lookup_and_fill(d));
+                    }
+                }
+
+                loaded.load(bulk.iter().copied());
+                for r in &bulk {
+                    twin.insert(r.addr, r.plen, r.next_hop);
+                }
+
+                for d in sample_dsts(&all, 64, 5) {
+                    prop_assert_eq!(loaded.lookup_slow(d), twin.lookup_slow(d), "dst {:#x}", d);
+                }
+                // Every address the cache ever held: the survivors and
+                // the invalidated must be the same ones.
+                for &d in &dsts {
+                    prop_assert_eq!(loaded.lookup_fast(d), twin.lookup_fast(d), "dst {:#x}", d);
+                }
+                prop_assert_eq!(loaded.cache_stats(), twin.cache_stats());
+                prop_assert_eq!(loaded.route_count(), twin.route_count());
+                prop_assert_eq!(loaded.next_hop_count(), twin.next_hop_count());
+                prop_assert_eq!(loaded.next_hop_slots(), twin.next_hop_slots());
+                prop_assert_eq!(loaded.trie_stats(), twin.trie_stats());
+            }
         }
     }
 

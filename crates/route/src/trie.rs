@@ -25,7 +25,7 @@
 //! reused by later inserts, so a full-table churn storm does not grow the
 //! arena without bound. `stats().bytes` reports the resident arena size.
 
-use std::collections::HashMap;
+use crate::hash::RouteMap;
 
 const VALUE_MASK: u64 = 0xFFFF_FFFF;
 const HAS_VALUE: u64 = 1 << 32;
@@ -139,7 +139,7 @@ pub struct PrefixTrie {
     stats_levels: std::cell::Cell<u64>,
     /// Installed (un-expanded) routes: the source of truth for targeted
     /// removal repair and the naive oracle.
-    routes: HashMap<(u32, u8), u32>,
+    routes: RouteMap<(u32, u8), u32>,
 }
 
 impl PrefixTrie {
@@ -164,7 +164,7 @@ impl PrefixTrie {
             free_entries: 0,
             stats_lookups: std::cell::Cell::new(0),
             stats_levels: std::cell::Cell::new(0),
-            routes: HashMap::new(),
+            routes: RouteMap::default(),
         };
         t.alloc_node(0); // The root always exists.
         t
@@ -189,6 +189,12 @@ impl PrefixTrie {
         self.arena.resize(off + size, 0);
         self.node_off.push(off as u32);
         (self.node_off.len() - 1) as u32
+    }
+
+    /// Makes room in the route map for `additional` more routes, so a
+    /// bulk load grows it once instead of rehashing at every doubling.
+    pub(crate) fn reserve_routes(&mut self, additional: usize) {
+        self.routes.reserve(additional);
     }
 
     /// Inserts `addr/plen -> value`, expanding the prefix to stride

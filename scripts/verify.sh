@@ -247,6 +247,12 @@ if [ -n "$starved" ]; then
 fi
 echo "qos: codel p99 ${cd_p99}us vs drop-tail ${dt_p99}us; all victim goodputs >= 0.9"
 
+# The benchmark is a workspace of its own (benchmark/Cargo.toml), so
+# the tier-1 `cargo test` never builds it: its smoke test holds
+# BENCHMARK.json equal to the spec tables and runs every workload once
+# at `--quick` size against the crates as they are now.
+gate "benchmark smoke" --release --manifest-path benchmark/Cargo.toml
+
 # Hermetic-build gate: the dependency graph may contain only workspace
 # crates. Check both the resolved tree and the lockfile.
 if cargo tree --offline --workspace --edges normal,dev,build --prefix none \
@@ -259,4 +265,6 @@ if grep '^name = ' Cargo.lock | grep -v '^name = "npr-'; then
     exit 1
 fi
 
-echo "verify: OK"
+# bash counts SECONDS from the start of the script: the wall time of
+# this gate is the third tracked host number (ROADMAP north star).
+echo "verify: OK in ${SECONDS}s"
