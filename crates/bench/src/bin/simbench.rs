@@ -141,9 +141,8 @@ fn hold_pair<E>(
 /// The golden scenario of `crates/core/tests/determinism.rs` (the
 /// scaled-down `robust_router`: a flood on seven ports, a traced
 /// control stream installing routes through the Pentium on the
-/// eighth), run over the same 0.5 ms + 2 ms. Returns events dispatched
-/// and wall seconds.
-fn golden_scenario() -> (u64, f64) {
+/// eighth), run over the same 0.5 ms + 2 ms.
+fn golden_scenario() -> HostRow {
     let mut cfg = RouterConfig::line_rate();
     cfg.divert_sa_permille = 333;
     let mut router = Router::new(cfg);
@@ -192,7 +191,59 @@ fn golden_scenario() -> (u64, f64) {
     router.trace_destination(bg_dst, 64);
     let t0 = Instant::now();
     std::hint::black_box(router.measure(us(500), ms(2)));
-    (router.events_dispatched(), t0.elapsed().as_secs_f64())
+    HostRow::read(&router, t0)
+}
+
+/// The other end of the load axis: `line_rate()` with 8 x 100 Mbps CBR
+/// at 10 % load over the same 2.5 simulated ms. The input ring is idle
+/// nine tenths of the time, and an idle rotation is skipped rather than
+/// dispatched, so events per simulated us is what this row records.
+fn idle_line_rate() -> HostRow {
+    let mut router = Router::new(RouterConfig::line_rate());
+    for p in 0..8 {
+        router.attach_cbr(p, 0.10, u64::MAX, ((p + 1) % 8) as u8);
+    }
+    let t0 = Instant::now();
+    router.run_until(SCENARIO_PS);
+    HostRow::read(&router, t0)
+}
+
+/// Simulated span of both host-speed scenarios.
+const SCENARIO_PS: Time = us(500) + ms(2);
+
+/// One host-speed scenario: exact event counts, and the wall of its
+/// fixed simulated span.
+struct HostRow {
+    events: u64,
+    events_skipped: u64,
+    wall_s: f64,
+}
+
+impl HostRow {
+    fn read(router: &Router, t0: Instant) -> Self {
+        Self {
+            events: router.events_dispatched(),
+            events_skipped: router.events_skipped(),
+            wall_s: t0.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// Fastest of three: the usual floor against host noise (the
+    /// counts are exact).
+    fn fastest_of_three(run: fn() -> Self) -> Self {
+        (0..3)
+            .map(|_| run())
+            .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
+            .expect("three runs")
+    }
+
+    fn sim_us_per_host_ms(&self) -> f64 {
+        (SCENARIO_PS / us(1)) as f64 / (self.wall_s * 1e3)
+    }
+
+    fn events_per_sim_us(&self) -> f64 {
+        self.events as f64 / (SCENARIO_PS / us(1)) as f64
+    }
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -328,17 +379,29 @@ fn main() {
         rs_ora / 1e6
     );
 
-    // 2b. The end-to-end host figure: events/sec on the golden
-    //     scenario (fastest of three, the usual floor against host
-    //     noise; the event count is exact).
-    let (golden_events, golden_s) = (0..3)
-        .map(|_| golden_scenario())
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("three runs");
+    // 2b. The end-to-end host figures: events/sec and simulated us per
+    //     host ms on the golden scenario (ports at 95 %: the ring is
+    //     never idle for long), and on its idle counterpart.
+    let golden = HostRow::fastest_of_three(golden_scenario);
     println!(
-        "golden scenario: {golden_events} events in {:.1} ms, {:.2} Mev/s",
-        golden_s * 1e3,
-        golden_events as f64 / golden_s / 1e6
+        "golden scenario: {} events ({:.1} per sim us, {} skipped) in {:.1} ms, {:.2} Mev/s, \
+         {:.1} sim us per host ms",
+        golden.events,
+        golden.events_per_sim_us(),
+        golden.events_skipped,
+        golden.wall_s * 1e3,
+        golden.events as f64 / golden.wall_s / 1e6,
+        golden.sim_us_per_host_ms()
+    );
+    let idle = HostRow::fastest_of_three(idle_line_rate);
+    println!(
+        "idle line rate: {} events ({:.1} per sim us, {} skipped) in {:.1} ms, \
+         {:.1} sim us per host ms",
+        idle.events,
+        idle.events_per_sim_us(),
+        idle.events_skipped,
+        idle.wall_s * 1e3,
+        idle.sim_us_per_host_ms()
     );
 
     // 3. Per-experiment wall-clock over representative experiments.
@@ -482,10 +545,22 @@ fn main() {
     ));
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"golden_scenario\": {{ \"events\": {golden_events}, \"wall_ms\": {:.1}, \
-         \"events_per_sec\": {} }},\n",
-        golden_s * 1e3,
-        (golden_events as f64 / golden_s).round()
+        "  \"golden_scenario\": {{ \"events\": {}, \"events_skipped\": {}, \"wall_ms\": {:.1}, \
+         \"events_per_sec\": {}, \"sim_us_per_host_ms\": {:.1} }},\n",
+        golden.events,
+        golden.events_skipped,
+        golden.wall_s * 1e3,
+        (golden.events as f64 / golden.wall_s).round(),
+        golden.sim_us_per_host_ms()
+    ));
+    json.push_str(&format!(
+        "  \"idle_line_rate\": {{ \"events\": {}, \"events_skipped\": {}, \
+         \"events_per_sim_us\": {:.1}, \"wall_ms\": {:.1}, \"sim_us_per_host_ms\": {:.1} }},\n",
+        idle.events,
+        idle.events_skipped,
+        idle.events_per_sim_us(),
+        idle.wall_s * 1e3,
+        idle.sim_us_per_host_ms()
     ));
     json.push_str(&format!(
         "  \"differential_check\": {{ \"lock_step_ops\": {diff_ops}, \"ok\": true }},\n"

@@ -123,7 +123,7 @@ pub struct HealthMonitor {
     /// Traps per epoch that count as an offending epoch for one ME
     /// forwarder ([`TRAP_THRESHOLD`] unless a test lowers it).
     pub trap_threshold: u64,
-    next_epoch: Time,
+    pub(crate) next_epoch: Time,
     /// Lifetime totals.
     pub stats: HealthStats,
     // Wedge tracking.
@@ -298,6 +298,7 @@ impl Router {
             cfg,
             ctl,
             events,
+            epoch: 0,
             sa_waker,
             pe_waker,
         };

@@ -8,7 +8,7 @@
 //! queueing discipline. Every register cycle and memory operation
 //! follows the [`crate::costs`] model (Table 2).
 
-use npr_ixp::{CtxProgram, Env, MemKind, MutexId, Op, PortId, RingId};
+use npr_ixp::{CtxProgram, Env, HwData, MemKind, MutexId, Op, PortId, RingId};
 use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, Ipv4Proto, MacAddr, Mp};
 use npr_vrp::VrpAction;
 
@@ -658,6 +658,25 @@ impl InputLoop {
 }
 
 impl CtxProgram<RouterWorld> for InputLoop {
+    /// In the poll loop, with nothing to fetch: until the port turns
+    /// ready the context only cycles through these four phases, and
+    /// `phase` is all of its state that changes.
+    fn spin_key(&self, hw: &HwData) -> Option<u32> {
+        let polling = matches!(
+            self.phase,
+            Phase::AcquireToken | Phase::CheckPort | Phase::PortDecide | Phase::NotReadySpin
+        );
+        (polling && !hw.port_rdy(self.port)).then_some(self.phase as u32)
+    }
+
+    fn spin_cycles(&self) -> u64 {
+        self.reg_issued
+    }
+
+    fn spin_credit(&mut self, cycles: u64) {
+        self.reg_issued += cycles;
+    }
+
     fn resume(&mut self, env: &mut Env<'_, RouterWorld>) -> Op {
         loop {
             match self.phase {
@@ -677,9 +696,11 @@ impl CtxProgram<RouterWorld> for InputLoop {
                         // releases the token and spins back to the
                         // acquire — it must keep cycling the token even
                         // when its port is idle, or the rotation stalls
-                        // for every other member. A short idle models
-                        // the re-test pacing without flooding the event
-                        // queue.
+                        // for every other member. A short idle paces the
+                        // re-test. An idle visit is still five or six
+                        // events; what keeps an idle ring cheap is that
+                        // the machine skips whole rotations of this loop
+                        // (`spin_key` below).
                         self.phase = Phase::NotReadySpin;
                         return Op::TokenRelease(self.ring);
                     }

@@ -62,7 +62,9 @@ pub use costs::{InputCosts, OutputCosts, PeCosts, SaCosts, INPUT_MEM_OPS, OUTPUT
 pub use health::{FwdrStat, HealthMonitor, HealthStats};
 pub use install::{AdmitError, Fid, InstallRequest};
 pub use pe::PeAction;
-pub use plane::{Bus, ControlOp, ControlVerb, CtlStats, Plane, PlaneEvent, PlaneId, PlaneSignal};
+pub use plane::{
+    Bus, ControlOp, ControlVerb, CtlStats, Plane, PlaneEvent, PlaneId, PlaneSignal, EVENT_KINDS,
+};
 pub use qm::QmPlane;
 pub use qm_sched::WheelSched;
 pub use queues::{InputDiscipline, OutputDiscipline, PacketQueue, QueuePlane};

@@ -259,15 +259,137 @@ impl CtlStats {
     }
 }
 
-/// Adapts the shared [`EventQueue`] to the machine's [`Sched`] trait.
-pub(crate) struct IxpSched<'a>(pub &'a mut EventQueue<PlaneEvent>);
+impl PlaneEvent {
+    /// Index of this event's kind in [`EVENT_KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            PlaneEvent::Machine(IxpEv::MeDispatch(_)) => 0,
+            PlaneEvent::Machine(IxpEv::CtxComputeDone(_)) => 1,
+            PlaneEvent::Machine(IxpEv::CtxBlockDone(_)) => 2,
+            PlaneEvent::Machine(IxpEv::TokenAt(_)) => 3,
+            PlaneEvent::Machine(IxpEv::RxArrive(_)) => 4,
+            PlaneEvent::CtlApply(_) => 5,
+            PlaneEvent::SaPoll => 6,
+            PlaneEvent::SaDone { .. } => 7,
+            PlaneEvent::CtlAdmit(_) => 8,
+            PlaneEvent::HealthPulse => 9,
+            PlaneEvent::PeArrive(_) => 10,
+            PlaneEvent::PeWake => 11,
+            PlaneEvent::PeDone => 12,
+            PlaneEvent::PeWriteback { .. } => 13,
+            PlaneEvent::CtlSubmit(_) => 14,
+        }
+    }
+}
+
+/// Names of the event kinds `Router::events_by_kind` counts, in its
+/// order: the five machine events, then the plane events.
+pub const EVENT_KINDS: [&str; 15] = [
+    "MeDispatch",
+    "CtxComputeDone",
+    "CtxBlockDone",
+    "TokenAt",
+    "RxArrive",
+    "CtlApply",
+    "SaPoll",
+    "SaDone",
+    "CtlAdmit",
+    "HealthPulse",
+    "PeArrive",
+    "PeWake",
+    "PeDone",
+    "PeWriteback",
+    "CtlSubmit",
+];
+
+/// The router's event queue, which also knows when its pending
+/// non-`Machine` events are due and how far the current `run_until`
+/// goes: the two outside facts the machine needs before it may skip
+/// idle rotations (`npr_ixp`'s `spin.rs`). Every plane event reaches
+/// the queue through [`PlaneQueue::schedule`], so none can be missed.
+#[derive(Debug, Default)]
+pub(crate) struct PlaneQueue {
+    q: EventQueue<PlaneEvent>,
+    /// Instants of the pending non-`Machine` events, descending (a
+    /// handful: the earliest is the last).
+    plane_at: Vec<Time>,
+    /// Deadline of the `run_until` in progress (0 outside one).
+    pub(crate) deadline: Time,
+}
+
+impl PlaneQueue {
+    pub(crate) fn now(&self) -> Time {
+        self.q.now()
+    }
+
+    pub(crate) fn schedule(&mut self, at: Time, ev: PlaneEvent) {
+        if !matches!(ev, PlaneEvent::Machine(_)) {
+            let at = at.max(self.q.now());
+            let i = self.plane_at.partition_point(|&t| t > at);
+            self.plane_at.insert(i, at);
+        }
+        self.q.schedule(at, ev);
+    }
+
+    pub(crate) fn schedule_in(&mut self, delay: Time, ev: PlaneEvent) {
+        self.schedule(self.q.now() + delay, ev);
+    }
+
+    pub(crate) fn peek_time(&self) -> Option<Time> {
+        self.q.peek_time()
+    }
+
+    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
+        self.q.peek_key()
+    }
+
+    pub(crate) fn advance_to(&mut self, t: Time) {
+        self.q.advance_to(t);
+    }
+
+    pub(crate) fn pop_if_at_or_before(&mut self, t: Time) -> Option<(Time, PlaneEvent)> {
+        let popped = self.q.pop_if_at_or_before(t)?;
+        if !matches!(popped.1, PlaneEvent::Machine(_)) {
+            // Events pop in time order, so this is the earliest one.
+            let at = self.plane_at.pop();
+            debug_assert_eq!(at, Some(popped.0));
+        }
+        Some(popped)
+    }
+
+    /// The earliest pending non-`Machine` event (`Time::MAX` if none).
+    fn next_plane_at(&self) -> Time {
+        self.plane_at.last().copied().unwrap_or(Time::MAX)
+    }
+}
+
+/// Adapts the shared queue to the machine's [`Sched`] trait.
+pub(crate) struct IxpSched<'a> {
+    pub q: &'a mut PlaneQueue,
+    /// The health monitor's next epoch boundary (0 when the call is not
+    /// made from the dispatch loop: the machine then skips nothing).
+    pub epoch: Time,
+}
 
 impl Sched for IxpSched<'_> {
     fn now(&self) -> Time {
-        self.0.now()
+        self.q.now()
     }
     fn at(&mut self, t: Time, ev: IxpEv) {
-        self.0.schedule(t, PlaneEvent::Machine(ev));
+        self.q.schedule(t, PlaneEvent::Machine(ev));
+    }
+    /// Only a plane event or a health decision can reach into the
+    /// machine (`freeze_me` is called by `CtlApply` alone, and a
+    /// `CtlApply` is scheduled by another plane event), and machine
+    /// events schedule neither.
+    fn calm_until(&self) -> Time {
+        self.epoch.min(self.q.next_plane_at())
+    }
+    fn run_deadline(&self) -> Time {
+        self.q.deadline
+    }
+    fn take_seq(&mut self) -> u64 {
+        self.q.q.take_seq()
     }
 }
 
@@ -286,7 +408,9 @@ pub struct Bus<'a> {
     pub cfg: &'a RouterConfig,
     /// Control-plane accounting.
     pub ctl: &'a mut CtlStats,
-    pub(crate) events: &'a mut EventQueue<PlaneEvent>,
+    pub(crate) events: &'a mut PlaneQueue,
+    /// The health monitor's next epoch boundary.
+    pub(crate) epoch: Time,
     pub(crate) sa_waker: &'a mut Wakeup,
     pub(crate) pe_waker: &'a mut Wakeup,
 }
@@ -331,7 +455,10 @@ impl Bus<'_> {
 
     /// Feeds a machine event into the IXP model.
     pub fn machine(&mut self, ev: IxpEv) {
-        let mut s = IxpSched(&mut *self.events);
+        let mut s = IxpSched {
+            q: &mut *self.events,
+            epoch: self.epoch,
+        };
         self.ixp.handle(ev, &mut *self.world, &mut s);
     }
 
@@ -426,6 +553,43 @@ mod tests {
         // keeps it at 40. A new variant that breaks this should box
         // its payload.
         assert!(core::mem::size_of::<PlaneEvent>() <= 24);
+    }
+
+    #[test]
+    fn event_kinds_are_named_after_their_variants() {
+        let boxed = || op(ControlVerb::GetData { fid: 1, bytes: 4 });
+        let mut all = vec![
+            PlaneEvent::CtlApply(boxed()),
+            PlaneEvent::SaPoll,
+            PlaneEvent::SaDone { gen: 0 },
+            PlaneEvent::CtlAdmit(boxed()),
+            PlaneEvent::HealthPulse,
+            PlaneEvent::PeWake,
+            PlaneEvent::PeDone,
+            PlaneEvent::PeWriteback {
+                desc: 0,
+                head: Box::new([0; 64]),
+            },
+            PlaneEvent::CtlSubmit(boxed()),
+        ];
+        all.extend(
+            [
+                IxpEv::MeDispatch(0),
+                IxpEv::CtxComputeDone(0),
+                IxpEv::CtxBlockDone(0),
+                IxpEv::TokenAt(0),
+                IxpEv::RxArrive(0),
+            ]
+            .map(PlaneEvent::Machine),
+        );
+        let mut seen = [false; EVENT_KINDS.len()];
+        for ev in &all {
+            let name = EVENT_KINDS[ev.kind()];
+            assert!(format!("{ev:?}").contains(name), "{ev:?} counted as {name}");
+            seen[ev.kind()] = true;
+        }
+        // `PeArrive` needs a whole `PeItem`; it is the one left.
+        assert_eq!(seen.iter().filter(|s| !**s).count(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use npr_ixp::{IStore, Ixp, PortId, RingId, TrafficSource};
 use npr_packet::{EthernetFrame, Ipv4Header, Ipv4Proto, MacAddr, Mp, UdpHeader};
 use npr_route::NextHop;
-use npr_sim::{EventQueue, FaultPlan, Time, Wakeup, PS_PER_SEC};
+use npr_sim::{FaultPlan, Time, Wakeup, PS_PER_SEC};
 use npr_vrp::VrpBudget;
 
 use crate::config::{RouterConfig, TrafficTemplate};
@@ -24,7 +24,9 @@ use crate::install::{Fid, InstallRecord};
 use crate::output::OutputLoop;
 use crate::pci::{Pci, PE_BUFFERS};
 use crate::pe::Pentium;
-use crate::plane::{Bus, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId};
+use crate::plane::{
+    Bus, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId, PlaneQueue, EVENT_KINDS,
+};
 use crate::queues::InputDiscipline;
 use crate::report::Totals;
 use crate::sa::StrongArm;
@@ -82,9 +84,10 @@ pub struct Router {
     pub istore: IStore,
     /// Total VRP budget for the configured line rate.
     pub vrp_budget: VrpBudget,
-    pub(crate) events: EventQueue<PlaneEvent>,
-    /// Host-side accounting: not part of [`Router::fingerprint`].
-    events_dispatched: u64,
+    pub(crate) events: PlaneQueue,
+    /// Events dispatched, by [`PlaneEvent::kind`]. Host-side
+    /// accounting: not part of [`Router::fingerprint`].
+    events_by_kind: [u64; EVENT_KINDS.len()],
     /// Coalesces same-timestamp [`PlaneEvent::SaPoll`] wakeups (many
     /// producers poke the StrongARM; one poll drains them all).
     pub(crate) sa_waker: Wakeup,
@@ -264,8 +267,8 @@ impl Router {
             pci,
             istore: IStore::new(),
             vrp_budget: VrpBudget::default(),
-            events: EventQueue::new(),
-            events_dispatched: 0,
+            events: PlaneQueue::default(),
+            events_by_kind: [0; EVENT_KINDS.len()],
             sa_waker: Wakeup::new(),
             pe_waker: Wakeup::new(),
             started: false,
@@ -287,9 +290,32 @@ impl Router {
 
     /// Events dispatched since construction: the denominator for
     /// host-side cost per event (`simbench` reports events/sec on the
-    /// golden scenario with it).
+    /// golden scenario with it). Not proportional to simulated time:
+    /// the rotations of an idle input ring are skipped, not dispatched
+    /// ([`Router::events_skipped`] counts what they would have added).
     pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
+        self.events_by_kind.iter().sum()
+    }
+
+    /// [`Router::events_dispatched`] split by event kind, in the order
+    /// of [`EVENT_KINDS`]. Host-side accounting, outside the
+    /// fingerprint.
+    pub fn events_by_kind(&self) -> [u64; EVENT_KINDS.len()] {
+        self.events_by_kind
+    }
+
+    /// Events the machine elided by skipping whole rotations of an idle
+    /// token ring (`npr_ixp::SpinStats` has the jump and rotation
+    /// counts). Host-side accounting, outside the fingerprint.
+    pub fn events_skipped(&self) -> u64 {
+        self.ixp.spin_stats().events
+    }
+
+    /// The oracle switch of the idle-rotation differential tests: with
+    /// `false` every event is dispatched one by one.
+    #[doc(hidden)]
+    pub fn set_spin_enabled(&mut self, on: bool) {
+        self.ixp.set_spin_enabled(on);
     }
 
     /// Injects a synthetic VRP padding program directly into
@@ -336,9 +362,15 @@ impl Router {
     /// must be poked when refilled).
     pub fn poke_port(&mut self, port: PortId) {
         self.start();
-        let Self { ixp, events, .. } = self;
-        let mut s = IxpSched(events);
-        ixp.reprime_port(port, &mut s);
+        self.reprime_port(port);
+    }
+
+    fn reprime_port(&mut self, port: PortId) {
+        let mut s = IxpSched {
+            q: &mut self.events,
+            epoch: 0,
+        };
+        self.ixp.reprime_port(port, &mut s);
     }
 
     /// Attaches a traffic source to a real port. Safe to call while the
@@ -346,9 +378,7 @@ impl Router {
     pub fn attach_source(&mut self, port: PortId, src: Box<dyn TrafficSource>) {
         self.ixp.set_source(port, src);
         if self.started {
-            let Self { ixp, events, .. } = self;
-            let mut s = IxpSched(events);
-            ixp.reprime_port(port, &mut s);
+            self.reprime_port(port);
         }
     }
 
@@ -385,7 +415,10 @@ impl Router {
         let Self {
             ixp, world, events, ..
         } = self;
-        let mut s = IxpSched(events);
+        let mut s = IxpSched {
+            q: events,
+            epoch: 0,
+        };
         ixp.start(world, &mut s);
         if self.sa.synth_feed.is_some() {
             let now = self.events.now();
@@ -399,7 +432,28 @@ impl Router {
     /// The delivery engine's `Shard::next_time` probe — only meaningful
     /// after `start()` (an unstarted router looks idle).
     pub fn next_event_time(&self) -> Option<Time> {
-        self.events.peek_time()
+        let held = self.ixp.spin_head().map(|(at, _)| at);
+        [self.events.peek_time(), held].into_iter().flatten().min()
+    }
+
+    /// Pops the next event due at or before `t`: the head of the queue
+    /// or the machine's privately held head (`npr_ixp`'s `spin.rs`),
+    /// whichever has the smaller `(at, seq)` — the order one queue
+    /// holding both would pop them in. Atomic with the deadline: an
+    /// event beyond `t` is neither consumed nor allowed to advance the
+    /// clock.
+    fn pop_next(&mut self, t: Time) -> Option<(Time, PlaneEvent)> {
+        match self.ixp.spin_head() {
+            Some(held) if self.events.peek_key().is_none_or(|queued| held < queued) => {
+                if held.0 > t {
+                    return None;
+                }
+                let (at, ev) = self.ixp.spin_pop().expect("peeked entry");
+                self.events.advance_to(at);
+                Some((at, PlaneEvent::Machine(ev)))
+            }
+            _ => self.events.pop_if_at_or_before(t),
+        }
     }
 
     /// Runs the simulation until absolute time `t` (inclusive).
@@ -411,18 +465,16 @@ impl Router {
     /// scenarios in a sweep — never inside one (DESIGN.md §13).
     pub fn run_until(&mut self, t: Time) {
         self.start();
-        // Atomic pop-with-deadline: an event beyond `t` is neither
-        // consumed nor allowed to advance the clock (a bare
-        // `peek_time`/`pop` pair would race with anything scheduled
-        // between the two calls).
-        while let Some((at, ev)) = self.events.pop_if_at_or_before(t) {
-            self.events_dispatched += 1;
+        self.events.deadline = t;
+        while let Some((at, ev)) = self.pop_next(t) {
+            self.events_by_kind[ev.kind()] += 1;
             self.dispatch(at, ev);
             // The health monitor samples between events: it observes
             // the planes but schedules nothing, so a fault-free run is
             // bit-identical with the monitor armed.
             self.health_tick(at);
         }
+        self.events.deadline = 0;
     }
 
     /// Routes one event to its plane. This is the only place the three
@@ -457,6 +509,7 @@ impl Router {
             cfg,
             ctl,
             events,
+            epoch: self.health.next_epoch,
             sa_waker,
             pe_waker,
         };

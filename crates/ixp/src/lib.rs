@@ -35,7 +35,9 @@ pub mod port;
 
 pub use hash::{hash48, hash64, HashUnit};
 pub use istore::IStore;
-pub use machine::{CtxId, CtxProgram, Env, HwData, Ixp, IxpEv, MeId, MutexId, Op, RingId, Sched};
+pub use machine::{
+    CtxId, CtxProgram, Env, HwData, Ixp, IxpEv, MeId, MutexId, Op, RingId, Sched, SpinStats,
+};
 pub use mem::{MemCtl, MemKind, Rw};
 pub use params::ChipConfig;
 pub use port::{PortId, TrafficSource};

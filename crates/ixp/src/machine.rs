@@ -94,12 +94,6 @@ pub enum Op {
         /// Destination port.
         port: PortId,
     },
-    /// Block until the port's receive buffer is non-empty (no-op in
-    /// ideal-port mode or when data is already buffered). This stands in
-    /// for the hardware's branch-and-retest loop without simulating
-    /// millions of idle iterations; the per-MP check cost must still be
-    /// charged by the program via [`Op::Compute`].
-    WaitRx(PortId),
     /// Park this context for a fixed interval (harness use).
     Idle(Time),
     /// Stop running this context.
@@ -128,6 +122,24 @@ pub trait CtxProgram<W>: Send {
     /// Advances the program and returns the next operation. The machine
     /// guarantees `resume` is called exactly once per completed op.
     fn resume(&mut self, env: &mut Env<'_, W>) -> Op;
+
+    /// `Some` only while the program sits in a poll loop whose polled
+    /// input is quiet: until that input changes it will issue nothing
+    /// but `Compute`, `Idle` and its own ring's token ops and touch
+    /// nothing but itself. The key names its place in the loop: equal
+    /// keys (with equal machine state) mean equal futures (`spin.rs`).
+    fn spin_key(&self, _hw: &HwData) -> Option<u32> {
+        None
+    }
+
+    /// The program's own tally of the `Compute` cycles it has issued,
+    /// if it keeps one (the machine credits it for rotations it skips).
+    fn spin_cycles(&self) -> u64 {
+        0
+    }
+
+    /// Adds `cycles` skipped `Compute` cycles to that tally.
+    fn spin_credit(&mut self, _cycles: u64) {}
 }
 
 /// Data-plane hardware state visible to programs.
@@ -184,6 +196,26 @@ pub trait Sched {
     fn now(&self) -> Time;
     /// Schedule `ev` at absolute time `t`.
     fn at(&mut self, t: Time, ev: IxpEv);
+
+    /// The earliest instant at which anything outside the machine may
+    /// act on it (a control write, a health decision), the run deadline
+    /// aside. Under the default, "unknown", the machine never skips
+    /// idle rotations (`spin.rs`).
+    fn calm_until(&self) -> Time {
+        0
+    }
+
+    /// The instant the embedding loop is running to (inclusive).
+    fn run_deadline(&self) -> Time {
+        0
+    }
+
+    /// Draws the sequence number `at` would stamp on its next event.
+    /// Only called once `calm_until` has reported a horizon; such a
+    /// scheduler dispatches [`Ixp::spin_head`] merged by `(at, seq)`.
+    fn take_seq(&mut self) -> u64 {
+        0
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +226,6 @@ enum CtxStatus {
     Blocked,
     WaitToken(RingId),
     WaitMutex(MutexId),
-    WaitRx(PortId),
     Halted,
 }
 
@@ -260,6 +291,8 @@ pub struct Ixp<W> {
     /// Deterministic fault injector; `None` (the default) leaves every
     /// hook a no-op so fault-free runs are bit-identical.
     faults: Option<FaultPlan>,
+    /// Idle-rotation compression state (`spin.rs`).
+    spin: spin::Spin,
 }
 
 /// Fault-magnitude bounds for the machine-level injectors (all drawn
@@ -336,12 +369,14 @@ impl<W> Ixp<W> {
             reg_cycles: 0,
             me_frozen_until: vec![0; NUM_MICROENGINES],
             faults: None,
+            spin: spin::Spin::default(),
         }
     }
 
     /// Attaches (or clears) the deterministic fault plan.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan;
+        self.spin_note_fault_plan();
     }
 
     /// The attached fault plan, if any (counters, rate queries).
@@ -361,6 +396,7 @@ impl<W> Ixp<W> {
     /// engine is disabled while its instruction store is written — and
     /// by the fault plane.
     pub fn freeze_me(&mut self, me: MeId, until: Time) {
+        self.spin.disturb_all();
         self.me_frozen_until[me] = self.me_frozen_until[me].max(until);
     }
 
@@ -376,6 +412,7 @@ impl<W> Ixp<W> {
     /// Panics if `ctx` is out of range.
     pub fn set_program(&mut self, ctx: CtxId, prog: Box<dyn CtxProgram<W>>) {
         assert!(ctx < NUM_CTX, "context out of range");
+        self.spin.topology_changed();
         self.progs[ctx] = Some(prog);
         self.ctx_status[ctx] = CtxStatus::Ready;
     }
@@ -385,6 +422,7 @@ impl<W> Ixp<W> {
     /// The token starts parked at the first member.
     pub fn add_ring(&mut self, members: Vec<CtxId>) -> RingId {
         assert!(!members.is_empty(), "empty token ring");
+        self.spin.topology_changed();
         self.rings.push(Ring {
             members,
             pos: 0,
@@ -424,6 +462,7 @@ impl<W> Ixp<W> {
     /// Starts the machine: queues every loaded context for dispatch and
     /// primes port receive schedules.
     pub fn start(&mut self, world: &mut W, sched: &mut impl Sched) {
+        self.spin_find_closed_rings();
         for c in 0..NUM_CTX {
             if self.progs[c].is_some() {
                 self.make_ready(c, sched);
@@ -440,7 +479,7 @@ impl<W> Ixp<W> {
         match ev {
             IxpEv::MeDispatch(me) => {
                 if let Some(thaw) = self.frozen_until(me, sched.now()) {
-                    sched.at(thaw, IxpEv::MeDispatch(me));
+                    self.post(thaw, IxpEv::MeDispatch(me), sched);
                     return;
                 }
                 self.dispatch(me, world, sched);
@@ -449,7 +488,7 @@ impl<W> Ixp<W> {
                 // A frozen engine resumes nothing: the running context's
                 // completion defers to the thaw (the ISTORE-write stall).
                 if let Some(thaw) = self.frozen_until(Self::me_of(c), sched.now()) {
-                    sched.at(thaw, IxpEv::CtxComputeDone(c));
+                    self.post(thaw, IxpEv::CtxComputeDone(c), sched);
                     return;
                 }
                 debug_assert_eq!(self.ctx_status[c], CtxStatus::Running);
@@ -471,7 +510,7 @@ impl<W> Ixp<W> {
         let me = Self::me_of(c);
         self.mes[me].ready.push_back(c);
         if self.mes[me].current.is_none() {
-            sched.at(sched.now(), IxpEv::MeDispatch(me));
+            self.post(sched.now(), IxpEv::MeDispatch(me), sched);
         }
     }
 
@@ -495,9 +534,10 @@ impl<W> Ixp<W> {
         debug_assert_eq!(self.mes[me].current, Some(c));
         self.mes[me].current = None;
         if !self.mes[me].ready.is_empty() {
-            sched.at(
+            self.post(
                 sched.now() + cycles_to_ps(self.cfg.ctx_swap_cycles),
                 IxpEv::MeDispatch(me),
+                sched,
             );
         }
     }
@@ -517,13 +557,15 @@ impl<W> Ixp<W> {
                 };
                 prog.resume(&mut env)
             };
+            self.spin.note_op(c, op);
             match op {
                 Op::Compute(0) => continue,
                 Op::Compute(n) => {
                     self.reg_cycles += u64::from(n);
-                    sched.at(
+                    self.post(
                         sched.now() + cycles_to_ps(u64::from(n)),
                         IxpEv::CtxComputeDone(c),
+                        sched,
                     );
                     return;
                 }
@@ -531,7 +573,7 @@ impl<W> Ixp<W> {
                     self.maybe_stall_mem(kind, sched.now());
                     let done = self.mem(kind).access(sched.now(), Rw::Read, bytes as usize);
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::MemRead2(kind, bytes) => {
@@ -543,7 +585,7 @@ impl<W> Ixp<W> {
                         .mem(kind)
                         .access_batch(sched.now(), Rw::Read, bytes as usize, 2);
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::MemWrite(kind, bytes) => {
@@ -552,7 +594,7 @@ impl<W> Ixp<W> {
                         .mem(kind)
                         .access(sched.now(), Rw::Write, bytes as usize);
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::MemWritePosted(kind, bytes) => {
@@ -578,7 +620,7 @@ impl<W> Ixp<W> {
                     ring.pos = (ring.pos + 1) % ring.members.len();
                     ring.state = RingState::Moving;
                     let nominal = sched.now() + cycles_to_ps(self.cfg.token_pass_cycles);
-                    let mut arrive = nominal;
+                    let (mut arrive, mut dup) = (nominal, false);
                     if let Some(f) = self.faults.as_mut() {
                         if f.roll(FaultClass::TokenDrop) {
                             // The pass is lost on the wire; the watchdog
@@ -594,10 +636,13 @@ impl<W> Ixp<W> {
                             // Spurious second signal; `token_at` absorbs
                             // whichever copy arrives with the ring no
                             // longer in flight.
-                            sched.at(nominal + cycles_to_ps(1), IxpEv::TokenAt(r));
+                            dup = true;
                         }
                     }
-                    sched.at(arrive, IxpEv::TokenAt(r));
+                    if dup {
+                        self.post(nominal + cycles_to_ps(1), IxpEv::TokenAt(r), sched);
+                    }
+                    self.post(arrive, IxpEv::TokenAt(r), sched);
                     continue;
                 }
                 Op::MutexTryAcquire(m) => {
@@ -613,7 +658,7 @@ impl<W> Ixp<W> {
                     }
                     self.hw.last_try[c] = free;
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::MutexAcquire(m) => {
@@ -627,7 +672,7 @@ impl<W> Ixp<W> {
                             .access(now, Rw::Read, 4)
                             .max(now + cycles_to_ps(self.cfg.mutex_grant_cycles));
                         self.block(c, CtxStatus::Blocked, sched);
-                        sched.at(done, IxpEv::CtxBlockDone(c));
+                        self.post(done, IxpEv::CtxBlockDone(c), sched);
                     } else {
                         self.mutexes[m].waiters.push_back((c, now));
                         self.block(c, CtxStatus::WaitMutex(m), sched);
@@ -655,7 +700,7 @@ impl<W> Ixp<W> {
                             .max(now + cycles_to_ps(self.cfg.mutex_handoff_cycles));
                         self.mutexes[m].wait_ps += done.saturating_sub(since);
                         self.ctx_status[w] = CtxStatus::Blocked;
-                        sched.at(done, IxpEv::CtxBlockDone(w));
+                        self.post(done, IxpEv::CtxBlockDone(w), sched);
                     } else {
                         self.mutexes[m].holder = None;
                     }
@@ -692,7 +737,7 @@ impl<W> Ixp<W> {
                     let done = self.dma.admit(now, occ, lat);
                     self.hw.in_fifo[slot].push_back(mp);
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::DmaTxToPort { slot, port } => {
@@ -727,19 +772,12 @@ impl<W> Ixp<W> {
                         }
                     }
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(done, IxpEv::CtxBlockDone(c));
-                    return;
-                }
-                Op::WaitRx(p) => {
-                    if self.cfg.ideal_ports || self.hw.ports[p].rdy() {
-                        continue;
-                    }
-                    self.block(c, CtxStatus::WaitRx(p), sched);
+                    self.post(done, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::Idle(ps) => {
                     self.block(c, CtxStatus::Blocked, sched);
-                    sched.at(sched.now() + ps, IxpEv::CtxBlockDone(c));
+                    self.post(sched.now() + ps, IxpEv::CtxBlockDone(c), sched);
                     return;
                 }
                 Op::Halt => {
@@ -747,7 +785,7 @@ impl<W> Ixp<W> {
                     let me = Self::me_of(c);
                     self.mes[me].current = None;
                     if !self.mes[me].ready.is_empty() {
-                        sched.at(sched.now(), IxpEv::MeDispatch(me));
+                        self.post(sched.now(), IxpEv::MeDispatch(me), sched);
                     }
                     return;
                 }
@@ -769,6 +807,9 @@ impl<W> Ixp<W> {
     }
 
     fn token_at(&mut self, r: RingId, sched: &mut impl Sched) {
+        if self.spin_token_at(r, sched) {
+            return;
+        }
         let ring = &mut self.rings[r];
         if ring.state != RingState::Moving {
             // A duplicated token signal (fault plane) arrives after the
@@ -810,33 +851,29 @@ impl<W> Ixp<W> {
     /// a source to a port whose previous source was exhausted.
     pub fn reprime_port(&mut self, p: PortId, sched: &mut impl Sched) {
         self.prime_port(p, sched);
-        // A context may be blocked awaiting data that just appeared.
-        if self.hw.ports[p].rdy() {
-            for c in 0..NUM_CTX {
-                if self.ctx_status[c] == CtxStatus::WaitRx(p) {
-                    self.make_ready(c, sched);
-                }
-            }
-        }
     }
 
     /// Schedules the `RxArrive` for the head of `p`'s pending MPs
     /// unless one is already outstanding, so priming is idempotent.
     fn prime_port(&mut self, p: PortId, sched: &mut impl Sched) {
-        if self.hw.ports[p].rx_armed {
+        if self.hw.ports[p].rx_due.is_some() {
             return;
         }
         if let Some(t) = self.hw.ports[p].refill_pending(&self.cfg, p) {
             // A source attached mid-run may stamp its first frame in
             // this machine's past: deliver it now rather than then.
-            sched.at(t.max(sched.now()), IxpEv::RxArrive(p));
-            self.hw.ports[p].rx_armed = true;
+            let t = t.max(sched.now());
+            sched.at(t, IxpEv::RxArrive(p));
+            self.hw.ports[p].rx_due = Some(t);
         }
+        self.spin_note_ports();
     }
 
     fn rx_arrive(&mut self, p: PortId, sched: &mut impl Sched) {
         let now = sched.now();
-        self.hw.ports[p].rx_armed = false;
+        // The port may turn ready under a polling context.
+        self.spin.disturb_all();
+        self.hw.ports[p].rx_due = None;
         if let Some(f) = self.faults.as_mut() {
             if f.roll(FaultClass::PortFlap) {
                 let dur = f.draw_window(
@@ -850,16 +887,12 @@ impl<W> Ixp<W> {
         self.hw.ports[p].deliver_pending(now);
         // Arms the next MP of this frame, or pulls the next frame.
         self.prime_port(p, sched);
-        // Wake contexts polling this port.
-        if self.hw.ports[p].rdy() {
-            for c in 0..NUM_CTX {
-                if self.ctx_status[c] == CtxStatus::WaitRx(p) {
-                    self.make_ready(c, sched);
-                }
-            }
-        }
     }
 }
+
+#[path = "spin.rs"]
+mod spin;
+pub use spin::SpinStats;
 
 #[cfg(test)]
 #[path = "machine_tests.rs"]

@@ -265,39 +265,6 @@ fn dma_is_serialized_across_contexts() {
 }
 
 #[test]
-fn wait_rx_blocks_until_arrival() {
-    let cfg = ChipConfig {
-        ideal_ports: false,
-        ..ChipConfig::default()
-    };
-    let mut ixp: Ixp<World> = Ixp::new(cfg);
-    let mut sent = false;
-    ixp.set_source(
-        0,
-        Box::new(move || {
-            if sent {
-                None
-            } else {
-                sent = true;
-                Some((0, vec![1u8; 60]))
-            }
-        }),
-    );
-    ixp.set_program(
-        0,
-        Box::new(Script {
-            ops: vec![Op::WaitRx(0), Op::DmaRxToFifo { port: 0, slot: 0 }],
-            pc: 0,
-        }),
-    );
-    let mut w = World::default();
-    let end = run(&mut ixp, &mut w, 100_000_000);
-    // Frame lands at 6.72 us; context can only proceed then.
-    assert!(end >= 6_720_000, "end {end}");
-    assert!(!ixp.hw.in_fifo[0].is_empty());
-}
-
-#[test]
 fn repriming_a_port_mid_frame_leaves_its_mps_on_schedule() {
     // One 200-byte frame on a 100 Mbps port: four MPs, due when their
     // last byte is off the wire. A fabric barrier re-primes the port

@@ -75,10 +75,12 @@ pub struct PortData {
 
     pub(crate) source: Option<Box<dyn TrafficSource>>,
     pub(crate) pending: VecDeque<(Time, Mp)>,
-    /// An `RxArrive` for the head of `pending` is scheduled and not yet
-    /// dispatched. At most one may be outstanding per port: a second
-    /// would pop the following MP before its wire time.
-    pub(crate) rx_armed: bool,
+    /// When the `RxArrive` for the head of `pending` is scheduled and
+    /// not yet dispatched, its instant. At most one may be outstanding
+    /// per port: a second would pop the following MP before its wire
+    /// time. The machine also reads it as the next instant this port
+    /// can become ready (`spin.rs`).
+    pub(crate) rx_due: Option<Time>,
     pub(crate) last_frame_end: Time,
     pub(crate) frame_seq: u64,
     pub(crate) dropping_frame: Option<u64>,
@@ -116,7 +118,7 @@ impl PortData {
             flaps: 0,
             source: None,
             pending: VecDeque::new(),
-            rx_armed: false,
+            rx_due: None,
             last_frame_end: 0,
             frame_seq: 0,
             dropping_frame: None,

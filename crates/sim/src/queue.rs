@@ -185,8 +185,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Time, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.take_seq();
         let entry = Entry { at, seq, ev };
         if at < self.active_end {
             // Lands in the drain region: keep it sorted (descending).
@@ -254,6 +253,36 @@ impl<E> EventQueue<E> {
     /// Peeks at the timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
         self.active.last().map(|e| e.at)
+    }
+
+    /// The `(at, seq)` ordering key of the next event.
+    ///
+    /// With [`EventQueue::take_seq`] and [`EventQueue::advance_to`]
+    /// this lets a caller keep some events in a list of its own and
+    /// still dispatch everything in the one `(at, seq)` order: number
+    /// each private event with `take_seq` where `schedule` would have
+    /// numbered it, pop whichever head has the smaller key, and report
+    /// private pops back through `advance_to`.
+    pub fn peek_key(&self) -> Option<(Time, u64)> {
+        self.active.last().map(|e| (e.at, e.seq))
+    }
+
+    /// Draws the sequence number the next `schedule` would have used.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `t`, the timestamp of an event the caller
+    /// popped from a list of its own (see [`EventQueue::peek_key`]).
+    pub fn advance_to(&mut self, t: Time) {
+        debug_assert!(t >= self.now, "clock moved backwards");
+        debug_assert!(
+            self.peek_time().is_none_or(|head| head >= t),
+            "clock advanced past a pending event"
+        );
+        self.now = self.now.max(t);
     }
 
     /// The first occupied wheel slot after the cursor, in rotation
@@ -593,6 +622,40 @@ mod tests {
         assert_eq!(q.now(), 10);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_if_at_or_before(20), Some((20, 2)));
+    }
+
+    #[test]
+    fn a_private_list_merged_by_key_pops_in_oracle_order() {
+        // Every third event is kept out of the queue, numbered with
+        // `take_seq`; popping the smaller `(at, seq)` head reproduces
+        // the order of an oracle that was given all of them.
+        let mut rng = crate::rng::XorShift64::new(0x5EED);
+        let mut q = EventQueue::new();
+        let mut private: Vec<(Time, u64, u64)> = Vec::new();
+        let mut ora = OracleQueue::new();
+        for i in 0..3_000u64 {
+            if rng.below(3) < 2 {
+                let at = q.now() + rng.below(4) * 3_000 + rng.below(2) * 3_000_000;
+                ora.schedule(at, i);
+                if i % 3 == 0 {
+                    private.push((at, q.take_seq(), i));
+                } else {
+                    q.schedule(at, i);
+                }
+                continue;
+            }
+            let head = private.iter().copied().min();
+            let got = match (head, q.peek_key()) {
+                (Some((at, seq, i)), qk) if qk.is_none_or(|k| (at, seq) < k) => {
+                    private.retain(|&e| e != (at, seq, i));
+                    q.advance_to(at);
+                    Some((at, i))
+                }
+                _ => q.pop(),
+            };
+            assert_eq!(got, ora.pop());
+            assert_eq!(q.now(), ora.now());
+        }
     }
 
     #[test]

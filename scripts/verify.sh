@@ -80,6 +80,13 @@ gate "VRP backend differential suite" -p npr-vrp --test differential
 # across the fault corpus (release, so the full seeded sweeps run).
 gate "router backend differential suite" --release -p npr-core --test backend_differential
 
+# Idle-rotation compression against its stepping oracle (DESIGN.md §5):
+# the router that skips whole rotations of an idle input ring must show
+# the same fingerprint, report, ledger, reg_cycles and next event as the
+# one that dispatches every event, at every cut of the seeded scenarios
+# — and must have skipped something. Release, for the full case counts.
+gate "spin differential suite" --release -p npr-core --test spin_differential
+
 # The parallel-delivery differential gates: the conservative parallel
 # engine must match the lock-step sequential oracle bit-for-bit, first
 # at the engine level (npr-sim: seeded scenario generator plus the
@@ -122,6 +129,14 @@ if ! awk -v s="${rs_speedup:-0}" 'BEGIN { exit !(s >= 1.0) }'; then
     exit 1
 fi
 echo "event queue: router-shaped population, calendar ${rs_speedup}x the oracle heap"
+
+# Tracked, not gated (host clock): what the golden scenario and its idle
+# counterpart cost per simulated us. Events per simulated us is exact.
+row_field() {
+    grep "\"$1\"" BENCH_sim.json | grep -o "\"$2\": [0-9.]*" | grep -o '[0-9.]*$'
+}
+golden_events="$(row_field golden_scenario events)"
+echo "tracked: golden_scenario $(awk -v e="${golden_events:-0}" 'BEGIN { printf "%.1f", e / 2500 }') events per simulated us ($(row_field golden_scenario events_skipped) skipped), $(row_field golden_scenario sim_us_per_host_ms) sim us per host ms; idle_line_rate $(row_field idle_line_rate events_per_sim_us) events per simulated us ($(row_field idle_line_rate events_skipped) skipped), $(row_field idle_line_rate sim_us_per_host_ms) sim us per host ms"
 
 # Parallel fault-sweep speedup gate: on hosts with at least 4 cores
 # the threaded sweep must beat the sequential one by at least 2x
