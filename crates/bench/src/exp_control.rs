@@ -10,6 +10,7 @@
 //! plus periodic ME install/remove pairs), both at 95% offered load on
 //! all eight ports.
 
+use npr_check::json::Value;
 use npr_core::pe::PeAction;
 use npr_core::{us, InstallRequest, Key, Router, RouterConfig};
 use npr_sim::Time;
@@ -21,23 +22,25 @@ pub const UPDATE_EVERY: Time = us(100);
 /// pair freezes the input engines for its store-write window).
 pub const CHURN_EVERY: Time = us(1000);
 
-/// Result of the control-storm experiment.
-#[derive(Debug, Clone)]
-pub struct ControlResult {
-    /// Fast-path throughput with a quiet control plane, Mpps.
-    pub baseline_mpps: f64,
-    /// Fast-path throughput under the control storm, Mpps.
-    pub storm_mpps: f64,
-    /// `storm / baseline`.
-    pub ratio: f64,
-    /// Control operations completed inside the storm window.
-    pub ctl_ops: u64,
-    /// ME install/remove pairs among them (each wrote the ISTORE).
-    pub me_churns: u64,
-    /// PCI bytes moved by control descriptors in the window.
-    pub ctl_pci_bytes: u64,
-    /// Mean control-op latency (submit to terminal level), us.
-    pub ctl_latency_avg_us: f64,
+bench_row! {
+    /// Result of the control-storm experiment.
+    #[derive(Debug, Clone)]
+    pub struct ControlResult {
+        /// Fast-path throughput with a quiet control plane, Mpps.
+        pub baseline_mpps: f64 = 4,
+        /// Fast-path throughput under the control storm, Mpps.
+        pub storm_mpps: f64 = 4,
+        /// `storm / baseline`.
+        pub ratio: f64 = 4,
+        /// Control operations completed inside the storm window.
+        pub ctl_ops: u64,
+        /// ME install/remove pairs among them (each wrote the ISTORE).
+        pub me_churns: u64,
+        /// PCI bytes moved by control descriptors in the window.
+        pub ctl_pci_bytes: u64,
+        /// Mean control-op latency (submit to terminal level), us.
+        pub ctl_latency_avg_us: f64 = 3,
+    }
 }
 
 fn loaded_router() -> Router {
@@ -135,27 +138,14 @@ pub fn control_storm(warmup: Time, window: Time) -> ControlResult {
     }
 }
 
-/// Renders the result as hand-formatted `BENCH_control.json` (same
-/// schema style as the other BENCH files: stable keys, no deps).
-pub fn control_json(r: &ControlResult) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": 1,\n");
-    json.push_str(&format!(
-        "  \"baseline_mpps\": {:.4},\n",
-        r.baseline_mpps
-    ));
-    json.push_str(&format!("  \"storm_mpps\": {:.4},\n", r.storm_mpps));
-    json.push_str(&format!("  \"ratio\": {:.4},\n", r.ratio));
-    json.push_str(&format!("  \"ctl_ops\": {},\n", r.ctl_ops));
-    json.push_str(&format!("  \"me_churns\": {},\n", r.me_churns));
-    json.push_str(&format!("  \"ctl_pci_bytes\": {},\n", r.ctl_pci_bytes));
-    json.push_str(&format!(
-        "  \"ctl_latency_avg_us\": {:.3}\n",
-        r.ctl_latency_avg_us
-    ));
-    json.push_str("}\n");
-    json
+/// The result as `BENCH_control.json`'s value: the schema, then the
+/// result's own row.
+pub fn control_json(r: &ControlResult) -> Value {
+    let Value::Obj(mut members) = Value::from(r) else {
+        unreachable!("a bench row is an object")
+    };
+    members.insert(0, ("schema".into(), Value::from(1)));
+    Value::Obj(members)
 }
 
 #[cfg(test)]
@@ -197,10 +187,7 @@ mod tests {
             ctl_pci_bytes: 4096,
             ctl_latency_avg_us: 12.5,
         });
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("}\n"));
-        assert!(j.contains("\"ratio\": 0.9900"));
-        assert!(j.contains("\"ctl_ops\": 42"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(j["ratio"].to_string(), "0.9900");
+        assert_eq!(j["ctl_ops"], Value::from(42));
     }
 }

@@ -14,9 +14,11 @@
 //!    grow while spine/leaf holds its slope.
 //! 2. **Soak** — every fault class armed on every member of a 4-chassis
 //!    fabric, one run per topology, drained to quiescence and audited
-//!    against whole-fabric packet conservation. The JSON carries
-//!    `"conservation_holds"` per run; `scripts/verify.sh` greps it.
+//!    against whole-fabric packet conservation. Each run records
+//!    `conservation_holds`; [`FabricResult::gate`] fails on any `false`.
 
+use npr_check::json::Value;
+use npr_check::obj;
 use npr_core::{ms, us, RouterConfig};
 use npr_fabric::{Fabric, FabricConfig, Topology};
 use npr_sim::fault::FAULT_CLASSES;
@@ -33,41 +35,45 @@ pub const FABRIC_PPS: f64 = 141_000.0;
 /// Zipf exponent for the destination popularity ranking.
 pub const FABRIC_ALPHA: f64 = 1.0;
 
-/// One point of the scaling sweep.
-#[derive(Debug, Clone)]
-pub struct FabricScalePoint {
-    /// Topology name (`single_switch`, `ring`, `spine_leaf`).
-    pub topology: &'static str,
-    /// Cluster size.
-    pub chassis: usize,
-    /// Lockstep threads the run used.
-    pub threads: usize,
-    /// Aggregate offered load (all external ports), Mpps.
-    pub offered_mpps: f64,
-    /// Aggregate delivered external rate over the window, Mpps.
-    pub external_mpps: f64,
-    /// Frames carried across the fabric during the whole run.
-    pub switched: u64,
-    /// Frames dropped at modeled inter-chassis links (serialization
-    /// queue overflow) during the whole run.
-    pub link_drops: u64,
+bench_row! {
+    /// One point of the scaling sweep.
+    #[derive(Debug, Clone)]
+    pub struct FabricScalePoint {
+        /// Topology name (`single_switch`, `ring`, `spine_leaf`).
+        pub topology: &'static str,
+        /// Cluster size.
+        pub chassis: usize,
+        /// Lockstep threads the run used.
+        pub threads: usize,
+        /// Aggregate offered load (all external ports), Mpps.
+        pub offered_mpps: f64 = 4,
+        /// Aggregate delivered external rate over the window, Mpps.
+        pub external_mpps: f64 = 4,
+        /// Frames carried across the fabric during the whole run.
+        pub switched: u64,
+        /// Frames dropped at modeled inter-chassis links (serialization
+        /// queue overflow) during the whole run.
+        pub link_drops: u64,
+    }
 }
 
-/// One compound-fault soak run.
-#[derive(Debug, Clone)]
-pub struct FabricSoakPoint {
-    /// Topology name.
-    pub topology: &'static str,
-    /// Cluster size.
-    pub chassis: usize,
-    /// Faults injected across all members.
-    pub injected: u64,
-    /// Watchdog resets across all members.
-    pub sa_resets: u64,
-    /// Fabric-level drops (switch + link + fenced + assembly).
-    pub fabric_drops: u64,
-    /// Whether whole-fabric packet conservation held after the drain.
-    pub conservation_holds: bool,
+bench_row! {
+    /// One compound-fault soak run.
+    #[derive(Debug, Clone)]
+    pub struct FabricSoakPoint {
+        /// Topology name.
+        pub topology: &'static str,
+        /// Cluster size.
+        pub chassis: usize,
+        /// Faults injected across all members.
+        pub injected: u64,
+        /// Watchdog resets across all members.
+        pub sa_resets: u64,
+        /// Fabric-level drops (switch + link + fenced + assembly).
+        pub fabric_drops: u64,
+        /// Whether whole-fabric packet conservation held after the drain.
+        pub conservation_holds: bool,
+    }
 }
 
 /// Both sweeps.
@@ -247,41 +253,26 @@ pub fn fabric_experiment() -> FabricResult {
     }
 }
 
-/// Renders `BENCH_fabric.json` (hand-formatted, stable keys, no deps).
-pub fn fabric_json(r: &FabricResult) -> String {
-    let mut j = String::new();
-    j.push_str("{\n  \"schema\": 1,\n  \"scaling\": [\n");
-    for (i, p) in r.scaling.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"chassis\": {}, \"threads\": {}, \
-             \"offered_mpps\": {:.4}, \"external_mpps\": {:.4}, \
-             \"switched\": {}, \"link_drops\": {}}}{}\n",
-            p.topology,
-            p.chassis,
-            p.threads,
-            p.offered_mpps,
-            p.external_mpps,
-            p.switched,
-            p.link_drops,
-            if i + 1 < r.scaling.len() { "," } else { "" }
-        ));
+/// Both sweeps as `BENCH_fabric.json`'s value.
+pub fn fabric_json(r: &FabricResult) -> Value {
+    let scaling: Value = r.scaling.iter().map(Value::from).collect();
+    let soak: Value = r.soak.iter().map(Value::from).collect();
+    obj! {"schema" => 1, "scaling" => scaling, "soak" => soak}
+}
+
+impl FabricResult {
+    /// The conservation gate: every compound-fault soak must report
+    /// whole-fabric packet conservation holding, and there must be at
+    /// least one. `Ok` carries the line to print, `Err` the failure.
+    pub fn gate(&self) -> Result<String, String> {
+        if !self.soak.iter().any(|p| p.conservation_holds) {
+            return Err("BENCH_fabric.json carries no conservation results".into());
+        }
+        if self.soak.iter().any(|p| !p.conservation_holds) {
+            return Err("whole-fabric conservation broke in a BENCH_fabric.json soak".into());
+        }
+        Ok("fabric: conservation holds in every compound-fault soak".into())
     }
-    j.push_str("  ],\n  \"soak\": [\n");
-    for (i, p) in r.soak.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"chassis\": {}, \"injected\": {}, \
-             \"sa_resets\": {}, \"fabric_drops\": {}, \"conservation_holds\": {}}}{}\n",
-            p.topology,
-            p.chassis,
-            p.injected,
-            p.sa_resets,
-            p.fabric_drops,
-            p.conservation_holds,
-            if i + 1 < r.soak.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
 }
 
 #[cfg(test)]
@@ -317,6 +308,17 @@ mod tests {
         }
     }
 
+    fn soak(conservation_holds: bool) -> FabricSoakPoint {
+        FabricSoakPoint {
+            topology: "spine_leaf",
+            chassis: 4,
+            injected: 99,
+            sa_resets: 3,
+            fabric_drops: 7,
+            conservation_holds,
+        }
+    }
+
     #[test]
     fn fabric_json_is_well_formed() {
         let j = fabric_json(&FabricResult {
@@ -329,20 +331,26 @@ mod tests {
                 switched: 1000,
                 link_drops: 2,
             }],
-            soak: vec![FabricSoakPoint {
-                topology: "spine_leaf",
-                chassis: 4,
-                injected: 99,
-                sa_resets: 3,
-                fabric_drops: 7,
-                conservation_holds: true,
-            }],
+            soak: vec![soak(true)],
         });
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("}\n"));
-        assert!(j.contains("\"conservation_holds\": true"));
-        assert!(j.contains("\"topology\": \"ring\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(j["soak"][0]["conservation_holds"], Value::Bool(true));
+        assert_eq!(j["scaling"][0]["topology"], Value::from("ring"));
+    }
+
+    #[test]
+    fn gate_trips_on_a_broken_or_missing_soak() {
+        let gate = |soak| {
+            FabricResult {
+                scaling: Vec::new(),
+                soak,
+            }
+            .gate()
+        };
+        let ok = "fabric: conservation holds in every compound-fault soak";
+        assert_eq!(gate(vec![soak(true), soak(true)]).unwrap(), ok);
+        let broken = "whole-fabric conservation broke in a BENCH_fabric.json soak";
+        assert_eq!(gate(vec![soak(true), soak(false)]).unwrap_err(), broken);
+        let missing = "BENCH_fabric.json carries no conservation results";
+        assert_eq!(gate(Vec::new()).unwrap_err(), missing);
     }
 }

@@ -13,6 +13,8 @@
 //! Every point is a fresh router with a fixed-seed [`FaultPlan`], so
 //! the whole sweep is reproducible bit-for-bit.
 
+use npr_check::json::{fixed, Value};
+use npr_check::obj;
 use npr_core::{Router, RouterConfig};
 use npr_sim::{scatter, FaultClass, FaultPlan, Time};
 
@@ -141,41 +143,18 @@ pub fn fault_curves_threaded(
         .collect()
 }
 
-/// Renders the sweep as the hand-formatted JSON `BENCH_faults.json`
-/// (same schema style as `BENCH_sim.json`: stable keys, no deps).
-pub fn curves_json(curves: &[FaultCurve]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": 1,\n");
-    json.push_str(&format!("  \"seed\": {DEGRADE_SEED},\n"));
-    json.push_str("  \"curves\": [\n");
-    for (ci, c) in curves.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"class\": \"{:?}\",\n", c.class));
-        json.push_str(&format!(
-            "      \"scenario\": \"{}\",\n",
-            scenario_name(c.class)
-        ));
-        json.push_str("      \"points\": [\n");
-        for (pi, ((&ppm, &mpps), &inj)) in c
-            .rates_ppm
-            .iter()
-            .zip(&c.mpps)
-            .zip(&c.injected)
-            .enumerate()
-        {
-            let comma = if pi + 1 < c.rates_ppm.len() { "," } else { "" };
-            json.push_str(&format!(
-                "        {{\"rate_ppm\": {ppm}, \"mpps\": {mpps:.4}, \"injected\": {inj}}}{comma}\n"
-            ));
-        }
-        json.push_str("      ]\n");
-        let comma = if ci + 1 < curves.len() { "," } else { "" };
-        json.push_str(&format!("    }}{comma}\n"));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    json
+/// The sweep as `BENCH_faults.json`'s value.
+pub fn curves_json(curves: &[FaultCurve]) -> Value {
+    let curve = |c: &FaultCurve| {
+        let rows = c.rates_ppm.iter().zip(&c.mpps).zip(&c.injected);
+        let points = rows.map(|((&ppm, &mpps), &inj)| {
+            obj! {"rate_ppm" => ppm, "mpps" => fixed(mpps, 4), "injected" => inj}
+        });
+        let (class, scenario) = (format!("{:?}", c.class), scenario_name(c.class));
+        obj! {"class" => class, "scenario" => scenario, "points" => points.collect::<Value>()}
+    };
+    let curves: Value = curves.iter().map(curve).collect();
+    obj! {"schema" => 1, "seed" => DEGRADE_SEED, "curves" => curves}
 }
 
 #[cfg(test)]
@@ -255,11 +234,9 @@ mod tests {
             mpps: vec![1.0, 0.5],
             injected: vec![0, 3],
         };
-        let j = curves_json(&[c]);
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("}\n"));
-        assert!(j.contains("\"class\": \"MemStall\""));
-        assert!(j.contains("{\"rate_ppm\": 10, \"mpps\": 0.5000, \"injected\": 3}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let curve = &curves_json(&[c])["curves"][0];
+        assert_eq!(curve["class"], Value::from("MemStall"));
+        let point = obj! {"rate_ppm" => 10, "mpps" => fixed(0.5, 4), "injected" => 3};
+        assert_eq!(curve["points"][1], point);
     }
 }

@@ -8,12 +8,12 @@
 //!    does each AQM discipline hand the packets it does deliver?
 //!    Drop-tail lets the elephant's queue sit at its cap (bufferbloat);
 //!    RED sheds early by occupancy; CoDel sheds by sojourn on the
-//!    simulated clock. verify.sh gates on CoDel's p99 being ≥2x better
-//!    than drop-tail's.
+//!    simulated clock. [`QosResult::gate`] holds CoDel's p99 to ≥2x
+//!    better than drop-tail's.
 //! 2. **Isolation** — as an unresponsive elephant ramps its offered
 //!    load, do the paced victim flows keep their goodput? The per-flow
 //!    hash gives the elephant its own queue, so its losses stay its
-//!    own; verify.sh gates on victim goodput ≥90% of offered.
+//!    own; the same gate holds victim goodput to ≥90% of offered.
 //!
 //! The scenario is the bufferbloat regime (~1.1x overload of one output
 //! port at the top of the sweep), not a 2x slam: under extreme overload
@@ -22,6 +22,8 @@
 //! interesting, deployable regime is mild persistent overload, which is
 //! where the curves separate.
 
+use npr_check::json::Value;
+use npr_check::obj;
 use npr_core::{ms, AqmKind, Router, RouterConfig};
 use npr_sim::Time;
 use npr_traffic::{FrameSpec, TcpMixSource};
@@ -49,42 +51,46 @@ pub const ELEPHANT_LOADS: [f64; 4] = [40_000.0, 60_000.0, 80_000.0, 100_000.0];
 /// The three installable disciplines, in fixed report order.
 pub const DISCIPLINES: [AqmKind; 3] = [AqmKind::DropTail, AqmKind::Red, AqmKind::Codel];
 
-/// One discipline's sojourn distribution under the standard overload.
-#[derive(Debug, Clone)]
-pub struct SojournPoint {
-    /// Discipline name (`drop_tail`, `red`, `codel`).
-    pub aqm: &'static str,
-    /// Median sojourn of delivered packets, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile sojourn, microseconds (the verify.sh gate).
-    pub p99_us: f64,
-    /// Worst delivered sojourn, microseconds.
-    pub max_us: f64,
-    /// Packets delivered from the flow queues.
-    pub served: u64,
-    /// RED admission drops.
-    pub early_drops: u64,
-    /// Per-flow cap drops.
-    pub cap_drops: u64,
-    /// CoDel sojourn drops.
-    pub sojourn_drops: u64,
-    /// Worst victim's delivered/offered ratio (the verify.sh gate).
-    pub victim_goodput: f64,
+bench_row! {
+    /// One discipline's sojourn distribution under the standard overload.
+    #[derive(Debug, Clone)]
+    pub struct SojournPoint {
+        /// Discipline name (`drop_tail`, `red`, `codel`).
+        pub aqm: &'static str,
+        /// Median sojourn of delivered packets, microseconds.
+        pub p50_us: f64 = 2,
+        /// 99th-percentile sojourn, microseconds (gated).
+        pub p99_us: f64 = 2,
+        /// Worst delivered sojourn, microseconds.
+        pub max_us: f64 = 2,
+        /// Packets delivered from the flow queues.
+        pub served: u64,
+        /// RED admission drops.
+        pub early_drops: u64,
+        /// Per-flow cap drops.
+        pub cap_drops: u64,
+        /// CoDel sojourn drops.
+        pub sojourn_drops: u64,
+        /// Worst victim's delivered/offered ratio (gated).
+        pub victim_goodput: f64 = 4,
+    }
 }
 
-/// One point of the isolation curve.
-#[derive(Debug, Clone)]
-pub struct IsolationPoint {
-    /// Discipline name.
-    pub aqm: &'static str,
-    /// Elephant offered load, packets per second.
-    pub elephant_pps: f64,
-    /// Worst victim's delivered/offered ratio.
-    pub victim_goodput: f64,
-    /// Elephant's delivered/offered ratio (how hard it was shed).
-    pub elephant_goodput: f64,
-    /// Overall p99 sojourn at this load, microseconds.
-    pub p99_us: f64,
+bench_row! {
+    /// One point of the isolation curve.
+    #[derive(Debug, Clone)]
+    pub struct IsolationPoint {
+        /// Discipline name.
+        pub aqm: &'static str,
+        /// Elephant offered load, packets per second.
+        pub elephant_pps: f64 = 0,
+        /// Worst victim's delivered/offered ratio (gated).
+        pub victim_goodput: f64 = 4,
+        /// Elephant's delivered/offered ratio (how hard it was shed).
+        pub elephant_goodput: f64 = 4,
+        /// Overall p99 sojourn at this load, microseconds.
+        pub p99_us: f64 = 2,
+    }
 }
 
 /// Both sweeps.
@@ -218,44 +224,47 @@ pub fn qos_experiment() -> QosResult {
     }
 }
 
-/// Renders `BENCH_qos.json` (hand-formatted, stable keys, no deps).
-/// Key order within `sojourn` follows [`DISCIPLINES`], which verify.sh
-/// relies on when it extracts the drop-tail and CoDel p99 values.
-pub fn qos_json(r: &QosResult) -> String {
-    let mut j = String::new();
-    j.push_str("{\n  \"schema\": 1,\n  \"sojourn\": [\n");
-    for (i, p) in r.sojourn.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"aqm\": \"{}\", \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
-             \"max_us\": {:.2}, \"served\": {}, \"early_drops\": {}, \
-             \"cap_drops\": {}, \"sojourn_drops\": {}, \"victim_goodput\": {:.4}}}{}\n",
-            p.aqm,
-            p.p50_us,
-            p.p99_us,
-            p.max_us,
-            p.served,
-            p.early_drops,
-            p.cap_drops,
-            p.sojourn_drops,
-            p.victim_goodput,
-            if i + 1 < r.sojourn.len() { "," } else { "" }
-        ));
+/// Both sweeps as `BENCH_qos.json`'s value.
+pub fn qos_json(r: &QosResult) -> Value {
+    let sojourn: Value = r.sojourn.iter().map(Value::from).collect();
+    let isolation: Value = r.isolation.iter().map(Value::from).collect();
+    obj! {"schema" => 1, "sojourn" => sojourn, "isolation" => isolation}
+}
+
+impl QosResult {
+    /// The two QoS gates: CoDel holds p99 sojourn to at most half of
+    /// drop-tail's (the point of a dequeue-time AQM), and no scenario
+    /// pushes any victim flow's goodput below 90% (the point of per-flow
+    /// queues). Judged on the figures as published; `Ok` carries the
+    /// line to print.
+    pub fn gate(&self) -> Result<String, String> {
+        let p99 = |aqm| {
+            let p = self.sojourn.iter().find(|p| p.aqm == aqm);
+            Value::from(p.expect("the sweep runs every discipline"))["p99_us"].clone()
+        };
+        let (dt, cd) = (p99("drop_tail"), p99("codel"));
+        if cd.as_f64() * 2.0 > dt.as_f64() {
+            return Err(format!(
+                "CoDel p99 sojourn {cd}us not 2x better than drop-tail {dt}us"
+            ));
+        }
+        let rows = self.sojourn.iter().map(Value::from);
+        let rows = rows.chain(self.isolation.iter().map(Value::from));
+        let victims = rows.map(|r| r["victim_goodput"].clone());
+        let starved: Vec<String> = victims
+            .filter(|g| g.as_f64() < 0.9)
+            .map(|g| g.to_string())
+            .collect();
+        if !starved.is_empty() {
+            return Err(format!(
+                "victim goodput under 0.9 in BENCH_qos.json: {}",
+                starved.join("\n")
+            ));
+        }
+        Ok(format!(
+            "qos: codel p99 {cd}us vs drop-tail {dt}us; all victim goodputs >= 0.9"
+        ))
     }
-    j.push_str("  ],\n  \"isolation\": [\n");
-    for (i, p) in r.isolation.iter().enumerate() {
-        j.push_str(&format!(
-            "    {{\"aqm\": \"{}\", \"elephant_pps\": {:.0}, \"victim_goodput\": {:.4}, \
-             \"elephant_goodput\": {:.4}, \"p99_us\": {:.2}}}{}\n",
-            p.aqm,
-            p.elephant_pps,
-            p.victim_goodput,
-            p.elephant_goodput,
-            p.p99_us,
-            if i + 1 < r.isolation.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
 }
 
 #[cfg(test)]
@@ -278,7 +287,7 @@ mod tests {
                 p.victim_goodput
             );
         }
-        // The same bar verify.sh holds the shipped JSON to.
+        // The same bar `QosResult::gate` holds the shipped run to.
         assert!(
             cd.p99_us * 2.0 <= dt.p99_us,
             "codel p99 {:.1}us vs drop-tail {:.1}us",
@@ -317,34 +326,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn qos_json_is_well_formed() {
-        let j = qos_json(&QosResult {
-            sojourn: vec![SojournPoint {
-                aqm: "drop_tail",
-                p50_us: 400.0,
-                p99_us: 760.5,
-                max_us: 900.0,
-                served: 3000,
-                early_drops: 0,
-                cap_drops: 120,
-                sojourn_drops: 0,
-                victim_goodput: 0.97,
-            }],
+    fn sojourn(aqm: &'static str, p99_us: f64) -> SojournPoint {
+        SojournPoint {
+            aqm,
+            p50_us: 400.0,
+            p99_us,
+            max_us: 900.0,
+            served: 3000,
+            early_drops: 0,
+            cap_drops: 120,
+            sojourn_drops: 0,
+            victim_goodput: 1.0,
+        }
+    }
+
+    /// Drop-tail at 400 us p99, CoDel at `codel_p99`, one isolation
+    /// point with `victim` goodput.
+    fn result(codel_p99: f64, victim: f64) -> QosResult {
+        QosResult {
+            sojourn: vec![sojourn("drop_tail", 400.0), sojourn("codel", codel_p99)],
             isolation: vec![IsolationPoint {
                 aqm: "codel",
                 elephant_pps: 100_000.0,
-                victim_goodput: 0.99,
+                victim_goodput: victim,
                 elephant_goodput: 0.62,
                 p99_us: 130.0,
             }],
-        });
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("}\n"));
-        assert!(j.contains("\"p99_us\": 760.50"));
-        assert!(j.contains("\"victim_goodput\": 0.9900"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        }
+    }
+
+    #[test]
+    fn qos_json_is_well_formed() {
+        let j = qos_json(&result(760.5, 0.99));
+        assert_eq!(j["sojourn"][1]["p99_us"].to_string(), "760.50");
+        assert_eq!(j["isolation"][0]["victim_goodput"].to_string(), "0.9900");
+        assert_eq!(j["isolation"][0]["elephant_pps"].to_string(), "100000");
+    }
+
+    #[test]
+    fn gate_trips_on_a_codel_tail_or_a_starved_victim() {
+        let ok = "qos: codel p99 200.00us vs drop-tail 400.00us; all victim goodputs >= 0.9";
+        assert_eq!(result(200.0, 0.9).gate().unwrap(), ok);
+        let tail = "CoDel p99 sojourn 200.01us not 2x better than drop-tail 400.00us";
+        assert_eq!(result(200.01, 1.0).gate().unwrap_err(), tail);
+        assert!(
+            result(200.004, 1.0).gate().is_ok(),
+            "judged as printed: 200.00"
+        );
+        let starved = "victim goodput under 0.9 in BENCH_qos.json: 0.8900";
+        assert_eq!(result(100.0, 0.89).gate().unwrap_err(), starved);
     }
 }
 

@@ -14,46 +14,41 @@
 //!   transactions instead of spinning forever; removing the fault
 //!   restores the diverted path.
 
+use npr_check::json::Value;
+use npr_check::obj;
+use npr_core::Key;
 use npr_core::{Report, Router, RouterConfig};
 use npr_forwarders::slow::{full_ip_sa, FULL_IP_CYCLES};
-use npr_core::Key;
 use npr_sim::{FaultClass, FaultPlan, Time};
 
 /// Seed for every fault episode (reproducible evidence).
 pub const RECOVERY_SEED: u64 = 2001;
 
-/// One fault class's baseline / fault / recovery triplet.
-#[derive(Debug, Clone)]
-pub struct RecoveryResult {
-    /// Fault class label.
-    pub class: &'static str,
-    /// Fault-free throughput, Mpps.
-    pub baseline_mpps: f64,
-    /// Throughput while the fault raged, Mpps.
-    pub faulted_mpps: f64,
-    /// Throughput after detection + recovery, Mpps.
-    pub recovered_mpps: f64,
-    /// The health monitor's worst-case detection bound, us.
-    pub detection_bound_us: f64,
-    /// Mean detection-to-recovery latency observed in the fault
-    /// window, us (0 when the mechanism is not latency-tracked).
-    pub recovery_latency_avg_us: f64,
-    /// StrongARM soft resets recorded in the fault window.
-    pub sa_resets: u64,
-    /// Quarantines recorded in the fault window.
-    pub quarantines: u64,
-    /// PCI transactions abandoned after retry exhaustion.
-    pub pci_exhausted: u64,
-}
-
-impl RecoveryResult {
-    /// Post-recovery throughput as a fraction of baseline.
-    pub fn recovered_ratio(&self) -> f64 {
-        if self.baseline_mpps == 0.0 {
-            0.0
-        } else {
-            self.recovered_mpps / self.baseline_mpps
-        }
+bench_row! {
+    /// One fault class's baseline / fault / recovery triplet.
+    #[derive(Debug, Clone)]
+    pub struct RecoveryResult {
+        /// Fault class label.
+        pub class: &'static str,
+        /// Fault-free throughput, Mpps.
+        pub baseline_mpps: f64 = 6,
+        /// Throughput while the fault raged, Mpps.
+        pub faulted_mpps: f64 = 6,
+        /// Throughput after detection + recovery, Mpps.
+        pub recovered_mpps: f64 = 6,
+        /// Post-recovery throughput as a fraction of baseline.
+        pub recovered_ratio: f64 = 6,
+        /// The health monitor's worst-case detection bound, us.
+        pub detection_bound_us: f64 = 3,
+        /// Mean detection-to-recovery latency observed in the fault
+        /// window, us (0 when the mechanism is not latency-tracked).
+        pub recovery_latency_avg_us: f64 = 3,
+        /// StrongARM soft resets recorded in the fault window.
+        pub sa_resets: u64,
+        /// Quarantines recorded in the fault window.
+        pub quarantines: u64,
+        /// PCI transactions abandoned after retry exhaustion.
+        pub pci_exhausted: u64,
     }
 }
 
@@ -94,6 +89,11 @@ fn result(
         baseline_mpps: base.forward_mpps,
         faulted_mpps: faulted.forward_mpps,
         recovered_mpps: recovered.forward_mpps,
+        recovered_ratio: if base.forward_mpps == 0.0 {
+            0.0
+        } else {
+            recovered.forward_mpps / base.forward_mpps
+        },
         detection_bound_us: bound_us,
         recovery_latency_avg_us: faulted.recovery_latency_avg_us,
         sa_resets: faulted.sa_resets,
@@ -182,49 +182,10 @@ pub fn recovery(warmup: Time, window: Time) -> Vec<RecoveryResult> {
     ]
 }
 
-/// Renders the episodes as `BENCH_recovery.json` (stable keys, no
-/// dependencies — same style as `BENCH_faults.json`).
-pub fn recovery_json(results: &[RecoveryResult]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": 1,\n");
-    json.push_str(&format!("  \"seed\": {RECOVERY_SEED},\n"));
-    json.push_str("  \"episodes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"class\": \"{}\",\n", r.class));
-        json.push_str(&format!(
-            "      \"baseline_mpps\": {:.6},\n",
-            r.baseline_mpps
-        ));
-        json.push_str(&format!("      \"faulted_mpps\": {:.6},\n", r.faulted_mpps));
-        json.push_str(&format!(
-            "      \"recovered_mpps\": {:.6},\n",
-            r.recovered_mpps
-        ));
-        json.push_str(&format!(
-            "      \"recovered_ratio\": {:.6},\n",
-            r.recovered_ratio()
-        ));
-        json.push_str(&format!(
-            "      \"detection_bound_us\": {:.3},\n",
-            r.detection_bound_us
-        ));
-        json.push_str(&format!(
-            "      \"recovery_latency_avg_us\": {:.3},\n",
-            r.recovery_latency_avg_us
-        ));
-        json.push_str(&format!("      \"sa_resets\": {},\n", r.sa_resets));
-        json.push_str(&format!("      \"quarantines\": {},\n", r.quarantines));
-        json.push_str(&format!("      \"pci_exhausted\": {}\n", r.pci_exhausted));
-        json.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-    json
+/// The episodes as `BENCH_recovery.json`'s value.
+pub fn recovery_json(results: &[RecoveryResult]) -> Value {
+    let episodes: Value = results.iter().map(Value::from).collect();
+    obj! {"schema" => 1, "seed" => RECOVERY_SEED, "episodes" => episodes}
 }
 
 #[cfg(test)]
@@ -238,10 +199,10 @@ mod tests {
         assert_eq!(results.len(), 3);
         for r in &results {
             assert!(
-                r.recovered_ratio() >= 0.99,
+                r.recovered_ratio >= 0.99,
                 "{}: recovered {:.4} of baseline ({:.4} -> {:.4} Mpps)",
                 r.class,
-                r.recovered_ratio(),
+                r.recovered_ratio,
                 r.baseline_mpps,
                 r.recovered_mpps
             );
@@ -268,17 +229,12 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_carries_all_classes() {
-        let results = recovery(ms(1), ms(1));
-        let json = recovery_json(&results);
-        for needle in [
-            "\"sa-wedge\"",
-            "\"overrun-quarantine\"",
-            "\"pci-exhaustion\"",
-            "\"recovered_ratio\"",
-            "\"detection_bound_us\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
+        let json = recovery_json(&recovery(ms(1), ms(1)));
+        let classes = ["sa-wedge", "overrun-quarantine", "pci-exhaustion"];
+        for (i, class) in classes.into_iter().enumerate() {
+            let e = &json["episodes"][i];
+            assert_eq!(e["class"], Value::from(class));
+            assert!(e["recovered_ratio"].as_f64() > 0.0 && e["detection_bound_us"].as_f64() > 0.0);
         }
-        assert_eq!(json.matches("{\n").count(), json.matches("}").count());
     }
 }

@@ -1,7 +1,7 @@
 //! Line-rate, StrongARM, robustness, flood, budget, and slow-path
 //! experiments (sections 3.5.1, 3.6, 4.3, 4.4, 4.7).
 
-use npr_core::{ms, Router, RouterConfig};
+use npr_core::{Router, RouterConfig};
 use npr_forwarders::{pad_program, PadKind};
 use npr_sim::Time;
 
@@ -245,14 +245,10 @@ pub fn slowpath() -> Vec<PaperVsMeasured> {
     ]
 }
 
-/// Convenience: default-window wrappers used by the binary.
-pub fn default_windows() -> (Time, Time) {
-    (ms(1), ms(4))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use npr_core::ms;
 
     #[test]
     fn linerate_is_lossless() {

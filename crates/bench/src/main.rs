@@ -13,26 +13,27 @@
 //!   fabric [--out PATH]
 //!   all
 //! ```
+//!
+//! The six subcommands that take `--out` print their BENCH value as
+//! text, write it to `PATH`, and exit nonzero when one of their gates
+//! fails.
 
 use npr_bench::fmt;
 use npr_bench::{
     baseline, budget, control_json, control_storm, curves_json, fabric_experiment, fabric_json,
-    fault_curves, fig10, fig7, fig9, flood, linerate, recovery, recovery_json, robustness,
-    qos_experiment, qos_json, route_experiment, route_json, slowpath, strongarm, table1, table2,
-    table3, table4, table5_rows, DEGRADE_RATES, WARMUP, WINDOW,
+    fault_curves, fig10, fig7, fig9, flood, gate, linerate, qos_experiment, qos_json, recovery,
+    recovery_json, robustness, route_experiment, route_json, slowpath, strongarm, table1, table2,
+    table3, table4, table5_rows, write_out, DEGRADE_RATES, WARMUP, WINDOW,
 };
+use npr_check::json::Value;
 use npr_forwarders::PadKind;
 
-/// Writes `json` to the path following `--out`, when one was given.
-fn write_out(args: &[String], json: String) {
-    if let Some(p) = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-    {
-        std::fs::write(p, json).unwrap_or_else(|e| panic!("write {p}: {e}"));
-        eprintln!("wrote {p}");
-    }
+/// Prints a BENCH value as text under `title`, then the `note` on what
+/// it must show, and writes it to `--out` when one was given.
+fn publish(args: &[String], title: &str, v: &Value, note: &str) {
+    print!("{}", fmt::value(title, v));
+    println!("{note}");
+    write_out(args, v);
 }
 
 fn main() {
@@ -221,159 +222,58 @@ fn main() {
         );
     }
     if all || which == "faults" {
-        let curves = fault_curves(DEGRADE_RATES, WARMUP, WINDOW);
-        println!("\n== Fault plane: graceful degradation (seed-fixed sweeps) ==");
-        for c in &curves {
-            let pts: Vec<(f64, f64)> = c
-                .rates_ppm
-                .iter()
-                .zip(&c.mpps)
-                .map(|(&r, &m)| (f64::from(r), m))
-                .collect();
-            println!(
-                "{}",
-                fmt::series(&format!("{:?}", c.class), "fault ppm", &pts, "Mpps")
-            );
-        }
-        println!("(degradation must be monotone with no cliff; see crates/sim/src/fault.rs)");
-        write_out(&args, curves_json(&curves));
+        publish(
+            &args,
+            "Fault plane: graceful degradation (seed-fixed sweeps)",
+            &curves_json(&fault_curves(DEGRADE_RATES, WARMUP, WINDOW)),
+            "(degradation must be monotone with no cliff; see crates/sim/src/fault.rs)",
+        );
     }
     if all || which == "control" {
-        let r = control_storm(WARMUP, WINDOW);
-        println!("\n== Control plane: route-update/install storm vs fast path ==");
-        println!(
-            "baseline {:.3} Mpps | storm {:.3} Mpps | ratio {:.4}",
-            r.baseline_mpps, r.storm_mpps, r.ratio
+        publish(
+            &args,
+            "Control plane: route-update/install storm vs fast path",
+            &control_json(&control_storm(WARMUP, WINDOW)),
+            "(design point: control churn must cost the fast path only noise)",
         );
-        println!(
-            "control ops {} ({} ISTORE churns) | PCI {} B | avg latency {:.1} us",
-            r.ctl_ops, r.me_churns, r.ctl_pci_bytes, r.ctl_latency_avg_us
-        );
-        println!("(design point: control churn must cost the fast path only noise)");
-        write_out(&args, control_json(&r));
     }
     if all || which == "recovery" {
-        let results = recovery(WARMUP, WINDOW);
-        println!("\n== Health monitor: fault detection and recovery ==");
-        println!(
-            "{:<22} {:>10} {:>10} {:>10} {:>8} {:>12} {:>18}",
-            "class", "base Mpps", "fault", "recovered", "ratio", "evidence", "latency/bound us"
+        publish(
+            &args,
+            "Health monitor: fault detection and recovery",
+            &recovery_json(&recovery(WARMUP, WINDOW)),
+            "(post-recovery throughput must be >= 99% of the fault-free baseline)",
         );
-        for r in &results {
-            let evidence = match r.class {
-                "sa-wedge" => format!("{} resets", r.sa_resets),
-                "overrun-quarantine" => format!("{} quar", r.quarantines),
-                _ => format!("{} exhaust", r.pci_exhausted),
-            };
-            println!(
-                "{:<22} {:>10.3} {:>10.3} {:>10.3} {:>8.4} {:>12} {:>9.1}/{:<8.1}",
-                r.class,
-                r.baseline_mpps,
-                r.faulted_mpps,
-                r.recovered_mpps,
-                r.recovered_ratio(),
-                evidence,
-                r.recovery_latency_avg_us,
-                r.detection_bound_us
-            );
-        }
-        println!("(post-recovery throughput must be >= 99% of the fault-free baseline)");
-        write_out(&args, recovery_json(&results));
     }
     if all || which == "route" {
         let r = route_experiment();
-        println!("\n== Internet-scale routing: trie scaling, Zipf cache, churn ==");
-        println!(
-            "{:>10} {:>10} {:>12} {:>10} {:>10} {:>12} {:>8}",
-            "prefixes", "routes", "lookup Mpps", "build ms", "update ns", "trie MiB", "levels"
+        publish(
+            &args,
+            "Internet-scale routing: trie scaling, Zipf cache, churn",
+            &route_json(&r),
+            "(targeted invalidation must hold the hit rate full flushes forfeit)",
         );
-        for p in &r.scaling {
-            println!(
-                "{:>10} {:>10} {:>12.1} {:>10.1} {:>10.0} {:>12.2} {:>8.3}",
-                p.prefixes,
-                p.routes,
-                p.lookup_mpps,
-                p.build_ms,
-                p.update_ns,
-                p.trie_bytes as f64 / (1024.0 * 1024.0),
-                p.mean_levels
-            );
-        }
-        for p in &r.zipf {
-            println!(
-                "zipf alpha {:.2}: hit rate {:.4} at {:.3} Mpps",
-                p.alpha, p.hit_rate, p.forward_mpps
-            );
-        }
-        for p in &r.churn {
-            println!(
-                "churn {:>6}/s {:<10}: hit rate {:.4} at {:.3} Mpps ({} ctl ops)",
-                p.updates_per_s,
-                if p.targeted { "targeted" } else { "full-flush" },
-                p.hit_rate,
-                p.forward_mpps,
-                p.ctl_ops
-            );
-        }
-        println!("(targeted invalidation must hold the hit rate full flushes forfeit)");
-        write_out(&args, route_json(&r));
+        gate(r.gate());
     }
     if all || which == "qos" {
         let r = qos_experiment();
-        println!("\n== Per-flow queue manager: AQM sojourn tails + isolation ==");
-        println!(
-            "{:<10} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9} {:>8}",
-            "aqm", "p50 us", "p99 us", "max us", "served", "early", "cap", "sojourn", "victim"
+        publish(
+            &args,
+            "Per-flow queue manager: AQM sojourn tails + isolation",
+            &qos_json(&r),
+            "(CoDel must hold p99 sojourn ≥2x below drop-tail; victims keep ≥90% goodput)",
         );
-        for p in &r.sojourn {
-            println!(
-                "{:<10} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>7} {:>7} {:>9} {:>8.4}",
-                p.aqm,
-                p.p50_us,
-                p.p99_us,
-                p.max_us,
-                p.served,
-                p.early_drops,
-                p.cap_drops,
-                p.sojourn_drops,
-                p.victim_goodput
-            );
-        }
-        for p in &r.isolation {
-            println!(
-                "isolation {:<10} elephant {:>7.0} pps: victim {:.4} elephant {:.4} (p99 {:.1} us)",
-                p.aqm, p.elephant_pps, p.victim_goodput, p.elephant_goodput, p.p99_us
-            );
-        }
-        println!("(CoDel must hold p99 sojourn ≥2x below drop-tail; victims keep ≥90% goodput)");
-        write_out(&args, qos_json(&r));
+        gate(r.gate());
     }
     if all || which == "fabric" {
         let r = fabric_experiment();
-        println!("\n== Multi-chassis fabric: aggregate Mpps vs cluster size ==");
-        println!(
-            "{:<14} {:>8} {:>8} {:>13} {:>14} {:>10} {:>11}",
-            "topology", "chassis", "threads", "offered Mpps", "external Mpps", "switched", "link drops"
+        publish(
+            &args,
+            "Multi-chassis fabric: aggregate Mpps vs cluster size",
+            &fabric_json(&r),
+            "(the ring flattens as transit hops contend; spine/leaf holds its slope)",
         );
-        for p in &r.scaling {
-            println!(
-                "{:<14} {:>8} {:>8} {:>13.3} {:>14.3} {:>10} {:>11}",
-                p.topology, p.chassis, p.threads, p.offered_mpps, p.external_mpps, p.switched, p.link_drops
-            );
-        }
-        println!("\n-- compound-fault conservation soak (4 chassis per topology) --");
-        for p in &r.soak {
-            println!(
-                "{:<14} injected {:>6} | sa resets {:>3} | fabric drops {:>5} | conservation {}",
-                p.topology,
-                p.injected,
-                p.sa_resets,
-                p.fabric_drops,
-                if p.conservation_holds { "HOLDS" } else { "BROKEN" }
-            );
-        }
-        println!("(the ring flattens as transit hops contend; spine/leaf holds its slope)");
-        write_out(&args, fabric_json(&r));
+        gate(r.gate());
     }
     if all || which == "baseline" {
         let b = baseline(WARMUP, WINDOW);

@@ -31,6 +31,7 @@
 pub mod array;
 pub mod collection;
 mod gen;
+pub mod json;
 pub mod rng;
 mod runner;
 pub mod sample;

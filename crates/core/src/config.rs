@@ -68,9 +68,10 @@ pub struct RouterConfig {
     /// Move only head + routing header over PCI (section 3.7's lazy
     /// body retrieval). Varied by: `pentium_path` (Table 4).
     pub lazy_body: bool,
-    /// StrongARM synthetic feed for Table 4: `(frame_len, lazy)`.
-    /// Varied by: `pentium_path`.
-    pub sa_synth_feed: Option<(usize, bool)>,
+    /// StrongARM synthetic feed for Table 4: the frame length it
+    /// manufactures (the transfer follows `lazy_body`). Varied by:
+    /// `pentium_path`.
+    pub sa_synth_feed: Option<usize>,
     /// StrongARM interrupt mode (vs. polling). Varied by: the
     /// `robustness` experiment (section 3.6's interrupt row).
     pub sa_interrupts: bool,
@@ -278,7 +279,7 @@ impl RouterConfig {
             mode: RunMode::System,
             input_ctxs: 0,
             output_ctxs: 8,
-            sa_synth_feed: Some((frame_len, lazy)),
+            sa_synth_feed: Some(frame_len),
             lazy_body: lazy,
             ..Self::default()
         }

@@ -12,7 +12,7 @@ use npr_sim::Time;
 use crate::costs::{PeCosts, CTL_DESC_BYTES, CTL_PE_CYCLES};
 use crate::health::FwdrStat;
 use crate::pci::ROUTING_HEADER_BYTES;
-use crate::plane::{Bus, ControlOp, Plane, PlaneEvent, PlaneId};
+use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
 use crate::sched::Stride;
 use crate::world::RouterWorld;
 
@@ -311,10 +311,6 @@ impl Pentium {
 }
 
 impl Plane for Pentium {
-    fn id(&self) -> PlaneId {
-        PlaneId::Pentium
-    }
-
     fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
         match ev {
             PlaneEvent::PeArrive(item) => {

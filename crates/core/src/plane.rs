@@ -492,8 +492,6 @@ impl Bus<'_> {
 /// A processor level: reacts to its own [`PlaneEvent`]s, touching
 /// shared hardware only through the [`Bus`].
 pub trait Plane {
-    /// Which level this is.
-    fn id(&self) -> PlaneId;
     /// Handles one event addressed to this plane at time `at`.
     fn step(&mut self, at: Time, ev: PlaneEvent, bus: &mut Bus<'_>);
 }
@@ -510,10 +508,6 @@ pub struct FastPath {
 }
 
 impl Plane for FastPath {
-    fn id(&self) -> PlaneId {
-        PlaneId::Fast
-    }
-
     fn step(&mut self, at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
         match ev {
             PlaneEvent::Machine(e) => bus.machine(e),

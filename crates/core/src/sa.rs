@@ -24,7 +24,7 @@ use crate::costs::{SaCosts, CTL_DESC_BYTES, CTL_SA_CYCLES};
 use crate::health::FwdrStat;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::pe::PeItem;
-use crate::plane::{Bus, ControlOp, Plane, PlaneEvent, PlaneId};
+use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
 use crate::router::build_udp_frame;
 use crate::world::{Escalation, PktMeta, RouterWorld};
 
@@ -116,8 +116,8 @@ pub struct StrongArm {
     pub use_interrupts: bool,
     /// Local forwarder jump table.
     pub forwarders: Vec<SaForwarder>,
-    /// Synthetic feed: `(frame_len, lazy_body)`; `None` = disabled.
-    pub synth_feed: Option<(usize, bool)>,
+    /// Synthetic feed's frame length; `None` = disabled.
+    pub synth_feed: Option<usize>,
     /// Busy picoseconds (for spare-cycle accounting).
     pub busy_ps: Time,
     /// Packets completed (any packet job kind; control ops are counted
@@ -338,10 +338,10 @@ impl StrongArm {
             return;
         }
         // Synthetic feed (Table 4).
-        if let Some((len, lazy)) = self.synth_feed {
+        if let Some(len) = self.synth_feed {
             if bus.pci.claim_buffer() {
                 let mps = npr_packet::Mp::count_for_len(len) as u8;
-                let cycles = self.bridge_cycles(mps, lazy);
+                let cycles = self.bridge_cycles(mps, bus.cfg.lazy_body);
                 self.begin_job(bus, SaJob::SynthBridge, cycles, now);
             }
             // Else: a PeWriteback/PeDone will re-poll us.
@@ -635,7 +635,8 @@ impl StrongArm {
                 );
             }
             SaJob::SynthBridge => {
-                let (len, lazy) = self.synth_feed.expect("synth feed configured");
+                let len = self.synth_feed.expect("synth feed configured");
+                let lazy = bus.cfg.lazy_body;
                 let frame = build_udp_frame(1, 0, len);
                 let h = bus.world.alloc_packet(len as u16, 9, now);
                 bus.world.pool.write(h, &frame);
@@ -717,10 +718,6 @@ impl StrongArm {
 }
 
 impl Plane for StrongArm {
-    fn id(&self) -> PlaneId {
-        PlaneId::StrongArm
-    }
-
     fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
         match ev {
             PlaneEvent::SaPoll => self.poll(bus),

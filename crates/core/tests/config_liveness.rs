@@ -154,7 +154,7 @@ fn every_config_field_moves_something() {
         (
             "sa_synth_feed",
             RouterConfig { sa_synth_feed: None, ..RouterConfig::pentium_path(60, false) },
-            |c| c.sa_synth_feed = Some((60, false)),
+            |c| c.sa_synth_feed = Some(60),
             idle,
         ),
         ("sa_interrupts", RouterConfig::strongarm_null(), |c| c.sa_interrupts = true, idle),

@@ -252,7 +252,7 @@ fn codel_controls_sojourn_against_drop_tail() {
     };
     let dt = p99(AqmKind::DropTail);
     let cd = p99(AqmKind::Codel);
-    // Same bar verify.sh holds the bench to: ≥2x better tail latency.
+    // Same bar `QosResult::gate` holds the bench to: ≥2x better tail latency.
     assert!(
         cd * 2 <= dt,
         "CoDel p99 sojourn {cd}ps must be ≥2x better than drop-tail {dt}ps"

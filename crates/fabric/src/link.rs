@@ -79,11 +79,6 @@ impl Link {
         self.busy_ps += ser;
         Some(start + ser + self.latency_ps)
     }
-
-    /// Fraction of `window_ps` the serializer spent busy.
-    pub fn utilization(&self, window_ps: Time) -> f64 {
-        self.busy_ps as f64 / window_ps.max(1) as f64
-    }
 }
 
 #[cfg(test)]

@@ -129,11 +129,6 @@ impl MemCtl {
         self.read_lat_ps
     }
 
-    /// Uncontended write latency in picoseconds.
-    pub fn write_latency_ps(&self) -> Time {
-        self.write_lat_ps
-    }
-
     /// Reads served.
     pub fn reads(&self) -> u64 {
         self.reads

@@ -166,17 +166,6 @@ impl BufferPool {
         Some(&self.bufs[i][..self.lens[i]])
     }
 
-    /// Mutable access for in-place forwarder transformations.
-    pub fn read_mut(&mut self, h: BufferHandle) -> Option<&mut [u8]> {
-        let i = h.index as usize;
-        if self.laps.get(i) != Some(&h.lap) {
-            self.stale_reads += 1;
-            return None;
-        }
-        let len = self.lens[i];
-        Some(&mut self.bufs[i][..len])
-    }
-
     /// Valid data length for a (current) handle.
     pub fn data_len(&self, h: BufferHandle) -> Option<usize> {
         let i = h.index as usize;

@@ -158,12 +158,6 @@ impl Ipv4Header {
     }
 }
 
-/// Formats an address in dotted-quad form (helper for reports/tests).
-pub fn fmt_addr(a: u32) -> String {
-    let b = a.to_be_bytes();
-    format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3])
-}
-
 /// Builds an address from dotted-quad components.
 pub const fn addr(a: u8, b: u8, c: u8, d: u8) -> u32 {
     u32::from_be_bytes([a, b, c, d])

@@ -159,11 +159,6 @@ impl FaultPlan {
         self.rates_ppm[class.index()]
     }
 
-    /// True when any class has a nonzero rate.
-    pub fn any_enabled(&self) -> bool {
-        self.rates_ppm.iter().any(|&r| r > 0)
-    }
-
     /// Decides whether the event being processed is faulted. A disabled
     /// class returns `false` without touching its stream, so fault-free
     /// runs draw zero random values.

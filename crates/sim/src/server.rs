@@ -112,15 +112,6 @@ impl Server {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_ps as f64 / horizon as f64
-        }
-    }
 }
 
 /// Batches wakeup events that share a timestamp.
@@ -226,14 +217,6 @@ mod tests {
         assert_eq!(s.queued_ps(), 0);
         assert_eq!(s.busy_ps(), 20);
         assert_eq!(s.jobs(), 2);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_horizon() {
-        let mut s = Server::new("t");
-        s.admit(0, 25, 25);
-        assert!((s.utilization(100) - 0.25).abs() < 1e-12);
-        assert_eq!(s.utilization(0), 0.0);
     }
 
     #[test]

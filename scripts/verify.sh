@@ -28,7 +28,8 @@ pub_fields() {
 src_loc="$(find crates -path '*/src/*' -name '*.rs' -exec cat {} + | wc -l)"
 cfg_fields="$(pub_fields RouterConfig crates/core/src/config.rs)"
 rep_fields="$(pub_fields Report crates/core/src/report.rs)"
-echo "tracked: crates/*/src ${src_loc} lines, RouterConfig ${cfg_fields} pub fields, Report ${rep_fields} pub fields"
+bench_fmt="$(grep -rnE 'format!|push_str' crates/bench/src | wc -l)"
+echo "tracked: crates/*/src ${src_loc} lines, RouterConfig ${cfg_fields} pub fields, Report ${rep_fields} pub fields, crates/bench ${bench_fmt} format!/push_str sites"
 if [ "$cfg_fields" -gt 31 ]; then
     echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 31): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
     exit 1
@@ -37,6 +38,13 @@ fi
 # (DESIGN.md §13, marking invariance): nothing may zero one again.
 if grep -rn "fn reset_stats" crates/*/src; then
     echo "ERROR: a reset_stats path is back: keep the statistic a lifetime total and let Router::mark() snapshot it" >&2
+    exit 1
+fi
+# Every BENCH file goes through the one writer, npr_check::json
+# (DESIGN.md, hermetic build): a quoted key in a Rust string literal is
+# a hand-rolled JSON writer coming back.
+if grep -rnE '\\"[a-z_0-9]+\\": ' crates/bench/src; then
+    echo "ERROR: hand-rolled JSON in crates/bench: build an npr_check::json::Value instead" >&2
     exit 1
 fi
 
@@ -116,44 +124,12 @@ done
 # speedup), and the parallel `threads` axis (fault-sweep wall-clock at
 # 1/2/4/8 worker threads). simbench exits nonzero if the calendar
 # queue diverges from the oracle, if the VRP backends diverge on its
-# fuzz sweep, or if the parallel fault sweep is not bit-identical to
-# the sequential one.
+# fuzz sweep, if the parallel fault sweep is not bit-identical to the
+# sequential one, if the calendar loses to the heap on the
+# router-shaped population, or if a host with 4+ cores sees under 2x
+# from the parallel sweep; it prints the tracked (ungated, host-clock)
+# golden_scenario and idle_line_rate costs.
 cargo run --release --offline --bin simbench -- --quick --out BENCH_sim.json
-
-# Calendar-vs-heap gate on the population a router actually holds (~40
-# pending 24-byte events): the calendar is only worth its machinery if
-# it beats the plain heap there, not just at 8192 pending.
-rs_speedup="$(grep '"router_shaped"' BENCH_sim.json | grep -o '"speedup": [0-9.]*' | grep -o '[0-9.]*$')"
-if ! awk -v s="${rs_speedup:-0}" 'BEGIN { exit !(s >= 1.0) }'; then
-    echo "ERROR: calendar queue slower than the oracle heap on the router-shaped population (${rs_speedup:-missing}x)" >&2
-    exit 1
-fi
-echo "event queue: router-shaped population, calendar ${rs_speedup}x the oracle heap"
-
-# Tracked, not gated (host clock): what the golden scenario and its idle
-# counterpart cost per simulated us. Events per simulated us is exact.
-row_field() {
-    grep "\"$1\"" BENCH_sim.json | grep -o "\"$2\": [0-9.]*" | grep -o '[0-9.]*$'
-}
-golden_events="$(row_field golden_scenario events)"
-echo "tracked: golden_scenario $(awk -v e="${golden_events:-0}" 'BEGIN { printf "%.1f", e / 2500 }') events per simulated us ($(row_field golden_scenario events_skipped) skipped), $(row_field golden_scenario sim_us_per_host_ms) sim us per host ms; idle_line_rate $(row_field idle_line_rate events_per_sim_us) events per simulated us ($(row_field idle_line_rate events_skipped) skipped), $(row_field idle_line_rate sim_us_per_host_ms) sim us per host ms"
-
-# Parallel fault-sweep speedup gate: on hosts with at least 4 cores
-# the threaded sweep must beat the sequential one by at least 2x
-# (bit-equality is enforced by simbench itself before it emits any
-# number). On smaller hosts the physical core count is the honest
-# ceiling — the wall-clocks are still recorded with host_cores
-# alongside, but no speedup is demanded of hardware that cannot
-# provide one.
-host_cores="$(grep -o '"host_cores": [0-9]*' BENCH_sim.json | grep -o '[0-9]*$')"
-sweep_speedup="$(grep -o '"speedup_max": [0-9.]*' BENCH_sim.json | grep -o '[0-9.]*$')"
-if [ "${host_cores:-1}" -ge 4 ]; then
-    if ! awk -v s="$sweep_speedup" 'BEGIN { exit !(s >= 2.0) }'; then
-        echo "ERROR: parallel fault-sweep speedup ${sweep_speedup}x < 2x on ${host_cores} cores" >&2
-        exit 1
-    fi
-fi
-echo "parallel sweep: speedup_max=${sweep_speedup}x on ${host_cores} host cores"
 
 # Marking invariance: `Router::mark()` at any instants, any number of
 # times, leaves fingerprint, ledger, drain and health decisions alone.
@@ -199,12 +175,8 @@ cargo run --release --offline -p npr-bench --bin experiments -- control --out BE
 
 # Record the recovery episodes: for each fault class the health monitor
 # must detect, recover, and return throughput to within 1% of the
-# fault-free baseline. The JSON must exist and be non-empty.
+# fault-free baseline.
 cargo run --release --offline -p npr-bench --bin experiments -- recovery --out BENCH_recovery.json
-if [ ! -s BENCH_recovery.json ]; then
-    echo "ERROR: BENCH_recovery.json missing or empty" >&2
-    exit 1
-fi
 
 # The route suite is the internet-scale gate: release, so the
 # million-prefix build/teardown smoke test and the interleaved-churn
@@ -212,55 +184,20 @@ fi
 gate "route suite" --release -p npr-route
 
 # Record the internet-scale routing sweeps (lookup scaling, Zipf cache
-# hit rate, churn storms). The Zipf alpha=1.0 hit rate is deterministic
-# (simulated traffic over a seed-fixed table) and must keep the
-# 4096-slot cache at least half warm — below that the StrongARM miss
-# path, not the MEs, would set the router's forwarding rate.
+# hit rate, churn storms). Gate (exits nonzero): the Zipf alpha=1.0 hit
+# rate keeps the 4096-slot cache at least half warm.
 cargo run --release --offline -p npr-bench --bin experiments -- route --out BENCH_route.json
-zipf_hit="$(grep '"alpha": 1.00' BENCH_route.json | grep -o '"hit_rate": [0-9.]*' | grep -o '[0-9.]*$')"
-if ! awk -v h="${zipf_hit:-0}" 'BEGIN { exit !(h >= 0.5) }'; then
-    echo "ERROR: Zipf alpha=1.0 route-cache hit rate ${zipf_hit:-missing} < 0.5" >&2
-    exit 1
-fi
-echo "route cache: zipf alpha=1.0 hit rate ${zipf_hit}"
 
 # Record the multi-chassis scaling sweeps (aggregate Mpps vs chassis
-# count per topology) and the compound-fault conservation soak. Every
-# soak run must report whole-fabric packet conservation holding — a
-# single "false" fails the gate.
+# count per topology) and the compound-fault conservation soak. Gate:
+# every soak conserves packets across the whole fabric.
 cargo run --release --offline -p npr-bench --bin experiments -- fabric --out BENCH_fabric.json
-if ! grep -q '"conservation_holds": true' BENCH_fabric.json; then
-    echo "ERROR: BENCH_fabric.json carries no conservation results" >&2
-    exit 1
-fi
-if grep -q '"conservation_holds": false' BENCH_fabric.json; then
-    echo "ERROR: whole-fabric conservation broke in a BENCH_fabric.json soak" >&2
-    exit 1
-fi
-echo "fabric: conservation holds in every compound-fault soak"
 
 # Record the QoS sweeps: sojourn distribution per AQM discipline at the
 # standard bufferbloat overload, plus the elephant-ramp isolation
-# curve. Two gates ride on the file: CoDel must hold p99 sojourn to at
-# most half of drop-tail's (the point of a dequeue-time AQM), and no
-# scenario may push any victim flow's goodput below 90% (the point of
-# per-flow queues).
+# curve. Gates: CoDel's p99 sojourn is at most half of drop-tail's, and
+# every victim flow keeps >= 90% goodput.
 cargo run --release --offline -p npr-bench --bin experiments -- qos --out BENCH_qos.json
-dt_p99="$(grep '"early_drops"' BENCH_qos.json | grep '"drop_tail"' \
-    | grep -o '"p99_us": [0-9.]*' | grep -o '[0-9.]*$')"
-cd_p99="$(grep '"early_drops"' BENCH_qos.json | grep '"codel"' \
-    | grep -o '"p99_us": [0-9.]*' | grep -o '[0-9.]*$')"
-if ! awk -v c="${cd_p99:-1e9}" -v d="${dt_p99:-0}" 'BEGIN { exit !(c * 2 <= d) }'; then
-    echo "ERROR: CoDel p99 sojourn ${cd_p99:-missing}us not 2x better than drop-tail ${dt_p99:-missing}us" >&2
-    exit 1
-fi
-starved="$(grep -o '"victim_goodput": [0-9.]*' BENCH_qos.json \
-    | grep -o '[0-9.]*$' | awk '$1 < 0.9')"
-if [ -n "$starved" ]; then
-    echo "ERROR: victim goodput under 0.9 in BENCH_qos.json: $starved" >&2
-    exit 1
-fi
-echo "qos: codel p99 ${cd_p99}us vs drop-tail ${dt_p99}us; all victim goodputs >= 0.9"
 
 # The benchmark is a workspace of its own (benchmark/Cargo.toml), so
 # the tier-1 `cargo test` never builds it: its smoke test holds
