@@ -64,6 +64,9 @@ bench_row! {
         pub routes: usize,
         /// Host wall-clock lookups per second, millions.
         pub lookup_mpps: f64 = 2,
+        /// Host wall-clock milliseconds of the `synth_table` call that
+        /// generates the table.
+        pub synth_ms: f64 = 2,
         /// Host wall-clock milliseconds of the `RoutingTable::load` call
         /// alone (table synthesis is outside the stopwatch).
         pub build_ms: f64 = 2,
@@ -88,6 +91,12 @@ bench_row! {
         pub hit_rate: f64 = 4,
         /// Forwarded Mpps over the window.
         pub forward_mpps: f64 = 4,
+        /// Output-queue drops over the window.
+        pub queue_drops: u64,
+        /// StrongARM/Pentium staging-queue drops over the window.
+        pub escalation_drops: u64,
+        /// Port receive drops over the window.
+        pub port_drops: u64,
     }
 }
 
@@ -132,7 +141,9 @@ pub fn lookup_scaling(sizes: &[usize]) -> Vec<ScalePoint> {
     sizes
         .iter()
         .map(|&n| {
+            let t0 = std::time::Instant::now();
             let routes = synth_table(&TableSpec::internet(n, 0x5CA1_AB1E));
+            let synth_ms = t0.elapsed().as_secs_f64() * 1e3;
             let mut table = RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
             let t0 = std::time::Instant::now();
             table.load(routes.iter().cloned());
@@ -160,6 +171,7 @@ pub fn lookup_scaling(sizes: &[usize]) -> Vec<ScalePoint> {
                 prefixes: n,
                 routes: routes.len(),
                 lookup_mpps: (reps * dsts.len()) as f64 / secs / 1e6,
+                synth_ms,
                 build_ms,
                 update_ns: update_ns(&mut table, &dsts),
                 trie_bytes,
@@ -241,6 +253,9 @@ pub fn zipf_hit_rate(warmup: Time, window: Time) -> Vec<ZipfPoint> {
                 alpha,
                 hit_rate: h as f64 / (h + m).max(1) as f64,
                 forward_mpps: rep.forward_mpps,
+                queue_drops: rep.queue_drops,
+                escalation_drops: rep.escalation_drops,
+                port_drops: rep.port_drops,
             }
         })
         .collect()
@@ -343,6 +358,18 @@ pub fn route_json(r: &RouteResult) -> Value {
 }
 
 impl RouteResult {
+    /// The tracked host cost of the largest table in the sweep (the 1 M
+    /// `Router::new` build): generation and load wall time. Printed, not
+    /// gated.
+    pub fn tracked(&self) -> String {
+        let p = self.scaling.last().expect("the sweep has a size");
+        let v = Value::from(p);
+        format!(
+            "tracked: {}-prefix table synth_ms {}, build_ms {}",
+            p.prefixes, v["synth_ms"], v["build_ms"]
+        )
+    }
+
     /// The internet-scale gate: at Zipf alpha = 1.0 the 4096-slot cache
     /// stays at least half warm — below that the StrongARM miss path,
     /// not the MEs, would set the router's forwarding rate. Judged on
@@ -367,7 +394,8 @@ mod tests {
         let pts = lookup_scaling(&[1_000, 10_000]);
         assert_eq!(pts.len(), 2);
         for p in &pts {
-            assert!(p.lookup_mpps > 0.0 && p.build_ms > 0.0 && p.update_ns > 0.0);
+            assert!(p.lookup_mpps > 0.0 && p.synth_ms > 0.0 && p.build_ms > 0.0);
+            assert!(p.update_ns > 0.0);
             assert!(p.routes >= p.prefixes * 9 / 10);
             assert!(p.mean_levels >= 1.0 && p.mean_levels <= 3.0);
         }
@@ -387,6 +415,15 @@ mod tests {
         // Heavier-tailed popularity must cache better.
         assert!(pts[2].hit_rate > pts[0].hit_rate);
         assert!(pts[1].hit_rate > 0.5, "alpha=1 hit rate {:.3}", pts[1].hit_rate);
+        // Where the lost frames go, pinned: at lower alpha cache misses
+        // overflow the StrongARM's staging queue; at 1.2 none do, and
+        // the loss is all output-queue drops on the two ports the most
+        // popular destinations resolve to (EXPERIMENTS.md).
+        let drops: Vec<_> = pts
+            .iter()
+            .map(|p| (p.queue_drops, p.escalation_drops, p.port_drops))
+            .collect();
+        assert_eq!(drops, [(0, 1270, 0), (0, 357, 0), (811, 0, 0)]);
     }
 
     #[test]
@@ -421,6 +458,9 @@ mod tests {
                 alpha,
                 hit_rate,
                 forward_mpps: 1.1,
+                queue_drops: 0,
+                escalation_drops: 0,
+                port_drops: 0,
             }],
             churn: Vec::new(),
         }
@@ -433,6 +473,7 @@ mod tests {
             prefixes: 1000,
             routes: 1000,
             lookup_mpps: 10.0,
+            synth_ms: 0.5,
             build_ms: 0.25,
             update_ns: 900.0,
             trie_bytes: 524288,
@@ -447,11 +488,16 @@ mod tests {
         });
         let j = route_json(&r);
         let row = &j["scaling"][0];
+        assert_eq!(row["synth_ms"].to_string(), "0.50");
         assert_eq!(row["build_ms"].to_string(), "0.25");
         assert_eq!(row["update_ns"].to_string(), "900");
         assert_eq!(row["trie_bytes"], Value::from(524288));
         assert_eq!(j["zipf"][0]["hit_rate"].to_string(), "0.9000");
         assert_eq!(j["churn"][0]["mode"], Value::from("targeted"));
+        assert_eq!(
+            r.tracked(),
+            "tracked: 1000-prefix table synth_ms 0.50, build_ms 0.25"
+        );
     }
 
     #[test]

@@ -253,6 +253,7 @@ fn main() {
             &route_json(&r),
             "(targeted invalidation must hold the hit rate full flushes forfeit)",
         );
+        println!("{}", r.tracked());
         gate(r.gate());
     }
     if all || which == "qos" {

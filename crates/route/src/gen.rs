@@ -15,7 +15,6 @@
 use npr_check::CheckRng;
 use npr_packet::MacAddr;
 
-use crate::hash::RouteSet;
 use crate::table::{NextHop, Route};
 use crate::trie::mask;
 
@@ -67,6 +66,46 @@ const PLEN_WEIGHTS: [(u8, u16); 16] = [
     (24, 454),
 ];
 
+/// The longest length [`PLEN_WEIGHTS`] may draw: [`Drawn`] keeps 2^plen
+/// bits per length, so /24 costs 2 MiB and a /32 would cost 512 MiB.
+const MAX_PLEN: u8 = 24;
+
+const _: () = {
+    let mut i = 0;
+    while i < PLEN_WEIGHTS.len() {
+        assert!(
+            PLEN_WEIGHTS[i].0 <= MAX_PLEN,
+            "a drawable length exceeds MAX_PLEN"
+        );
+        i += 1;
+    }
+};
+
+/// Which `(addr, plen)` pairs have been drawn: one bit per possible
+/// prefix, a zeroed bitmap per drawable length (about 4 MiB in all, and
+/// pages no draw touches are never faulted in).
+struct Drawn(Vec<Vec<u64>>);
+
+impl Drawn {
+    fn new() -> Self {
+        let mut by_plen = vec![Vec::new(); usize::from(MAX_PLEN) + 1];
+        for &(plen, _) in &PLEN_WEIGHTS {
+            by_plen[usize::from(plen)] = vec![0; (1usize << plen).div_ceil(64)];
+        }
+        Self(by_plen)
+    }
+
+    /// Marks the masked prefix `addr/plen` drawn; `false` if it already was.
+    fn insert(&mut self, addr: u32, plen: u8) -> bool {
+        let i = (u64::from(addr) >> (32 - plen)) as usize;
+        let word = &mut self.0[usize::from(plen)][i / 64];
+        let bit = 1u64 << (i % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 fn draw_plen(rng: &mut CheckRng) -> u8 {
     let mut roll = rng.below(1000) as u16;
     for &(plen, w) in &PLEN_WEIGHTS {
@@ -109,13 +148,12 @@ pub fn neighbors(spec: &TableSpec) -> Vec<NextHop> {
 pub fn synth_table(spec: &TableSpec) -> Vec<Route> {
     let nbrs = neighbors(spec);
     let mut rng = CheckRng::new(spec.seed);
-    let mut seen: RouteSet<(u32, u8)> =
-        RouteSet::with_capacity_and_hasher(spec.prefixes, Default::default());
+    let mut seen = Drawn::new();
     let mut out = Vec::with_capacity(spec.prefixes);
     while out.len() < spec.prefixes {
         let plen = draw_plen(&mut rng);
         let addr = mask(draw_addr(&mut rng), plen);
-        if !seen.insert((addr, plen)) {
+        if !seen.insert(addr, plen) {
             continue; // Band collision: redraw (length and address).
         }
         let next_hop = nbrs[rng.below(nbrs.len() as u64) as usize];
@@ -159,9 +197,9 @@ mod tests {
     }
 
     /// `(prefixes, seed)` names one exact table: an order-sensitive
-    /// 64-bit fold over every `(addr, plen, next_hop)`. The `seen` set
-    /// only answers "drawn before?", so its hasher and capacity are free
-    /// to change and may not move a single route.
+    /// 64-bit fold over every `(addr, plen, next_hop)`. The `seen` bitmap
+    /// only answers "drawn before?", so its representation is free to
+    /// change and may not move a single route.
     #[test]
     fn synth_table_is_pinned() {
         let fold = synth_table(&TableSpec::internet(10_000, 7))

@@ -1,22 +1,22 @@
 //! The deterministic hasher behind the crate's route maps.
 //!
-//! `PrefixTrie::routes`, `RoutingTable::index` and the generator's
-//! `seen` set key on `(addr, plen)` and on a 7-byte [`NextHop`] — values
-//! this program mints itself, a million at a time — so SipHash's
-//! flooding resistance buys nothing and costs most of a table build.
+//! `PrefixTrie::routes` keys on `(addr, plen)` and
+//! `RoutingTable::index` on a 7-byte [`NextHop`] — values this program
+//! mints itself, a million at a time — so SipHash's flooding resistance
+//! buys nothing and costs most of a table build.
 //! This is a multiply-rotate fold finished by SplitMix64's finaliser
 //! (`npr_check::rng::mix`). The finaliser is not optional: a prefix's
 //! host bits are zero, so after the multiply the low bits of the state
 //! are zero too, and those are the bits hashbrown takes its bucket index
 //! from.
 //!
-//! None of the three maps is ever iterated for anything observable
+//! Neither map is ever iterated for anything observable
 //! (`lookup_naive`'s `max_by_key` is over distinct prefix lengths), so
 //! the hasher can change bucket order and nothing else.
 //!
 //! [`NextHop`]: crate::NextHop
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 #[derive(Default)]
@@ -39,7 +39,6 @@ impl Hasher for RouteHasher {
 }
 
 pub(crate) type RouteMap<K, V> = HashMap<K, V, BuildHasherDefault<RouteHasher>>;
-pub(crate) type RouteSet<K> = HashSet<K, BuildHasherDefault<RouteHasher>>;
 
 #[cfg(test)]
 mod tests {

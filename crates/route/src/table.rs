@@ -22,7 +22,7 @@ use npr_packet::MacAddr;
 
 use crate::cache::RouteCache;
 use crate::hash::RouteMap;
-use crate::trie::{PrefixTrie, TrieStats};
+use crate::trie::{mask, PrefixTrie, TrieStats};
 
 /// A next hop: which port to emit on and which MAC to address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +42,29 @@ pub struct Route {
     pub plen: u8,
     /// Next hop.
     pub next_hop: NextHop,
+}
+
+/// A route `RoutingTable::load` has recorded but not yet expanded into
+/// the trie: the masked prefix and its next-hop slot. The same layout
+/// as a [`Route`], so collecting these from a `Vec<Route>` reuses its
+/// buffer.
+#[derive(Clone, Copy)]
+struct Recorded {
+    addr: u32,
+    plen: u8,
+    idx: u32,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Recorded>() == std::mem::size_of::<Route>()
+        && std::mem::align_of::<Recorded>() == std::mem::align_of::<Route>()
+);
+
+impl Recorded {
+    /// Address order, and one prefix's records side by side.
+    fn key(&self) -> u64 {
+        u64::from(self.addr) << 8 | u64::from(self.plen)
+    }
 }
 
 /// How a route update invalidates the fast-path cache.
@@ -180,14 +203,47 @@ impl RoutingTable {
     /// Bulk-installs routes (synthetic table preload): observably the
     /// same `insert`s in order — table, next-hop arena, cache contents
     /// and cache statistics — with the route map grown once up front
-    /// from the iterator's `size_hint`. Into a cold cache that is O(n)
-    /// for n routes; a warm cache still pays its invalidation pass per
-    /// route (see [`RouteCache::invalidate_covered`]).
+    /// from the iterator's `size_hint`. Into a cold cache that costs a
+    /// route-map insert and an expansion per route plus one sort; a warm
+    /// cache still pays its invalidation pass per route (see
+    /// [`RouteCache::invalidate_covered`]).
+    ///
+    /// It runs in two passes. The first, in the caller's order, does
+    /// everything `insert` does but touch the trie arena, so next-hop
+    /// slots, reference counts and the cache end exactly as after the
+    /// `insert`s. The second expands the recorded prefixes into the arena
+    /// in address order, so each node is written while it is hot. Fills
+    /// answer alike in any order (see `PrefixTrie::fill`), and a prefix
+    /// the load repeats is filled once, with the value the first pass
+    /// left it, its last. Given a `Vec`, the records reuse its buffer.
     pub fn load<I: IntoIterator<Item = Route>>(&mut self, routes: I) {
         let routes = routes.into_iter();
         self.trie.reserve_routes(routes.size_hint().0);
-        for r in routes {
-            self.insert(r.addr, r.plen, r.next_hop);
+        let mut recorded: Vec<Recorded> = routes
+            .map(|r| {
+                let idx = self.acquire(r.next_hop);
+                if let Some(old) = self.trie.record(r.addr, r.plen, idx) {
+                    self.release(old);
+                }
+                self.invalidate(r.addr, r.plen);
+                Recorded {
+                    addr: mask(r.addr, r.plen),
+                    plen: r.plen,
+                    idx,
+                }
+            })
+            .collect();
+        recorded.sort_unstable_by_key(Recorded::key);
+        for run in recorded.chunk_by(|a, b| a.key() == b.key()) {
+            let Recorded { addr, plen, idx } = run[0];
+            let idx = if run.len() == 1 {
+                idx
+            } else {
+                self.trie
+                    .route(addr, plen)
+                    .expect("recorded in the first pass")
+            };
+            self.trie.fill(addr, plen, idx);
         }
     }
 
@@ -269,7 +325,6 @@ mod tests {
 
     use super::*;
     use crate::gen::sample_dsts;
-    use crate::trie::mask;
 
     fn nh(port: u8) -> NextHop {
         NextHop {

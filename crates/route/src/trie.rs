@@ -205,9 +205,30 @@ impl PrefixTrie {
     ///
     /// Panics if `plen > 32`.
     pub fn insert(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
+        let old = self.record(addr, plen, value);
+        self.fill(addr, plen, value);
+        old
+    }
+
+    /// The route-map half of [`insert`](Self::insert): records
+    /// `addr/plen -> value` and returns the value it replaced. Lookups
+    /// do not see the route until [`fill`](Self::fill) runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plen > 32`.
+    pub(crate) fn record(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
         assert!(plen <= 32, "prefix length out of range");
-        let addr = mask(addr, plen);
-        let old = self.routes.insert((addr, plen), value);
+        self.routes.insert((mask(addr, plen), plen), value)
+    }
+
+    /// The arena half of [`insert`](Self::insert): expands `addr/plen ->
+    /// value` (host bits ignored) over its span of the node it ends in,
+    /// allocating the path down to that node. An entry keeps the longest
+    /// prefix's value, so a set of fills in any order answers every
+    /// lookup alike and leaves the same [`stats`](Self::stats), except
+    /// that of two fills of one prefix the later wins.
+    pub(crate) fn fill(&mut self, addr: u32, plen: u8, value: u32) {
         let mut node = 0u32;
         let mut consumed = 0u8;
         for level in 0..self.strides.len() {
@@ -227,7 +248,7 @@ impl PrefixTrie {
                         *e = with_value(*e, value, plen);
                     }
                 }
-                return old;
+                return;
             }
             // Descend (allocating the child if needed).
             let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
@@ -365,6 +386,11 @@ impl PrefixTrie {
         self.stats_levels
             .set(self.stats_levels.get() + u64::from(levels));
         (best, levels)
+    }
+
+    /// The value recorded for the exact prefix `addr/plen`, if any.
+    pub(crate) fn route(&self, addr: u32, plen: u8) -> Option<u32> {
+        self.routes.get(&(mask(addr, plen), plen)).copied()
     }
 
     /// Number of installed (un-expanded) routes.

@@ -5,8 +5,8 @@
 //! test` stays fast; the release run (verify.sh) exercises the full
 //! million-prefix table the tentpole targets.
 
-use npr_route::gen::{sample_dsts, synth_table, TableSpec};
-use npr_route::{Invalidation, RoutingTable};
+use npr_route::gen::{neighbors, sample_dsts, synth_table, TableSpec};
+use npr_route::{Invalidation, Route, RoutingTable};
 
 #[test]
 fn million_prefix_build_lookup_teardown() {
@@ -24,6 +24,19 @@ fn million_prefix_build_lookup_teardown() {
     // plus at most one child node per distinct /16 and /24 covered.
     let ceiling = (1usize << 16) * 8 + routes.len() * 2 * 256 * 8;
     assert!(stats.bytes <= ceiling, "arena {} bytes > ceiling {}", stats.bytes, ceiling);
+    // The exact shape, pinned: `BENCH_route.json` publishes the 1 M
+    // figure as `trie_bytes`, so the build may get faster but may not
+    // move a node.
+    let pinned = if prefixes == 1_000_000 {
+        (56_833, 14_614_528, 117_143_556)
+    } else {
+        (30_082, 7_766_272, 62_250_504)
+    };
+    assert_eq!(
+        (stats.nodes, stats.entries, stats.bytes),
+        pinned,
+        "trie shape moved"
+    );
 
     // Every sampled destination (host bits under a real route) resolves.
     for dst in sample_dsts(&routes, 10_000, 7) {
@@ -42,4 +55,52 @@ fn million_prefix_build_lookup_teardown() {
     for dst in sample_dsts(&routes, 100, 8) {
         assert!(table.lookup_slow(dst).0.is_none());
     }
+}
+
+/// `load` against one `insert` at a time at a size the property tests
+/// never reach: 100 k generated prefixes, whose /16s hold real groups of
+/// overlapping /17–/24s, then every tenth prefix again, rebound to the
+/// next neighbor, so a repeated prefix must keep its last next hop.
+#[test]
+fn bulk_load_equals_single_inserts_at_scale() {
+    let spec = TableSpec::internet(100_000, 0x5CA1_AB1E);
+    let mut routes = synth_table(&spec);
+    let nbrs = neighbors(&spec);
+    let rebound: Vec<Route> = routes
+        .iter()
+        .step_by(10)
+        .map(|r| {
+            let slot = nbrs
+                .iter()
+                .position(|n| *n == r.next_hop)
+                .expect("drawn from nbrs");
+            Route {
+                next_hop: nbrs[(slot + 1) % nbrs.len()],
+                ..*r
+            }
+        })
+        .collect();
+    routes.extend(rebound);
+
+    let table = || RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
+    let mut loaded = table();
+    // By value, as `Router::new` passes it: the records reuse the buffer.
+    loaded.load(routes.clone());
+    let mut single = table();
+    for r in &routes {
+        single.insert(r.addr, r.plen, r.next_hop);
+    }
+
+    for dst in sample_dsts(&routes, 10_000, 3) {
+        assert_eq!(
+            loaded.lookup_slow(dst),
+            single.lookup_slow(dst),
+            "dst {dst:#010x}"
+        );
+    }
+    assert_eq!(loaded.route_count(), 100_000);
+    assert_eq!(loaded.route_count(), single.route_count());
+    assert_eq!(loaded.next_hop_count(), single.next_hop_count());
+    assert_eq!(loaded.next_hop_slots(), single.next_hop_slots());
+    assert_eq!(loaded.trie_stats(), single.trie_stats());
 }
