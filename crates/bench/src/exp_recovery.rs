@@ -142,7 +142,7 @@ fn overrun(warmup: Time, window: Time) -> RecoveryResult {
         r,
         warmup,
         window,
-        |r| r.sa.misbehave(0, FULL_IP_CYCLES * 3),
+        |r| r.sa.policer.misbehave(0, FULL_IP_CYCLES * 3),
         |_| {},
     );
     result("overrun-quarantine", bound_us, &base, &faulted, &recovered)

@@ -1,9 +1,11 @@
-//! Seedable PRNG for deterministic case generation.
+//! The workspace's one seedable PRNG and one FNV-1a hash.
 //!
-//! Same xorshift64* construction as `npr_sim::XorShift64`, duplicated
-//! here so the harness stays dependency-free (even on workspace
-//! crates): a test harness that depends on the code under test cannot
-//! be trusted to still run when that code is broken.
+//! Case generation, workload generation (`npr_sim::XorShift64` is this
+//! generator under the simulator's name), the VRP fuzz corpora and
+//! every pinned digest draw from here. The module lives in the
+//! harness because the harness has no dependencies, not even on
+//! workspace crates: a test harness that depends on the code under
+//! test cannot be trusted to still run when that code is broken.
 
 /// An xorshift64* generator. Deterministic across runs and platforms.
 #[derive(Debug, Clone)]
@@ -49,6 +51,11 @@ impl CheckRng {
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
+
+    /// Uniform `f64` in `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 /// SplitMix64 finalizer: decorrelates sequential per-case seeds so
@@ -60,15 +67,57 @@ pub fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A 64-bit FNV-1a hash state. Stable across runs, processes,
+/// platforms and build profiles, which is what a pinned digest needs.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv1a {
+    /// A state at the FNV offset basis.
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// One FNV-1a round over a whole word: xor it in, multiply by the
+    /// FNV prime. The byte-wise writes below are this round per byte.
+    #[inline]
+    pub fn write_word(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    /// Folds in `bytes`, one round per byte.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_word(u64::from(b));
+        }
+    }
+
+    /// Folds in `v` as its eight little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// The hash so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a over a test name: gives each property a stable, distinct
 /// base seed without any global registry.
 pub fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write_bytes(name.as_bytes());
+    h.finish()
 }
 
 #[cfg(test)]
@@ -82,6 +131,11 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn different_seeds_diverge() {
+        assert_ne!(CheckRng::new(1).next_u64(), CheckRng::new(2).next_u64());
     }
 
     #[test]
@@ -99,6 +153,34 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn f64_in_unit_interval() {
+        let mut r = CheckRng::new(3);
+        for _ in 0..1000 {
+            let v = r.next_f64();
+            assert!((0.0..1.0).contains(&v));
+        }
+    }
+
+    #[test]
+    fn f64_mean_is_roughly_half() {
+        let mut r = CheckRng::new(11);
+        let mean: f64 = (0..100_000).map(|_| r.next_f64()).sum::<f64>() / 100_000.0;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn fnv_matches_the_published_vectors() {
+        // FNV-1a 64 test vectors: "" is the offset basis, "a" one round.
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        let mut h = Fnv1a::new();
+        h.write_u64(0x61);
+        let mut b = Fnv1a::new();
+        b.write_bytes(&[0x61, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(h.finish(), b.finish());
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! The [`HealthMonitor`] piggybacks on the router's event loop: after
 //! every dispatched event, [`Router::health_tick`] checks whether one
 //! or more [`EPOCH_PS`]-long epochs elapsed and, if so, samples
-//! the planes' progress counters. It schedules **no events of its
-//! own**, so a fault-free run is bit-identical with the monitor armed —
-//! the golden-digest test pins this.
+//! the planes' progress counters. It schedules exactly one kind of
+//! event: when an epoch first finds the StrongARM holding a job with
+//! no job finished since the previous epoch, `check_sa_wedge` arms a
+//! [`crate::plane::PlaneEvent::HealthPulse`] at the detection deadline,
+//! so a stall on an otherwise quiet event queue is still sampled. The
+//! pulse does nothing when it fires but let the monitor sample; every
+//! decision (warn, throttle, quarantine, reset) is taken inside a
+//! sample. The golden-digest test pins a run with the monitor armed.
 //!
 //! Detectors and their escalation ladders:
 //!
@@ -32,7 +37,9 @@
 //!   scheduler preempts at the declared cost), then quarantine — the
 //!   forwarder is unbound from the classifier so its flows fall back to
 //!   the default IP path, and its in-flight packets are re-aimed at the
-//!   null forwarder so they drain cleanly.
+//!   null forwarder so they drain cleanly. Both slow planes are policed
+//!   by one [`Policer`] each, read in jump-table order, so forwarders
+//!   that climb the ladder in lockstep are quarantined in a fixed order.
 //! * **Interpreter traps** — [`TRAP_THRESHOLD`] traps from one ME
 //!   forwarder within an epoch: warn, then quarantine (verified code
 //!   cannot trap, so a trapping forwarder bypassed verification).
@@ -43,13 +50,11 @@ use npr_sim::Time;
 
 use crate::classify::WhereRun;
 use crate::install::Fid;
-use crate::plane::{Bus, ControlVerb};
+use crate::plane::ControlVerb;
 use crate::router::Router;
-use crate::world::Escalation;
 
-/// Sampling epoch, 50 us. The monitor piggybacks on the event loop —
-/// it schedules nothing of its own, so a fault-free run dispatches the
-/// same events with the monitor armed.
+/// Sampling epoch, 50 us. The monitor piggybacks on the event loop
+/// rather than scheduling its own sampling events.
 pub const EPOCH_PS: Time = 50_000_000;
 
 /// Epochs of queued-work-but-no-progress before a plane is declared
@@ -70,12 +75,104 @@ pub const TRAP_THRESHOLD: u64 = 8;
 /// Attempted-cost accounting for one policed forwarder: what it tried
 /// to spend (declared plus overrun, pre-throttle) over how many
 /// packets. The overrun detector diffs these across epochs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FwdrStat {
+#[derive(Debug, Clone, Copy, Default)]
+struct FwdrStat {
     /// Packets policed.
-    pub pkts: u64,
+    pkts: u64,
     /// Cycles the forwarder attempted to spend on them.
-    pub attempted_cycles: u64,
+    attempted_cycles: u64,
+}
+
+/// One jump-table entry's slot in a [`Policer`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Policed {
+    /// Injected per-packet overrun cycles (0 = well-behaved).
+    overrun: u64,
+    /// The throttle rung: the overrun is no longer charged.
+    throttled: bool,
+    /// Declared per-packet cost, as of the last policed packet.
+    declared: u64,
+    /// Attempted-cost totals.
+    stat: FwdrStat,
+    /// `stat` at the last epoch boundary.
+    snapshot: FwdrStat,
+}
+
+/// Runtime-budget policing for one slow plane (StrongARM or Pentium),
+/// indexed by the plane's jump-table index: the fault hook that makes a
+/// forwarder overrun its declared cost, the attempted-cost accounting
+/// the overrun detector reads once per epoch, and the throttle rung the
+/// monitor sets. The null forwarder (`u32::MAX`) is never policed.
+#[derive(Debug, Default)]
+pub struct Policer {
+    slots: Vec<Policed>,
+}
+
+impl Policer {
+    /// Fault hook: makes forwarder `fwdr` overrun its declared budget
+    /// by `extra` cycles per packet (0 restores good behavior).
+    ///
+    /// # Panics
+    ///
+    /// On the null forwarder `u32::MAX`, which has no budget.
+    pub fn misbehave(&mut self, fwdr: u32, extra: u64) {
+        assert_ne!(fwdr, u32::MAX, "the null forwarder is never policed");
+        let i = fwdr as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, Policed::default());
+        }
+        self.slots[i].overrun = extra;
+    }
+
+    /// True while the monitor throttles `fwdr` to its declared cost.
+    pub fn throttled(&self, fwdr: u32) -> bool {
+        self.slots.get(fwdr as usize).is_some_and(|s| s.throttled)
+    }
+
+    /// Polices one packet of `fwdr`, which declared `declared` cycles:
+    /// returns the extra cycles to charge it (0 when well-behaved or
+    /// throttled) and records the *attempted* cost for the overrun
+    /// detector.
+    pub(crate) fn police(&mut self, fwdr: u32, declared: u64) -> u64 {
+        let slot = self.slots.get_mut(fwdr as usize);
+        let Some(s) = slot.filter(|s| s.overrun > 0) else {
+            return 0;
+        };
+        s.declared = declared;
+        s.stat.pkts += 1;
+        s.stat.attempted_cycles += declared + s.overrun;
+        if s.throttled {
+            0 // The throttle rung preempts at the declared cost.
+        } else {
+            s.overrun
+        }
+    }
+
+    fn set_throttled(&mut self, fwdr: u32, on: bool) {
+        if let Some(s) = self.slots.get_mut(fwdr as usize) {
+            s.throttled = on;
+        }
+    }
+
+    /// Closes an epoch: per forwarder, in jump-table order, whether its
+    /// attempted per-packet average since the last call exceeded its
+    /// declared cost by [`OVERRUN_FACTOR`] ([`npr_vrp::runtime_overrun`]).
+    fn end_epoch(&mut self) -> Vec<bool> {
+        self.slots
+            .iter_mut()
+            .map(|s| {
+                let pkts = s.stat.pkts - s.snapshot.pkts;
+                let cycles = s.stat.attempted_cycles - s.snapshot.attempted_cycles;
+                s.snapshot = s.stat;
+                pkts > 0
+                    && npr_vrp::runtime_overrun(
+                        s.declared,
+                        cycles as f64 / pkts as f64,
+                        OVERRUN_FACTOR,
+                    )
+            })
+            .collect()
+    }
 }
 
 /// Health accounting: totals since construction (the report
@@ -138,10 +235,8 @@ pub struct HealthMonitor {
     qm_cap_snapshot: u64,
     qm_overloaded: u32,
     qm_warned: bool,
-    // Overrun / trap tracking.
+    // Overrun / trap tracking (looked up by key, never iterated).
     ladders: HashMap<(WhereRun, u32), Ladder>,
-    sa_stat_snapshot: HashMap<u32, FwdrStat>,
-    pe_stat_snapshot: HashMap<u32, FwdrStat>,
     me_trap_snapshot: Vec<u64>,
     /// Targets quarantined so far, in order.
     pub quarantined: Vec<(WhereRun, u32)>,
@@ -164,8 +259,6 @@ impl Default for HealthMonitor {
             qm_overloaded: 0,
             qm_warned: false,
             ladders: HashMap::new(),
-            sa_stat_snapshot: HashMap::new(),
-            pe_stat_snapshot: HashMap::new(),
             me_trap_snapshot: Vec::new(),
             quarantined: Vec::new(),
         }
@@ -183,7 +276,7 @@ impl HealthMonitor {
 impl Router {
     /// The per-event health hook: samples the planes once per elapsed
     /// epoch. Called by `run_until` after every dispatch; cheap when no
-    /// epoch boundary passed, and schedules nothing ever.
+    /// epoch boundary passed.
     pub(crate) fn health_tick(&mut self, at: Time) {
         if at < self.health.next_epoch {
             return;
@@ -229,7 +322,8 @@ impl Router {
             self.health.stats.recovery_latency_sum_ps +=
                 at.saturating_sub(self.health.sa_stall_from);
             self.health.sa_stalled = 0;
-            self.sa_soft_reset();
+            let (_, sa, _, mut bus) = self.planes();
+            sa.soft_reset(&mut bus);
             self.replay_installs();
         }
     }
@@ -277,34 +371,6 @@ impl Router {
         }
     }
 
-    /// Rebuilds the inter-plane bus and soft-resets the StrongARM.
-    fn sa_soft_reset(&mut self) {
-        let Self {
-            ixp,
-            world,
-            sa,
-            pci,
-            events,
-            sa_waker,
-            pe_waker,
-            ctl,
-            cfg,
-            ..
-        } = self;
-        let mut bus = Bus {
-            world,
-            pci,
-            ixp,
-            cfg,
-            ctl,
-            events,
-            epoch: 0,
-            sa_waker,
-            pe_waker,
-        };
-        sa.soft_reset(&mut bus);
-    }
-
     /// Replays every verified install down the simulated control path
     /// (Pentium marshalling, PCI descriptor, StrongARM execution, and
     /// the ISTORE freeze window for ME code), in fid order — the
@@ -326,61 +392,17 @@ impl Router {
         }
     }
 
-    /// Overrun detector: per-epoch attempted-cost averages against the
-    /// declared install-time cost, through the shared
-    /// [`npr_vrp::runtime_overrun`] predicate.
+    /// Overrun detector: closes the epoch on both slow planes'
+    /// policers, StrongARM then Pentium, each in jump-table order.
     fn check_overruns(&mut self, at: Time) {
-        let mut verdicts: Vec<(WhereRun, u32, bool)> = Vec::new();
-        for (&fwdr, &stat) in &self.sa.fwdr_stats {
-            let prev = self
-                .health
-                .sa_stat_snapshot
-                .get(&fwdr)
-                .copied()
-                .unwrap_or_default();
-            let pkts = stat.pkts - prev.pkts;
-            let cycles = stat.attempted_cycles - prev.attempted_cycles;
-            let declared = self
-                .sa
-                .forwarders
-                .get(fwdr as usize)
-                .map(|f| f.cycles)
-                .unwrap_or(0);
-            let over = pkts > 0
-                && npr_vrp::runtime_overrun(
-                    declared,
-                    cycles as f64 / pkts as f64,
-                    OVERRUN_FACTOR,
-                );
-            verdicts.push((WhereRun::Sa, fwdr, over));
-        }
-        self.health.sa_stat_snapshot = self.sa.fwdr_stats.clone();
-        for (&fwdr, &stat) in &self.pe.fwdr_stats {
-            let prev = self
-                .health
-                .pe_stat_snapshot
-                .get(&fwdr)
-                .copied()
-                .unwrap_or_default();
-            let pkts = stat.pkts - prev.pkts;
-            let cycles = stat.attempted_cycles - prev.attempted_cycles;
-            let declared = self
-                .pe
-                .forwarders
-                .get(fwdr as usize)
-                .map(|f| f.cycles)
-                .unwrap_or(0);
-            let over = pkts > 0
-                && npr_vrp::runtime_overrun(
-                    declared,
-                    cycles as f64 / pkts as f64,
-                    OVERRUN_FACTOR,
-                );
-            verdicts.push((WhereRun::Pe, fwdr, over));
-        }
-        self.health.pe_stat_snapshot = self.pe.fwdr_stats.clone();
-        for (wr, fwdr, over) in verdicts {
-            self.escalate(wr, fwdr, over, at);
+        let verdicts = [
+            (WhereRun::Sa, self.sa.policer.end_epoch()),
+            (WhereRun::Pe, self.pe.policer.end_epoch()),
+        ];
+        for (wr, overs) in verdicts {
+            for (fwdr, over) in overs.into_iter().enumerate() {
+                self.escalate(wr, fwdr as u32, over, at);
+            }
         }
     }
 
@@ -389,18 +411,14 @@ impl Router {
     /// Unattributed traps (measurement pads) are counted in
     /// `Counters::vrp_traps` but never escalate.
     fn check_me_traps(&mut self, at: Time) {
+        // `me_traps` only grows, and escalating never touches it.
         let n = self.world.me_traps.len();
-        if self.health.me_trap_snapshot.len() < n {
-            self.health.me_trap_snapshot.resize(n, 0);
-        }
-        let mut verdicts: Vec<(u32, bool)> = Vec::new();
+        self.health.me_trap_snapshot.resize(n, 0);
         for i in 0..n {
             let delta = self.world.me_traps[i] - self.health.me_trap_snapshot[i];
             self.health.me_trap_snapshot[i] = self.world.me_traps[i];
-            verdicts.push((i as u32, delta >= self.health.trap_threshold));
-        }
-        for (fwdr, over) in verdicts {
-            self.escalate(WhereRun::Me, fwdr, over, at);
+            let over = delta >= self.health.trap_threshold;
+            self.escalate(WhereRun::Me, i as u32, over, at);
         }
     }
 
@@ -412,15 +430,7 @@ impl Router {
         let key = (wr, fwdr);
         if !over {
             if self.health.ladders.remove(&key).is_some() {
-                match wr {
-                    WhereRun::Sa => {
-                        self.sa.throttled.remove(&fwdr);
-                    }
-                    WhereRun::Pe => {
-                        self.pe.throttled.remove(&fwdr);
-                    }
-                    WhereRun::Me => {}
-                }
+                self.set_throttled(wr, fwdr, false);
             }
             return;
         }
@@ -436,18 +446,20 @@ impl Router {
             self.health.stats.warnings += 1;
         } else if streak == 2 && wr != WhereRun::Me {
             self.health.stats.throttles += 1;
-            match wr {
-                WhereRun::Sa => {
-                    self.sa.throttled.insert(fwdr);
-                }
-                WhereRun::Pe => {
-                    self.pe.throttled.insert(fwdr);
-                }
-                WhereRun::Me => unreachable!(),
-            }
+            self.set_throttled(wr, fwdr, true);
         }
         if streak == quarantine_rung {
             self.quarantine(wr, fwdr, at, first_at);
+        }
+    }
+
+    /// Sets or lifts the throttle rung on a slow-path forwarder (the
+    /// MicroEngines have no throttle: the interpreter bounds them).
+    fn set_throttled(&mut self, wr: WhereRun, fwdr: u32, on: bool) {
+        match wr {
+            WhereRun::Sa => self.sa.policer.set_throttled(fwdr, on),
+            WhereRun::Pe => self.pe.policer.set_throttled(fwdr, on),
+            WhereRun::Me => {}
         }
     }
 
@@ -464,36 +476,31 @@ impl Router {
         {
             self.world.classifier.unbind(fid);
         }
+        // Re-aim the packets still tagged for it: those staged at the
+        // StrongARM and, for a Pentium forwarder, those already across
+        // the bus.
+        let null = |tag: &mut u32| {
+            if *tag == fwdr {
+                *tag = u32::MAX;
+            }
+        };
         match wr {
             WhereRun::Pe => {
-                for q in &mut self.pe.inbound {
-                    for item in q.iter_mut() {
-                        if item.fwdr == fwdr {
-                            item.fwdr = u32::MAX;
-                        }
-                    }
+                for (_, tag) in self.world.sa_pe_q.iter_mut().flat_map(|q| q.iter_mut()) {
+                    null(tag);
                 }
-                for e in self.world.escalations.values_mut() {
-                    if let Escalation::Pe { fwdr: f, .. } = e {
-                        if *f == fwdr {
-                            *f = u32::MAX;
-                        }
-                    }
+                for item in self.pe.inbound.iter_mut().flatten() {
+                    null(&mut item.fwdr);
                 }
-                self.pe.throttled.remove(&fwdr);
             }
             WhereRun::Sa => {
-                for e in self.world.escalations.values_mut() {
-                    if let Escalation::SaLocal { fwdr: f } = e {
-                        if *f == fwdr {
-                            *f = u32::MAX;
-                        }
-                    }
+                for (_, tag) in self.world.sa_local_q.iter_mut() {
+                    null(tag);
                 }
-                self.sa.throttled.remove(&fwdr);
             }
             WhereRun::Me => {}
         }
+        self.set_throttled(wr, fwdr, false);
         self.health.ladders.remove(&(wr, fwdr));
         self.health.stats.quarantines += 1;
         self.health.stats.recoveries += 1;

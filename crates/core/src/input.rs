@@ -637,13 +637,14 @@ impl InputLoop {
                 w.counters.input_pkts.inc();
             }
             Verdict::Escalate(esc) => {
-                let q = match esc {
-                    Escalation::SaLocal { .. } => &mut w.sa_local_q,
-                    Escalation::SaMiss => &mut w.sa_miss_q,
-                    Escalation::Pe { flow, .. } => &mut w.sa_pe_q[usize::from(flow)],
+                let queued = match esc {
+                    Escalation::SaLocal { fwdr } => w.sa_local_q.enqueue((desc, fwdr)),
+                    Escalation::SaMiss => w.sa_miss_q.enqueue(desc),
+                    Escalation::Pe { flow, fwdr } => {
+                        w.sa_pe_q[usize::from(flow)].enqueue((desc, fwdr))
+                    }
                 };
-                if q.enqueue(desc) {
-                    w.escalations.insert(desc, esc);
+                if queued {
                     w.signals.push(crate::plane::PlaneSignal::WakeSa);
                 }
                 match esc {

@@ -4,13 +4,13 @@
 //! marshalled here before crossing the bus, sharing the single Pentium
 //! server with packet forwarders.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use npr_packet::BufferHandle;
 use npr_sim::Time;
 
 use crate::costs::{PeCosts, CTL_DESC_BYTES, CTL_PE_CYCLES};
-use crate::health::FwdrStat;
+use crate::health::Policer;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
 use crate::sched::Stride;
@@ -106,13 +106,9 @@ pub struct Pentium {
     /// Jobs finished since construction (packets *and* control ops) —
     /// the health monitor's progress signal.
     pub jobs_finished: u64,
-    /// Injected per-packet overrun cycles per forwarder (fault hook).
-    pub overruns: HashMap<u32, u64>,
-    /// Forwarders throttled by the health monitor.
-    pub throttled: HashSet<u32>,
-    /// Attempted-cost accounting per forwarder, fed to the
-    /// runtime-overrun detector.
-    pub fwdr_stats: HashMap<u32, FwdrStat>,
+    /// Runtime-budget policing of the installed forwarders: the overrun
+    /// fault hook, attempted-cost accounting and the throttle rung.
+    pub policer: Policer,
 }
 
 impl Pentium {
@@ -134,43 +130,14 @@ impl Pentium {
             busy_ps: 0,
             done: 0,
             jobs_finished: 0,
-            overruns: HashMap::new(),
-            throttled: HashSet::new(),
-            fwdr_stats: HashMap::new(),
+            policer: Policer::default(),
         }
     }
 
-    /// Polices a forwarder's runtime cost: returns the extra cycles to
-    /// charge this packet (0 when well-behaved or throttled) and
-    /// records the *attempted* cost for the overrun detector.
-    fn police(&mut self, fwdr: u32) -> u64 {
-        let extra = self.overruns.get(&fwdr).copied().unwrap_or(0);
-        if extra == 0 {
-            return 0;
-        }
-        let declared = self
-            .forwarders
-            .get(fwdr as usize)
-            .map(|f| f.cycles)
-            .unwrap_or(0);
-        let stat = self.fwdr_stats.entry(fwdr).or_default();
-        stat.pkts += 1;
-        stat.attempted_cycles += declared + extra;
-        if self.throttled.contains(&fwdr) {
-            0 // The throttle rung preempts at the declared cost.
-        } else {
-            extra
-        }
-    }
-
-    /// Fault hook: makes forwarder `fwdr` overrun its declared budget
-    /// by `extra` cycles per packet (0 restores good behavior).
-    pub fn misbehave(&mut self, fwdr: u32, extra: u64) {
-        if extra == 0 {
-            self.overruns.remove(&fwdr);
-        } else {
-            self.overruns.insert(fwdr, extra);
-        }
+    /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
+    /// null forwarder).
+    fn declared(&self, fwdr: u32) -> u64 {
+        self.forwarders.get(fwdr as usize).map_or(0, |f| f.cycles)
     }
 
     /// True when any inbound queue has work.
@@ -187,11 +154,7 @@ impl Pentium {
 
     /// Cycles to process `item`.
     pub fn cycles_for(&self, item: &PeItem) -> u64 {
-        let f = self
-            .forwarders
-            .get(item.fwdr as usize)
-            .map(|f| f.cycles)
-            .unwrap_or(0);
+        let f = self.declared(item.fwdr);
         let body = if item.lazy {
             0
         } else {
@@ -221,7 +184,8 @@ impl Pentium {
             return;
         }
         let Some(item) = self.pick() else { return };
-        let cycles = self.cycles_for(&item) + self.police(item.fwdr);
+        let declared = self.declared(item.fwdr);
+        let cycles = self.cycles_for(&item) + self.policer.police(item.fwdr, declared);
         let dur = cycles * npr_sim::PS_PER_PENTIUM_CYCLE;
         self.busy_ps += dur;
         self.current = Some(item);

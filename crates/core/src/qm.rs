@@ -38,23 +38,20 @@ use crate::queues::PacketQueue;
 /// Smallest per-port flow count the budget clamp will go down to.
 pub const MIN_FLOWS_PER_PORT: usize = 16;
 
-/// FNV-1a over the 5-tuple-ish flow key; maps a flow to its queue slot.
+/// FNV-1a over the 5-tuple-ish flow key, one round per word; maps a
+/// flow to its queue slot.
 pub fn flow_slot(key: &FlowKey, nflows: usize) -> usize {
     debug_assert!(nflows.is_power_of_two());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(u64::from(key.src));
-    mix(u64::from(key.dst));
-    mix(u64::from(key.sport) << 16 | u64::from(key.dport));
-    // Fold the high half down before masking: FNV's multiply only
-    // avalanches upward, and the slot mask keeps the low bits.
-    h ^= h >> 32;
-    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    h ^= h >> 16;
-    (h as usize) & (nflows - 1)
+    let mut h = npr_check::rng::Fnv1a::new();
+    h.write_word(u64::from(key.src));
+    h.write_word(u64::from(key.dst));
+    h.write_word(u64::from(key.sport) << 16 | u64::from(key.dport));
+    // Fold the high half down before masking (one more round over it):
+    // FNV's multiply only avalanches upward, and the slot mask keeps
+    // the low bits.
+    h.write_word(h.finish() >> 32);
+    let h = h.finish();
+    ((h ^ (h >> 16)) as usize) & (nflows - 1)
 }
 
 /// Virtual-time width of one wheel slot, in bytes of weight-1 service;

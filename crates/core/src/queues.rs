@@ -33,17 +33,19 @@ pub enum OutputDiscipline {
     MultiIndirect,
 }
 
-/// One bounded descriptor queue.
+/// One bounded descriptor queue. An entry is a bare descriptor unless
+/// the queue carries a tag beside it (the StrongARM staging queues hold
+/// `(descriptor, forwarder)` pairs).
 #[derive(Debug, Clone)]
-pub struct PacketQueue {
-    entries: std::collections::VecDeque<u32>,
+pub struct PacketQueue<T = u32> {
+    entries: std::collections::VecDeque<T>,
     cap: usize,
     enqueued: u64,
     dequeued: u64,
     drops: u64,
 }
 
-impl PacketQueue {
+impl<T> PacketQueue<T> {
     /// Creates a queue holding up to `cap` descriptors.
     pub fn new(cap: usize) -> Self {
         Self {
@@ -55,20 +57,20 @@ impl PacketQueue {
         }
     }
 
-    /// Enqueues a descriptor; returns `false` (and counts a drop) when
-    /// the ring is full.
-    pub fn enqueue(&mut self, desc: u32) -> bool {
+    /// Enqueues an entry; returns `false` (and counts a drop) when the
+    /// ring is full.
+    pub fn enqueue(&mut self, entry: T) -> bool {
         if self.entries.len() >= self.cap {
             self.drops += 1;
             return false;
         }
-        self.entries.push_back(desc);
+        self.entries.push_back(entry);
         self.enqueued += 1;
         true
     }
 
-    /// Dequeues the oldest descriptor.
-    pub fn dequeue(&mut self) -> Option<u32> {
+    /// Dequeues the oldest entry.
+    pub fn dequeue(&mut self) -> Option<T> {
         let d = self.entries.pop_front()?;
         self.dequeued += 1;
         Some(d)
@@ -82,6 +84,11 @@ impl PacketQueue {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The queued entries, oldest first, for in-place retagging.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.entries.iter_mut()
     }
 
     /// Descriptors accepted so far.

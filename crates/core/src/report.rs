@@ -275,13 +275,8 @@ impl Router {
     /// it is the equality the parallel differential suites assert, one
     /// number per router instead of a field-by-field walk.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = npr_check::rng::Fnv1a::new();
+        let mut mix = |v: u64| h.write_u64(v);
         mix(self.now());
         let c = self.conservation();
         for v in [
@@ -339,7 +334,7 @@ impl Router {
             mix(qm.sojourn_drops());
             mix(qm.total_queued() as u64);
         }
-        h
+        h.finish()
     }
 
     /// Quiescence watchdog: after traffic ends, runs the router in

@@ -106,7 +106,7 @@ pub struct Router {
     pub(crate) mark: Totals,
     /// The runtime health monitor (watchdog, overrun policing,
     /// quarantine, recovery). Armed by default; piggybacks on the event
-    /// loop and schedules nothing of its own.
+    /// loop, scheduling only the wedge watchdog's `HealthPulse`.
     pub health: HealthMonitor,
 }
 
@@ -469,9 +469,8 @@ impl Router {
         while let Some((at, ev)) = self.pop_next(t) {
             self.events_by_kind[ev.kind()] += 1;
             self.dispatch(at, ev);
-            // The health monitor samples between events: it observes
-            // the planes but schedules nothing, so a fault-free run is
-            // bit-identical with the monitor armed.
+            // The health monitor samples between events (crate::health
+            // says when it schedules anything).
             self.health_tick(at);
         }
         self.events.deadline = 0;
@@ -488,6 +487,18 @@ impl Router {
             PlaneEvent::PeWake => self.pe_waker.fire(at),
             _ => {}
         }
+        let (fast, sa, pe, mut bus) = self.planes();
+        match ev.dest() {
+            PlaneId::Fast => fast.step(at, ev, &mut bus),
+            PlaneId::StrongArm => sa.step(at, ev, &mut bus),
+            PlaneId::Pentium => pe.step(at, ev, &mut bus),
+        }
+        bus.drain_signals();
+    }
+
+    /// Splits the router into its three planes and the [`Bus`] they
+    /// share: the one place a `Bus` is built.
+    pub(crate) fn planes(&mut self) -> (&mut FastPath, &mut StrongArm, &mut Pentium, Bus<'_>) {
         let Self {
             ixp,
             world,
@@ -500,25 +511,21 @@ impl Router {
             pe_waker,
             ctl,
             cfg,
+            health,
             ..
         } = self;
-        let mut bus = Bus {
+        let bus = Bus {
             world,
             pci,
             ixp,
             cfg,
             ctl,
             events,
-            epoch: self.health.next_epoch,
+            epoch: health.next_epoch,
             sa_waker,
             pe_waker,
         };
-        match ev.dest() {
-            PlaneId::Fast => fast.step(at, ev, &mut bus),
-            PlaneId::StrongArm => sa.step(at, ev, &mut bus),
-            PlaneId::Pentium => pe.step(at, ev, &mut bus),
-        }
-        bus.drain_signals();
+        (fast, sa, pe, bus)
     }
 
     /// Arms the packet tracer for IPv4 destination `dst` (records up to

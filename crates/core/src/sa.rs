@@ -15,18 +15,19 @@
 //! jump table, and reacts to its [`PlaneEvent`]s through the shared
 //! [`Bus`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use npr_packet::BufferHandle;
 use npr_sim::{cycles_to_ps, FaultClass, Time};
 
 use crate::costs::{SaCosts, CTL_DESC_BYTES, CTL_SA_CYCLES};
-use crate::health::FwdrStat;
+use crate::health::Policer;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::pe::PeItem;
 use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
+use crate::queues::PacketQueue;
 use crate::router::build_udp_frame;
-use crate::world::{Escalation, PktMeta, RouterWorld};
+use crate::world::{PktMeta, RouterWorld};
 
 /// Shortest injected wedge hang (`FaultClass::SaWedge`), in
 /// picoseconds. Chosen far above any legitimate job (the costliest
@@ -134,15 +135,9 @@ pub struct StrongArm {
     pub gen: u64,
     /// Completion time of the current job (busy-time rollback on reset).
     pub job_done_at: Time,
-    /// Injected per-packet overrun cycles per local forwarder (the
-    /// fault hook behind the runtime-budget detector).
-    pub overruns: HashMap<u32, u64>,
-    /// Forwarders throttled by the health monitor: their overrun is no
-    /// longer charged (the scheduler preempts at the declared cost).
-    pub throttled: HashSet<u32>,
-    /// Attempted-cost accounting per local forwarder, fed to the
-    /// runtime-overrun detector.
-    pub fwdr_stats: HashMap<u32, FwdrStat>,
+    /// Runtime-budget policing of the local forwarders: the overrun
+    /// fault hook, attempted-cost accounting and the throttle rung.
+    pub policer: Policer,
 }
 
 impl StrongArm {
@@ -161,10 +156,14 @@ impl StrongArm {
             jobs_finished: 0,
             gen: 0,
             job_done_at: 0,
-            overruns: HashMap::new(),
-            throttled: HashSet::new(),
-            fwdr_stats: HashMap::new(),
+            policer: Policer::default(),
         }
+    }
+
+    /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
+    /// null forwarder).
+    fn declared(&self, fwdr: u32) -> u64 {
+        self.forwarders.get(fwdr as usize).map_or(0, |f| f.cycles)
     }
 
     /// Cycles to bridge a packet of `mps` MPs toward the Pentium.
@@ -185,11 +184,7 @@ impl StrongArm {
 
     /// Cycles for a local job running jump-table entry `fwdr`.
     pub fn local_cycles(&self, fwdr: u32) -> u64 {
-        let f = self
-            .forwarders
-            .get(fwdr as usize)
-            .map(|f| f.cycles)
-            .unwrap_or(0);
+        let f = self.declared(fwdr);
         let intr = if self.use_interrupts {
             self.costs.interrupt_overhead
         } else {
@@ -213,32 +208,32 @@ fn assembled(world: &RouterWorld, desc: u32) -> bool {
     m.mps_total != 0 && m.mps_written >= m.mps_total
 }
 
-impl StrongArm {
-    /// Defers an incomplete packet: re-queues it and schedules a retry
-    /// after [`SA_DEFER_INTERVAL_PS`].
-    fn defer(
-        &mut self,
-        bus: &mut Bus<'_>,
-        q: fn(&mut RouterWorld) -> &mut crate::queues::PacketQueue,
-        desc: u32,
-    ) {
-        q(bus.world).enqueue(desc);
-        bus.wake_sa_in(SA_DEFER_INTERVAL_PS);
-    }
+/// The packet's IPv4 destination; `None` once its buffer lapped.
+fn dst_of(world: &mut RouterWorld, h: BufferHandle) -> Option<u32> {
+    world.pool.read(h).and_then(crate::router::parse_dst)
+}
 
-    /// Declares a never-assembling escalated packet dead once its
-    /// assembly was aborted (truncated frame) or it has been deferred
-    /// past the liveness bound. Returns `true` when the descriptor was
-    /// discarded — its terminal drop is counted here, exactly once.
-    fn give_up(&mut self, bus: &mut Bus<'_>, desc: u32) -> bool {
-        let h = BufferHandle::from_descriptor(desc);
-        let meta = bus.world.meta_mut(h);
+impl StrongArm {
+    /// Holds back an escalated packet whose MPs are not all in DRAM:
+    /// re-queues `entry` on `q` and retries after
+    /// [`SA_DEFER_INTERVAL_PS`] — unless its assembly was aborted
+    /// (truncated frame) or it has been deferred past the liveness
+    /// bound. Then the packet is declared dead and `true` is returned:
+    /// its terminal drop is counted here, exactly once.
+    fn defer<T>(
+        bus: &mut Bus<'_>,
+        q: impl FnOnce(&mut RouterWorld) -> &mut PacketQueue<T>,
+        desc: u32,
+        entry: T,
+    ) -> bool {
+        let meta = bus.world.meta_mut(BufferHandle::from_descriptor(desc));
         meta.deferrals += 1;
         if meta.aborted || meta.deferrals > SA_MAX_DEFERRALS {
-            bus.world.escalations.remove(&desc);
             bus.world.counters.truncated_drops.inc();
             return true;
         }
+        q(bus.world).enqueue(entry);
+        bus.wake_sa_in(SA_DEFER_INTERVAL_PS);
         false
     }
 
@@ -262,21 +257,12 @@ impl StrongArm {
             if !bus.pci.claim_buffer() {
                 break; // No Pentium buffers: try local work instead.
             }
-            let desc = bus.world.sa_pe_q[f].dequeue().expect("non-empty");
+            let (desc, fwdr) = bus.world.sa_pe_q[f].dequeue().expect("non-empty");
             if !assembled(bus.world, desc) {
                 bus.pci.release_buffer();
-                if self.give_up(bus, desc) {
-                    continue;
-                }
-                bus.world.sa_pe_q[f].enqueue(desc);
-                bus.wake_sa_in(SA_DEFER_INTERVAL_PS);
+                Self::defer(bus, |w| &mut w.sa_pe_q[f], desc, (desc, fwdr));
                 continue;
             }
-            let esc = bus.world.escalations.remove(&desc);
-            let fwdr = match esc {
-                Some(Escalation::Pe { fwdr, .. }) => fwdr,
-                _ => u32::MAX,
-            };
             let h = BufferHandle::from_descriptor(desc);
             let mps = bus.world.meta_of(h).mps_total.max(1);
             let cycles = self.bridge_cycles(mps, bus.cfg.lazy_body);
@@ -295,41 +281,30 @@ impl StrongArm {
         // Priority 2: route-cache misses.
         if let Some(desc) = bus.world.sa_miss_q.dequeue() {
             if !assembled(bus.world, desc) {
-                if self.give_up(bus, desc) {
+                if Self::defer(bus, |w| &mut w.sa_miss_q, desc, desc) {
                     bus.wake_sa_in(0);
-                    return;
                 }
-                self.defer(bus, |w| &mut w.sa_miss_q, desc);
                 return;
             }
-            bus.world.escalations.remove(&desc);
-            let h = BufferHandle::from_descriptor(desc);
-            let dst = bus
-                .world
-                .pool
-                .read(h)
-                .and_then(crate::router::parse_dst)
-                .unwrap_or(0);
+            // The job is charged for the trie levels it will walk; the
+            // lookup itself, which fills the route cache, happens when
+            // the job completes (`route`).
+            let dst = dst_of(bus.world, BufferHandle::from_descriptor(desc)).unwrap_or(0);
             let (_, levels) = bus.world.table.lookup_slow(dst);
             let cycles = self.miss_cycles(levels);
             self.begin_job(bus, SaJob::Miss { desc }, cycles, now);
             return;
         }
         // Priority 3: local forwarders.
-        if let Some(desc) = bus.world.sa_local_q.dequeue() {
+        if let Some((desc, fwdr)) = bus.world.sa_local_q.dequeue() {
             if !assembled(bus.world, desc) {
-                if self.give_up(bus, desc) {
+                if Self::defer(bus, |w| &mut w.sa_local_q, desc, (desc, fwdr)) {
                     bus.wake_sa_in(0);
-                    return;
                 }
-                self.defer(bus, |w| &mut w.sa_local_q, desc);
                 return;
             }
-            let fwdr = match bus.world.escalations.remove(&desc) {
-                Some(Escalation::SaLocal { fwdr }) => fwdr,
-                _ => u32::MAX,
-            };
-            let cycles = self.local_cycles(fwdr) + self.police(fwdr);
+            let declared = self.declared(fwdr);
+            let cycles = self.local_cycles(fwdr) + self.policer.police(fwdr, declared);
             // Local processing touches IXP DRAM (shared with the
             // MicroEngines): charge the controller.
             bus.ixp.dram.access(now, npr_ixp::Rw::Read, 64);
@@ -363,39 +338,6 @@ impl StrongArm {
         bus.send_at(now + dur, PlaneEvent::SaDone { gen: self.gen });
     }
 
-    /// Polices a local forwarder's runtime cost: returns the extra
-    /// cycles to charge this packet (0 when well-behaved or throttled)
-    /// and records the *attempted* cost for the overrun detector.
-    fn police(&mut self, fwdr: u32) -> u64 {
-        let extra = self.overruns.get(&fwdr).copied().unwrap_or(0);
-        if extra == 0 {
-            return 0;
-        }
-        let declared = self
-            .forwarders
-            .get(fwdr as usize)
-            .map(|f| f.cycles)
-            .unwrap_or(0);
-        let stat = self.fwdr_stats.entry(fwdr).or_default();
-        stat.pkts += 1;
-        stat.attempted_cycles += declared + extra;
-        if self.throttled.contains(&fwdr) {
-            0 // The throttle rung preempts at the declared cost.
-        } else {
-            extra
-        }
-    }
-
-    /// Fault hook: makes local forwarder `fwdr` overrun its declared
-    /// budget by `extra` cycles per packet (0 restores good behavior).
-    pub fn misbehave(&mut self, fwdr: u32, extra: u64) {
-        if extra == 0 {
-            self.overruns.remove(&fwdr);
-        } else {
-            self.overruns.insert(fwdr, extra);
-        }
-    }
-
     /// Watchdog soft reset (paper, section 5: the StrongARM "can be
     /// rebooted without disturbing the MicroEngines"). Abandons the
     /// wedged job losslessly — the held packet re-enters the staging
@@ -412,26 +354,13 @@ impl StrongArm {
         match self.job.take() {
             Some(SaJob::Bridge { desc, flow, fwdr }) => {
                 bus.pci.release_buffer();
-                bus.world
-                    .escalations
-                    .insert(desc, Escalation::Pe { flow, fwdr });
-                if !bus.world.sa_pe_q[usize::from(flow)].enqueue(desc) {
-                    bus.world.escalations.remove(&desc);
-                }
+                bus.world.sa_pe_q[usize::from(flow)].enqueue((desc, fwdr));
             }
             Some(SaJob::Local { desc, fwdr }) => {
-                bus.world
-                    .escalations
-                    .insert(desc, Escalation::SaLocal { fwdr });
-                if !bus.world.sa_local_q.enqueue(desc) {
-                    bus.world.escalations.remove(&desc);
-                }
+                bus.world.sa_local_q.enqueue((desc, fwdr));
             }
             Some(SaJob::Miss { desc }) => {
-                bus.world.escalations.insert(desc, Escalation::SaMiss);
-                if !bus.world.sa_miss_q.enqueue(desc) {
-                    bus.world.escalations.remove(&desc);
-                }
+                bus.world.sa_miss_q.enqueue(desc);
             }
             Some(SaJob::SynthBridge) => {
                 bus.pci.release_buffer();
@@ -444,29 +373,34 @@ impl StrongArm {
         bus.wake_sa_in(0);
     }
 
-    /// Resolves the route for an escalated packet whose classification
-    /// missed the cache (the StrongARM owns the trie). Returns `false`
-    /// when the packet has no route and must be dropped.
+    /// The StrongARM's one full prefix match (it owns the trie): looks
+    /// `dst` up, filling the route cache, and aims the packet at the
+    /// next hop's port, priority 0. Returns that queue, or `None` when
+    /// no route exists.
+    fn route(bus: &mut Bus<'_>, h: BufferHandle, dst: u32) -> Option<usize> {
+        let nh = bus.world.table.lookup_and_fill(dst).0?;
+        let qid = bus.world.queues.qid(usize::from(nh.port), 0);
+        let meta = bus.world.meta_mut(h);
+        meta.out_port = nh.port;
+        meta.qid = qid as u16;
+        meta.needs_route = false;
+        Some(qid)
+    }
+
+    /// Routes an escalated packet whose classification missed the
+    /// cache. Returns `false` (and counts the drop) when it has no
+    /// route.
     fn resolve_route(bus: &mut Bus<'_>, h: BufferHandle) -> bool {
         if !bus.world.meta_of(h).needs_route {
             return true;
         }
-        let dst = bus.world.pool.read(h).and_then(crate::router::parse_dst);
-        let nh = dst.and_then(|d| bus.world.table.lookup_and_fill(d).0);
-        match nh {
-            Some(nh) => {
-                let qid = bus.world.queues.qid(usize::from(nh.port), 0) as u16;
-                let meta = bus.world.meta_mut(h);
-                meta.out_port = nh.port;
-                meta.qid = qid;
-                meta.needs_route = false;
-                true
-            }
-            None => {
-                bus.world.counters.no_route_drops.inc();
-                false
-            }
+        let routed = dst_of(bus.world, h)
+            .and_then(|dst| Self::route(bus, h, dst))
+            .is_some();
+        if !routed {
+            bus.world.counters.no_route_drops.inc();
         }
+        routed
     }
 
     /// Runs a local forwarder over the packet and enqueues the result.
@@ -679,21 +613,9 @@ impl StrongArm {
             }
             SaJob::Miss { desc } => {
                 let h = BufferHandle::from_descriptor(desc);
-                let dst = bus
-                    .world
-                    .pool
-                    .read(h)
-                    .and_then(crate::router::parse_dst)
-                    .unwrap_or(0);
-                let (nh, _) = bus.world.table.lookup_and_fill(dst);
-                match nh {
-                    Some(nh) => {
-                        let qid = bus.world.queues.qid(usize::from(nh.port), 0);
-                        {
-                            let meta = bus.world.meta_mut(h);
-                            meta.out_port = nh.port;
-                            meta.qid = qid as u16;
-                        }
+                let dst = dst_of(bus.world, h).unwrap_or(0);
+                match Self::route(bus, h, dst) {
+                    Some(qid) => {
                         bus.world.queues.enqueue(qid, desc);
                         bus.world.counters.sa_local_done.inc();
                     }

@@ -206,14 +206,13 @@ pub struct RouterWorld {
     pub me_traps: Vec<u64>,
     /// Per-flow SRAM state blocks, indexed by `state_idx`.
     pub flow_state: Vec<Vec<u8>>,
-    /// StrongARM-local work queue.
-    pub sa_local_q: PacketQueue,
+    /// StrongARM-local work queue of `(descriptor, jump-table index)`.
+    pub sa_local_q: PacketQueue<(u32, u32)>,
     /// Route-miss queue (StrongARM services with the trie).
     pub sa_miss_q: PacketQueue,
-    /// Pentium-bound staging queues, one per flow class.
-    pub sa_pe_q: Vec<PacketQueue>,
-    /// Escalation tags for queued descriptors.
-    pub escalations: HashMap<u32, Escalation>,
+    /// Pentium-bound staging queues, one per flow class, of
+    /// `(descriptor, Pentium jump-table index)`.
+    pub sa_pe_q: Vec<PacketQueue<(u32, u32)>>,
     /// Signals raised by context programs (which can only see the
     /// world); the dispatcher drains these into typed plane events
     /// after every step.
@@ -293,7 +292,6 @@ impl RouterWorld {
             sa_local_q: PacketQueue::new(512),
             sa_miss_q: PacketQueue::new(256),
             sa_pe_q: vec![PacketQueue::new(512)],
-            escalations: HashMap::new(),
             signals: Vec::new(),
             exception_sa_fwdr: u32::MAX,
             wfq: None,

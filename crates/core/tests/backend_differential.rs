@@ -7,6 +7,7 @@
 //! per-program half); `scripts/verify.sh` runs it explicitly and fails
 //! if it executed zero tests.
 
+use npr_check::rng::Fnv1a;
 use npr_core::{ms, us, InstallRequest, Key, Router, RouterConfig};
 use npr_sim::fault::FAULT_CLASSES;
 use npr_sim::{FaultClass, FaultPlan, XorShift64};
@@ -18,21 +19,6 @@ const BIG_FRAMES: u64 = if cfg!(debug_assertions) { 20 } else { 60 };
 
 fn horizon() -> npr_sim::Time {
     ms(if cfg!(debug_assertions) { 2 } else { 4 })
-}
-
-/// FNV-1a over every deterministic observable the scenario produces.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 /// The faults.rs traffic shape with a stack of Table 5 forwarders in
@@ -89,14 +75,14 @@ fn run_digest(seed: u64, backend: VrpBackend, plan: Option<FaultPlan>) -> u64 {
     r.set_fault_plan(plan);
     r.run_until(horizon());
     assert!(r.drain(us(100), 600), "router failed to quiesce");
-    let mut d = Digest::new();
-    d.u64(r.now());
-    d.u64(r.sa.done);
-    d.u64(r.pe.done);
+    let mut d = Fnv1a::new();
+    d.write_u64(r.now());
+    d.write_u64(r.sa.done);
+    d.write_u64(r.pe.done);
     for p in &r.ixp.hw.ports {
-        d.u64(p.rx_frames);
-        d.u64(p.rx_frames_dropped);
-        d.u64(p.tx_frames);
+        d.write_u64(p.rx_frames);
+        d.write_u64(p.rx_frames_dropped);
+        d.write_u64(p.tx_frames);
     }
     let c = &r.world.counters;
     for counter in [
@@ -118,19 +104,19 @@ fn run_digest(seed: u64, backend: VrpBackend, plan: Option<FaultPlan>) -> u64 {
         &c.latency_sum_ps,
         &c.latency_samples,
     ] {
-        d.u64(counter.total());
+        d.write_u64(counter.total());
     }
     for traps in &r.world.me_traps {
-        d.u64(*traps);
+        d.write_u64(*traps);
     }
-    d.u64(r.world.queues.total_drops());
+    d.write_u64(r.world.queues.total_drops());
     let h = &r.health.stats;
-    d.u64(h.epochs);
-    d.u64(h.warnings);
-    d.u64(h.throttles);
-    d.u64(h.quarantines);
-    d.u64(h.sa_resets);
-    d.0
+    d.write_u64(h.epochs);
+    d.write_u64(h.warnings);
+    d.write_u64(h.throttles);
+    d.write_u64(h.quarantines);
+    d.write_u64(h.sa_resets);
+    d.finish()
 }
 
 /// The core assertion: for one (seed, plan), both tiers digest equal.

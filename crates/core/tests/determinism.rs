@@ -19,31 +19,13 @@
 //! PR, noting why the schedule moved.
 
 use npr_check::prelude::*;
+use npr_check::rng::Fnv1a;
 use npr_check::CheckRng;
 use npr_core::{ms, us, Router};
 use npr_sim::Time;
 use npr_vrp::VrpBackend;
 
 mod common;
-
-/// FNV-1a, 64-bit: digests must be stable across runs, processes, and
-/// build profiles, so only integers and fixed strings are fed in.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
 
 /// The scaled-down `robust_router` scenario: flood on seven ports, a
 /// traced control stream installing routes via the Pentium on the
@@ -112,15 +94,17 @@ fn run_scenario_sliced(
         .count() as u64;
     assert!(installed > 10, "control plane starved: {installed}/40");
 
-    let mut d = Digest::new();
-    d.u64(router.now());
-    d.u64(installed);
-    d.u64(router.sa.done);
-    d.u64(router.pe.done);
+    // FNV-1a: digests must be stable across runs, processes, and build
+    // profiles, so only integers and fixed strings are fed in.
+    let mut d = Fnv1a::new();
+    d.write_u64(router.now());
+    d.write_u64(installed);
+    d.write_u64(router.sa.done);
+    d.write_u64(router.pe.done);
     for (p, p0) in router.ixp.hw.ports.iter().zip(&ports0) {
-        d.u64(p.rx_frames - p0[0]);
-        d.u64(p.rx_frames_dropped - p0[1]);
-        d.u64(p.tx_frames - p0[2]);
+        d.write_u64(p.rx_frames - p0[0]);
+        d.write_u64(p.rx_frames_dropped - p0[1]);
+        d.write_u64(p.tx_frames - p0[2]);
     }
     let c = &router.world.counters;
     for counter in [
@@ -141,15 +125,15 @@ fn run_scenario_sliced(
         &c.latency_sum_ps,
         &c.latency_samples,
     ] {
-        d.u64(counter.total());
+        d.write_u64(counter.total());
     }
-    d.u64(c.latency_max_ps);
-    d.u64(router.world.queues.total_drops() - drops0);
+    d.write_u64(c.latency_max_ps);
+    d.write_u64(router.world.queues.total_drops() - drops0);
     for e in &router.trace().events {
-        d.u64(e.at);
-        d.bytes(format!("{:?}", e.step).as_bytes());
+        d.write_u64(e.at);
+        d.write_bytes(format!("{:?}", e.step).as_bytes());
     }
-    (d.0, report)
+    (d.finish(), report)
 }
 
 /// Known-good digest of `run_scenario` under the calendar-queue

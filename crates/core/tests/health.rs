@@ -1,10 +1,11 @@
 //! Health-and-recovery subsystem tests: the runtime-overrun escalation
 //! ladder (warn -> throttle -> quarantine), trap-storm quarantine of an
 //! unverified ME forwarder, StrongARM wedge reset with install replay
-//! down the simulated control path, and the `Report` surfacing of all
-//! of it. Companion to the wedge-detection pins in `faults.rs`.
+//! down the simulated control path, the `Report` surfacing of all of
+//! it, and a fixed quarantine order for forwarders that offend in
+//! lockstep. Companion to the wedge-detection pins in `faults.rs`.
 
-use npr_core::{ms, us, InstallRequest, Key, Router, RouterConfig, WhereRun};
+use npr_core::{ms, us, FlowKey, InstallRequest, Key, Router, RouterConfig, WhereRun};
 use npr_forwarders::slow::{full_ip_sa, tcp_proxy_pe, FULL_IP_CYCLES};
 
 /// A router whose every packet takes the StrongARM-local slow path.
@@ -28,7 +29,7 @@ fn settle(r: &mut Router) {
 fn sa_overrun_climbs_warn_throttle_quarantine() {
     let mut r = sa_router();
     // The forwarder declared FULL_IP_CYCLES but attempts ~4x that.
-    r.sa.misbehave(0, FULL_IP_CYCLES * 3);
+    r.sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
     r.run_until(ms(3));
     settle(&mut r);
     let s = r.health.stats;
@@ -41,7 +42,7 @@ fn sa_overrun_climbs_warn_throttle_quarantine() {
     let tx: u64 = (0..8).map(|p| r.ixp.hw.ports[p].tx_frames).sum();
     assert!(tx > 0, "no traffic survived the quarantine");
     assert!(
-        !r.sa.throttled.contains(&0),
+        !r.sa.policer.throttled(0),
         "quarantine must clear the throttle"
     );
 }
@@ -49,13 +50,13 @@ fn sa_overrun_climbs_warn_throttle_quarantine() {
 #[test]
 fn overrun_ladder_unwinds_when_behavior_recovers() {
     let mut r = sa_router();
-    r.sa.misbehave(0, FULL_IP_CYCLES * 3);
+    r.sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
     // One offending epoch (50us): the warn rung fires. Packets policed
     // before the fault clears may contaminate the *next* epoch's
     // average (at most the throttle rung) — but with good behavior no
     // later epoch can offend, so the quarantine rung is unreachable.
     r.run_until(us(60));
-    r.sa.misbehave(0, 0);
+    r.sa.policer.misbehave(0, 0);
     r.run_until(ms(3));
     settle(&mut r);
     let s = r.health.stats;
@@ -63,7 +64,7 @@ fn overrun_ladder_unwinds_when_behavior_recovers() {
     assert!(s.throttles <= 1, "{s:?}");
     assert_eq!(s.quarantines, 0, "recovered forwarder was quarantined");
     assert!(
-        !r.sa.throttled.contains(&0),
+        !r.sa.policer.throttled(0),
         "throttle must lift once the overrun disappears"
     );
     assert!(r.health.quarantined.is_empty());
@@ -75,14 +76,14 @@ fn pe_overrun_is_policed_like_the_strongarm() {
     r.install(Key::All, tcp_proxy_pe(50_000), None)
         .expect("PE forwarder admitted");
     r.attach_cbr(0, 0.5, 150, 1);
-    r.pe.misbehave(0, 4_000);
+    r.pe.policer.misbehave(0, 4_000);
     r.run_until(ms(3));
     settle(&mut r);
     let s = r.health.stats;
     assert_eq!(s.throttles, 1, "{s:?}");
     assert_eq!(s.quarantines, 1, "{s:?}");
     assert_eq!(r.health.quarantined, vec![(WhereRun::Pe, 0)]);
-    assert!(!r.pe.throttled.contains(&0));
+    assert!(!r.pe.policer.throttled(0));
 }
 
 /// An always-trapping program standing in for ISTORE bit-rot: reads
@@ -222,7 +223,7 @@ fn compiled_forwarder_at_declared_cost_is_never_policed() {
 #[test]
 fn report_surfaces_health_counters() {
     let mut r = sa_router();
-    r.sa.misbehave(0, FULL_IP_CYCLES * 3);
+    r.sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
     let report = r.measure(us(0), ms(3));
     assert!(report.health_epochs > 0);
     assert!(report.health_warnings >= 1);
@@ -230,4 +231,57 @@ fn report_surfaces_health_counters() {
     assert_eq!(report.health_quarantines, 1);
     assert_eq!(report.recoveries, 1);
     assert!(report.recovery_latency_avg_us > 0.0);
+}
+
+/// Fresh routers per lockstep test: each must agree with the first.
+const ROUTERS: usize = if cfg!(debug_assertions) { 4 } else { 16 };
+
+/// Two forwarders on slow plane `wr`, each bound to its own flow
+/// (port p to net p + 2), given the same overrun at the same instant:
+/// they climb warn -> throttle -> quarantine in lockstep and are
+/// quarantined in one epoch. Returns the router's fingerprint, which
+/// mixes the quarantine order.
+fn lockstep_quarantine(wr: WhereRun) -> u64 {
+    let mut r = Router::new(RouterConfig::line_rate());
+    for port in 0..2u8 {
+        let flow = FlowKey {
+            src: u32::from_be_bytes([10, port, 0, 2]),
+            dst: u32::from_be_bytes([10, port + 2, 0, 1]),
+            sport: 5000,
+            dport: 5001,
+        };
+        let req = match wr {
+            WhereRun::Sa => full_ip_sa(),
+            _ => tcp_proxy_pe(50_000),
+        };
+        r.install(Key::Flow(flow), req, None).expect("admitted");
+        r.attach_cbr(usize::from(port), 0.5, 150, port + 2);
+    }
+    let (policer, overrun) = match wr {
+        WhereRun::Sa => (&mut r.sa.policer, FULL_IP_CYCLES * 3),
+        _ => (&mut r.pe.policer, 4_000),
+    };
+    policer.misbehave(0, overrun);
+    policer.misbehave(1, overrun);
+    r.run_until(ms(3));
+    settle(&mut r);
+    let s = r.health.stats;
+    assert_eq!((s.throttles, s.quarantines), (2, 2), "{s:?}");
+    assert_eq!(r.health.quarantined, vec![(wr, 0), (wr, 1)]);
+    r.fingerprint()
+}
+
+fn assert_lockstep_quarantine_is_deterministic(wr: WhereRun) {
+    let prints: Vec<u64> = (0..ROUTERS).map(|_| lockstep_quarantine(wr)).collect();
+    assert!(prints.iter().all(|&p| p == prints[0]), "{prints:x?}");
+}
+
+#[test]
+fn sa_lockstep_quarantine_order_is_fixed() {
+    assert_lockstep_quarantine_is_deterministic(WhereRun::Sa);
+}
+
+#[test]
+fn pe_lockstep_quarantine_order_is_fixed() {
+    assert_lockstep_quarantine_is_deterministic(WhereRun::Pe);
 }

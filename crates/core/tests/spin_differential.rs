@@ -186,7 +186,7 @@ impl Run {
             router
                 .install(Key::All, full_ip_sa(), None)
                 .expect("SA forwarder admitted");
-            router.sa.misbehave(0, FULL_IP_CYCLES * 3);
+            router.sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
         }
         let mailbox = Mailbox::default();
         for (p, trace) in sc.traces.iter().enumerate() {

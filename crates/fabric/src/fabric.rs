@@ -608,13 +608,8 @@ impl Fabric {
     /// single-switch pins survive the refactor; once any of it engages,
     /// its counters join the fold.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = npr_check::rng::Fnv1a::new();
+        let mut mix = |v: u64| h.write_u64(v);
         for s in &self.shards {
             mix(s.router.fingerprint());
             mix(s.switched);
@@ -629,6 +624,6 @@ impl Fabric {
                 mix(s.assembly_drops);
             }
         }
-        h
+        h.finish()
     }
 }

@@ -173,7 +173,7 @@ fn quarantine_is_contained_to_the_misbehaving_chassis() {
         .expect("SA forwarder admitted");
     // Local traffic feeding the slow path on the misbehaving chassis.
     f.member_mut(1).attach_cbr(1, 0.5, 150, 12);
-    f.member_mut(1).sa.misbehave(0, FULL_IP_CYCLES * 3);
+    f.member_mut(1).sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
     // Long enough for every FRAMES-frame CBR stream to finish emitting
     // (drain quiesces in-flight work; it does not pump future source
     // emissions).

@@ -375,6 +375,7 @@ mod tests {
     use super::*;
     use crate::queue::EventQueue;
     use crate::rng::XorShift64;
+    use npr_check::rng::Fnv1a;
 
     /// Minimum cross-shard latency of the test model, and the epoch
     /// grid derived from it (a PCI-descriptor-scale 1 us).
@@ -392,7 +393,7 @@ mod tests {
         n: usize,
         q: EventQueue<u64>,
         rng: XorShift64,
-        digest: u64,
+        digest: Fnv1a,
         processed: u64,
     }
 
@@ -405,15 +406,8 @@ mod tests {
                 n,
                 q,
                 rng: XorShift64::new(seed ^ (id as u64) << 17),
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: Fnv1a::new(),
                 processed: 0,
-            }
-        }
-
-        fn mix(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.digest ^= u64::from(b);
-                self.digest = self.digest.wrapping_mul(0x100_0000_01b3);
             }
         }
     }
@@ -428,8 +422,8 @@ mod tests {
         fn advance(&mut self, horizon: Time, out: &mut Outbox<u64>) {
             while let Some((at, v)) = self.q.pop_if_at_or_before(horizon) {
                 self.processed += 1;
-                self.mix(at);
-                self.mix(v);
+                self.digest.write_u64(at);
+                self.digest.write_u64(v);
                 if v & MSG_BIT != 0 {
                     continue; // Tokens are sterile (see MSG_BIT).
                 }
@@ -445,7 +439,7 @@ mod tests {
         }
 
         fn deliver(&mut self, at: Time, msg: u64) {
-            self.mix(at ^ msg);
+            self.digest.write_u64(at ^ msg);
             self.q.schedule(at, msg);
         }
     }
@@ -457,7 +451,7 @@ mod tests {
     fn fingerprint(nodes: &[Node]) -> Vec<(u64, u64, Time)> {
         nodes
             .iter()
-            .map(|s| (s.digest, s.processed, s.q.now()))
+            .map(|s| (s.digest.finish(), s.processed, s.q.now()))
             .collect()
     }
 

@@ -14,49 +14,14 @@
 
 use crate::asm::{Asm, Label};
 use crate::isa::{AluOp, Cond, Insn, Src, VrpProgram};
-
-/// Local xorshift64*, same parameters as `npr_sim::XorShift64` (this
-/// crate sits below the simulator, so the algorithm is mirrored rather
-/// than imported — corpora stay seed-stable across both).
-struct Rng {
-    state: u64,
-}
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Self {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-}
+use npr_check::CheckRng;
 
 /// Generates a structurally valid program from `seed`: a mix of ALU,
 /// MP, SRAM, hash, and forward-branch instructions terminated by
 /// `Done`, declaring 24 bytes of flow state. Always verifies under
 /// [`crate::analyze`]; may still exceed a tight [`crate::VrpBudget`].
 pub fn random_program(seed: u64) -> VrpProgram {
-    let mut rng = Rng::new(seed);
+    let mut rng = CheckRng::new(seed);
     let n = 4 + (rng.below(40) as usize);
     let mut a = Asm::new("rand");
     // Pre-allocate labels we may bind later.
@@ -136,11 +101,11 @@ pub fn random_program(seed: u64) -> VrpProgram {
 /// window. Most seeds fail verification; the differential suite uses
 /// them to pin `RunError` parity between backends.
 pub fn random_raw_program(seed: u64) -> VrpProgram {
-    let mut rng = Rng::new(seed ^ 0xDEAD_BEEF_CAFE_F00D);
+    let mut rng = CheckRng::new(seed ^ 0xDEAD_BEEF_CAFE_F00D);
     let n = 1 + (rng.below(12) as usize);
     let mut insns = Vec::with_capacity(n);
     for _ in 0..n {
-        let reg = |rng: &mut Rng| (rng.below(10)) as u8; // 8,9 are invalid
+        let reg = |rng: &mut CheckRng| (rng.below(10)) as u8; // 8,9 are invalid
         let insn = match rng.below(12) {
             0 => Insn::Imm {
                 dst: reg(&mut rng),

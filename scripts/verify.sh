@@ -40,6 +40,18 @@ if grep -rn "fn reset_stats" crates/*/src; then
     echo "ERROR: a reset_stats path is back: keep the statistic a lifetime total and let Router::mark() snapshot it" >&2
     exit 1
 fi
+# The slow-path watchdog is said once (DESIGN.md §11): one Policer
+# serves the StrongARM and the Pentium, and an escalated packet's
+# forwarder travels in its staging queue, not in a side map.
+if [ "$(grep -rn "fn police\b" crates/*/src | wc -l)" -gt 1 ]; then
+    grep -rn "fn police\b" crates/*/src >&2
+    echo "ERROR: fn police is defined more than once: police through health::Policer" >&2
+    exit 1
+fi
+if grep -n "escalations:" crates/core/src/world.rs; then
+    echo "ERROR: an escalations map is back in RouterWorld: tag the staging-queue entry instead" >&2
+    exit 1
+fi
 # Every BENCH file goes through the one writer, npr_check::json
 # (DESIGN.md, hermetic build): a quoted key in a Rust string literal is
 # a hand-rolled JSON writer coming back.
@@ -130,6 +142,11 @@ done
 # from the parallel sweep; it prints the tracked (ungated, host-clock)
 # golden_scenario and idle_line_rate costs.
 cargo run --release --offline --bin simbench -- --quick --out BENCH_sim.json
+
+# The health suite at full size: the overrun ladder, trap storms,
+# wedge resets, and a fixed quarantine order (so a fixed fingerprint)
+# for forwarders that offend in lockstep, across 16 fresh routers.
+gate "health suite" --release -p npr-core --test health
 
 # Marking invariance: `Router::mark()` at any instants, any number of
 # times, leaves fingerprint, ledger, drain and health decisions alone.
