@@ -6,7 +6,7 @@
 //! whether the design survives that jump:
 //!
 //! 1. **Lookup scaling** — does the multibit trie hold its rate from
-//!    1 k to 1 M prefixes, what does the arena cost in bytes, and what
+//!    1 k to 1 M prefixes, what does the trie cost in bytes, and what
 //!    do building the table and changing one route cost? The rates and
 //!    times in this sweep are host wall-clock (the trie runs on the
 //!    StrongARM as real code, not simulated cycles), so they are
@@ -73,7 +73,8 @@ bench_row! {
         /// Host wall-clock nanoseconds per `insert` of a fresh /24 into the
         /// built table with a warm cache: the median of `UPDATE_SAMPLES`.
         pub update_ns: f64 = 0,
-        /// Trie arena footprint in bytes.
+        /// Trie resident bytes (`TrieStats::bytes`), gated at
+        /// `TRIE_BYTES_CEILING` for the 1 M-prefix table.
         pub trie_bytes: usize,
         /// Mean trie levels touched per lookup (the SRAM-transfer count the
         /// StrongARM miss path pays).
@@ -130,6 +131,10 @@ pub struct RouteResult {
 
 /// Fresh-route inserts timed per table size for `update_ns`.
 const UPDATE_SAMPLES: u32 = 1_000;
+
+/// Most bytes the 1 M-prefix trie may hold: 24 MiB. The run-compressed
+/// table reads 17.4 MB; the expanded one read 117 MB.
+pub const TRIE_BYTES_CEILING: usize = 24 << 20;
 
 /// Measures, at each table size, the bulk build, raw trie lookups per
 /// second and the cost of one route update. `lookup_mpps`, `build_ms`
@@ -365,23 +370,31 @@ impl RouteResult {
         let p = self.scaling.last().expect("the sweep has a size");
         let v = Value::from(p);
         format!(
-            "tracked: {}-prefix table synth_ms {}, build_ms {}",
-            p.prefixes, v["synth_ms"], v["build_ms"]
+            "tracked: {}-prefix table synth_ms {}, build_ms {}, trie_bytes {}",
+            p.prefixes, v["synth_ms"], v["build_ms"], v["trie_bytes"]
         )
     }
 
     /// The internet-scale gate: at Zipf alpha = 1.0 the 4096-slot cache
     /// stays at least half warm — below that the StrongARM miss path,
-    /// not the MEs, would set the router's forwarding rate. Judged on
-    /// the rate as published; `Ok` carries the line to print.
+    /// not the MEs, would set the router's forwarding rate — and the
+    /// 1 M-prefix trie stays run-compressed, within
+    /// [`TRIE_BYTES_CEILING`]. Judged on the figures as published; `Ok`
+    /// carries the line to print.
     pub fn gate(&self) -> Result<String, String> {
         let p = self.zipf.iter().find(|p| p.alpha == 1.0);
         let h = &Value::from(p.expect("the sweep runs alpha = 1.0"))["hit_rate"];
-        if h.as_f64() >= 0.5 {
-            Ok(format!("route cache: zipf alpha=1.0 hit rate {h}"))
-        } else {
-            Err(format!("Zipf alpha=1.0 route-cache hit rate {h} < 0.5"))
+        if h.as_f64() < 0.5 {
+            return Err(format!("Zipf alpha=1.0 route-cache hit rate {h} < 0.5"));
         }
+        let p = self.scaling.iter().find(|p| p.prefixes == 1_000_000);
+        let b = &Value::from(p.expect("the sweep runs 1 M prefixes"))["trie_bytes"];
+        if b.as_f64() > TRIE_BYTES_CEILING as f64 {
+            return Err(format!("1M-prefix trie_bytes {b} > {TRIE_BYTES_CEILING}"));
+        }
+        Ok(format!(
+            "route cache: zipf alpha=1.0 hit rate {h}; 1M-prefix trie_bytes {b}"
+        ))
     }
 }
 
@@ -451,11 +464,22 @@ mod tests {
         );
     }
 
-    fn zipf(alpha: f64, hit_rate: f64) -> RouteResult {
+    /// A result carrying the two gated figures: the Zipf alpha = 1.0 hit
+    /// rate and the 1 M-prefix trie size.
+    fn result(hit_rate: f64, trie_bytes: usize) -> RouteResult {
         RouteResult {
-            scaling: Vec::new(),
+            scaling: vec![ScalePoint {
+                prefixes: 1_000_000,
+                routes: 1_000_000,
+                lookup_mpps: 10.0,
+                synth_ms: 0.5,
+                build_ms: 0.25,
+                update_ns: 900.0,
+                trie_bytes,
+                mean_levels: 1.5,
+            }],
             zipf: vec![ZipfPoint {
-                alpha,
+                alpha: 1.0,
                 hit_rate,
                 forward_mpps: 1.1,
                 queue_drops: 0,
@@ -468,17 +492,7 @@ mod tests {
 
     #[test]
     fn route_json_is_well_formed() {
-        let mut r = zipf(1.0, 0.9);
-        r.scaling.push(ScalePoint {
-            prefixes: 1000,
-            routes: 1000,
-            lookup_mpps: 10.0,
-            synth_ms: 0.5,
-            build_ms: 0.25,
-            update_ns: 900.0,
-            trie_bytes: 524288,
-            mean_levels: 1.5,
-        });
+        let mut r = result(0.9, 17_361_424);
         r.churn.push(ChurnPoint {
             mode: "targeted",
             updates_per_s: 1000,
@@ -491,27 +505,41 @@ mod tests {
         assert_eq!(row["synth_ms"].to_string(), "0.50");
         assert_eq!(row["build_ms"].to_string(), "0.25");
         assert_eq!(row["update_ns"].to_string(), "900");
-        assert_eq!(row["trie_bytes"], Value::from(524288));
+        assert_eq!(row["trie_bytes"], Value::from(17_361_424));
         assert_eq!(j["zipf"][0]["hit_rate"].to_string(), "0.9000");
         assert_eq!(j["churn"][0]["mode"], Value::from("targeted"));
         assert_eq!(
             r.tracked(),
-            "tracked: 1000-prefix table synth_ms 0.50, build_ms 0.25"
+            "tracked: 1000000-prefix table synth_ms 0.50, build_ms 0.25, trie_bytes 17361424"
         );
     }
 
     #[test]
     fn gate_trips_on_a_cold_zipf_cache() {
-        let ok = zipf(1.0, 0.5).gate();
-        assert_eq!(ok.unwrap(), "route cache: zipf alpha=1.0 hit rate 0.5000");
-        let cold = zipf(1.0, 0.49).gate();
+        let ok = result(0.5, 17_361_424).gate();
+        assert_eq!(
+            ok.unwrap(),
+            "route cache: zipf alpha=1.0 hit rate 0.5000; 1M-prefix trie_bytes 17361424"
+        );
+        let cold = result(0.49, 17_361_424).gate();
         assert_eq!(
             cold.unwrap_err(),
             "Zipf alpha=1.0 route-cache hit rate 0.4900 < 0.5"
         );
         assert!(
-            zipf(1.0, 0.49996).gate().is_ok(),
+            result(0.49996, 17_361_424).gate().is_ok(),
             "judged as printed: 0.5000"
         );
+    }
+
+    #[test]
+    fn gate_trips_on_an_expanded_trie() {
+        assert!(result(0.9, TRIE_BYTES_CEILING).gate().is_ok());
+        assert_eq!(
+            result(0.9, TRIE_BYTES_CEILING + 1).gate().unwrap_err(),
+            "1M-prefix trie_bytes 25165825 > 25165824"
+        );
+        // The expanded arena's figure, from before run compression.
+        assert!(result(0.9, 117_143_556).gate().is_err());
     }
 }

@@ -209,13 +209,14 @@ impl RoutingTable {
     /// [`RouteCache::invalidate_covered`]).
     ///
     /// It runs in two passes. The first, in the caller's order, does
-    /// everything `insert` does but touch the trie arena, so next-hop
+    /// everything `insert` does but touch the trie's nodes, so next-hop
     /// slots, reference counts and the cache end exactly as after the
-    /// `insert`s. The second expands the recorded prefixes into the arena
-    /// in address order, so each node is written while it is hot. Fills
-    /// answer alike in any order (see `PrefixTrie::fill`), and a prefix
-    /// the load repeats is filled once, with the value the first pass
-    /// left it, its last. Given a `Vec`, the records reuse its buffer.
+    /// `insert`s. The second expands the recorded prefixes into the trie
+    /// in address order, so each node is written while it is open and
+    /// encoded once. Fills answer alike in any order (see
+    /// `PrefixTrie::fill`), and a prefix the load repeats is filled once,
+    /// with the value the first pass left it, its last. Given a `Vec`,
+    /// the records reuse its buffer.
     pub fn load<I: IntoIterator<Item = Route>>(&mut self, routes: I) {
         let routes = routes.into_iter();
         self.trie.reserve_routes(routes.size_hint().0);
@@ -234,17 +235,18 @@ impl RoutingTable {
             })
             .collect();
         recorded.sort_unstable_by_key(Recorded::key);
-        for run in recorded.chunk_by(|a, b| a.key() == b.key()) {
-            let Recorded { addr, plen, idx } = run[0];
-            let idx = if run.len() == 1 {
-                idx
-            } else {
-                self.trie
-                    .route(addr, plen)
-                    .expect("recorded in the first pass")
-            };
-            self.trie.fill(addr, plen, idx);
-        }
+        recorded.dedup_by(|later, kept| {
+            let repeat = later.key() == kept.key();
+            if repeat {
+                kept.idx = self
+                    .trie
+                    .route(kept.addr, kept.plen)
+                    .expect("recorded in the first pass");
+            }
+            repeat
+        });
+        self.trie
+            .fill(recorded.iter().map(|r| (r.addr, r.plen, r.idx)));
     }
 
     /// Fast-path lookup: route-cache only. `None` means the packet is

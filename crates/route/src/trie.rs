@@ -11,21 +11,50 @@
 //!
 //! # Memory layout
 //!
-//! At BGP scale (~1M prefixes) a node-per-allocation layout thrashes the
-//! allocator and scatters lookups across the heap, so every node lives in
-//! one flat `Vec<u64>` arena. An entry packs value, expanded prefix
-//! length, and child pointer into a single word:
+//! An entry packs value, expanded prefix length, and child pointer into
+//! a single word:
 //!
 //! ```text
 //! bit 63      bits 39..63   bits 33..39   bit 32      bits 0..32
 //! has_child   child node id expanded plen has_value   value
 //! ```
 //!
-//! Nodes freed by route withdrawal go on a per-level free list and are
-//! reused by later inserts, so a full-table churn storm does not grow the
-//! arena without bound. `stats().bytes` reports the resident arena size.
+//! The root's `2^stride` entries are one flat array, so a root touch is
+//! one index. Expansion copies one word across a whole span, so below
+//! the root a node is mostly long runs of equal words: at 1 M prefixes
+//! a 256-entry node holds ~29 runs. Every below-root node is therefore
+//! stored run-compressed (the Poptrie encoding, Asai & Ohara, SIGCOMM
+//! 2015) as a fixed-size head and a dense slice of runs:
+//!
+//! ```text
+//! head   bitmap  2^stride / 64 words: bit i set where entry i differs
+//!                from entry i-1 (bit 0 always set)
+//!        ranks   one u32 lane per bitmap word, two to a word: the bits
+//!                set in the bitmap words before it
+//! runs           one entry word per set bit, in entry order
+//!
+//! entry i = runs[ranks[i / 64] + popcount(bitmap[i / 64] & bits 0..=i % 64) - 1]
+//! ```
+//!
+//! A level keeps its nodes' heads in one array and their runs in
+//! another, both indexed by node id, so a lookup fetches the two at
+//! once and then reads one run word. An update works on expanded
+//! copies: each below-root level has one *open* node, decoded on its
+//! first write and re-encoded when the operation moves to another node
+//! on that level or the public call returns, so lookups never see a
+//! stale node. One update therefore decodes and re-encodes at most one
+//! node per level, and a bulk fill in address order encodes each node
+//! once without ever building the expanded table.
+//!
+//! Nodes freed by route withdrawal drop their runs and their ids are
+//! reused by later inserts, so a full-table churn storm does not grow
+//! the trie without bound. `stats().bytes` reports the resident size.
 
 use crate::hash::RouteMap;
+
+mod level;
+
+use level::Level;
 
 const VALUE_MASK: u64 = 0xFFFF_FFFF;
 const HAS_VALUE: u64 = 1 << 32;
@@ -34,6 +63,8 @@ const PLEN_MASK: u64 = 0x3F << PLEN_SHIFT;
 const CHILD_SHIFT: u32 = 39;
 const CHILD_MASK: u64 = 0xFF_FFFF << CHILD_SHIFT;
 const HAS_CHILD: u64 = 1 << 63;
+/// Below-root nodes the child field can address.
+const MAX_NODES: usize = (CHILD_MASK >> CHILD_SHIFT) as usize + 1;
 
 #[inline]
 fn entry_value(e: u64) -> Option<u32> {
@@ -81,14 +112,30 @@ fn without_child(e: u64) -> u64 {
     e & !(HAS_CHILD | CHILD_MASK)
 }
 
+/// The id of node slot `n`.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit the entry's 24-bit child field, which
+/// would otherwise drop the id's high bits.
+fn node_id(n: usize) -> u32 {
+    assert!(n < MAX_NODES, "trie node id {n} overflows the child field");
+    n as u32
+}
+
 /// Statistics describing trie shape and lookup effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrieStats {
-    /// Number of live multibit nodes (free-listed nodes excluded).
+    /// Number of live multibit nodes, the root included (freed nodes
+    /// excluded).
     pub nodes: usize,
-    /// Total expanded entries across live nodes.
+    /// Logical expanded entries across live nodes: `2^stride` per node,
+    /// however few words its encoding holds.
     pub entries: usize,
-    /// Resident bytes: the entry arena plus the node offset table.
+    /// Resident bytes: the root, each live below-root node's head, runs
+    /// and slice header, and the per-level open-node buffers. A freed
+    /// id's slot (its stale head and an empty header, reused by the
+    /// level's next allocation) is not counted.
     pub bytes: usize,
     /// Lookups performed.
     pub lookups: u64,
@@ -125,16 +172,10 @@ impl TrieStats {
 #[derive(Debug)]
 pub struct PrefixTrie {
     strides: Vec<u8>,
-    /// All node entries, packed; node `n` occupies
-    /// `arena[node_off[n] .. node_off[n] + 2^stride]`.
-    arena: Vec<u64>,
-    /// Arena offset of each node ever allocated (freed nodes keep their
-    /// span and are reused through `free`).
-    node_off: Vec<u32>,
-    /// Reusable node ids, one list per level (node size is per-level).
-    free: Vec<Vec<u32>>,
-    free_nodes: usize,
-    free_entries: usize,
+    /// The root's `2^strides[0]` entries, expanded.
+    root: Vec<u64>,
+    /// The below-root levels: `levels[level - 1]`.
+    levels: Vec<Level>,
     stats_lookups: std::cell::Cell<u64>,
     stats_levels: std::cell::Cell<u64>,
     /// Installed (un-expanded) routes: the source of truth for targeted
@@ -155,19 +196,14 @@ impl PrefixTrie {
             "strides must cover 32 bits"
         );
         assert!(strides.iter().all(|&s| s > 0), "zero stride");
-        let mut t = Self {
+        Self {
             strides: strides.to_vec(),
-            arena: Vec::new(),
-            node_off: Vec::new(),
-            free: vec![Vec::new(); strides.len()],
-            free_nodes: 0,
-            free_entries: 0,
+            root: vec![0; 1 << strides[0]],
+            levels: strides[1..].iter().map(|&s| Level::new(s)).collect(),
             stats_lookups: std::cell::Cell::new(0),
             stats_levels: std::cell::Cell::new(0),
             routes: RouteMap::default(),
-        };
-        t.alloc_node(0); // The root always exists.
-        t
+        }
     }
 
     /// The classic IPv4 configuration: strides 16-8-8.
@@ -175,20 +211,22 @@ impl PrefixTrie {
         Self::new(&[16, 8, 8])
     }
 
-    fn alloc_node(&mut self, level: usize) -> u32 {
-        let size = 1usize << self.strides[level];
-        if let Some(id) = self.free[level].pop() {
-            let off = self.node_off[id as usize] as usize;
-            self.arena[off..off + size].fill(0);
-            self.free_nodes -= 1;
-            self.free_entries -= size;
-            return id;
+    /// Entry `idx` of `node` at `level` (the root at level 0).
+    #[inline]
+    fn entry(&self, level: usize, node: u32, idx: usize) -> u64 {
+        match level {
+            0 => self.root[idx],
+            _ => self.levels[level - 1].entry(node, idx),
         }
-        let off = self.arena.len();
-        assert!(off + size <= u32::MAX as usize, "trie arena overflow");
-        self.arena.resize(off + size, 0);
-        self.node_off.push(off as u32);
-        (self.node_off.len() - 1) as u32
+    }
+
+    /// The entries of `node` at `level` for writing: the root, or the
+    /// node opened on its level.
+    fn node_mut(&mut self, level: usize, node: u32) -> &mut [u64] {
+        match level {
+            0 => &mut self.root,
+            _ => self.levels[level - 1].open_mut(node),
+        }
     }
 
     /// Makes room in the route map for `additional` more routes, so a
@@ -206,7 +244,7 @@ impl PrefixTrie {
     /// Panics if `plen > 32`.
     pub fn insert(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
         let old = self.record(addr, plen, value);
-        self.fill(addr, plen, value);
+        self.fill([(addr, plen, value)]);
         old
     }
 
@@ -222,13 +260,23 @@ impl PrefixTrie {
         self.routes.insert((mask(addr, plen), plen), value)
     }
 
-    /// The arena half of [`insert`](Self::insert): expands `addr/plen ->
-    /// value` (host bits ignored) over its span of the node it ends in,
-    /// allocating the path down to that node. An entry keeps the longest
+    /// The trie half of [`insert`](Self::insert), for many routes:
+    /// expands each `addr/plen -> value` (host bits ignored) over its
+    /// span of the node it ends in, allocating the path down to that
+    /// node, then re-encodes the open nodes. An entry keeps the longest
     /// prefix's value, so a set of fills in any order answers every
     /// lookup alike and leaves the same [`stats`](Self::stats), except
-    /// that of two fills of one prefix the later wins.
-    pub(crate) fn fill(&mut self, addr: u32, plen: u8, value: u32) {
+    /// that of two fills of one prefix the later wins. In address order
+    /// each node is encoded once.
+    pub(crate) fn fill<I: IntoIterator<Item = (u32, u8, u32)>>(&mut self, routes: I) {
+        for (addr, plen, value) in routes {
+            self.expand(addr, plen, value);
+        }
+        self.levels.iter_mut().for_each(Level::close);
+    }
+
+    /// Expands one route into the open nodes (see [`fill`](Self::fill)).
+    fn expand(&mut self, addr: u32, plen: u8, value: u32) {
         let mut node = 0u32;
         let mut consumed = 0u8;
         for level in 0..self.strides.len() {
@@ -241,8 +289,7 @@ impl PrefixTrie {
                 let span = 1usize << (stride - fixed);
                 let base =
                     (((addr >> shift) as usize) & ((1usize << stride) - 1)) & !(span - 1);
-                let off = self.node_off[node as usize] as usize;
-                for e in &mut self.arena[off + base..off + base + span] {
+                for e in &mut self.node_mut(level, node)[base..base + span] {
                     // Longest-prefix priority among expanded entries.
                     if *e & HAS_VALUE == 0 || entry_plen(*e) <= plen {
                         *e = with_value(*e, value, plen);
@@ -252,13 +299,12 @@ impl PrefixTrie {
             }
             // Descend (allocating the child if needed).
             let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
-            let slot = self.node_off[node as usize] as usize + idx;
-            node = match entry_child(self.arena[slot]) {
+            node = match entry_child(self.entry(level, node, idx)) {
                 Some(c) => c,
                 None => {
-                    let c = self.alloc_node(level + 1);
-                    let slot = self.node_off[node as usize] as usize + idx;
-                    self.arena[slot] = with_child(self.arena[slot], c);
+                    let c = self.levels[level].alloc();
+                    let slot = &mut self.node_mut(level, node)[idx];
+                    *slot = with_child(*slot, c);
                     c
                 }
             };
@@ -272,10 +318,10 @@ impl PrefixTrie {
     /// Removal is targeted: only the expanded span of the dead prefix is
     /// repaired (each entry falls back to its longest surviving covering
     /// prefix, probed from the route map), and nodes emptied by the
-    /// repair are returned to the free list. The paper's control plane
-    /// rebuilt the whole table on update; at 1M prefixes that is a
-    /// multi-hundred-millisecond stall, so the repair touches
-    /// `O(2^stride)` entries instead.
+    /// repair are freed. The paper's control plane rebuilt the whole
+    /// table on update; at 1M prefixes that is a multi-hundred-millisecond
+    /// stall, so the repair touches `O(2^stride)` entries instead, and
+    /// decodes and re-encodes at most one node per level.
     pub fn remove(&mut self, addr: u32, plen: u8) -> Option<u32> {
         assert!(plen <= 32, "prefix length out of range");
         let addr = mask(addr, plen);
@@ -295,7 +341,7 @@ impl PrefixTrie {
             let shift = u32::from(32 - consumed - stride);
             let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
             path.push((node, idx));
-            let e = self.arena[self.node_off[node as usize] as usize + idx];
+            let e = self.entry(level, node, idx);
             node = entry_child(e).expect("route map and trie agree on structure");
             consumed += stride;
             level += 1;
@@ -304,18 +350,18 @@ impl PrefixTrie {
         self.repair_span(node, level, consumed, addr, plen);
 
         // Free nodes emptied by the repair, bottom-up; the root stays.
+        // Each candidate is open: the repair or the unlink wrote it.
         let mut lvl = level;
         let mut candidate = node;
-        while lvl > 0 && self.node_is_empty(candidate, lvl) {
+        while lvl > 0 && self.node_mut(lvl, candidate).iter().all(|&e| e == 0) {
+            self.levels[lvl - 1].release(candidate);
             let (parent, idx) = path[lvl - 1];
-            let slot = self.node_off[parent as usize] as usize + idx;
-            self.arena[slot] = without_child(self.arena[slot]);
-            self.free[lvl].push(candidate);
-            self.free_nodes += 1;
-            self.free_entries += 1usize << self.strides[lvl];
+            let slot = &mut self.node_mut(lvl - 1, parent)[idx];
+            *slot = without_child(*slot);
             candidate = parent;
             lvl -= 1;
         }
+        self.levels.iter_mut().for_each(Level::close);
         Some(old)
     }
 
@@ -335,7 +381,6 @@ impl PrefixTrie {
         // running best. plen 0 (the default route) terminates in the
         // root.
         let lo = if level == 0 { 0 } else { consumed + 1 };
-        let off = self.node_off[node as usize] as usize;
         for i in 0..span {
             let idx = base + i;
             let entry_addr = node_prefix | ((idx as u32) << shift);
@@ -346,7 +391,7 @@ impl PrefixTrie {
                     break;
                 }
             }
-            let e = &mut self.arena[off + idx];
+            let e = &mut self.node_mut(level, node)[idx];
             *e = match repl {
                 Some((v, p)) => with_value(*e, v, p),
                 None => without_value(*e),
@@ -354,15 +399,9 @@ impl PrefixTrie {
         }
     }
 
-    fn node_is_empty(&self, node: u32, level: usize) -> bool {
-        let off = self.node_off[node as usize] as usize;
-        let size = 1usize << self.strides[level];
-        self.arena[off..off + size].iter().all(|&e| e == 0)
-    }
-
     /// Longest-prefix lookup. Returns `(value, levels_touched)`.
     pub fn lookup(&self, addr: u32) -> (Option<u32>, u32) {
-        let mut node = 0usize;
+        let mut node = 0u32;
         let mut consumed = 0u8;
         let mut best: Option<u32> = None;
         let mut levels = 0u32;
@@ -370,13 +409,13 @@ impl PrefixTrie {
             levels += 1;
             let shift = u32::from(32 - consumed - stride);
             let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
-            let e = self.arena[self.node_off[node] as usize + idx];
+            let e = self.entry(level, node, idx);
             if let Some(v) = entry_value(e) {
                 best = Some(v);
             }
             match entry_child(e) {
                 Some(c) if level + 1 < self.strides.len() => {
-                    node = c as usize;
+                    node = c;
                     consumed += stride;
                 }
                 _ => break,
@@ -400,11 +439,12 @@ impl PrefixTrie {
 
     /// Shape and lookup statistics.
     pub fn stats(&self) -> TrieStats {
+        let levels = self.levels.iter();
         TrieStats {
-            nodes: self.node_off.len() - self.free_nodes,
-            entries: self.arena.len() - self.free_entries,
-            bytes: self.arena.len() * std::mem::size_of::<u64>()
-                + self.node_off.len() * std::mem::size_of::<u32>(),
+            nodes: 1 + levels.clone().map(Level::live).sum::<usize>(),
+            entries: self.root.len() + levels.clone().map(Level::expanded).sum::<usize>(),
+            bytes: self.root.len() * std::mem::size_of::<u64>()
+                + levels.map(Level::bytes).sum::<usize>(),
             lookups: self.stats_lookups.get(),
             levels_touched: self.stats_levels.get(),
         }
@@ -434,6 +474,28 @@ pub(crate) fn mask(addr: u32, plen: u8) -> u32 {
 mod tests {
     use super::*;
     use npr_check::prelude::*;
+    use npr_check::sample::Index;
+
+    /// The stride sets `exp_ablations::trie_strides` compares.
+    const STRIDE_SETS: [&[u8]; 4] = [&[16, 8, 8], &[24, 8], &[8, 8, 8, 8], &[16, 16]];
+
+    /// Probe addresses: each even draw is its raw `u32`, each odd one
+    /// lands under a drawn route (its masked address with the draw's
+    /// bits as host bits), since uniform probes almost never fall inside
+    /// a long prefix's span.
+    fn probes(routes: &[(u32, u8, u32)], draws: &[(u32, Index)]) -> Vec<u32> {
+        draws
+            .iter()
+            .enumerate()
+            .map(|(k, &(bits, pick))| {
+                if k % 2 == 0 || routes.is_empty() {
+                    return bits;
+                }
+                let (a, l, _) = routes[pick.index(routes.len())];
+                mask(a, l) | (bits & !mask(u32::MAX, l))
+            })
+            .collect()
+    }
 
     #[test]
     fn empty_trie_matches_nothing() {
@@ -511,6 +573,19 @@ mod tests {
     }
 
     #[test]
+    fn remove_reencodes_the_node_it_repairs() {
+        // Two /28s share a level-2 node: withdrawing one leaves that node
+        // encoded exactly as if the other had been installed alone.
+        let mut t = PrefixTrie::ipv4_default();
+        t.insert(0x0a0a0a00, 28, 1);
+        t.insert(0x0a0a0a10, 28, 2);
+        assert_eq!(t.remove(0x0a0a0a10, 28), Some(2));
+        let mut alone = PrefixTrie::ipv4_default();
+        alone.insert(0x0a0a0a00, 28, 1);
+        assert_eq!(t.stats(), alone.stats());
+    }
+
+    #[test]
     fn lookup_levels_bounded_by_strides() {
         let mut t = PrefixTrie::new(&[8, 8, 8, 8]);
         t.insert(0x0a0a0a0a, 32, 1);
@@ -540,7 +615,12 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.lookups, 2);
         assert!(s.mean_levels() > 1.0);
-        assert_eq!(s.bytes, s.entries * 8 + 3 * 4);
+        assert_eq!(s.entries, (1 << 16) + 2 * 256);
+        // Each child is three runs (zeros, the one set entry, zeros)
+        // behind a six-word head (four bitmap words, two of rank
+        // lanes); the two open-node buffers stay.
+        let words = (1 << 16) + 2 * 256 + 2 * (6 + 3);
+        assert_eq!(s.bytes, words * 8 + 2 * std::mem::size_of::<Box<[u64]>>());
     }
 
     #[test]
@@ -553,12 +633,13 @@ mod tests {
             assert_eq!(t.stats().nodes, 3);
             assert!(t.remove(0x0a0a0a00, 24).is_some());
             assert!(t.remove(0x0a0a0a0a, 32).is_some());
-            // Both child nodes return to the free list...
+            // Both child nodes are freed, storage and all...
             assert_eq!(t.stats().nodes, 1);
             assert_eq!(t.stats().entries, flat.entries);
+            assert_eq!(t.stats().bytes, flat.bytes);
         }
-        // ...and the arena never grew past one round's footprint.
-        assert_eq!(t.stats().bytes, (1 << 16) * 8 + 3 * 4 + 2 * 256 * 8);
+        // ...and their ids, one per level, are all the churn allocated.
+        assert!(t.levels.iter().all(|l| l.slots() == 1));
     }
 
     #[test]
@@ -568,27 +649,49 @@ mod tests {
         assert_eq!(t.lookup(0x0affffff).0, Some(u32::MAX));
     }
 
+    #[test]
+    fn the_largest_node_id_packs_without_loss() {
+        let id = node_id(MAX_NODES - 1);
+        let e = with_child(with_value(0, u32::MAX, 32), id);
+        assert_eq!(entry_child(e), Some((1 << 24) - 1));
+        assert_eq!((entry_value(e), entry_plen(e)), (Some(u32::MAX), 32));
+        assert_eq!(entry_child(without_value(e)), Some(id));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the child field")]
+    fn a_node_id_past_the_child_field_panics() {
+        node_id(MAX_NODES);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        // A short route fills much of the `[24, 8]` root's 2^24 entries,
+        // which a debug build does ~10x slower.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 64 }))]
         #[test]
         fn trie_matches_naive_oracle(
             routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 0..64),
-            probes in npr_check::collection::vec(any::<u32>(), 0..64),
+            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 0..64),
         ) {
-            let mut t = PrefixTrie::ipv4_default();
-            for &(a, l, v) in &routes {
-                t.insert(a, l, v);
-            }
-            for &p in &probes {
-                prop_assert_eq!(t.lookup(p).0, t.lookup_naive(p), "probe {:#x}", p);
+            for strides in STRIDE_SETS {
+                let mut t = PrefixTrie::new(strides);
+                for &(a, l, v) in &routes {
+                    t.insert(a, l, v);
+                }
+                for p in probes(&routes, &draws) {
+                    prop_assert_eq!(t.lookup(p).0, t.lookup_naive(p), "{:?} probe {:#x}", strides, p);
+                }
             }
         }
+    }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn removal_matches_fresh_build(
             routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 1..32),
-            kill in any::<npr_check::sample::Index>(),
-            probes in npr_check::collection::vec(any::<u32>(), 0..32),
+            kill in any::<Index>(),
+            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 0..32),
         ) {
             let mut t = PrefixTrie::ipv4_default();
             for &(a, l, v) in &routes {
@@ -605,7 +708,10 @@ mod tests {
                 }
                 fresh.insert(a, l, v);
             }
-            for &p in &probes {
+            // The same nodes, each re-encoded to the same runs.
+            let shape = |s: TrieStats| (s.nodes, s.entries, s.bytes);
+            prop_assert_eq!(shape(t.stats()), shape(fresh.stats()));
+            for p in probes(&routes, &draws) {
                 prop_assert_eq!(t.lookup(p).0, fresh.lookup(p).0);
             }
         }
@@ -617,10 +723,11 @@ mod tests {
         #[test]
         fn interleaved_churn_falls_back_correctly(
             routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 1..24),
-            ops in npr_check::collection::vec((any::<npr_check::sample::Index>(), any::<bool>()), 1..48),
-            probes in npr_check::collection::vec(any::<u32>(), 1..16),
+            ops in npr_check::collection::vec((any::<Index>(), any::<bool>()), 1..48),
+            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 1..16),
         ) {
             let mut t = PrefixTrie::ipv4_default();
+            let probes = probes(&routes, &draws);
             for (i, insert) in &ops {
                 let (a, l, _) = routes[i.index(routes.len())];
                 if *insert {

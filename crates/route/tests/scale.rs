@@ -16,21 +16,23 @@ fn million_prefix_build_lookup_teardown() {
     assert!(routes.len() >= prefixes * 9 / 10, "generator saturated early: {}", routes.len());
 
     let mut table = RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
+    let fresh = table.trie_stats();
     table.load(routes.iter().cloned());
     assert_eq!(table.route_count(), routes.len());
 
     let stats = table.trie_stats();
-    // The flat arena must stay within a sane envelope: the stride-16 root
-    // plus at most one child node per distinct /16 and /24 covered.
+    // The trie must stay within a sane envelope: the stride-16 root
+    // plus at most one expanded child node per distinct /16 and /24
+    // covered.
     let ceiling = (1usize << 16) * 8 + routes.len() * 2 * 256 * 8;
-    assert!(stats.bytes <= ceiling, "arena {} bytes > ceiling {}", stats.bytes, ceiling);
+    assert!(stats.bytes <= ceiling, "trie {} bytes > ceiling {}", stats.bytes, ceiling);
     // The exact shape, pinned: `BENCH_route.json` publishes the 1 M
     // figure as `trie_bytes`, so the build may get faster but may not
-    // move a node.
+    // move a node or a run.
     let pinned = if prefixes == 1_000_000 {
-        (56_833, 14_614_528, 117_143_556)
+        (56_833, 14_614_528, 17_361_424)
     } else {
-        (30_082, 7_766_272, 62_250_504)
+        (30_082, 7_766_272, 3_344_640)
     };
     assert_eq!(
         (stats.nodes, stats.entries, stats.bytes),
@@ -43,8 +45,9 @@ fn million_prefix_build_lookup_teardown() {
         assert!(table.lookup_slow(dst).0.is_some(), "no route for {dst:#010x}");
     }
 
-    // Teardown: withdrawing everything must free every node and every
-    // next-hop slot (the leak fix), leaving only the permanent root.
+    // Teardown: withdrawing everything must free every node, its run
+    // storage and every next-hop slot (the leak fix), leaving only the
+    // permanent root.
     for r in &routes {
         assert!(table.remove(r.addr, r.plen));
     }
@@ -52,6 +55,7 @@ fn million_prefix_build_lookup_teardown() {
     assert_eq!(table.next_hop_count(), 0);
     let empty = table.trie_stats();
     assert_eq!(empty.nodes, 1, "non-root nodes leaked");
+    assert_eq!(empty.bytes, fresh.bytes, "node storage leaked");
     for dst in sample_dsts(&routes, 100, 8) {
         assert!(table.lookup_slow(dst).0.is_none());
     }

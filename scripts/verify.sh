@@ -201,8 +201,9 @@ cargo run --release --offline -p npr-bench --bin experiments -- recovery --out B
 gate "route suite" --release -p npr-route
 
 # Record the internet-scale routing sweeps (lookup scaling, Zipf cache
-# hit rate, churn storms). Gate (exits nonzero): the Zipf alpha=1.0 hit
-# rate keeps the 4096-slot cache at least half warm.
+# hit rate, churn storms). Gates (exit nonzero): the Zipf alpha=1.0 hit
+# rate keeps the 4096-slot cache at least half warm, and the 1 M-prefix
+# trie holds at most 24 MiB.
 cargo run --release --offline -p npr-bench --bin experiments -- route --out BENCH_route.json
 
 # Record the multi-chassis scaling sweeps (aggregate Mpps vs chassis
