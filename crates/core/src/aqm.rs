@@ -1,6 +1,7 @@
 //! Active queue management disciplines for the per-flow queue manager.
 //!
-//! Three installable disciplines, selectable per port via `RouterConfig`:
+//! Three installable disciplines, selected for every port's flow plane
+//! by `RouterConfig::qm_aqm` (each port keeps its own controller state):
 //!
 //! * `DropTail` — the digest-recorded default: admit until the per-flow cap,
 //!   then drop. No state, no randomness.

@@ -75,9 +75,6 @@ pub struct RouterConfig {
     /// StrongARM interrupt mode (vs. polling). Varied by: the
     /// `robustness` experiment (section 3.6's interrupt row).
     pub sa_interrupts: bool,
-    /// Pentium flow classes. Varied by: the `hierarchy` test
-    /// (`stride_scheduler_divides_pentium_between_classes`).
-    pub pe_classes: usize,
     /// Per-packet delay loops on the Pentium (spare-cycle probing).
     /// Varied by: the `robustness` experiment (Table 4's spare cycles).
     pub pe_delay_loop: u64,
@@ -128,12 +125,10 @@ pub struct RouterConfig {
     /// (DESIGN.md §16 has the math). Varied by: the `qos` experiment,
     /// the `fabric_qos` benchmark workload.
     pub qm_mem_budget_bytes: usize,
-    /// Default AQM discipline for every port's flow plane. Varied by:
-    /// `per_flow_qos` (the `qos` experiment sweeps all three).
+    /// AQM discipline of every port's flow plane. Varied by:
+    /// `per_flow_qos` (the `qos` experiment and the qm chaos soak run
+    /// all three).
     pub qm_aqm: crate::aqm::AqmKind,
-    /// Per-port discipline overrides: `(port, kind)` pairs. Varied by:
-    /// the `qm` test (`chaos_soak_with_per_flow_queues_conserves`).
-    pub qm_port_aqm: Vec<(usize, crate::aqm::AqmKind)>,
     /// Seed for RED's per-port early-drop coin streams. Varied by: the
     /// `fabric_qos` benchmark workload (derived from `--seed`).
     pub qm_seed: u64,
@@ -158,7 +153,6 @@ impl Default for RouterConfig {
             lazy_body: true,
             sa_synth_feed: None,
             sa_interrupts: false,
-            pe_classes: 1,
             pe_delay_loop: 0,
             route_invalidation: npr_route::Invalidation::FullFlush,
             synthetic_routes: 0,
@@ -171,7 +165,6 @@ impl Default for RouterConfig {
             qm_flow_cap: 32,
             qm_mem_budget_bytes: 2 * 1024 * 1024,
             qm_aqm: crate::aqm::AqmKind::DropTail,
-            qm_port_aqm: Vec::new(),
             qm_seed: 0x51_0A7_BA7,
         }
     }

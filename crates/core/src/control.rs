@@ -108,6 +108,10 @@ impl Router {
                 f,
             } => {
                 admit_pe(&self.pe.forwarders, cycles, expected_pps)?;
+                // The share's stride is 1/tickets: a zero is admitted
+                // as 1, as `WfqMapper::add_flow` clamps a zero weight.
+                let tickets = tickets.max(1);
+                self.world.sa_pe_q.add(tickets);
                 self.pe.forwarders.push(PeForwarder {
                     name,
                     cycles,

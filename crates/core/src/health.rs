@@ -486,10 +486,10 @@ impl Router {
         };
         match wr {
             WhereRun::Pe => {
-                for (_, tag) in self.world.sa_pe_q.iter_mut().flat_map(|q| q.iter_mut()) {
-                    null(tag);
+                for q in &mut self.world.sa_pe_q.queues {
+                    q.iter_mut().for_each(|(_, tag)| null(tag));
                 }
-                for item in self.pe.inbound.iter_mut().flatten() {
+                for item in self.pe.inbound.iter_mut() {
                     null(&mut item.fwdr);
                 }
             }

@@ -221,10 +221,7 @@ impl InputLoop {
                 w.divert_ctr += w.divert_pe_permille;
                 if w.divert_ctr >= 1000 {
                     w.divert_ctr -= 1000;
-                    divert = Some(Escalation::Pe {
-                        flow: 0,
-                        fwdr: u32::MAX,
-                    });
+                    divert = Some(Escalation::Pe { fwdr: u32::MAX });
                 }
             }
             if divert.is_none() && w.divert_sa_permille > 0 {
@@ -341,7 +338,6 @@ impl InputLoop {
             let mut queue_override = None;
             let mut sa_fwdr = u32::MAX;
             let mut pe_fwdr = u32::MAX;
-            let mut pe_flow = 0u8;
             let to_run: Vec<_> = class
                 .per_flow
                 .iter()
@@ -381,7 +377,6 @@ impl InputLoop {
                     WhereRun::Pe => {
                         action = VrpAction::ToPe;
                         pe_fwdr = e.fwdr_index;
-                        pe_flow = (e.fid % w.sa_pe_q.len() as u32) as u8;
                         break;
                     }
                 }
@@ -409,10 +404,7 @@ impl InputLoop {
                 };
                 Verdict::Escalate(Escalation::SaLocal { fwdr })
             } else if action == VrpAction::ToPe {
-                Verdict::Escalate(Escalation::Pe {
-                    flow: pe_flow,
-                    fwdr: pe_fwdr,
-                })
+                Verdict::Escalate(Escalation::Pe { fwdr: pe_fwdr })
             } else if let Some(d) = divert {
                 Verdict::Escalate(d)
             } else {
@@ -431,7 +423,6 @@ impl InputLoop {
             {
                 let meta = w.meta_mut(h);
                 meta.out_port = out_port;
-                meta.pe_flow = pe_flow;
                 meta.needs_route = routed.is_none();
             }
             // MAC rewrite: "setting the destination MAC address to the
@@ -640,9 +631,7 @@ impl InputLoop {
                 let queued = match esc {
                     Escalation::SaLocal { fwdr } => w.sa_local_q.enqueue((desc, fwdr)),
                     Escalation::SaMiss => w.sa_miss_q.enqueue(desc),
-                    Escalation::Pe { flow, fwdr } => {
-                        w.sa_pe_q[usize::from(flow)].enqueue((desc, fwdr))
-                    }
+                    Escalation::Pe { fwdr } => w.sa_pe_q.enqueue(desc, fwdr),
                 };
                 if queued {
                     w.signals.push(crate::plane::PlaneSignal::WakeSa);

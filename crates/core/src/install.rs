@@ -65,7 +65,9 @@ pub enum InstallRequest {
         name: String,
         /// Cycles per packet at 733 MHz.
         cycles: u64,
-        /// Proportional-share tickets.
+        /// Proportional-share tickets: under contention for the bus,
+        /// packets cross to the Pentium in proportion to them. Zero is
+        /// admitted as 1.
         tickets: u64,
         /// Declared packet rate (admission input).
         expected_pps: u64,

@@ -12,7 +12,8 @@
 //!   the Pentium over I2O queue pairs ([`pci`]), a route-cache miss
 //!   handler, and a small set of local forwarders.
 //! * The **Pentium** ([`pe`]) runs the control plane: installed control
-//!   forwarders under a stride proportional-share scheduler ([`sched`]).
+//!   forwarders, shared in proportion to their tickets by a stride
+//!   scheduler ([`sched`]) at the StrongARM's bridge.
 //!
 //! Extensibility is provided by the `install / remove / getdata /
 //! setdata` interface ([`install`]) guarded by admission control, and

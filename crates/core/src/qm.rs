@@ -82,18 +82,12 @@ struct FlowPlane {
 
 impl FlowPlane {
     fn new(cfg: &RouterConfig, port: usize, nflows: usize) -> Self {
-        let kind = cfg
-            .qm_port_aqm
-            .iter()
-            .find(|(p, _)| *p == port)
-            .map(|(_, k)| *k)
-            .unwrap_or(cfg.qm_aqm);
         FlowPlane {
             queues: (0..nflows).map(|_| PacketQueue::new(cfg.qm_flow_cap)).collect(),
             stamps: vec![VecDeque::new(); nflows],
-            sched: WheelSched::new(nflows, QUANTUM_BYTES * crate::qm_sched::VSCALE),
+            sched: WheelSched::new(nflows, QUANTUM_BYTES * crate::wfq::VSCALE),
             aqm: Aqm::new(
-                kind,
+                cfg.qm_aqm,
                 RedParams::default(),
                 CodelParams::default(),
                 nflows,

@@ -20,11 +20,10 @@
 //! (the same lag cap `WfqMapper::charge` applies), so a long-idle or
 //! badly-behind flow can never wrap the wheel and masquerade as far-future.
 
+use crate::wfq::VSCALE;
+
 /// Number of wheel slots. Fixed at 64 so slot occupancy is one machine word.
 pub const WHEEL_SLOTS: usize = 64;
-
-/// Virtual-time units charged per byte at weight 1 (same scale as `wfq`).
-pub const VSCALE: u64 = 256;
 
 /// Upper bound on flows a single wheel can index: 64 payload words of 64
 /// bits under a single summary word.

@@ -157,6 +157,12 @@ impl Conservation {
             + self.truncated_drops
     }
 
+    /// Admitted packets that were dropped: every terminal fate but
+    /// transmission and a Pentium forwarder's consumption.
+    pub fn drops(&self) -> u64 {
+        self.terminal() - self.transmitted - self.pe_consumed
+    }
+
     /// Terminal fates plus visible in-flight packets.
     pub fn accounted(&self) -> u64 {
         self.terminal() + self.in_flight
@@ -215,9 +221,10 @@ pub(crate) struct Totals {
 impl Router {
     /// StrongARM/Pentium staging-queue overflow drops.
     fn escalation_drops(&self) -> u64 {
+        let pe_q = &self.world.sa_pe_q.queues;
         self.world.sa_local_q.drops()
             + self.world.sa_miss_q.drops()
-            + self.world.sa_pe_q.iter().map(|q| q.drops()).sum::<u64>()
+            + pe_q.iter().map(|q| q.drops()).sum::<u64>()
     }
 
     /// Builds the packet-conservation ledger from lifetime totals.
@@ -230,6 +237,7 @@ impl Router {
     /// packet.
     pub fn conservation(&self) -> Conservation {
         let c = &self.world.counters;
+        let pe_q = &self.world.sa_pe_q.queues;
         let escalation_drops = self.escalation_drops();
         let sa_holds_packet = matches!(
             &self.sa.job,
@@ -247,8 +255,8 @@ impl Router {
             + qm_queued
             + self.world.sa_local_q.len()
             + self.world.sa_miss_q.len()
-            + self.world.sa_pe_q.iter().map(|q| q.len()).sum::<usize>()
-            + self.pe.inbound.iter().map(|q| q.len()).sum::<usize>()
+            + pe_q.iter().map(|q| q.len()).sum::<usize>()
+            + self.pe.inbound.len()
             + usize::from(sa_holds_packet)
             + usize::from(self.pe.current.is_some());
         Conservation {

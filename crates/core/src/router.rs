@@ -145,9 +145,6 @@ impl Router {
         world.divert_pe_permille = cfg.divert_pe_permille;
         world.divert_sa_permille = cfg.divert_sa_permille;
         world.qm = crate::qm::QmPlane::from_config(&cfg, nports);
-        world.sa_pe_q = (0..cfg.pe_classes)
-            .map(|_| crate::queues::PacketQueue::new(512))
-            .collect();
 
         // Routes: 10.p.0.0/16 -> port p.
         for p in 0..cfg.ports_in_use {
@@ -251,7 +248,7 @@ impl Router {
         let mut sa = StrongArm::new(SaCosts::default());
         sa.use_interrupts = cfg.sa_interrupts;
         sa.synth_feed = cfg.sa_synth_feed;
-        let mut pe = Pentium::new(PeCosts::default(), cfg.pe_classes);
+        let mut pe = Pentium::new(PeCosts::default());
         pe.delay_loop_cycles = cfg.pe_delay_loop;
         let pci = Pci::new(PE_BUFFERS);
         let fast = FastPath {

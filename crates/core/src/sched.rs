@@ -9,6 +9,8 @@
 //! Stride scheduling: each flow holds `tickets`; its `stride` is
 //! `STRIDE1 / tickets`; the scheduler always serves the ready flow with
 //! the minimum `pass`, then advances that flow's pass by its stride.
+//! The Pentium's flows are its installed forwarders, and the share is
+//! taken where their packets claim I2O buffers (`sa::PeStaging`).
 
 /// Global stride constant.
 const STRIDE1: u64 = 1 << 20;
@@ -64,35 +66,35 @@ impl Stride {
         self.flows.len() - 1
     }
 
-    /// Number of flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows are registered.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
     /// Updates a flow's ticket allocation.
     pub fn set_tickets(&mut self, flow: usize, tickets: u64) {
         assert!(tickets > 0, "zero tickets");
         self.flows[flow].tickets = tickets;
     }
 
-    /// Picks the ready flow (per `ready`) with minimum pass, advancing
-    /// its pass. Returns `None` if no flow is ready.
-    pub fn pick(&mut self, ready: impl Fn(usize) -> bool) -> Option<usize> {
-        let idx = self
-            .flows
+    /// The ready flow (per `ready`) with minimum pass, without charging
+    /// it. Returns `None` if no flow is ready.
+    pub fn peek(&self, ready: impl Fn(usize) -> bool) -> Option<usize> {
+        self.flows
             .iter()
             .enumerate()
             .filter(|&(i, _)| ready(i))
-            .min_by_key(|&(_, f)| f.pass)?
-            .0;
-        let f = &mut self.flows[idx];
+            .min_by_key(|&(_, f)| f.pass)
+            .map(|(i, _)| i)
+    }
+
+    /// Charges `flow` one stride: it has been served once.
+    pub fn charge(&mut self, flow: usize) {
+        let f = &mut self.flows[flow];
         f.pass += STRIDE1 / f.tickets;
         self.global_pass = self.global_pass.max(f.pass);
+    }
+
+    /// Picks the ready flow (per `ready`) with minimum pass, advancing
+    /// its pass. Returns `None` if no flow is ready.
+    pub fn pick(&mut self, ready: impl Fn(usize) -> bool) -> Option<usize> {
+        let idx = self.peek(ready)?;
+        self.charge(idx);
         Some(idx)
     }
 }

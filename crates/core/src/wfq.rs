@@ -21,8 +21,9 @@
 
 use crate::classify::FlowKey;
 
-/// Fixed-point scale for virtual time (per byte).
-const VSCALE: u64 = 256;
+/// Fixed-point scale for virtual time: units charged per byte at
+/// weight 1. The per-flow wheel (`qm_sched`) charges on the same scale.
+pub const VSCALE: u64 = 256;
 
 /// Default bound on registered flows; beyond it, the least-recently
 /// charged flow is evicted and its slot recycled.

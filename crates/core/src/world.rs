@@ -47,8 +47,6 @@ pub struct PktMeta {
     pub mps_total: u8,
     /// MPs written to DRAM so far (cut-through pacing).
     pub mps_written: u8,
-    /// Pentium flow class (stride-scheduler input) for escalated packets.
-    pub pe_flow: u8,
     /// True when classification could not route the packet (cache miss
     /// at escalation time); the StrongARM resolves it via the trie.
     pub needs_route: bool,
@@ -93,10 +91,8 @@ pub enum Escalation {
     },
     /// Route-cache miss: StrongARM runs the full prefix match.
     SaMiss,
-    /// Pentium-bound, in the given flow class.
+    /// Pentium-bound, staged in its forwarder's queue.
     Pe {
-        /// Flow class for the proportional-share scheduler.
-        flow: u8,
         /// Jump-table index of the Pentium forwarder (`u32::MAX` = null).
         fwdr: u32,
     },
@@ -210,9 +206,9 @@ pub struct RouterWorld {
     pub sa_local_q: PacketQueue<(u32, u32)>,
     /// Route-miss queue (StrongARM services with the trie).
     pub sa_miss_q: PacketQueue,
-    /// Pentium-bound staging queues, one per flow class, of
-    /// `(descriptor, Pentium jump-table index)`.
-    pub sa_pe_q: Vec<PacketQueue<(u32, u32)>>,
+    /// Pentium-bound staging queues, one per installed Pentium
+    /// forwarder plus the null forwarder's, shared by their tickets.
+    pub sa_pe_q: crate::sa::PeStaging,
     /// Signals raised by context programs (which can only see the
     /// world); the dispatcher drains these into typed plane events
     /// after every step.
@@ -291,7 +287,7 @@ impl RouterWorld {
             flow_state: Vec::new(),
             sa_local_q: PacketQueue::new(512),
             sa_miss_q: PacketQueue::new(256),
-            sa_pe_q: vec![PacketQueue::new(512)],
+            sa_pe_q: Default::default(),
             signals: Vec::new(),
             exception_sa_fwdr: u32::MAX,
             wfq: None,
@@ -328,7 +324,6 @@ impl RouterWorld {
                 0 // Unknown until the last MP is written.
             },
             mps_written: 0,
-            pe_flow: 0,
             needs_route: false,
             aborted: false,
             deferrals: 0,
@@ -381,6 +376,6 @@ mod tests {
     #[test]
     fn world_has_default_pe_class() {
         let w = RouterWorld::new(RunMode::System, 2, 1, 8, 16);
-        assert_eq!(w.sa_pe_q.len(), 1);
+        assert_eq!(w.sa_pe_q.queues().len(), 1);
     }
 }

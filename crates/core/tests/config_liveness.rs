@@ -20,7 +20,7 @@ fn observe(cfg: RouterConfig, drive: Drive) -> String {
     drive(&mut r);
     let w = &r.world;
     let qm = w.qm.as_ref().map(|q| (q.nflows_per_port(), q.mem_bytes()));
-    let staged: Vec<u64> = w.sa_pe_q.iter().map(|q| q.drops()).collect();
+    let staged: Vec<u64> = w.sa_pe_q.queues().iter().map(|q| q.drops()).collect();
     let compiled: Vec<bool> = w.me_forwarders.iter().map(|f| f.exec.is_compiled()).collect();
     let table = (w.table.route_count(), w.table.trie_stats(), w.table.cache_stats());
     format!("{:#x} {:?} {qm:?} {table:?} {staged:?} {compiled:?}", r.fingerprint(), r.report())
@@ -88,7 +88,6 @@ fn every_config_field_moves_something() {
         lazy_body: _,
         sa_synth_feed: _,
         sa_interrupts: _,
-        pe_classes: _,
         pe_delay_loop: _,
         route_invalidation: _,
         synthetic_routes: _,
@@ -101,7 +100,6 @@ fn every_config_field_moves_something() {
         qm_flow_cap: _,
         qm_mem_budget_bytes: _,
         qm_aqm: _,
-        qm_port_aqm: _,
         qm_seed: _,
     } = RouterConfig::default();
 
@@ -118,7 +116,7 @@ fn every_config_field_moves_something() {
     let overload: Drive = |r| blast(r, 0..2, 2, ms(3));
     let converge: Drive = |r| blast(r, 0..8, 1, ms(2));
 
-    let rows: [(&str, RouterConfig, Vary, Drive); 31] = [
+    let rows: [(&str, RouterConfig, Vary, Drive); 29] = [
         ("chip", ideal(), |c| c.chip = npr_ixp::ChipConfig::default(), idle),
         ("mode", ideal(), |c| c.mode = RunMode::InputOnly, idle),
         // npr-fabric members: 12 input contexts, 9 ports with one uplink.
@@ -158,8 +156,6 @@ fn every_config_field_moves_something() {
             idle,
         ),
         ("sa_interrupts", RouterConfig::strongarm_null(), |c| c.sa_interrupts = true, idle),
-        // One Pentium staging queue per class.
-        ("pe_classes", ideal(), |c| c.pe_classes = 2, built),
         ("pe_delay_loop", to_pe(100), |c| c.pe_delay_loop = 1510, idle),
         ("route_invalidation", wire(), |c| c.route_invalidation = Invalidation::Targeted, reroute),
         ("synthetic_routes", ideal(), |c| c.synthetic_routes = 10_000, built),
@@ -184,12 +180,6 @@ fn every_config_field_moves_something() {
             built,
         ),
         ("qm_aqm", qos(AqmKind::DropTail), |c| c.qm_aqm = AqmKind::Codel, overload),
-        (
-            "qm_port_aqm",
-            qos(AqmKind::DropTail),
-            |c| c.qm_port_aqm = vec![(2, AqmKind::Codel)],
-            overload,
-        ),
         ("qm_seed", qos(AqmKind::Red), |c| c.qm_seed = 2001, overload),
     ];
     let dead: Vec<&str> = rows

@@ -86,15 +86,16 @@ fn garbage_traffic_case(seed: u64) -> Result<(), String> {
     // Escalations either completed, dropped with a counter, or are
     // still queued/in flight somewhere bounded; none vanish. The
     // PCI pipeline holds at most the I2O buffer count.
+    let pe_q = r.world.sa_pe_q.queues();
     let esc_out = c.sa_local_done.total()
         + c.pe_done.total()
         + c.no_route_drops.total()
         + c.lap_losses.total()
         + (r.world.sa_local_q.len() + r.world.sa_miss_q.len()) as u64
-        + r.world.sa_pe_q.iter().map(|q| q.len() as u64).sum::<u64>()
+        + pe_q.iter().map(|q| q.len() as u64).sum::<u64>()
         + r.world.sa_local_q.drops()
         + r.world.sa_miss_q.drops()
-        + r.world.sa_pe_q.iter().map(|q| q.drops()).sum::<u64>()
+        + pe_q.iter().map(|q| q.drops()).sum::<u64>()
         + r.pe.backlog() as u64;
     let in_flight_bound = 64 + 2;
     prop_assert!(

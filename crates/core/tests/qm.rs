@@ -79,8 +79,7 @@ impl OracleSched {
     }
 
     fn on_service(&mut self, flow: usize, bytes: u32, weight: u32, still_backlogged: bool) {
-        let stride = (u64::from(bytes) * npr_core::qm_sched::VSCALE / u64::from(weight.max(1)))
-            .max(1);
+        let stride = (u64::from(bytes) * npr_core::wfq::VSCALE / u64::from(weight.max(1))).max(1);
         self.finish[flow] = self.finish[flow].max(self.vt) + stride;
         if still_backlogged {
             self.slot[flow] = self.placement_slot(self.finish[flow]);
@@ -100,7 +99,7 @@ proptest! {
         (0usize..NFLOWS, any::<bool>()),
         1..400,
     )) {
-        let quantum = 512 * npr_core::qm_sched::VSCALE;
+        let quantum = 512 * npr_core::wfq::VSCALE;
         let mut wheel = WheelSched::new(NFLOWS, quantum);
         let mut oracle = OracleSched::new(NFLOWS, quantum);
         let mut depth = vec![0u32; NFLOWS];
@@ -348,12 +347,16 @@ fn soak_rate(class: FaultClass) -> u32 {
 
 #[test]
 fn chaos_soak_with_per_flow_queues_conserves() {
+    // Each discipline in its own run under the full 8-class compound
+    // fault plan.
+    for aqm in [AqmKind::DropTail, AqmKind::Red, AqmKind::Codel] {
+        qm_chaos_soak(aqm);
+    }
+}
+
+fn qm_chaos_soak(aqm: AqmKind) {
     let horizon = ms(if cfg!(debug_assertions) { 2 } else { 8 });
-    // All three disciplines at once via per-port overrides, under the
-    // full 8-class compound fault plan.
-    let mut cfg = RouterConfig::per_flow_qos(AqmKind::DropTail);
-    cfg.qm_port_aqm = vec![(1, AqmKind::Red), (2, AqmKind::Codel)];
-    let mut r = Router::new(cfg);
+    let mut r = Router::new(RouterConfig::per_flow_qos(aqm));
     // Route exactly one flow (the port-3 CBR) through a StrongARM
     // forwarder so SaWedge/PciError have real jobs to corrupt, while
     // the TCP mix stays on the fast path through the flow queues — a
@@ -385,15 +388,15 @@ fn chaos_soak_with_per_flow_queues_conserves() {
     r.attach_cbr(3, 0.4, 400, 1);
     r.run_until(horizon);
     let ok = r.drain(us(100), 2_000);
-    assert!(ok, "qm soak failed to quiesce: {:?}", r.conservation());
+    assert!(ok, "{aqm:?} qm soak failed to quiesce: {:?}", r.conservation());
     let c = r.conservation();
-    assert!(c.holds(), "deficit={} {c:?}", c.deficit());
+    assert!(c.holds(), "{aqm:?}: deficit={} {c:?}", c.deficit());
     let injected: u64 = FAULT_CLASSES
         .iter()
         .map(|&cl| r.fault_plan().map_or(0, |p| p.injected(cl)))
         .sum();
-    assert!(injected > 0, "the compound plan injected nothing");
+    assert!(injected > 0, "{aqm:?}: the compound plan injected nothing");
     // The qm really carried the traffic (this is not a vacuous pass).
     let qm = r.world.qm.as_ref().unwrap();
-    assert!(qm.total_enqueued() > 0, "no packet ever reached the flow queues");
+    assert!(qm.total_enqueued() > 0, "{aqm:?}: no packet reached the flow queues");
 }

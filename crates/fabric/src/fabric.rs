@@ -580,7 +580,10 @@ impl Fabric {
             .sum()
     }
 
-    /// Total drops anywhere in the fabric.
+    /// Total drops anywhere in the fabric: the switch layer's, and each
+    /// member's ledger drops (queue and flow-queue, escalation,
+    /// no-route, lap, forwarder, truncation) plus the ones before
+    /// admission (port rx, validation, VRP, input lap).
     pub fn total_drops(&self) -> u64 {
         self.switch_drops()
             + self.link_drops()
@@ -589,7 +592,11 @@ impl Fabric {
             + self
                 .members()
                 .map(|r| {
-                    r.world.queues.total_drops()
+                    let c = &r.world.counters;
+                    r.conservation().drops()
+                        + c.validation_drops.total()
+                        + c.vrp_drops.total()
+                        + c.input_lap_drops.total()
                         + r.ixp
                             .hw
                             .ports

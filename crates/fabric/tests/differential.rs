@@ -264,6 +264,23 @@ fn unroutable_subnets_count_one_switch_drop_per_frame() {
 }
 
 #[test]
+fn total_drops_counts_flow_queue_drops() {
+    // Three of member 0's ports converge on a fourth at 2.7x its wire:
+    // the per-flow queue manager sheds the excess, and every frame is
+    // either delivered or in the fabric's drop total.
+    let cfg = RouterConfig::per_flow_qos(npr_core::AqmKind::DropTail);
+    let mut f = Fabric::single_switch(2, cfg);
+    for p in 0..3 {
+        f.member_mut(0).attach_source(p, cbr(3, 0.9, 400));
+    }
+    f.run_lockstep(ms(30), 1);
+    let qm_drops = f.member(0).world.qm.as_ref().unwrap().total_drops();
+    assert!(qm_drops > 0, "no flow queue ever overflowed");
+    assert!(f.total_drops() >= qm_drops);
+    assert_eq!(f.external_tx() + f.total_drops(), 1_200);
+}
+
+#[test]
 fn lockstep_delivers_cross_traffic_with_tight_latency() {
     let mut f = Fabric::single_switch(2, RouterConfig::line_rate());
     f.member_mut(0).attach_source(0, cbr(9, 0.5, 50));

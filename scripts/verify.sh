@@ -30,8 +30,8 @@ cfg_fields="$(pub_fields RouterConfig crates/core/src/config.rs)"
 rep_fields="$(pub_fields Report crates/core/src/report.rs)"
 bench_fmt="$(grep -rnE 'format!|push_str' crates/bench/src | wc -l)"
 echo "tracked: crates/*/src ${src_loc} lines, RouterConfig ${cfg_fields} pub fields, Report ${rep_fields} pub fields, crates/bench ${bench_fmt} format!/push_str sites"
-if [ "$cfg_fields" -gt 31 ]; then
-    echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 31): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
+if [ "$cfg_fields" -gt 29 ]; then
+    echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 29): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
     exit 1
 fi
 # Statistics are lifetime totals and a window is a difference
