@@ -223,6 +223,8 @@ struct HostRow {
     events: u64,
     events_skipped: u64,
     wall_s: f64,
+    /// Payload bytes the packet pool holds at the end (exact).
+    pool_bytes: usize,
 }
 
 impl HostRow {
@@ -231,6 +233,7 @@ impl HostRow {
             events: router.events_dispatched(),
             events_skipped: router.events_skipped(),
             wall_s: t0.elapsed().as_secs_f64(),
+            pool_bytes: router.world.pool.bytes(),
         }
     }
 
@@ -388,10 +391,12 @@ fn main() {
     let idle = HostRow::fastest_of_three(idle_line_rate);
     println!(
         "tracked: golden_scenario {:.1} events per simulated us ({} skipped), {:.1} sim us per \
-         host ms; idle_line_rate {:.1} events per simulated us ({} skipped), {:.1} sim us per host ms",
+         host ms, {} pool bytes; idle_line_rate {:.1} events per simulated us ({} skipped), \
+         {:.1} sim us per host ms",
         golden.events_per_sim_us(),
         golden.events_skipped,
         golden.sim_us_per_host_ms(),
+        golden.pool_bytes,
         idle.events_per_sim_us(),
         idle.events_skipped,
         idle.sim_us_per_host_ms(),

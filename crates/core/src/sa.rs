@@ -467,7 +467,7 @@ impl StrongArm {
                     // write the bytes back; it may also have re-aimed
                     // the packet (replies go out the ingress port), so
                     // rebind the queue.
-                    bytes.truncate(2048);
+                    bytes.truncate(npr_packet::buffer::DEFAULT_BUFFER_SIZE);
                     meta.len = bytes.len() as u16;
                     let mps = npr_packet::Mp::count_for_len(bytes.len()) as u8;
                     meta.mps_total = mps;

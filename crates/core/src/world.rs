@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use npr_packet::buffer::DEFAULT_BUFFER_SIZE;
 use npr_packet::{BufferHandle, BufferPool, Mp};
 use npr_route::RoutingTable;
 use npr_sim::{Counter, Time};
@@ -273,7 +274,7 @@ impl RouterWorld {
         queue_cap: usize,
         pool_bufs: usize,
     ) -> Self {
-        let pool = BufferPool::new(pool_bufs, 2048);
+        let pool = BufferPool::new(pool_bufs, DEFAULT_BUFFER_SIZE);
         Self {
             mode,
             meta: vec![PktMeta::default(); pool.len()],

@@ -150,3 +150,17 @@ fn ttl_expiring_packets_take_the_slow_path() {
     r.run_until(ms(2));
     assert_eq!(r.world.counters.to_sa.total(), 1, "escalated to StrongARM");
 }
+
+#[test]
+fn the_packet_pool_holds_what_minimum_frames_need() {
+    // The headline system forwards minimum-size frames: past a full
+    // lap of the 8192-buffer pool, every slot has held a frame, and
+    // none needs more than one 64-byte MP of host memory (the modelled
+    // layout is 8192 x 2 KB = 16 MiB).
+    let mut r = Router::new(RouterConfig::table1_system());
+    r.run_until(ms(4));
+    let pool = &r.world.pool;
+    assert!(pool.allocations() > 8192, "one lap: {}", pool.allocations());
+    let bytes = pool.bytes();
+    assert!(bytes > 0 && bytes <= 8192 * 64, "pool holds {bytes} bytes");
+}

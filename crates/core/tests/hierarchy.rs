@@ -316,6 +316,44 @@ fn ttl_expiry_generates_icmp_time_exceeded() {
 }
 
 #[test]
+fn a_shorter_reply_leaves_at_its_own_length() {
+    // The responder replaces a 1000-byte TTL-1 frame with a 70-byte
+    // Time Exceeded in the same buffer: the wire must carry the reply
+    // alone, not the reply followed by the original frame's tail.
+    let router_addr = u32::from_be_bytes([10, 0, 0, 254]);
+    let mut r = Router::new(RouterConfig::line_rate());
+    r.install_exception_handler(npr_forwarders::slow::icmp_responder_sa(router_addr))
+        .unwrap();
+    r.ixp.hw.ports[2].tx_capture = Some(Vec::new());
+    let frame = udp_frame(
+        &FrameSpec {
+            len: 1000,
+            src: u32::from_be_bytes([10, 2, 0, 44]),
+            dst: u32::from_be_bytes([10, 5, 0, 1]),
+            ttl: 1,
+            ..Default::default()
+        },
+        &[],
+    );
+    assert_eq!(frame.len(), 1000);
+    r.attach_source(2, Box::new(TraceSource::new(vec![(0, frame)])));
+    r.run_until(ms(3));
+    assert_eq!(r.ixp.hw.ports[2].tx_frames, 1, "reply out the ingress port");
+    let mps: Vec<npr_packet::Mp> = r.ixp.hw.ports[2]
+        .tx_capture
+        .take()
+        .unwrap()
+        .into_iter()
+        .map(|(_, mp)| mp)
+        .collect();
+    let reply = npr_packet::Mp::reassemble(&mps);
+    let ip = npr_packet::Ipv4Header::parse(&reply[14..]).unwrap();
+    assert_eq!(ip.proto, npr_packet::Ipv4Proto::Icmp);
+    assert_eq!(reply[34], npr_packet::icmp::ICMP_TIME_EXCEEDED);
+    assert_eq!(reply.len(), 14 + usize::from(ip.total_len));
+}
+
+#[test]
 fn router_answers_pings() {
     // An address outside every routed subnet: the router's loopback.
     let router_addr = u32::from_be_bytes([172, 16, 0, 1]);

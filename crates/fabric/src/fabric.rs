@@ -152,25 +152,24 @@ pub struct MemberShard {
 }
 
 impl MemberShard {
-    /// Drains this member's captured uplink MPs, reassembles complete
-    /// frames, routes them per-wire, and carries them across the link
-    /// model: returns `(dest, dest_port_ix, arrival, frame)` for every
-    /// switchable frame, counting unroutable ones as switch drops and
-    /// down-link ones in the link's own ledger.
+    /// Drains this member's captured uplink MPs (in place: each
+    /// capture keeps its capacity for the next epoch), reassembles
+    /// complete frames, routes them per-wire, and carries them across
+    /// the link model: sends every switchable frame to its destination
+    /// member through `out`, counting unroutable ones as switch drops
+    /// and down-link ones in the link's own ledger.
     /// `now` drives the reassembly age-out: an entry untouched for
     /// `reassembly_age_ps` is abandoned and counted, so a frame whose
     /// closing MP never arrives (a corrupted position tag carried
     /// through cut-through) can't pin switch state forever.
-    fn collect_switched(&mut self, now: Time) -> Vec<(usize, usize, Time, Frame)> {
-        let mut out = Vec::new();
+    fn collect_switched(&mut self, now: Time, out: &mut Outbox<<Self as Shard>::Msg>) {
         for ix in 0..self.ports.len() {
             let port = self.ports[ix].port;
-            let cap = self.router.ixp.hw.ports[port]
+            let mut cap = self.router.ixp.hw.ports[port]
                 .tx_capture
                 .take()
                 .unwrap_or_default();
-            self.router.ixp.hw.ports[port].tx_capture = Some(Vec::new());
-            for (done, mp) in cap {
+            for (done, mp) in cap.drain(..) {
                 let fid = mp.frame_id;
                 let ends = mp.tag.ends_packet();
                 let entry = self.partial.entry((ix, fid)).or_insert((done, Vec::new()));
@@ -192,16 +191,16 @@ impl MemberShard {
                     Wire::Point { dest, dest_port_ix } => (dest, dest_port_ix),
                 };
                 if let Some(at) = self.ports[ix].link.transit(done, frame.len()) {
-                    out.push((dest, dest_port_ix, at, frame));
+                    out.send(dest, at, (dest_port_ix, self.k, frame));
                     self.switched += 1;
                 }
             }
+            self.router.ixp.hw.ports[port].tx_capture = Some(cap);
         }
         let age = self.reassembly_age_ps;
         let before = self.partial.len();
         self.partial.retain(|_, (touched, _)| *touched + age > now);
         self.assembly_drops += (before - self.partial.len()) as u64;
-        out
     }
 
     pub(crate) fn queued(&self) -> u64 {
@@ -257,9 +256,7 @@ impl Shard for MemberShard {
 
     fn advance(&mut self, horizon: Time, out: &mut Outbox<Self::Msg>) {
         self.router.run_until(horizon);
-        for (dest, ix, at, frame) in self.collect_switched(horizon) {
-            out.send(dest, at, (ix, self.k, frame));
-        }
+        self.collect_switched(horizon, out);
     }
 
     /// Files the frame in its port's inbox, tagged with this member's

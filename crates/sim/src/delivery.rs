@@ -96,7 +96,7 @@ pub trait Shard: Send {
 }
 
 /// Cross-shard messages emitted by one shard during one epoch, in
-/// emission order. The engine allocates one outbox per *source* shard,
+/// emission order. The engine keeps one outbox per *source* shard,
 /// so the emission sequence that breaks timestamp ties is assigned by
 /// the simulation, never by thread completion order.
 #[derive(Debug)]
@@ -243,6 +243,11 @@ pub fn run<D: Delivery, S: Shard>(
 ) -> EngineStats {
     assert!(lookahead > 0, "lookahead must be positive");
     let mut stats = EngineStats::default();
+    // One outbox per source shard and one merge buffer, drained and
+    // reused at every barrier: the lockstep path allocates only while
+    // an epoch's traffic exceeds every earlier epoch's.
+    let mut outboxes: Vec<Outbox<S::Msg>> = (0..shards.len()).map(|_| Outbox::new()).collect();
+    let mut merged: Vec<(Time, usize, usize, usize, S::Msg)> = Vec::new();
     loop {
         // Globally earliest pending event; index order makes the min
         // deterministic (ties collapse to the same value anyway).
@@ -260,7 +265,6 @@ pub fn run<D: Delivery, S: Shard>(
             .saturating_mul(lookahead)
             .min(until);
 
-        let mut outboxes: Vec<Outbox<S::Msg>> = (0..shards.len()).map(|_| Outbox::new()).collect();
         d.epoch(shards, horizon, &mut outboxes);
         stats.epochs += 1;
 
@@ -269,7 +273,6 @@ pub fn run<D: Delivery, S: Shard>(
         // destination sees the same delivery sequence no matter which
         // worker finished first (the cross-shard tie-break audit lives
         // in the parallel differential suites).
-        let mut merged: Vec<(Time, usize, usize, usize, S::Msg)> = Vec::new();
         for (src, out) in outboxes.iter_mut().enumerate() {
             for (emit, (dest, at, msg)) in out.msgs.drain(..).enumerate() {
                 assert!(
@@ -286,7 +289,7 @@ pub fn run<D: Delivery, S: Shard>(
             }
         }
         merged.sort_by_key(|&(at, src, emit, _, _)| (at, src, emit));
-        for (at, _, _, dest, msg) in merged {
+        for (at, _, _, dest, msg) in merged.drain(..) {
             shards[dest].deliver(at, msg);
             stats.delivered += 1;
         }
