@@ -438,31 +438,28 @@ fn main() {
         println!("experiment {name}: {ms:.1} ms wall");
     }
 
-    // 3b. The VRP backend axis: pure executor throughput on both tiers
-    //     plus a full-router service-suite run on both tiers. The
-    //     compiled chain's payoff is host-only (simulated time is pinned
-    //     identical by the differential gates above).
+    // 3b. The VRP backend axis: pure executor throughput on both
+    //     tiers. The compiled chain's payoff is host-only (simulated
+    //     time is pinned identical by the differential gates above).
     let axis_iters: u64 = if quick { 20_000 } else { 120_000 };
-    let axis = npr_bench::backend_axis(axis_iters, warmup, window);
+    let axis = npr_bench::backend_axis(axis_iters);
     print!(
         "vrp backend axis: service corpus {:.2} -> {:.2} Mexec/s ({:.2}x); heavy",
         axis.interp_pps / 1e6,
         axis.compiled_pps / 1e6,
         axis.speedup,
     );
-    for s in &axis.heavy {
+    for (i, s) in axis.heavy.iter().enumerate() {
         print!(
-            " {} {:.0} -> {:.0} Minsn/s ({:.2}x),",
+            "{} {} {:.0} -> {:.0} Minsn/s ({:.2}x)",
+            if i == 0 { "" } else { "," },
             s.kind,
             s.interp_ips / 1e6,
             s.compiled_ips / 1e6,
             s.speedup
         );
     }
-    println!(
-        " router wall {:.1} -> {:.1} ms ({:.2}x)",
-        axis.router_interp_ms, axis.router_compiled_ms, axis.router_speedup
-    );
+    println!();
 
     // 3c. The parallel-delivery threads axis: the fault sweep (one
     //     fresh fault-injected router per (class, rate) point) fanned
@@ -553,9 +550,6 @@ fn main() {
             "iters" => axis.iters, "interp_execs_per_sec" => fixed(axis.interp_pps, 0),
             "compiled_execs_per_sec" => fixed(axis.compiled_pps, 0), "speedup" => fixed(axis.speedup, 3),
             "heavy" => Value::Obj(heavy.collect()), "heavy_speedup" => fixed(axis.heavy_speedup, 3),
-            "router_interp_wall_ms" => fixed(axis.router_interp_ms, 1),
-            "router_compiled_wall_ms" => fixed(axis.router_compiled_ms, 1),
-            "router_speedup" => fixed(axis.router_speedup, 3),
         },
         "parallel" => obj! {
             "host_cores" => host_cores,

@@ -19,17 +19,14 @@
 //!    Here the interpreter's per-instruction decode/dispatch/bounds
 //!    work is fully exposed, and this is the axis the ≥ 2x acceptance
 //!    bar is measured on.
-//! 3. [`router_wall_ms`]: the full router with the section 4.4 service
-//!    suite installed and all eight ports flooded, wall milliseconds
-//!    per run. The VRP share of the total event-loop work bounds the
-//!    visible gain here; it is recorded as the honest end-to-end view.
+//!
+//! The full router's host time on the default tier is what the
+//! `benchmark/` workloads measure.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use npr_core::{Router, RouterConfig};
 use npr_forwarders::{pad_program, PadKind};
-use npr_sim::Time;
 use npr_vrp::{Executable, VrpBackend};
 
 /// Results of one sweep over both backends.
@@ -52,12 +49,6 @@ pub struct BackendAxis {
     /// The combination-block series' speedup — the headline
     /// forwarder-heavy number (see [`heavy_pps`] for why).
     pub heavy_speedup: f64,
-    /// Full-router service-suite run, interpreter (wall ms).
-    pub router_interp_ms: f64,
-    /// Full-router service-suite run, compiled chain (wall ms).
-    pub router_compiled_ms: f64,
-    /// `router_interp_ms / router_compiled_ms`.
-    pub router_speedup: f64,
 }
 
 /// Deterministic MP matrix covering the corpus programs' real parse
@@ -190,35 +181,8 @@ pub fn heavy_pps(backend: VrpBackend, kind: PadKind, iters: u64) -> (f64, u64) {
     ((iters * insns_per_iter) as f64 / dt, insns_per_iter)
 }
 
-/// Full-router wall-clock for one backend: the section 4.4 service
-/// suite over an 8-port 95% flood — every packet runs three installed
-/// VRP programs plus the default IP path.
-pub fn router_wall_ms(backend: VrpBackend, warmup: Time, window: Time) -> f64 {
-    let ctl = npr_core::FlowKey {
-        src: u32::from_be_bytes([10, 0, 0, 9]),
-        dst: u32::from_be_bytes([10, 1, 0, 1]),
-        sport: 2600,
-        dport: 89,
-    };
-    let mut cfg = RouterConfig::line_rate();
-    cfg.vrp_backend = backend;
-    let mut r = Router::new(cfg);
-    for (key, req) in npr_forwarders::service_suite(ctl).expect("suite assembles") {
-        r.install(key, req, None).expect("suite admitted");
-    }
-    for p in 0..8 {
-        r.attach_cbr(p, 0.95, u64::MAX, ((p + 1) % 8) as u8);
-    }
-    let t0 = Instant::now();
-    let rep = r.measure(warmup, window);
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(rep.forward_mpps > 0.1, "flood stalled: {rep:?}");
-    wall
-}
-
-/// Runs the whole axis: pure execution on both tiers, then the full
-/// router on both tiers. `iters` scales the pure-execution loop.
-pub fn backend_axis(iters: u64, warmup: Time, window: Time) -> BackendAxis {
+/// Runs the whole axis on both tiers. `iters` scales the corpus loop.
+pub fn backend_axis(iters: u64) -> BackendAxis {
     let (interp_pps, execs_per_iter) = exec_pps(VrpBackend::Interp, iters);
     let (compiled_pps, _) = exec_pps(VrpBackend::Compiled, iters);
     // Heavy programs retire ~50x more instructions per corpus pass;
@@ -257,8 +221,6 @@ pub fn backend_axis(iters: u64, warmup: Time, window: Time) -> BackendAxis {
         });
     }
     let heavy_speedup = heavy.last().expect("three series").speedup;
-    let router_interp_ms = router_wall_ms(VrpBackend::Interp, warmup, window);
-    let router_compiled_ms = router_wall_ms(VrpBackend::Compiled, warmup, window);
     BackendAxis {
         execs_per_iter,
         iters,
@@ -267,9 +229,6 @@ pub fn backend_axis(iters: u64, warmup: Time, window: Time) -> BackendAxis {
         speedup: compiled_pps / interp_pps,
         heavy,
         heavy_speedup,
-        router_interp_ms,
-        router_compiled_ms,
-        router_speedup: router_interp_ms / router_compiled_ms,
     }
 }
 
@@ -279,7 +238,7 @@ mod tests {
 
     #[test]
     fn axis_runs_and_reports_sane_numbers() {
-        let axis = backend_axis(20, npr_core::us(100), npr_core::us(300));
+        let axis = backend_axis(20);
         assert_eq!(axis.execs_per_iter, 8 * 7);
         assert!(axis.interp_pps > 0.0);
         assert!(axis.compiled_pps > 0.0);
@@ -294,7 +253,5 @@ mod tests {
             assert!(s.compiled_ips > 0.0, "{}", s.kind);
         }
         assert_eq!(axis.heavy[2].kind, "combo");
-        assert!(axis.router_interp_ms > 0.0);
-        assert!(axis.router_compiled_ms > 0.0);
     }
 }

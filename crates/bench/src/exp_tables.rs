@@ -186,7 +186,7 @@ pub fn table4(warmup: Time, window: Time) -> Vec<PaperVsMeasured> {
     let mut out = Vec::new();
     // 64-byte packets, full transfer (the paper's measurement loop
     // reads the whole packet and writes it back).
-    let mut r = Router::new(RouterConfig::pentium_path(60, false));
+    let mut r = Router::new(RouterConfig::pentium_path(60));
     let rep = r.measure(warmup, window);
     out.push(PaperVsMeasured {
         label: "64 B rate".into(),
@@ -207,7 +207,7 @@ pub fn table4(warmup: Time, window: Time) -> Vec<PaperVsMeasured> {
         unit: "cycles",
     });
     // 1500-byte packets.
-    let mut r = Router::new(RouterConfig::pentium_path(1500, false));
+    let mut r = Router::new(RouterConfig::pentium_path(1500));
     let rep = r.measure(warmup, window.max(ms(8)));
     out.push(PaperVsMeasured {
         label: "1500 B rate".into(),

@@ -14,11 +14,12 @@
 use std::collections::HashMap;
 
 use npr_ixp::HashUnit;
+use npr_packet::{EtherType, EthernetFrame, Ipv4Header, Ipv4Proto, MplsLabel};
 use npr_route::classify::{ClassRule, ClassifyCost, ClassifyError, PktKey5, TupleSpace};
 use npr_vrp::VrpBudget;
 
 /// A 4-tuple flow key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src: u32,
@@ -28,6 +29,48 @@ pub struct FlowKey {
     pub sport: u16,
     /// Destination transport port.
     pub dport: u16,
+}
+
+impl FlowKey {
+    /// The key of a packet whose headers were parsed from `head`, its
+    /// first MP: the IPv4 4-tuple (TCP and UDP carry `(sport, dport)` in
+    /// their first four bytes; other protocols, or ports past the end of
+    /// `head`, key as 0), else the top MPLS label in both addresses.
+    pub(crate) fn of(head: &[u8], ip: Option<Ipv4Header>, mpls_label: Option<u32>) -> FlowKey {
+        let (src, dst, ports) = match (ip, mpls_label) {
+            (Some(ip), _) => {
+                let off = 14 + usize::from(ip.header_len);
+                let l4 = matches!(ip.proto, Ipv4Proto::Tcp | Ipv4Proto::Udp);
+                (ip.src, ip.dst, head.get(off..off + 4).filter(|_| l4))
+            }
+            (None, label) => (label.unwrap_or(0), label.unwrap_or(0), None),
+        };
+        let port = |i: usize| ports.map_or(0, |b| u16::from_be_bytes([b[i], b[i + 1]]));
+        FlowKey {
+            src,
+            dst,
+            sport: port(0),
+            dport: port(2),
+        }
+    }
+
+    /// The key of the packet in `frame`, read from its first MP as the
+    /// input loop reads it, so a packet keys the same on the fast path
+    /// and after a slow-plane detour. A frame that does not parse keys
+    /// as all zeros.
+    pub(crate) fn read(frame: &[u8]) -> FlowKey {
+        let head = &frame[..frame.len().min(64)];
+        let Ok(eth) = EthernetFrame::parse(head) else {
+            return FlowKey::default();
+        };
+        let payload = eth.payload();
+        let (ip, label) = match eth.ethertype() {
+            EtherType::Ipv4 => (Ipv4Header::parse(payload).ok(), None),
+            EtherType::Mpls => (None, MplsLabel::parse(payload).ok().map(|l| l.label)),
+            _ => (None, None),
+        };
+        FlowKey::of(head, ip, label)
+    }
 }
 
 /// A demultiplexing key: a specific flow or all packets.

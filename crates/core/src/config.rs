@@ -65,12 +65,9 @@ pub struct RouterConfig {
     /// Varied by: `strongarm_null`, the `services_mixed` benchmark
     /// workload, the fabric suites.
     pub divert_sa_permille: u32,
-    /// Move only head + routing header over PCI (section 3.7's lazy
-    /// body retrieval). Varied by: `pentium_path` (Table 4).
-    pub lazy_body: bool,
     /// StrongARM synthetic feed for Table 4: the frame length it
-    /// manufactures (the transfer follows `lazy_body`). Varied by:
-    /// `pentium_path`.
+    /// manufactures and moves whole across PCI
+    /// (`sa::SYNTH_BRIDGE_LAZY`). Varied by: `pentium_path`.
     pub sa_synth_feed: Option<usize>,
     /// StrongARM interrupt mode (vs. polling). Varied by: the
     /// `robustness` experiment (section 3.6's interrupt row).
@@ -114,7 +111,7 @@ pub struct RouterConfig {
     /// Per-flow queue manager (`npr_core::qm`): flow queues per output
     /// port, rounded up to a power of two and clamped by the memory
     /// budget. `0` (the digest-recorded default) disables the manager
-    /// entirely — forwarded packets take the legacy `QueuePlane` path and
+    /// entirely — every packet takes the paper's `QueuePlane` rings and
     /// the golden digest is untouched. Varied by: `per_flow_qos`.
     pub qm_flows_per_port: usize,
     /// Per-flow queue depth cap, in packets. Varied by: the `qos`
@@ -150,7 +147,6 @@ impl Default for RouterConfig {
             traffic: TrafficTemplate::UniformSpread,
             divert_pe_permille: 0,
             divert_sa_permille: 0,
-            lazy_body: true,
             sa_synth_feed: None,
             sa_interrupts: false,
             pe_delay_loop: 0,
@@ -266,14 +262,13 @@ impl RouterConfig {
     }
 
     /// Table 4: StrongARM feeds synthetic packets of `frame_len` to the
-    /// Pentium as fast as possible; `lazy` selects header-only transfer.
-    pub fn pentium_path(frame_len: usize, lazy: bool) -> Self {
+    /// Pentium as fast as possible.
+    pub fn pentium_path(frame_len: usize) -> Self {
         Self {
             mode: RunMode::System,
             input_ctxs: 0,
             output_ctxs: 8,
             sa_synth_feed: Some(frame_len),
-            lazy_body: lazy,
             ..Self::default()
         }
     }

@@ -9,7 +9,7 @@
 //! follows the [`crate::costs`] model (Table 2).
 
 use npr_ixp::{CtxProgram, Env, HwData, MemKind, MutexId, Op, PortId, RingId};
-use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, Ipv4Proto, MacAddr, Mp};
+use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, MacAddr, Mp};
 use npr_vrp::VrpAction;
 
 use crate::classify::{FlowKey, WhereRun};
@@ -238,38 +238,7 @@ impl InputLoop {
                 .unwrap_or(false);
 
             // --- Flow classification (dual hash) when extensions exist. ---
-            // Both TCP and UDP carry (sport, dport) in their first
-            // four bytes. MPLS frames key on the top label.
-            let fkey = match (ip, mpls_label) {
-                (Some(ip), _) => {
-                    let (sport, dport) = match ip.proto {
-                        Ipv4Proto::Tcp | Ipv4Proto::Udp => {
-                            let off = 14 + usize::from(ip.header_len);
-                            if usize::from(mp.len) >= off + 4 {
-                                (
-                                    u16::from_be_bytes([mp.data[off], mp.data[off + 1]]),
-                                    u16::from_be_bytes([mp.data[off + 2], mp.data[off + 3]]),
-                                )
-                            } else {
-                                (0, 0)
-                            }
-                        }
-                        _ => (0, 0),
-                    };
-                    FlowKey {
-                        src: ip.src,
-                        dst: ip.dst,
-                        sport,
-                        dport,
-                    }
-                }
-                (None, label) => FlowKey {
-                    src: label.unwrap_or(0),
-                    dst: label.unwrap_or(0),
-                    sport: 0,
-                    dport: 0,
-                },
-            };
+            let fkey = FlowKey::of(&mp.data[..usize::from(mp.len)], ip, mpls_label);
             self.flow_key = Some(fkey);
             let has_extensions = w.classifier.flow_count() + w.classifier.general_count() > 0;
             let class = if has_extensions {
@@ -563,11 +532,7 @@ impl InputLoop {
         let w: &mut RouterWorld = env.world;
         // Tracing: match by the packet's IPv4 destination.
         if w.tracer.dst.is_some() {
-            let dst = w
-                .pool
-                .read(h)
-                .filter(|b| b.len() >= 34)
-                .map(|b| u32::from_be_bytes([b[30], b[31], b[32], b[33]]));
+            let dst = w.pool.read(h).and_then(crate::router::parse_dst);
             if dst.is_some_and(|d| w.tracer.matches(d)) {
                 let (verdict, qid) = match self.verdict {
                     Verdict::Forward => ("forward", Some(self.qid as u16)),
@@ -589,40 +554,12 @@ impl InputLoop {
         }
         match self.verdict {
             Verdict::Forward => {
-                if w.mode != RunMode::InputOnly {
-                    // The per-flow queue manager, when installed, replaces
-                    // the legacy QueuePlane for forwarded packets: the flow
-                    // key hashes to a bounded per-flow queue and the port's
-                    // AQM discipline decides admission. Discards are
-                    // counted inside the plane (exactly one counter each);
-                    // like every other drop site, dropping never frees the
-                    // buffer — one-lap pool semantics.
-                    let meta = w.meta[h.index() as usize];
-                    let admitted = match (&mut w.qm, self.flow_key) {
-                        (Some(qm), Some(key)) => qm.enqueue(
-                            usize::from(meta.out_port),
-                            &key,
-                            desc,
-                            u32::from(meta.len.max(60)),
-                            env.now,
-                        ),
-                        _ => w.queues.enqueue(self.qid, desc),
-                    };
-                    if admitted && w.traced_descs.contains(&desc) {
-                        w.tracer.record(
-                            env.now,
-                            crate::trace::TraceStep::Enqueued {
-                                qid: self.qid as u16,
-                            },
-                        );
-                    }
-                    // Only admitted packets consume WFQ service credit.
-                    if admitted {
-                        if let (Some(flow), Some(wfq)) = (self.wfq_flow, &mut w.wfq) {
-                            let len =
-                                w.meta[BufferHandle::from_descriptor(desc).index() as usize].len;
-                            wfq.mapper.charge(flow, u32::from(len.max(60)));
-                        }
+                // Only admitted packets consume WFQ service credit.
+                if w.mode != RunMode::InputOnly && w.enqueue_out(desc, self.flow_key, env.now) {
+                    w.trace_enqueued(desc, env.now);
+                    if let (Some(flow), Some(wfq)) = (self.wfq_flow, &mut w.wfq) {
+                        let len = w.meta[h.index() as usize].len;
+                        wfq.mapper.charge(flow, u32::from(len.max(60)));
                     }
                 }
                 w.counters.input_pkts.inc();

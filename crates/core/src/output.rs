@@ -75,7 +75,8 @@ pub struct OutputLoop {
     batch: VecDeque<u32>,
     batch_max: usize,
     refilled: bool,
-    synth_ctr: u32,
+    /// Pulls from an unbatchable source (see `count_pull`).
+    pulls: u32,
     pending_mp: Option<Mp>,
     staged_tag: MpTag,
     scratch_w_left: u32,
@@ -117,7 +118,7 @@ impl OutputLoop {
             batch: VecDeque::new(),
             batch_max: batch_max.max(1),
             refilled: false,
-            synth_ctr: 0,
+            pulls: 0,
             pending_mp: None,
             staged_tag: MpTag::Only,
             scratch_w_left: 0,
@@ -134,6 +135,17 @@ impl OutputLoop {
         Op::Compute(n)
     }
 
+    /// Counts one pull from a source a batched context cannot pre-fetch
+    /// from (the synthesized supply, the flow wheel): the refill is
+    /// charged every `batch_max` pulls, and on a pull that `found`
+    /// nothing, as on an empty ring.
+    fn count_pull(&mut self, found: bool) {
+        if self.discipline == OutputDiscipline::SingleBatched {
+            self.pulls += 1;
+            self.refilled |= !found || (self.pulls as usize).is_multiple_of(self.batch_max);
+        }
+    }
+
     /// Picks the next packet (data side). Returns `false` when no work
     /// is available. `now` drives the per-flow queue manager's
     /// dequeue-time AQM (CoDel sojourn is simulated-clock arithmetic).
@@ -141,50 +153,28 @@ impl OutputLoop {
         if self.current.is_some() {
             return true;
         }
-        if w.mode == RunMode::OutputOnly {
-            // Synthesized descriptor: infinite supply. Batching still
-            // pays its periodic refill.
-            if self.discipline == OutputDiscipline::SingleBatched {
-                self.synth_ctr += 1;
-                if (self.synth_ctr as usize).is_multiple_of(self.batch_max) {
-                    self.refilled = true;
-                }
-            }
-            self.current = Some(Current {
-                buf: BufferHandle::from_descriptor(0),
-                next_mp: 0,
-            });
-            return true;
-        }
-        // Per-flow queue manager: the timer wheel replaces the per-port
-        // descriptor rings as the source for classified fast-path
-        // traffic. Slow-plane reinjections (StrongARM/Pentium output,
-        // monitor forwarders) still land in the legacy rings, so when
-        // the wheel has nothing for this port we fall through to them —
-        // otherwise those packets would be stranded forever.
-        //
-        // The wheel is pulled once per transmission even under batched
-        // output: pre-fetching a batch ahead of the scheduler would
-        // freeze its decisions `batch_max` packet-times early and put a
-        // fixed sojourn floor under every flow (8 x 6.7 us at 100 Mbps
-        // — right at the CoDel target), which is exactly the latency a
-        // dequeue-time AQM exists to police. Only the descriptor-fetch
-        // *cost* is amortized: the periodic refill charge still lands
-        // every `batch_max` pulls.
-        let qm_desc = match &mut w.qm {
-            Some(qm) => {
-                if self.discipline == OutputDiscipline::SingleBatched {
-                    self.synth_ctr += 1;
-                    if (self.synth_ctr as usize).is_multiple_of(self.batch_max) {
-                        self.refilled = true;
-                    }
-                }
-                qm.dequeue(self.port, now)
-            }
-            None => None,
-        };
-        let desc = if qm_desc.is_some() {
-            qm_desc
+        let desc = if w.mode == RunMode::OutputOnly {
+            // Synthesized descriptor: infinite supply.
+            self.count_pull(true);
+            Some(0)
+        } else if let Some(qm) = &mut w.qm {
+            // The timer wheel is the port's only output queue: every
+            // packet for it, fast path or slow plane, entered through
+            // `RouterWorld::enqueue_out`. It is pulled once per
+            // transmission even under batched output: pre-fetching a
+            // batch ahead of the scheduler would freeze its decisions
+            // `batch_max` packet-times early and put a fixed sojourn
+            // floor under every flow (8 x 6.7 us at 100 Mbps — right at
+            // the CoDel target), which is exactly the latency a
+            // dequeue-time AQM exists to police. Only the
+            // descriptor-fetch *cost* is amortized.
+            debug_assert!(
+                w.queues.select_ready(self.port).is_none(),
+                "ring used under qm"
+            );
+            let d = qm.dequeue(self.port, now);
+            self.count_pull(d.is_some());
+            d
         } else {
             match self.discipline {
                 OutputDiscipline::SingleBatched => {
@@ -303,28 +293,22 @@ impl OutputLoop {
         if sent.ends_packet() {
             self.pkts_done += 1;
             w.counters.tx_pkts.inc();
-            if let Some(c) = self.current {
-                let desc = c.buf.to_descriptor();
-                if w.traced_descs.remove(&desc) {
-                    w.tracer.record(
-                        now,
-                        crate::trace::TraceStep::Transmitted {
-                            port: w.meta_of(c.buf).out_port,
-                        },
-                    );
+            if let Some(c) = self.current.take() {
+                let meta = *w.meta_of(c.buf);
+                if w.traced_descs.remove(&c.buf.to_descriptor()) {
+                    let step = crate::trace::TraceStep::Transmitted {
+                        port: meta.out_port,
+                    };
+                    w.tracer.record(now, step);
                 }
-            }
-            if let Some(c) = self.current {
-                let arrival = w.meta_of(c.buf).arrival;
-                let lat = now.saturating_sub(arrival);
-                if arrival > 0 && lat > 0 {
+                let lat = now.saturating_sub(meta.arrival);
+                if meta.arrival > 0 && lat > 0 {
                     w.counters.latency_sum_ps.add(lat);
                     w.counters.latency_samples.inc();
                     w.counters.latency_max_ps = w.counters.latency_max_ps.max(lat);
                     w.counters.latency_hist.record(lat);
                 }
             }
-            self.current = None;
         } else if let Some(c) = &mut self.current {
             c.next_mp += 1;
         }

@@ -11,7 +11,6 @@ use npr_sim::Time;
 
 use crate::costs::{PeCosts, CTL_DESC_BYTES, CTL_PE_CYCLES};
 use crate::health::Policer;
-use crate::pci::ROUTING_HEADER_BYTES;
 use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
 use crate::world::RouterWorld;
 
@@ -212,11 +211,7 @@ impl Pentium {
         }
         match action {
             PeAction::Forward => {
-                let bytes = if item.lazy {
-                    64 + ROUTING_HEADER_BYTES
-                } else {
-                    usize::from(item.len) + ROUTING_HEADER_BYTES
-                };
+                let bytes = crate::sa::bridge_bytes(usize::from(item.len), item.lazy);
                 let done_t = bus.pci_transfer(bytes);
                 bus.send_at(
                     done_t,
@@ -249,7 +244,10 @@ impl Pentium {
             if n > 0 {
                 bus.world.pool.write_at(h, 0, &head[..n]);
             }
-            bus.world.queues.enqueue(usize::from(meta.qid), desc);
+            let now = bus.now();
+            if bus.world.enqueue_out(desc, None, now) {
+                bus.world.trace_enqueued(desc, now);
+            }
         } else {
             bus.world.counters.lap_losses.inc();
         }

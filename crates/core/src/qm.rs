@@ -22,7 +22,7 @@
 //! drop counter summed as `cap_drops` (per-flow cap), or `sojourn_drops`
 //! (CoDel at dequeue). Dropping never frees a buffer: descriptors live in
 //! the circular pool with one-lap semantics, so a drop is pure accounting,
-//! exactly like the legacy `QueuePlane` path. `Router::conservation` folds
+//! exactly like the `QueuePlane` rings. `Router::conservation` folds
 //! `total_drops` and the live occupancy into the ledger.
 
 use std::collections::VecDeque;

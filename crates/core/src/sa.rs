@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 use npr_packet::BufferHandle;
 use npr_sim::{cycles_to_ps, FaultClass, Time};
 
+use crate::classify::FlowKey;
 use crate::costs::{SaCosts, CTL_DESC_BYTES, CTL_SA_CYCLES};
 use crate::health::Policer;
 use crate::pci::ROUTING_HEADER_BYTES;
@@ -49,6 +50,20 @@ pub const SA_DEFER_INTERVAL_PS: Time = 6_000_000;
 /// escalated packet dead: 64 retries x the 6 us interval ~ 384 us — far
 /// past any legitimate assembly time, so live packets are never hit.
 pub const SA_MAX_DEFERRALS: u16 = 64;
+
+/// The bridge moves only a packet's head and routing header across PCI
+/// (section 3.7's lazy body retrieval).
+const BRIDGE_LAZY: bool = true;
+
+/// Table 4's synthetic feed moves each packet whole, as the paper's
+/// measurement loop does.
+const SYNTH_BRIDGE_LAZY: bool = false;
+
+/// Bytes one transfer of a `len`-byte packet puts on the bus, either
+/// way across the bridge.
+pub(crate) fn bridge_bytes(len: usize, lazy: bool) -> usize {
+    (if lazy { 64 } else { len }) + ROUTING_HEADER_BYTES
+}
 
 /// Signature of a StrongARM-local packet transformation: owned bytes
 /// (resizable) + metadata; `false` drops the packet.
@@ -313,7 +328,7 @@ impl StrongArm {
                     bus.world.sa_pe_q.share.charge(queue);
                     let h = BufferHandle::from_descriptor(desc);
                     let mps = bus.world.meta_of(h).mps_total.max(1);
-                    let cycles = self.bridge_cycles(mps, bus.cfg.lazy_body);
+                    let cycles = self.bridge_cycles(mps, BRIDGE_LAZY);
                     self.begin_job(bus, SaJob::Bridge { desc, queue, fwdr }, cycles, now);
                     return;
                 }
@@ -359,7 +374,7 @@ impl StrongArm {
         if let Some(len) = self.synth_feed {
             if bus.pci.claim_buffer() {
                 let mps = npr_packet::Mp::count_for_len(len) as u8;
-                let cycles = self.bridge_cycles(mps, bus.cfg.lazy_body);
+                let cycles = self.bridge_cycles(mps, SYNTH_BRIDGE_LAZY);
                 self.begin_job(bus, SaJob::SynthBridge, cycles, now);
             }
             // Else: a PeWriteback/PeDone will re-poll us.
@@ -418,16 +433,18 @@ impl StrongArm {
 
     /// The StrongARM's one full prefix match (it owns the trie): looks
     /// `dst` up, filling the route cache, and aims the packet at the
-    /// next hop's port, priority 0. Returns that queue, or `None` when
-    /// no route exists.
-    fn route(bus: &mut Bus<'_>, h: BufferHandle, dst: u32) -> Option<usize> {
-        let nh = bus.world.table.lookup_and_fill(dst).0?;
+    /// next hop's port, priority 0. Returns `false` when no route
+    /// exists.
+    fn route(bus: &mut Bus<'_>, h: BufferHandle, dst: u32) -> bool {
+        let Some(nh) = bus.world.table.lookup_and_fill(dst).0 else {
+            return false;
+        };
         let qid = bus.world.queues.qid(usize::from(nh.port), 0);
         let meta = bus.world.meta_mut(h);
         meta.out_port = nh.port;
         meta.qid = qid as u16;
         meta.needs_route = false;
-        Some(qid)
+        true
     }
 
     /// Routes an escalated packet whose classification missed the
@@ -437,9 +454,7 @@ impl StrongArm {
         if !bus.world.meta_of(h).needs_route {
             return true;
         }
-        let routed = dst_of(bus.world, h)
-            .and_then(|dst| Self::route(bus, h, dst))
-            .is_some();
+        let routed = dst_of(bus.world, h).is_some_and(|dst| Self::route(bus, h, dst));
         if !routed {
             bus.world.counters.no_route_drops.inc();
         }
@@ -505,7 +520,9 @@ impl StrongArm {
                         .unwrap_or_default();
                     if let Some(frags) = npr_packet::ipv4::fragment(&frame, mtu) {
                         let now = bus.now();
-                        let qid = usize::from(meta.qid);
+                        // Every fragment waits in its datagram's flow
+                        // queue (only the first carries the ports).
+                        let key = FlowKey::read(&frame);
                         for frag in frags {
                             let fh = bus.world.alloc_packet(frag.len() as u16, meta.in_port, now);
                             bus.world.pool.write(fh, &frag);
@@ -517,7 +534,7 @@ impl StrongArm {
                                 m.mps_total = mps;
                                 m.mps_written = mps;
                             }
-                            bus.world.queues.enqueue(qid, fh.to_descriptor());
+                            bus.world.enqueue_out(fh.to_descriptor(), Some(key), now);
                         }
                         bus.world.counters.sa_local_done.inc();
                         return;
@@ -527,8 +544,8 @@ impl StrongArm {
                     return;
                 }
             }
-            let qid = usize::from(bus.world.meta_of(h).qid);
-            bus.world.queues.enqueue(qid, desc);
+            let now = bus.now();
+            bus.world.enqueue_out(desc, None, now);
             bus.world.counters.sa_local_done.inc();
         }
     }
@@ -591,13 +608,7 @@ impl StrongArm {
                         return;
                     }
                 };
-                let bytes = if bus.cfg.lazy_body {
-                    64 + ROUTING_HEADER_BYTES
-                } else {
-                    usize::from(len) + ROUTING_HEADER_BYTES
-                };
-                let lazy = bus.cfg.lazy_body;
-                let done_t = bus.pci_transfer(bytes);
+                let done_t = bus.pci_transfer(bridge_bytes(usize::from(len), BRIDGE_LAZY));
                 bus.send_at(
                     done_t,
                     PlaneEvent::PeArrive(Box::new(PeItem {
@@ -606,13 +617,12 @@ impl StrongArm {
                         head,
                         len,
                         mps,
-                        lazy,
+                        lazy: BRIDGE_LAZY,
                     })),
                 );
             }
             SaJob::SynthBridge => {
                 let len = self.synth_feed.expect("synth feed configured");
-                let lazy = bus.cfg.lazy_body;
                 let frame = build_udp_frame(1, 0, len);
                 let h = bus.world.alloc_packet(len as u16, 9, now);
                 bus.world.pool.write(h, &frame);
@@ -626,12 +636,7 @@ impl StrongArm {
                 let mut head = [0u8; 64];
                 let n = frame.len().min(64);
                 head[..n].copy_from_slice(&frame[..n]);
-                let bytes = if lazy {
-                    64 + ROUTING_HEADER_BYTES
-                } else {
-                    len + ROUTING_HEADER_BYTES
-                };
-                let done_t = bus.pci_transfer(bytes);
+                let done_t = bus.pci_transfer(bridge_bytes(len, SYNTH_BRIDGE_LAZY));
                 bus.send_at(
                     done_t,
                     PlaneEvent::PeArrive(Box::new(PeItem {
@@ -640,7 +645,7 @@ impl StrongArm {
                         head,
                         len: len as u16,
                         mps: npr_packet::Mp::count_for_len(len) as u8,
-                        lazy,
+                        lazy: SYNTH_BRIDGE_LAZY,
                     })),
                 );
             }
@@ -655,23 +660,19 @@ impl StrongArm {
             SaJob::Miss { desc } => {
                 let h = BufferHandle::from_descriptor(desc);
                 let dst = dst_of(bus.world, h).unwrap_or(0);
-                match Self::route(bus, h, dst) {
-                    Some(qid) => {
-                        bus.world.queues.enqueue(qid, desc);
-                        bus.world.counters.sa_local_done.inc();
-                    }
-                    None if bus.world.exception_sa_fwdr != u32::MAX => {
-                        // Unroutable packets (including traffic for the
-                        // router itself) go to the exception handler —
-                        // the ICMP responder answers pings and sources
-                        // Destination Unreachable.
-                        let fwdr = bus.world.exception_sa_fwdr;
-                        self.finish_local(bus, desc, fwdr);
-                    }
-                    None => {
-                        // No route, no handler: drop.
-                        bus.world.counters.no_route_drops.inc();
-                    }
+                if Self::route(bus, h, dst) {
+                    bus.world.enqueue_out(desc, None, now);
+                    bus.world.counters.sa_local_done.inc();
+                } else if bus.world.exception_sa_fwdr != u32::MAX {
+                    // Unroutable packets (including traffic for the
+                    // router itself) go to the exception handler — the
+                    // ICMP responder answers pings and sources
+                    // Destination Unreachable.
+                    let fwdr = bus.world.exception_sa_fwdr;
+                    self.finish_local(bus, desc, fwdr);
+                } else {
+                    // No route, no handler: drop.
+                    bus.world.counters.no_route_drops.inc();
                 }
             }
             SaJob::Control(_) => unreachable!("handled above"),

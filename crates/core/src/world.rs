@@ -14,8 +14,9 @@ use npr_route::RoutingTable;
 use npr_sim::{Counter, Time};
 use npr_vrp::{VrpCost, VrpProgram};
 
-use crate::classify::Classifier;
+use crate::classify::{Classifier, FlowKey};
 use crate::queues::{PacketQueue, QueuePlane};
+use crate::trace::TraceStep;
 
 /// How the router is being exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,11 +222,11 @@ pub struct RouterWorld {
     /// Input-side WFQ approximation (section 3.4.1's sketch): when set,
     /// unclaimed packets are assigned a priority level by the mapper.
     pub wfq: Option<crate::wfq::WfqState>,
-    /// Per-flow queue manager (`npr_core::qm`): when set, forwarded
-    /// packets bypass the legacy `QueuePlane` and are hashed into
+    /// Per-flow queue manager (`npr_core::qm`): when set, it is every
+    /// port's output queue and `queues` stays empty — packets hash into
     /// bounded per-flow queues scheduled by the timer wheel, with the
     /// port's AQM discipline deciding early drops. `None` (default)
-    /// keeps the legacy path byte-identical.
+    /// keeps the paper's rings byte-identical.
     pub qm: Option<crate::qm::QmPlane>,
     /// Slow-path fragmentation MTU: when set, the StrongARM fragments
     /// oversized packets (RFC 791) instead of forwarding them whole.
@@ -341,6 +342,45 @@ impl RouterWorld {
     /// Mutable metadata for a (current) handle.
     pub fn meta_mut(&mut self, h: BufferHandle) -> &mut PktMeta {
         &mut self.meta[h.index() as usize]
+    }
+
+    /// The one way a packet enters an output queue, from the input loop
+    /// or a slow plane. With the queue manager armed it joins the flow
+    /// queue `key` hashes to on `meta.out_port`; `None` reads the key
+    /// from the buffer ([`FlowKey::read`]; a lapped buffer queues under
+    /// the all-zero key and the output stage counts the loss). Otherwise
+    /// it joins ring `meta.qid`. `false` means refused: the discard is
+    /// already counted, a traced packet's trace ends `Dropped`, and the
+    /// buffer is kept (one-lap pool semantics).
+    pub fn enqueue_out(&mut self, desc: u32, key: Option<FlowKey>, now: Time) -> bool {
+        let h = BufferHandle::from_descriptor(desc);
+        let meta = *self.meta_of(h);
+        let admitted = match &mut self.qm {
+            Some(qm) => {
+                let key =
+                    key.unwrap_or_else(|| FlowKey::read(self.pool.read(h).unwrap_or_default()));
+                let len = u32::from(meta.len.max(60));
+                qm.enqueue(usize::from(meta.out_port), &key, desc, len, now)
+            }
+            None => self.queues.enqueue(usize::from(meta.qid), desc),
+        };
+        if !admitted && self.traced_descs.remove(&desc) {
+            let step = TraceStep::Dropped { reason: "queue" };
+            self.tracer.record(now, step);
+        }
+        admitted
+    }
+
+    /// Records a traced packet's `Enqueued` step once
+    /// [`Self::enqueue_out`] admitted it. The input loop and the Pentium
+    /// record it; a StrongARM reinjection does not, because its
+    /// `StrongArm` step at the same instant marks the hand-back and the
+    /// golden digest pins that trace.
+    pub(crate) fn trace_enqueued(&mut self, desc: u32, now: Time) {
+        if self.traced_descs.contains(&desc) {
+            let qid = self.meta_of(BufferHandle::from_descriptor(desc)).qid;
+            self.tracer.record(now, TraceStep::Enqueued { qid });
+        }
     }
 
     /// Counts a VRP interpreter trap, attributing it to an installed ME

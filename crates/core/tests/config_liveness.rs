@@ -43,15 +43,6 @@ fn blast(r: &mut Router, ports: std::ops::Range<usize>, dst: u8, t: Time) {
     r.run_until(t);
 }
 
-/// 1500-byte frames: 24 MPs whose bodies either cross the PCI bus or
-/// stay behind.
-fn big_frames(r: &mut Router) {
-    let dst = u32::from_be_bytes([10, 1, 0, 1]);
-    let spec = npr_traffic::FrameSpec { len: 1500, dst, ..Default::default() };
-    r.attach_source(0, Box::new(npr_traffic::CbrSource::new(100_000_000, 0.5, spec, u64::MAX)));
-    r.run_until(ms(2));
-}
-
 /// A route update lands mid-run (what `route_invalidation` prices).
 fn reroute(r: &mut Router) {
     blast(r, 0..1, 1, us(400));
@@ -85,7 +76,6 @@ fn every_config_field_moves_something() {
         traffic: _,
         divert_pe_permille: _,
         divert_sa_permille: _,
-        lazy_body: _,
         sa_synth_feed: _,
         sa_interrupts: _,
         pe_delay_loop: _,
@@ -116,7 +106,7 @@ fn every_config_field_moves_something() {
     let overload: Drive = |r| blast(r, 0..2, 2, ms(3));
     let converge: Drive = |r| blast(r, 0..8, 1, ms(2));
 
-    let rows: [(&str, RouterConfig, Vary, Drive); 29] = [
+    let rows: [(&str, RouterConfig, Vary, Drive); 28] = [
         ("chip", ideal(), |c| c.chip = npr_ixp::ChipConfig::default(), idle),
         ("mode", ideal(), |c| c.mode = RunMode::InputOnly, idle),
         // npr-fabric members: 12 input contexts, 9 ports with one uplink.
@@ -144,14 +134,8 @@ fn every_config_field_moves_something() {
         ("divert_pe_permille", ideal(), |c| c.divert_pe_permille = 100, idle),
         ("divert_sa_permille", ideal(), |c| c.divert_sa_permille = 1000, idle),
         (
-            "lazy_body",
-            RouterConfig { chip: wire().chip, ..to_pe(1000) },
-            |c| c.lazy_body = false,
-            big_frames,
-        ),
-        (
             "sa_synth_feed",
-            RouterConfig { sa_synth_feed: None, ..RouterConfig::pentium_path(60, false) },
+            RouterConfig { sa_synth_feed: None, ..RouterConfig::pentium_path(60) },
             |c| c.sa_synth_feed = Some(60),
             idle,
         ),

@@ -258,6 +258,30 @@ fn codel_controls_sojourn_against_drop_tail() {
     );
 }
 
+/// Slow-plane packets wait in their flow's queue like any other: under
+/// the bufferbloat load on port 2, a light stream from port 3 whose
+/// flow is bound to a StrongARM forwarder is offered to its own flow
+/// queue and served from it, instead of waiting in a ring the output
+/// stage would read only when the wheel ran dry.
+#[test]
+fn strongarm_forwarded_flow_is_served_from_the_wheel() {
+    let mut r = bloat_router(AqmKind::DropTail);
+    let key = npr_core::FlowKey {
+        src: u32::from_be_bytes([10, 3, 0, 2]),
+        dst: u32::from_be_bytes([10, 2, 0, 1]),
+        sport: 5_000,
+        dport: 5_001,
+    };
+    r.install(Key::Flow(key), npr_forwarders::slow::full_ip_sa(), None).unwrap();
+    r.attach_cbr(3, 0.05, u64::MAX, 2);
+    r.run_until(ms(6));
+    let qm = r.world.qm.as_ref().unwrap();
+    let (offered, delivered, _) = qm.flow_stats(2, &key);
+    assert!(offered > 0, "no StrongARM-forwarded packet reached the wheel");
+    assert!(delivered * 10 >= offered * 9, "delivered {delivered} of {offered} offered");
+    assert_eq!(r.world.queues.total_enqueued(), 0, "a packet entered a ring under the wheel");
+}
+
 #[test]
 fn overload_ladder_degrades_gracefully() {
     // Rung 1 — early drop: RED sheds probabilistically before the hard
@@ -399,4 +423,6 @@ fn qm_chaos_soak(aqm: AqmKind) {
     // The qm really carried the traffic (this is not a vacuous pass).
     let qm = r.world.qm.as_ref().unwrap();
     assert!(qm.total_enqueued() > 0, "{aqm:?}: no packet reached the flow queues");
+    // The StrongARM-forwarded flow entered the wheel too: no ring was used.
+    assert_eq!(r.world.queues.total_enqueued(), 0, "{aqm:?}: a packet entered a ring");
 }

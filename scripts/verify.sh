@@ -30,8 +30,8 @@ cfg_fields="$(pub_fields RouterConfig crates/core/src/config.rs)"
 rep_fields="$(pub_fields Report crates/core/src/report.rs)"
 bench_fmt="$(grep -rnE 'format!|push_str' crates/bench/src | wc -l)"
 echo "tracked: crates/*/src ${src_loc} lines, RouterConfig ${cfg_fields} pub fields, Report ${rep_fields} pub fields, crates/bench ${bench_fmt} format!/push_str sites"
-if [ "$cfg_fields" -gt 29 ]; then
-    echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 29): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
+if [ "$cfg_fields" -gt 28 ]; then
+    echo "ERROR: RouterConfig has ${cfg_fields} pub fields (ceiling 28): make the new knob a constant, or raise the ceiling here with the caller that varies it" >&2
     exit 1
 fi
 # Statistics are lifetime totals and a window is a difference
@@ -50,6 +50,24 @@ if [ "$(grep -rn "fn police\b" crates/*/src | wc -l)" -gt 1 ]; then
 fi
 if grep -n "escalations:" crates/core/src/world.rs; then
     echo "ERROR: an escalations map is back in RouterWorld: tag the staging-queue entry instead" >&2
+    exit 1
+fi
+# One way into the output queue (DESIGN.md §16): outside the unit-test
+# modules, only RouterWorld::enqueue_out puts a descriptor in a ring
+# (`queues.enqueue(`) or a flow queue (`qm.enqueue(`).
+stray_enqueue="$(awk '
+    FNR == 1 { cur = ""; tests = 0 }
+    /^#\[cfg\(test\)\]/ { tests = 1 }
+    /^ *(pub(\(crate\))? )?fn [a-z_0-9]+/ {
+        cur = $0
+        sub(/^ *(pub(\(crate\))? )?fn /, "", cur)
+        sub(/[^a-z_0-9].*/, "", cur)
+    }
+    !tests && /(queues|qm)\.enqueue\(/ && cur != "enqueue_out" { print FILENAME ":" FNR ":" $0 }
+' crates/core/src/*.rs)"
+if [ -n "$stray_enqueue" ]; then
+    echo "$stray_enqueue" >&2
+    echo "ERROR: a packet enters an output queue outside RouterWorld::enqueue_out" >&2
     exit 1
 fi
 # Every BENCH file goes through the one writer, npr_check::json
