@@ -205,7 +205,22 @@ fn golden_scenario() -> HostRow {
 /// nine tenths of the time, and an idle rotation is skipped rather than
 /// dispatched, so events per simulated us is what this row records.
 fn idle_line_rate() -> HostRow {
-    let mut router = Router::new(RouterConfig::line_rate());
+    light_load(0)
+}
+
+/// `idle_line_rate` with every packet diverted to the StrongARM: its
+/// polls and completions fall between the arrivals, through the ring's
+/// idle stretches. No ME-code op is in flight, so none of them may end
+/// a jump, and `sa_busy_gate` holds this row's events per simulated us
+/// to the idle row's.
+fn sa_busy_line_rate() -> HostRow {
+    light_load(1000)
+}
+
+fn light_load(divert_sa_permille: u32) -> HostRow {
+    let mut cfg = RouterConfig::line_rate();
+    cfg.divert_sa_permille = divert_sa_permille;
+    let mut router = Router::new(cfg);
     for p in 0..8 {
         router.attach_cbr(p, 0.10, u64::MAX, ((p + 1) % 8) as u8);
     }
@@ -214,7 +229,7 @@ fn idle_line_rate() -> HostRow {
     HostRow::read(&router, t0)
 }
 
-/// Simulated span of both host-speed scenarios.
+/// Simulated span of the host-speed scenarios.
 const SCENARIO_PS: Time = us(500) + ms(2);
 
 /// One host-speed scenario: exact event counts, and the wall of its
@@ -389,10 +404,11 @@ fn main() {
     //     not gated: the host clock measures the machine, not the code.
     let golden = HostRow::fastest_of_three(golden_scenario);
     let idle = HostRow::fastest_of_three(idle_line_rate);
+    let sa_busy = HostRow::fastest_of_three(sa_busy_line_rate);
     println!(
         "tracked: golden_scenario {:.1} events per simulated us ({} skipped), {:.1} sim us per \
          host ms, {} pool bytes; idle_line_rate {:.1} events per simulated us ({} skipped), \
-         {:.1} sim us per host ms",
+         {:.1} sim us per host ms; sa_busy_line_rate {:.1} events per simulated us ({} skipped)",
         golden.events_per_sim_us(),
         golden.events_skipped,
         golden.sim_us_per_host_ms(),
@@ -400,6 +416,8 @@ fn main() {
         idle.events_per_sim_us(),
         idle.events_skipped,
         idle.sim_us_per_host_ms(),
+        sa_busy.events_per_sim_us(),
+        sa_busy.events_skipped,
     );
 
     // 3. Per-experiment wall-clock over representative experiments.
@@ -508,8 +526,12 @@ fn main() {
     println!(", best speedup {sweep_speedup_max:.2}x, bit-identical OK");
 
     // 4. Publish: the JSON record, then the gates on the two speedups
-    //    as it prints them.
+    //    and the two event rates as it prints them.
     let (rs_speedup, sweep_speedup) = (fixed(rs_speedup, 3), fixed(sweep_speedup_max, 3));
+    let (idle_rate, sa_busy_rate) = (
+        fixed(idle.events_per_sim_us(), 1),
+        fixed(sa_busy.events_per_sim_us(), 1),
+    );
     let heavy = axis.heavy.iter().map(|s| {
         let series = obj! {
             "insns_per_iter" => s.insns_per_iter, "interp_insns_per_sec" => fixed(s.interp_ips, 0),
@@ -541,8 +563,12 @@ fn main() {
         },
         "idle_line_rate" => obj! {
             "events" => idle.events, "events_skipped" => idle.events_skipped,
-            "events_per_sim_us" => fixed(idle.events_per_sim_us(), 1), "wall_ms" => fixed(idle.wall_s * 1e3, 1),
+            "events_per_sim_us" => idle_rate.clone(), "wall_ms" => fixed(idle.wall_s * 1e3, 1),
             "sim_us_per_host_ms" => fixed(idle.sim_us_per_host_ms(), 1),
+        },
+        "sa_busy_line_rate" => obj! {
+            "events" => sa_busy.events, "events_skipped" => sa_busy.events_skipped,
+            "events_per_sim_us" => sa_busy_rate.clone(),
         },
         "differential_check" => obj! {"lock_step_ops" => diff_ops, "ok" => true},
         "vrp_backend" => obj! {
@@ -566,6 +592,25 @@ fn main() {
 
     gate(calendar_gate(&rs_speedup));
     gate(sweep_gate(&sweep_speedup, host_cores));
+    gate(sa_busy_gate(&sa_busy_rate, &idle_rate));
+}
+
+/// StrongARM work between the arrivals must not cut an idle ring's
+/// jumps short: with no ME-code op in flight no plane event can reach
+/// the machine state a jump credits (DESIGN.md §5), so
+/// `sa_busy_line_rate` dispatches at most 2 % more events per
+/// simulated us than `idle_line_rate`. Both rates as published.
+fn sa_busy_gate(busy: &Value, idle: &Value) -> Result<String, String> {
+    if busy.as_f64() <= 1.02 * idle.as_f64() {
+        Ok(format!(
+            "idle ring: {busy} events per simulated us with the StrongARM busy, {idle} without"
+        ))
+    } else {
+        Err(format!(
+            "StrongARM work cuts idle-ring jumps short: {busy} events per simulated us, \
+             over 1.02 x the idle row's {idle}"
+        ))
+    }
 }
 
 /// The calendar is only worth its machinery if it beats the plain heap
@@ -615,6 +660,23 @@ mod tests {
         assert!(
             calendar_gate(&fixed(0.9996, 3)).is_ok(),
             "judged as printed: 1.000"
+        );
+    }
+
+    #[test]
+    fn sa_busy_gate_trips_when_slow_plane_events_bound_the_jumps() {
+        let ok = "idle ring: 52.1 events per simulated us with the StrongARM busy, 53.2 without";
+        assert_eq!(sa_busy_gate(&fixed(52.1, 1), &fixed(53.2, 1)).unwrap(), ok);
+        // Every StrongARM event ending a jump, as before the narrow port.
+        let slow = "StrongARM work cuts idle-ring jumps short: 60.7 events per simulated us, \
+                    over 1.02 x the idle row's 53.2";
+        assert_eq!(
+            sa_busy_gate(&fixed(60.7, 1), &fixed(53.2, 1)).unwrap_err(),
+            slow
+        );
+        assert!(
+            sa_busy_gate(&fixed(54.24, 1), &fixed(53.16, 1)).is_ok(),
+            "judged as printed: 54.2 against 53.2"
         );
     }
 

@@ -242,7 +242,9 @@ impl Router {
 
     /// Enqueues an admitted operation at the Pentium, where it begins
     /// its descent through the hierarchy. Also used by the health
-    /// monitor to replay installs after a StrongARM soft reset.
+    /// monitor to replay installs after a StrongARM soft reset. An
+    /// ME-code op is counted until its `CtlApply` lands: while one is
+    /// in flight, idle-ring jumps stop at every plane event.
     pub(crate) fn submit_ctl(&mut self, verb: ControlVerb) {
         let now = self.events.now();
         let op = ControlOp {
@@ -251,7 +253,116 @@ impl Router {
             issued: now,
         };
         self.ctl.submitted += 1;
+        if op.istore_slots() > 0 {
+            self.events.me_code_ops += 1;
+        }
         self.events
             .schedule(now, PlaneEvent::CtlSubmit(Box::new(op)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classify::FlowKey;
+    use crate::config::RouterConfig;
+    use crate::router::{ms, us};
+    use npr_sim::{FaultClass, FaultPlan};
+
+    /// An ME forwarder for a flow no packet belongs to: its ISTORE
+    /// writes are all that shows.
+    fn me_code() -> InstallRequest {
+        let mut a = npr_vrp::Asm::new("noop");
+        a.done();
+        InstallRequest::Me {
+            prog: a.finish(4).expect("assembles"),
+        }
+    }
+
+    fn sa_code() -> InstallRequest {
+        InstallRequest::Sa {
+            name: "pass".into(),
+            cycles: 100,
+            f: Box::new(|_: &mut Vec<u8>, _| true),
+        }
+    }
+
+    fn unused_flow() -> Key {
+        Key::Flow(FlowKey {
+            src: 0x0909_0909,
+            dst: 0x0909_0909,
+            sport: 9,
+            dport: 9,
+        })
+    }
+
+    /// `CtlApply`s dispatched so far.
+    fn applied(r: &Router) -> u64 {
+        r.events_by_kind()[5]
+    }
+
+    /// Steps `r` one timestamp at a time until every control op has
+    /// landed, checking at each step that the ME-code ops counted are
+    /// the `submitted` ones whose `CtlApply` has not been dispatched.
+    fn drain_counting(r: &mut Router, submitted: u64) {
+        while r.ctl_in_flight() > 0 {
+            let t = r
+                .next_event_time()
+                .expect("an op in flight has an event pending");
+            r.run_until(t);
+            assert_eq!(u64::from(r.events.me_code_ops), submitted - applied(r));
+        }
+    }
+
+    #[test]
+    fn me_code_ops_count_until_their_apply() {
+        let mut r = Router::new(RouterConfig::line_rate());
+        let fid = r.install(unused_flow(), me_code(), None).unwrap();
+        assert_eq!(r.events.me_code_ops, 1);
+        r.run_until(us(1));
+        r.remove(fid).unwrap();
+        assert_eq!(r.events.me_code_ops, 2);
+        drain_counting(&mut r, 2);
+        assert_eq!(r.events.me_code_ops, 0);
+        assert_eq!(applied(&r), 2);
+    }
+
+    #[test]
+    fn data_ops_are_not_counted() {
+        let mut r = Router::new(RouterConfig::line_rate());
+        let fid = r.install(unused_flow(), sa_code(), None).unwrap();
+        drain_counting(&mut r, 0);
+        r.setdata(fid, &[7; 4]).unwrap();
+        r.getdata(fid).unwrap();
+        assert_eq!(r.ctl_in_flight(), 2);
+        drain_counting(&mut r, 0);
+        assert_eq!(applied(&r), 0);
+    }
+
+    #[test]
+    fn a_replayed_me_install_counts_until_its_apply() {
+        // A wedging StrongARM is soft-reset by the health monitor, which
+        // replays every install down the control path at an epoch.
+        let mut cfg = RouterConfig::line_rate();
+        cfg.divert_sa_permille = 333;
+        let mut r = Router::new(cfg);
+        r.install(unused_flow(), me_code(), None).unwrap();
+        r.install(Key::All, sa_code(), None).unwrap();
+        r.attach_cbr(0, 0.5, 150, 1);
+        r.set_fault_plan(Some(
+            FaultPlan::new(9).with_rate(FaultClass::SaWedge, 100_000),
+        ));
+        let mut replay_seen = false;
+        while r.now() < ms(3) || r.ctl_in_flight() > 0 {
+            assert!(r.now() < ms(20), "the control ops never landed");
+            let t = r.now() + us(1);
+            r.run_until(t);
+            // One ME install, replayed once per reset.
+            let submitted = 1 + r.health.stats.sa_resets;
+            assert_eq!(u64::from(r.events.me_code_ops), submitted - applied(&r));
+            replay_seen |= r.health.stats.sa_resets > 0 && r.events.me_code_ops > 0;
+        }
+        assert!(replay_seen, "no replayed install was seen in flight");
+        assert_eq!(r.events.me_code_ops, 0);
     }
 }

@@ -64,7 +64,8 @@ pub use health::{HealthMonitor, HealthStats};
 pub use install::{AdmitError, Fid, InstallRequest};
 pub use pe::PeAction;
 pub use plane::{
-    Bus, ControlOp, ControlVerb, CtlStats, Plane, PlaneEvent, PlaneId, PlaneSignal, EVENT_KINDS,
+    Bus, Chip, ControlOp, ControlVerb, CtlStats, Plane, PlaneEvent, PlaneId, PlaneSignal,
+    EVENT_KINDS,
 };
 pub use qm::QmPlane;
 pub use qm_sched::WheelSched;

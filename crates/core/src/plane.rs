@@ -5,8 +5,9 @@
 //! ([`crate::sa::StrongArm`]), and the Pentium
 //! ([`crate::pe::Pentium`]). A plane owns only its level-local state;
 //! the hardware every level shares — the packet world, the PCI bus, the
-//! IXP machine, the event queue — travels through a [`Bus`] borrowed
-//! for the duration of one [`Plane::step`].
+//! event queue, and a narrow [`Chip`] port onto the IXP machine —
+//! travels through a [`Bus`] borrowed for the duration of one
+//! [`Plane::step`].
 //!
 //! Inter-plane communication is a [`PlaneEvent`] scheduled on the
 //! shared queue; [`PlaneEvent::dest`] names the receiving plane, so the
@@ -37,14 +38,17 @@
 //! 4. For ME code, [`PlaneEvent::CtlApply`] lands the write in the
 //!    instruction store: the mirroring input MicroEngines freeze for
 //!    the 80-cycles-per-slot write window (section 4.5's "requires
-//!    disabling the parallel processor").
+//!    disabling the parallel processor"). No plane can freeze an
+//!    engine: the composition root applies this one event itself
+//!    (`Router::apply_ctl`), and [`PlaneQueue`] counts the ME-code ops
+//!    between their submission and this landing.
 //!
 //! `getdata` replies cross the bus a second time, upward. Every stage
 //! charges its level's cycle accounting, so control load is visible in
 //! the `Report` and in PCI utilization.
 
-use npr_ixp::{IStore, Ixp, IxpEv, Sched};
-use npr_sim::{cycles_to_ps, EventQueue, Time, Wakeup};
+use npr_ixp::{Ixp, IxpEv, Rw, Sched};
+use npr_sim::{EventQueue, FaultPlan, Time, Wakeup};
 
 use crate::config::RouterConfig;
 use crate::install::Fid;
@@ -303,16 +307,22 @@ pub const EVENT_KINDS: [&str; 15] = [
 ];
 
 /// The router's event queue, which also knows when its pending
-/// non-`Machine` events are due and how far the current `run_until`
-/// goes: the two outside facts the machine needs before it may skip
-/// idle rotations (`npr_ixp`'s `spin.rs`). Every plane event reaches
-/// the queue through [`PlaneQueue::schedule`], so none can be missed.
+/// non-`Machine` events are due, whether an ME-code control op is on
+/// its way to the fast path, and how far the current `run_until` goes:
+/// the outside facts the machine needs before it may skip idle
+/// rotations (`npr_ixp`'s `spin.rs`). Every plane event reaches the
+/// queue through [`PlaneQueue::schedule`], so none can be missed.
 #[derive(Debug, Default)]
 pub(crate) struct PlaneQueue {
     q: EventQueue<PlaneEvent>,
     /// Instants of the pending non-`Machine` events, descending (a
     /// handful: the earliest is the last).
     plane_at: Vec<Time>,
+    /// ME-code control ops in flight: raised when one is submitted
+    /// (`Router::submit_ctl`), lowered at its `CtlApply`
+    /// (`Router::apply_ctl`). The freeze at that landing is the one
+    /// way a plane event reaches machine state a jump credits.
+    pub(crate) me_code_ops: u32,
     /// Deadline of the `run_until` in progress (0 outside one).
     pub(crate) deadline: Time,
 }
@@ -378,12 +388,20 @@ impl Sched for IxpSched<'_> {
     fn at(&mut self, t: Time, ev: IxpEv) {
         self.q.schedule(t, PlaneEvent::Machine(ev));
     }
-    /// Only a plane event or a health decision can reach into the
-    /// machine (`freeze_me` is called by `CtlApply` alone, and a
-    /// `CtlApply` is scheduled by another plane event), and machine
-    /// events schedule neither.
+    /// A plane reaches the machine in three ways: a DRAM access
+    /// through the [`Chip`] port, which no armed ring member issues; a
+    /// fault draw through it, which needs a plan, and a machine that
+    /// ever had one never arms; and the freeze of a `CtlApply`, which
+    /// the root applies for a counted ME-code op. So with no such op in
+    /// flight only a health decision can disturb a ring, at the next
+    /// epoch. With one in flight any plane event may be the one that
+    /// moves it on, and the jump ends at the next of them.
     fn calm_until(&self) -> Time {
-        self.epoch.min(self.q.next_plane_at())
+        if self.q.me_code_ops == 0 {
+            self.epoch
+        } else {
+            self.epoch.min(self.q.next_plane_at())
+        }
     }
     fn run_deadline(&self) -> Time {
         self.q.deadline
@@ -393,17 +411,44 @@ impl Sched for IxpSched<'_> {
     }
 }
 
+/// What a plane may do to the IXP machine: say *what* it does to the
+/// chip — a DRAM access, a fault draw — and nothing else. Machine
+/// events go in through [`Bus::machine`]; the instruction-store freeze
+/// is applied by the composition root alone (`Router::apply_ctl`), so
+/// no plane can read or change the state an idle-ring jump credits
+/// (DESIGN.md §5).
+pub struct Chip<'a> {
+    ixp: &'a mut Ixp<RouterWorld>,
+}
+
+impl<'a> Chip<'a> {
+    pub(crate) fn new(ixp: &'a mut Ixp<RouterWorld>) -> Self {
+        Self { ixp }
+    }
+
+    /// An access to IXP DRAM, whose controller the StrongARM shares
+    /// with the MicroEngines; returns its completion time.
+    pub fn dram_access(&mut self, now: Time, rw: Rw, bytes: usize) -> Time {
+        self.ixp.dram.access(now, rw, bytes)
+    }
+
+    /// The fault plan, for injectors outside the machine to draw from.
+    pub fn fault_plan(&mut self) -> Option<&mut FaultPlan> {
+        self.ixp.fault_plan_mut()
+    }
+}
+
 /// The hardware all planes share, borrowed for one step. Level-local
 /// state stays on the plane (`&mut self`); everything cross-cutting —
-/// packet world, PCI bus, machine, clock, wakers, control accounting —
-/// goes through here.
+/// packet world, PCI bus, chip port, clock, wakers, control accounting
+/// — goes through here.
 pub struct Bus<'a> {
     /// Shared data-plane state.
     pub world: &'a mut RouterWorld,
     /// The PCI bus + I2O buffers.
     pub pci: &'a mut Pci,
-    /// The IXP machine (memories, ports, freeze control).
-    pub ixp: &'a mut Ixp<RouterWorld>,
+    /// The narrow port onto the IXP machine.
+    pub chip: Chip<'a>,
     /// Router configuration.
     pub cfg: &'a RouterConfig,
     /// Control-plane accounting.
@@ -459,15 +504,14 @@ impl Bus<'_> {
             q: &mut *self.events,
             epoch: self.epoch,
         };
-        self.ixp.handle(ev, &mut *self.world, &mut s);
+        self.chip.ixp.handle(ev, &mut *self.world, &mut s);
     }
 
     /// Admits a packet DMA of `bytes` on the PCI bus (under the fault
     /// plane); returns its completion time.
     pub fn pci_transfer(&mut self, bytes: usize) -> Time {
         let now = self.events.now();
-        self.pci
-            .transfer_faulty(now, bytes, self.ixp.fault_plan_mut())
+        self.pci.transfer_faulty(now, bytes, self.chip.fault_plan())
     }
 
     /// Admits a control-descriptor DMA: same shared bus, but the bytes
@@ -498,8 +542,9 @@ pub trait Plane {
 
 /// The MicroEngine level. The actual fast-path work lives in the
 /// context programs inside the machine model; this plane routes
-/// machine events in and lands admitted control writes in the
-/// instruction store.
+/// machine events in. Its [`PlaneEvent::CtlApply`], which freezes the
+/// input engines, is landed by the composition root
+/// (`Router::apply_ctl`), not through the [`Bus`].
 #[derive(Debug)]
 pub struct FastPath {
     /// Input MicroEngines mirroring the instruction store (frozen for
@@ -508,22 +553,9 @@ pub struct FastPath {
 }
 
 impl Plane for FastPath {
-    fn step(&mut self, at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
+    fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
         match ev {
             PlaneEvent::Machine(e) => bus.machine(e),
-            PlaneEvent::CtlApply(op) => {
-                // Writing the instruction store "requires disabling the
-                // parallel processor" (section 4.5): every input engine
-                // mirroring the store sits idle for the write window —
-                // running contexts finish their current op and stall
-                // until the thaw. The op completes when the write does.
-                let slots = op.istore_slots();
-                let until = at + cycles_to_ps(IStore::install_cycles(slots));
-                for me in 0..self.input_mes {
-                    bus.ixp.freeze_me(me, until);
-                }
-                bus.ctl.complete(&op, until);
-            }
             other => debug_assert!(false, "misrouted event {other:?}"),
         }
     }

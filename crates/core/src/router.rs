@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use npr_ixp::{IStore, Ixp, PortId, RingId, TrafficSource};
 use npr_packet::{EthernetFrame, Ipv4Header, Ipv4Proto, MacAddr, Mp, UdpHeader};
 use npr_route::NextHop;
-use npr_sim::{FaultPlan, Time, Wakeup, PS_PER_SEC};
+use npr_sim::{cycles_to_ps, FaultPlan, Time, Wakeup, PS_PER_SEC};
 use npr_vrp::VrpBudget;
 
 use crate::config::{RouterConfig, TrafficTemplate};
@@ -25,7 +25,8 @@ use crate::output::OutputLoop;
 use crate::pci::{Pci, PE_BUFFERS};
 use crate::pe::Pentium;
 use crate::plane::{
-    Bus, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId, PlaneQueue, EVENT_KINDS,
+    Bus, Chip, ControlOp, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId, PlaneQueue,
+    EVENT_KINDS,
 };
 use crate::queues::InputDiscipline;
 use crate::report::Totals;
@@ -482,6 +483,9 @@ impl Router {
         match ev {
             PlaneEvent::SaPoll => self.sa_waker.fire(at),
             PlaneEvent::PeWake => self.pe_waker.fire(at),
+            // The one event that stops the MicroEngines lands here, not
+            // through the `Bus`: no plane can freeze an engine.
+            PlaneEvent::CtlApply(op) => return self.apply_ctl(at, &op),
             _ => {}
         }
         let (fast, sa, pe, mut bus) = self.planes();
@@ -491,6 +495,24 @@ impl Router {
             PlaneId::Pentium => pe.step(at, ev, &mut bus),
         }
         bus.drain_signals();
+    }
+
+    /// Lands an admitted ME-code op in the instruction store. Writing
+    /// the store "requires disabling the parallel processor" (section
+    /// 4.5): every input engine mirroring it sits idle for the write
+    /// window — running contexts finish their current op and stall
+    /// until the thaw. The op completes when the write does, and stops
+    /// bounding idle-ring jumps (`IxpSched::calm_until`). A handful of
+    /// calls per run: kept out of the dispatch loop.
+    #[cold]
+    #[inline(never)]
+    fn apply_ctl(&mut self, at: Time, op: &ControlOp) {
+        let until = at + cycles_to_ps(IStore::install_cycles(op.istore_slots()));
+        for me in 0..self.fast.input_mes {
+            self.ixp.freeze_me(me, until);
+        }
+        self.ctl.complete(op, until);
+        self.events.me_code_ops -= 1;
     }
 
     /// Splits the router into its three planes and the [`Bus`] they
@@ -514,7 +536,7 @@ impl Router {
         let bus = Bus {
             world,
             pci,
-            ixp,
+            chip: Chip::new(ixp),
             cfg,
             ctl,
             events,

@@ -365,8 +365,8 @@ impl StrongArm {
             let cycles = self.local_cycles(fwdr) + self.policer.police(fwdr, declared);
             // Local processing touches IXP DRAM (shared with the
             // MicroEngines): charge the controller.
-            bus.ixp.dram.access(now, npr_ixp::Rw::Read, 64);
-            bus.ixp.dram.access(now, npr_ixp::Rw::Write, 64);
+            bus.chip.dram_access(now, npr_ixp::Rw::Read, 64);
+            bus.chip.dram_access(now, npr_ixp::Rw::Write, 64);
             self.begin_job(bus, SaJob::Local { desc, fwdr }, cycles, now);
             return;
         }
@@ -386,7 +386,7 @@ impl StrongArm {
         let mut dur = cycles_to_ps(cycles);
         // Injected wedge: the job hangs far past any legitimate cost.
         // The watchdog must detect and reset before the hang resolves.
-        if let Some(f) = bus.ixp.fault_plan_mut() {
+        if let Some(f) = bus.chip.fault_plan() {
             if f.roll(FaultClass::SaWedge) {
                 dur += f.draw_window(FaultClass::SaWedge, SA_WEDGE_MIN_PS, SA_WEDGE_SPREAD_PS);
             }

@@ -21,8 +21,14 @@
 //! 1–16 input contexts, the per-flow queue manager, a StrongARM
 //! forwarder the health monitor polices (its decisions are stamped with
 //! the instant of the first event after an epoch boundary), and an
-//! armed fault plan (which must never jump). The idle cases assert
-//! `events_skipped() > 0`, so the suite cannot pass vacuously.
+//! armed fault plan (which must never jump). The slow planes are kept
+//! busy through the idle stretches: up to every packet diverted to the
+//! StrongARM, `setdata`/`getdata` ops in flight across a gap, and the
+//! ME `install` queued at the Pentium behind them — an op waits there
+//! with no control event pending, so only the count of ME-code ops in
+//! flight can tell a jump where to stop. The idle cases, SA-busy ones
+//! included, assert `events_skipped() > 0`, so the suite cannot pass
+//! vacuously.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -55,6 +61,9 @@ enum Action {
     Install,
     /// Remove it again (another freeze).
     Remove,
+    /// `setdata` (`true`) or `getdata` on a StrongARM forwarder no
+    /// packet matches: a control op that ends at the StrongARM.
+    Data(bool),
     /// Attach a fresh trace to `port`, whose first one has ended.
     Attach(usize, Vec<(Time, Vec<u8>)>),
     /// Refill `port`'s mailbox and poke it.
@@ -134,7 +143,19 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
         at,
         Action::Poke(mailbox_port, bursts(&mut rng, mailbox_port, at, end)),
     ));
-    actions.sort_by_key(|a| a.0);
+    // The slow planes busy through the gaps: diverted packets on the
+    // StrongARM, data ops in flight, and up to two of them submitted
+    // just ahead of the install, which then waits in the Pentium's
+    // FIFO with no control event pending.
+    cfg.divert_sa_permille = [0, 250, 1_000][rng.below(3) as usize];
+    for _ in 0..rng.below(3) {
+        actions.push((rng.below(end), Action::Data(rng.bool())));
+    }
+    for _ in 0..rng.below(3) {
+        actions.push((install_at, Action::Data(rng.bool())));
+    }
+    // At one instant a data op goes first.
+    actions.sort_by_key(|a| (a.0, !matches!(a.1, Action::Data(_))));
     let faults = faulty.then(|| {
         // Half the faulty cases draw nothing: an armed plan alone must
         // keep the ring from jumping.
@@ -175,6 +196,8 @@ struct Run {
     router: Router,
     mailbox: Mailbox,
     fid: Option<npr_core::Fid>,
+    /// The StrongARM forwarder `Action::Data` reads and writes.
+    data_fid: npr_core::Fid,
 }
 
 impl Run {
@@ -188,6 +211,9 @@ impl Run {
                 .expect("SA forwarder admitted");
             router.sa.policer.misbehave(0, FULL_IP_CYCLES * 3);
         }
+        let data_fid = router
+            .install(unused_flow(), full_ip_sa(), None)
+            .expect("per-flow SA forwarder admitted");
         let mailbox = Mailbox::default();
         for (p, trace) in sc.traces.iter().enumerate() {
             if p == sc.mailbox_port {
@@ -201,6 +227,7 @@ impl Run {
             router,
             mailbox,
             fid: None,
+            data_fid,
         }
     }
 
@@ -218,6 +245,16 @@ impl Run {
             Action::Remove => {
                 let fid = self.fid.take().expect("installed before removed");
                 self.router.remove(fid).expect("installed forwarder");
+            }
+            Action::Data(true) => {
+                self.router
+                    .setdata(self.data_fid, &[0x5A; 8])
+                    .expect("installed forwarder");
+            }
+            Action::Data(false) => {
+                self.router
+                    .getdata(self.data_fid)
+                    .expect("installed forwarder");
             }
             Action::Attach(p, trace) => {
                 self.router
@@ -409,4 +446,55 @@ fn an_idle_line_rate_router_skips_most_of_its_events() {
             assert_eq!(f[kind], s[kind], "{name}");
         }
     }
+}
+
+#[test]
+fn a_busy_strongarm_does_not_cut_idle_jumps_short() {
+    // The idle router above with every packet diverted to the
+    // StrongARM: its polls and completions now fall between the
+    // arrivals, all through the ring's idle stretches. An ME install
+    // and remove land first, so the span measured starts with no
+    // ME-code op in flight, and from there the slow planes' events must
+    // not bound a jump: the busy router dispatches what the idle one
+    // does, within 2 %.
+    let (from, until) = (
+        us(200),
+        us(if cfg!(debug_assertions) { 600 } else { 2_500 }),
+    );
+    let run = |divert_sa_permille: u32, compressed: bool| {
+        let mut cfg = RouterConfig::line_rate();
+        cfg.divert_sa_permille = divert_sa_permille;
+        let mut r = Router::new(cfg);
+        r.set_spin_enabled(compressed);
+        for p in 0..8 {
+            r.attach_cbr(p, 0.10, u64::MAX, ((p + 1) % 8) as u8);
+        }
+        let prog = npr_forwarders::tcp_splicer().expect("splicer assembles");
+        let fid = r
+            .install(unused_flow(), InstallRequest::Me { prog }, None)
+            .expect("per-flow splicer admits");
+        r.run_until(us(50));
+        r.remove(fid).expect("installed forwarder");
+        r.run_until(from);
+        assert_eq!(r.ctl_in_flight(), 0, "the control ops landed");
+        let before = r.events_dispatched();
+        r.run_until(until);
+        (r.events_dispatched() - before, r)
+    };
+    let (busy, fast) = run(1_000, true);
+    let (_, slow) = run(1_000, false);
+    let (idle, _) = run(0, true);
+    assert_eq!(fast.fingerprint(), slow.fingerprint());
+    assert_eq!(
+        format!("{:?}", fast.report()),
+        format!("{:?}", slow.report())
+    );
+    assert_eq!(fast.ixp.reg_cycles(), slow.ixp.reg_cycles());
+    assert_eq!(fast.next_event_time(), slow.next_event_time());
+    assert!(fast.events_by_kind()[6] > 0, "the StrongARM never polled");
+    assert!(fast.events_skipped() > 0, "nothing was skipped");
+    assert!(
+        busy * 100 <= idle * 102,
+        "{busy} events with the StrongARM busy, {idle} without"
+    );
 }

@@ -199,8 +199,9 @@ pub trait Sched {
 
     /// The earliest instant at which anything outside the machine may
     /// act on it (a control write, a health decision), the run deadline
-    /// aside. Under the default, "unknown", the machine never skips
-    /// idle rotations (`spin.rs`).
+    /// aside; outside work no armed ring can see need not bound it.
+    /// Under the default, "unknown", the machine never skips idle
+    /// rotations (`spin.rs`).
     fn calm_until(&self) -> Time {
         0
     }

@@ -43,6 +43,14 @@
 //!   uncompressed run, scheduled after the jump instant (offsets are
 //!   below one period), so the fresh sequence numbers order it against
 //!   everything already queued exactly as before.
+//! * **The embedding's events.** Whatever the embedding dispatches
+//!   inside a jump's span runs against the ring's pre-jump state with
+//!   its counters already credited. That is exact only if none of it
+//!   reads or changes the subsystem: [`Sched::calm_until`] is the
+//!   embedding's promise of the first instant something might (the
+//!   router's argument is in DESIGN.md §5: its planes reach the
+//!   machine through a narrow port, and only a counted control op can
+//!   freeze an engine).
 //!
 //! Not covered, on purpose: a machine with a fault plan armed (the
 //! injectors draw per event), rings that poll the world's queues (any

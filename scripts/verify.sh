@@ -70,6 +70,31 @@ if [ -n "$stray_enqueue" ]; then
     echo "ERROR: a packet enters an output queue outside RouterWorld::enqueue_out" >&2
     exit 1
 fi
+# Planes reach the chip through a narrow port (DESIGN.md §5): `Bus`
+# holds no `Ixp`, and only the composition root's `CtlApply` arm
+# freezes an engine (`freeze_me` inside `Router::apply_ctl`, which is
+# called on the `PlaneEvent::CtlApply` line alone). Idle-ring jumps
+# rely on it.
+if sed -n '/^pub struct Bus<.*> {/,/^}/p' crates/core/src/plane.rs | grep -nE '^ *(pub(\(crate\))? )?ixp:|Ixp<'; then
+    echo "ERROR: Bus hands planes the IXP machine: go through the Chip port" >&2
+    exit 1
+fi
+stray_freeze="$(awk '
+    FNR == 1 { cur = ""; tests = 0 }
+    /^#\[cfg\(test\)\]/ { tests = 1 }
+    /^ *(pub(\(crate\))? )?fn [a-z_0-9]+/ {
+        cur = $0
+        sub(/^ *(pub(\(crate\))? )?fn /, "", cur)
+        sub(/[^a-z_0-9].*/, "", cur)
+    }
+    !tests && /freeze_me\(/ && cur != "apply_ctl" { print FILENAME ":" FNR ":" $0 }
+    !tests && /apply_ctl\(/ && !/fn apply_ctl\(/ && !/PlaneEvent::CtlApply/ { print FILENAME ":" FNR ":" $0 }
+' crates/core/src/*.rs)"
+if [ -n "$stray_freeze" ]; then
+    echo "$stray_freeze" >&2
+    echo "ERROR: an engine is frozen outside the CtlApply arm of Router::dispatch" >&2
+    exit 1
+fi
 # Every BENCH file goes through the one writer, npr_check::json
 # (DESIGN.md, hermetic build): a quoted key in a Rust string literal is
 # a hand-rolled JSON writer coming back.
