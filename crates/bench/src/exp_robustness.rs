@@ -222,7 +222,6 @@ pub fn slowpath() -> Vec<PaperVsMeasured> {
         levels += u64::from(l);
     }
     let mean_levels = levels as f64 / n as f64;
-    let sa = npr_core::SaCosts::default();
     vec![
         PaperVsMeasured {
             label: "full IP forwarder".into(),
@@ -239,7 +238,7 @@ pub fn slowpath() -> Vec<PaperVsMeasured> {
         PaperVsMeasured {
             label: "prefix match (mean)".into(),
             paper: 236.0,
-            measured: mean_levels * sa.lookup_per_level as f64,
+            measured: mean_levels * npr_core::costs::SA_LOOKUP_PER_LEVEL as f64,
             unit: "cycles",
         },
     ]

@@ -3,7 +3,11 @@
 use npr_core::{
     ms, InputDiscipline, OutputDiscipline, Router, RouterConfig, INPUT_MEM_OPS, OUTPUT_MEM_OPS,
 };
-use npr_ixp::{ChipConfig, MemCtl, Rw};
+use npr_ixp::params::{
+    DRAM_BPS, DRAM_READ_CYCLES, DRAM_WRITE_CYCLES, SCRATCH_BPS, SCRATCH_READ_CYCLES,
+    SCRATCH_WRITE_CYCLES, SRAM_BPS, SRAM_READ_CYCLES, SRAM_WRITE_CYCLES,
+};
+use npr_ixp::{MemCtl, Rw};
 use npr_sim::{ps_to_cycles, Time};
 
 /// A paper-vs-measured pair.
@@ -144,7 +148,6 @@ pub fn table2(warmup: Time, window: Time) -> Vec<PaperVsMeasured> {
 /// Table 3: uncontended memory latencies in MicroEngine cycles,
 /// measured by round-tripping the modeled controllers.
 pub fn table3() -> Vec<PaperVsMeasured> {
-    let c = ChipConfig::default();
     let mk = |name: &str, ctl: &mut MemCtl, bytes: usize, paper_r: f64, paper_w: f64| {
         let r = ps_to_cycles(ctl.access(0, Rw::Read, bytes)) as f64;
         // Measure the write at an idle instant far in the future to
@@ -167,15 +170,15 @@ pub fn table3() -> Vec<PaperVsMeasured> {
         ]
     };
     let mut out = Vec::new();
-    let mut dram = MemCtl::new("dram", c.dram_read_cycles, c.dram_write_cycles, c.dram_bps);
+    let mut dram = MemCtl::new("dram", DRAM_READ_CYCLES, DRAM_WRITE_CYCLES, DRAM_BPS);
     out.extend(mk("DRAM", &mut dram, 32, 52.0, 40.0));
-    let mut sram = MemCtl::new("sram", c.sram_read_cycles, c.sram_write_cycles, c.sram_bps);
+    let mut sram = MemCtl::new("sram", SRAM_READ_CYCLES, SRAM_WRITE_CYCLES, SRAM_BPS);
     out.extend(mk("SRAM", &mut sram, 4, 22.0, 22.0));
     let mut scratch = MemCtl::new(
         "scratch",
-        c.scratch_read_cycles,
-        c.scratch_write_cycles,
-        c.scratch_bps,
+        SCRATCH_READ_CYCLES,
+        SCRATCH_WRITE_CYCLES,
+        SCRATCH_BPS,
     );
     out.extend(mk("Scratch", &mut scratch, 4, 16.0, 20.0));
     out

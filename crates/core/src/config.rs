@@ -24,8 +24,9 @@ pub enum TrafficTemplate {
 /// (`costs.rs`, `health.rs`, `sa.rs`, `pci.rs`, `qm.rs`, `aqm.rs`).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Chip timing configuration. Varied by: `line_rate()` (real ports
-    /// vs. ideal), the `spinlock_mutexes` ablation.
+    /// The chip's two measurement switches (every IXP1200 figure is a
+    /// constant in `npr_ixp::params`). Varied by: `line_rate()` (real
+    /// ports vs. ideal), the `spinlock_mutexes` ablation.
     pub chip: ChipConfig,
     /// Run mode. Varied by: the `table1_*` / `fig7_*` constructors.
     pub mode: RunMode,

@@ -167,62 +167,45 @@ pub const OUTPUT_MEM_OPS: MemOps = MemOps {
     scratch_w: 6,
 };
 
-/// StrongARM per-packet costs (cycles at 200 MHz), calibrated to the
-/// paper's section 3.6 / Table 4 measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct SaCosts {
-    /// Null local forwarder, polling: dequeue + jump-table dispatch +
-    /// output enqueue. 200 MHz / 380 = 526 Kpps (section 3.6).
-    pub local_base: u64,
-    /// Bridging one packet (first MP + 8-byte routing header) to the
-    /// Pentium: I2O free-queue pull, DMA program, full-queue push.
-    /// 200 MHz / 374 = 534 Kpps (Table 4, 64-byte row).
-    pub bridge_base: u64,
-    /// Per additional MP moved across the PCI bus (Table 4's 1500-byte
-    /// row: 374 + 23 x 166 = 4192 ~ the measured 4200 cycles).
-    pub bridge_per_extra_mp: u64,
-    /// Extra cost per packet when interrupt-driven instead of polling
-    /// ("interrupts were significantly slower").
-    pub interrupt_overhead: u64,
-    /// Full trie lookup on a route-cache miss (section 4.4: "the prefix
-    /// matching algorithm we use requires on average 236 cycles"); we
-    /// charge per trie level so the average emerges from the workload.
-    pub lookup_per_level: u64,
-}
+/// Register cycles the WFQ approximation adds to a classified packet:
+/// the virtual-clock arithmetic that picks its priority level.
+pub const WFQ_LEVEL_CYCLES: u32 = 12;
 
-impl Default for SaCosts {
-    fn default() -> Self {
-        Self {
-            local_base: 380,
-            bridge_base: 374,
-            bridge_per_extra_mp: 166,
-            interrupt_overhead: 280,
-            lookup_per_level: 118,
-        }
-    }
-}
+/// Register cycles the per-flow queue manager adds on the enqueue side:
+/// the FNV flow hash plus two bitmap updates.
+pub const QM_ENQUEUE_CYCLES: u32 = 16;
 
-/// Pentium per-packet costs (cycles at 733 MHz), calibrated to Table 4.
-#[derive(Debug, Clone, Copy)]
-pub struct PeCosts {
-    /// Null forwarder: I2O pop, buffer handling, I2O push for the
-    /// return path. 733 MHz / 534 Kpps - 500 spare = 872 cycles busy.
-    pub null_base: u64,
-    /// Per additional MP when the full body crosses the bus: the
-    /// silicon-bug workaround simulated I2O in software, so the Pentium
-    /// touches every byte of a large packet. Calibrated so the 1500-byte
-    /// row of Table 4 leaves ~800 spare cycles.
-    pub per_extra_mp: u64,
-}
+// StrongARM per-packet costs (cycles at 200 MHz), calibrated to the
+// paper's section 3.6 / Table 4 measurements.
 
-impl Default for PeCosts {
-    fn default() -> Self {
-        Self {
-            null_base: 872,
-            per_extra_mp: 650,
-        }
-    }
-}
+/// Null local forwarder, polling: dequeue + jump-table dispatch +
+/// output enqueue. 200 MHz / 380 = 526 Kpps (section 3.6).
+pub const SA_LOCAL_BASE: u64 = 380;
+/// Bridging one packet (first MP + 8-byte routing header) to the
+/// Pentium: I2O free-queue pull, DMA program, full-queue push.
+/// 200 MHz / 374 = 534 Kpps (Table 4, 64-byte row).
+pub const SA_BRIDGE_BASE: u64 = 374;
+/// Per additional MP moved across the PCI bus (Table 4's 1500-byte
+/// row: 374 + 23 x 166 = 4192 ~ the measured 4200 cycles).
+pub const SA_BRIDGE_PER_EXTRA_MP: u64 = 166;
+/// Extra cost per packet when interrupt-driven instead of polling
+/// ("interrupts were significantly slower").
+pub const SA_INTERRUPT_OVERHEAD: u64 = 280;
+/// Full trie lookup on a route-cache miss (section 4.4: "the prefix
+/// matching algorithm we use requires on average 236 cycles"); charged
+/// per trie level so the average emerges from the workload.
+pub const SA_LOOKUP_PER_LEVEL: u64 = 118;
+
+// Pentium per-packet costs (cycles at 733 MHz), calibrated to Table 4.
+
+/// Null forwarder: I2O pop, buffer handling, I2O push for the return
+/// path. 733 MHz / 534 Kpps - 500 spare = 872 cycles busy.
+pub const PE_NULL_BASE: u64 = 872;
+/// Per additional MP when the full body crosses the bus: the
+/// silicon-bug workaround simulated I2O in software, so the Pentium
+/// touches every byte of a large packet. Calibrated so the 1500-byte
+/// row of Table 4 leaves ~800 spare cycles.
+pub const PE_PER_EXTRA_MP: u64 = 650;
 
 /// Pentium cycles (733 MHz) to marshal one control operation
 /// (`install`/`remove`/`getdata`/`setdata`) before it crosses the bus:
@@ -297,20 +280,18 @@ mod tests {
 
     #[test]
     fn sa_costs_reproduce_section_36() {
-        let c = SaCosts::default();
         // 526 Kpps local, 534 Kpps bridging, ~4200 cycles at 1500 B.
-        assert!((200_000_000 / c.local_base).abs_diff(526_000) < 1000);
-        assert!((200_000_000 / c.bridge_base).abs_diff(534_000) < 1500);
-        let big = c.bridge_base + 23 * c.bridge_per_extra_mp;
+        assert!((200_000_000 / SA_LOCAL_BASE).abs_diff(526_000) < 1000);
+        assert!((200_000_000 / SA_BRIDGE_BASE).abs_diff(534_000) < 1500);
+        let big = SA_BRIDGE_BASE + 23 * SA_BRIDGE_PER_EXTRA_MP;
         assert!((4100..=4300).contains(&big), "1500B cost {big}");
     }
 
     #[test]
     fn pe_costs_reproduce_table4() {
-        let c = PeCosts::default();
         // At 534 Kpps the Pentium has ~500 spare cycles per packet.
         let per_packet = 733_000_000 / 534_000;
-        let spare = per_packet - c.null_base;
+        let spare = per_packet - PE_NULL_BASE;
         assert!((450..=550).contains(&spare), "spare {spare}");
     }
 }

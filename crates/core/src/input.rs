@@ -13,7 +13,8 @@ use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, MacAddr, Mp};
 use npr_vrp::VrpAction;
 
 use crate::classify::{FlowKey, WhereRun};
-use crate::costs::InputCosts;
+use crate::costs::{InputCosts, QM_ENQUEUE_CYCLES, WFQ_LEVEL_CYCLES};
+use crate::install::{CLASSIFIER_CYCLES, CLASSIFIER_SRAM_TRANSFERS};
 use crate::queues::InputDiscipline;
 use crate::world::{Escalation, RouterWorld, RunMode};
 
@@ -244,8 +245,8 @@ impl InputLoop {
             let class = if has_extensions {
                 // 56-instruction extensible classifier, 20 B of SRAM —
                 // charged as part of the protocol budget below.
-                self.vrp_cycles += 56;
-                self.vrp_sram_left += 5;
+                self.vrp_cycles += CLASSIFIER_CYCLES;
+                self.vrp_sram_left += CLASSIFIER_SRAM_TRANSFERS;
                 w.classifier.classify(&fkey, &mut env.hw.hash)
             } else {
                 Default::default()
@@ -327,8 +328,14 @@ impl InputLoop {
                             Ok(r) => {
                                 self.vrp_cycles += r.cycles;
                                 self.vrp_sram_left += r.sram_reads + r.sram_writes;
-                                if let Some(q) = r.queue_override {
-                                    queue_override = Some(q);
+                                // A queue past the configured set is the
+                                // forwarder's trap; the packet keeps its route.
+                                match r.queue_override {
+                                    Some(q) if (q as usize) < w.queues.len() => {
+                                        queue_override = Some(q)
+                                    }
+                                    Some(_) => w.count_vrp_trap(Some(e.fwdr_index)),
+                                    None => {}
                                 }
                                 if r.action != VrpAction::Forward {
                                     action = r.action;
@@ -413,7 +420,7 @@ impl InputLoop {
                     // virtual-clock arithmetic pick the priority level.
                     Some(wfq) => match (wfq.classify)(&fkey) {
                         Some(flow) => {
-                            self.vrp_cycles += 12;
+                            self.vrp_cycles += WFQ_LEVEL_CYCLES;
                             self.wfq_flow = Some(flow);
                             wfq.mapper.level_for(flow)
                         }
@@ -423,9 +430,7 @@ impl InputLoop {
                 },
             };
             if w.qm.is_some() {
-                // Per-flow queue manager: FNV hash plus two bitmap updates
-                // of register arithmetic on the enqueue side.
-                self.vrp_cycles += 16;
+                self.vrp_cycles += QM_ENQUEUE_CYCLES;
             }
             self.qid = w.queues.qid(usize::from(out_port), prio);
             w.meta_mut(h).qid = self.qid as u16;

@@ -33,8 +33,9 @@ pub type Fid = u32;
 
 /// Cost the classifier itself charges once any extension is installed
 /// ("this classification process requires 56 instructions and accesses
-/// 20 bytes of SRAM; this code is counted against the VRP budget").
-pub const CLASSIFIER_CYCLES: u32 = 56;
+/// 20 bytes of SRAM; this code is counted against the VRP budget"): the
+/// same dual-hash front end the tuple-space classifier starts from.
+pub const CLASSIFIER_CYCLES: u32 = npr_route::classify::BASE_CYCLES;
 
 /// SRAM transfers (4 B) the extensible classifier performs.
 pub const CLASSIFIER_SRAM_TRANSFERS: u32 = 5;

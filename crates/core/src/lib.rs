@@ -59,7 +59,7 @@ pub use aqm::{AqmKind, CodelParams, RedParams};
 pub use classify::{Classifier, FlowKey, Key, WhereRun};
 pub use config::{RouterConfig, TrafficTemplate};
 pub use control::InstalledEntry;
-pub use costs::{InputCosts, OutputCosts, PeCosts, SaCosts, INPUT_MEM_OPS, OUTPUT_MEM_OPS};
+pub use costs::{InputCosts, OutputCosts, INPUT_MEM_OPS, OUTPUT_MEM_OPS};
 pub use health::{HealthMonitor, HealthStats};
 pub use install::{AdmitError, Fid, InstallRequest};
 pub use pe::PeAction;

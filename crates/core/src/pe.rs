@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use npr_packet::BufferHandle;
 use npr_sim::Time;
 
-use crate::costs::{PeCosts, CTL_DESC_BYTES, CTL_PE_CYCLES};
+use crate::costs::{CTL_DESC_BYTES, CTL_PE_CYCLES, PE_NULL_BASE, PE_PER_EXTRA_MP};
 use crate::health::Policer;
 use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
 use crate::world::RouterWorld;
@@ -74,10 +74,8 @@ impl std::fmt::Debug for PeForwarder {
 }
 
 /// Pentium state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Pentium {
-    /// Cost model.
-    pub costs: PeCosts,
     /// The inbound I2O queue, served in order: the share among
     /// forwarders was decided when the StrongARM bridged each packet.
     pub inbound: VecDeque<PeItem>,
@@ -107,20 +105,8 @@ pub struct Pentium {
 
 impl Pentium {
     /// Creates an idle Pentium.
-    pub fn new(costs: PeCosts) -> Self {
-        Self {
-            costs,
-            inbound: VecDeque::new(),
-            forwarders: Vec::new(),
-            current: None,
-            ctl_q: VecDeque::new(),
-            ctl_current: None,
-            delay_loop_cycles: 0,
-            busy_ps: 0,
-            done: 0,
-            jobs_finished: 0,
-            policer: Policer::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
@@ -140,9 +126,9 @@ impl Pentium {
         let body = if item.lazy {
             0
         } else {
-            u64::from(item.mps.saturating_sub(1)) * self.costs.per_extra_mp
+            u64::from(item.mps.saturating_sub(1)) * PE_PER_EXTRA_MP
         };
-        self.costs.null_base + f + body + self.delay_loop_cycles
+        PE_NULL_BASE + f + body + self.delay_loop_cycles
     }
 
     /// Inbound occupancy.
@@ -291,13 +277,13 @@ mod tests {
 
     #[test]
     fn null_cost_matches_calibration() {
-        let pe = Pentium::new(PeCosts::default());
+        let pe = Pentium::new();
         assert_eq!(pe.cycles_for(&item()), 872);
     }
 
     #[test]
     fn full_body_costs_more() {
-        let pe = Pentium::new(PeCosts::default());
+        let pe = Pentium::new();
         let mut it = item();
         it.mps = 24;
         it.lazy = false;
@@ -316,7 +302,7 @@ mod tests {
             assert!(staging.enqueue(desc, 0));
             assert!(staging.enqueue(desc, 1));
         }
-        let mut pe = Pentium::new(PeCosts::default());
+        let mut pe = Pentium::new();
         for _ in 0..200 {
             let queues = &staging.queues;
             let q = staging.share.pick(|q| !queues[q].is_empty()).unwrap();
@@ -333,7 +319,7 @@ mod tests {
 
     #[test]
     fn pick_on_empty_returns_none() {
-        let mut pe = Pentium::new(PeCosts::default());
+        let mut pe = Pentium::new();
         assert!(pe.pick().is_none());
         assert_eq!(pe.backlog(), 0);
     }

@@ -6,7 +6,7 @@
 //! keeps one snapshot of the totals and `report` differences the
 //! current totals against it.
 
-use npr_sim::{cycles_to_ps, Time, PENTIUM_HZ, PS_PER_SEC};
+use npr_sim::{cycles_to_ps, Time, ME_HZ, PENTIUM_HZ, PS_PER_SEC};
 
 use crate::health::HealthStats;
 use crate::plane::CtlStats;
@@ -459,7 +459,7 @@ impl Router {
         // the StrongARM's busy total alone can fall below its mark.
         let sa_busy = t.sa_busy_ps.saturating_sub(m.sa_busy_ps);
         let sa_spare = if sa_done > 0.0 {
-            (w.saturating_sub(sa_busy) as f64 / 1e12) * 200e6 / sa_done
+            (w.saturating_sub(sa_busy) as f64 / 1e12) * ME_HZ as f64 / sa_done
         } else {
             0.0
         };

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use npr_ixp::params::{NUM_PORTS, PORT_RATES_BPS, WIRE_OVERHEAD_BYTES};
 use npr_ixp::{IStore, Ixp, PortId, RingId, TrafficSource};
 use npr_packet::{EthernetFrame, Ipv4Header, Ipv4Proto, MacAddr, Mp, UdpHeader};
 use npr_route::NextHop;
@@ -17,7 +18,6 @@ use npr_sim::{cycles_to_ps, FaultPlan, Time, Wakeup, PS_PER_SEC};
 use npr_vrp::VrpBudget;
 
 use crate::config::{RouterConfig, TrafficTemplate};
-use crate::costs::{PeCosts, SaCosts};
 use crate::health::HealthMonitor;
 use crate::input::InputLoop;
 use crate::install::{Fid, InstallRecord};
@@ -121,10 +121,9 @@ impl Router {
     /// shared — but zero ports is not).
     pub fn new(cfg: RouterConfig) -> Self {
         assert!(cfg.ports_in_use > 0, "need at least one port");
-        let nports = cfg.chip.port_rates_bps.len();
         let mut world = RouterWorld::new(
             cfg.mode,
-            nports,
+            NUM_PORTS,
             cfg.queues_per_port,
             cfg.queue_cap,
             cfg.pool_bufs,
@@ -145,7 +144,7 @@ impl Router {
         }
         world.divert_pe_permille = cfg.divert_pe_permille;
         world.divert_sa_permille = cfg.divert_sa_permille;
-        world.qm = crate::qm::QmPlane::from_config(&cfg, nports);
+        world.qm = crate::qm::QmPlane::from_config(&cfg, NUM_PORTS);
 
         // Routes: 10.p.0.0/16 -> port p.
         for p in 0..cfg.ports_in_use {
@@ -246,10 +245,10 @@ impl Router {
             ixp.set_program(ctx, Box::new(prog));
         }
 
-        let mut sa = StrongArm::new(SaCosts::default());
+        let mut sa = StrongArm::new();
         sa.use_interrupts = cfg.sa_interrupts;
         sa.synth_feed = cfg.sa_synth_feed;
-        let mut pe = Pentium::new(PeCosts::default());
+        let mut pe = Pentium::new();
         pe.delay_loop_cycles = cfg.pe_delay_loop;
         let pci = Pci::new(PE_BUFFERS);
         let fast = FastPath {
@@ -383,9 +382,9 @@ impl Router {
     /// Attaches a constant-rate 64-byte source to `port` at `fraction`
     /// of line rate (the paper's 141 Kpps = 95% sources).
     pub fn attach_cbr(&mut self, port: PortId, fraction: f64, frames: u64, dst_net: u8) {
-        let rate = self.cfg.chip.port_rates_bps[port] as f64 * fraction;
+        let rate = PORT_RATES_BPS[port] as f64 * fraction;
         let frame = build_udp_frame(port as u8, dst_net, 60);
-        let wire_bits = ((60 + self.cfg.chip.wire_overhead_bytes) * 8) as f64;
+        let wire_bits = ((60 + WIRE_OVERHEAD_BYTES) * 8) as f64;
         let pps = rate / wire_bits;
         let interval_ps = (PS_PER_SEC as f64 / pps) as Time;
         let dst = u32::from_be_bytes([10, dst_net, 0, 1]);

@@ -22,7 +22,10 @@ use npr_packet::BufferHandle;
 use npr_sim::{cycles_to_ps, FaultClass, Time};
 
 use crate::classify::FlowKey;
-use crate::costs::{SaCosts, CTL_DESC_BYTES, CTL_SA_CYCLES};
+use crate::costs::{
+    CTL_DESC_BYTES, CTL_SA_CYCLES, SA_BRIDGE_BASE, SA_BRIDGE_PER_EXTRA_MP, SA_INTERRUPT_OVERHEAD,
+    SA_LOCAL_BASE, SA_LOOKUP_PER_LEVEL,
+};
 use crate::health::Policer;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::pe::PeItem;
@@ -172,10 +175,8 @@ pub enum SaJob {
 }
 
 /// StrongARM state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StrongArm {
-    /// Cost model.
-    pub costs: SaCosts,
     /// Currently executing job (None = idle).
     pub job: Option<SaJob>,
     /// Extra per-packet delay-loop cycles (spare-cycle probing).
@@ -209,22 +210,8 @@ pub struct StrongArm {
 
 impl StrongArm {
     /// Creates an idle StrongARM.
-    pub fn new(costs: SaCosts) -> Self {
-        Self {
-            costs,
-            job: None,
-            delay_loop_cycles: 0,
-            use_interrupts: false,
-            forwarders: Vec::new(),
-            synth_feed: None,
-            busy_ps: 0,
-            done: 0,
-            ctl_q: VecDeque::new(),
-            jobs_finished: 0,
-            gen: 0,
-            job_done_at: 0,
-            policer: Policer::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
@@ -240,9 +227,9 @@ impl StrongArm {
         } else {
             u64::from(mps.saturating_sub(1))
         };
-        let base = self.costs.bridge_base + extra * self.costs.bridge_per_extra_mp;
+        let base = SA_BRIDGE_BASE + extra * SA_BRIDGE_PER_EXTRA_MP;
         let intr = if self.use_interrupts {
-            self.costs.interrupt_overhead
+            SA_INTERRUPT_OVERHEAD
         } else {
             0
         };
@@ -253,16 +240,16 @@ impl StrongArm {
     pub fn local_cycles(&self, fwdr: u32) -> u64 {
         let f = self.declared(fwdr);
         let intr = if self.use_interrupts {
-            self.costs.interrupt_overhead
+            SA_INTERRUPT_OVERHEAD
         } else {
             0
         };
-        self.costs.local_base + f + intr + self.delay_loop_cycles
+        SA_LOCAL_BASE + f + intr + self.delay_loop_cycles
     }
 
     /// Cycles for a route-miss job touching `levels` trie levels.
     pub fn miss_cycles(&self, levels: u32) -> u64 {
-        self.costs.local_base + u64::from(levels) * self.costs.lookup_per_level
+        SA_LOCAL_BASE + u64::from(levels) * SA_LOOKUP_PER_LEVEL
     }
 }
 
@@ -707,7 +694,7 @@ mod tests {
 
     #[test]
     fn bridge_cycles_match_table4_calibration() {
-        let sa = StrongArm::new(SaCosts::default());
+        let sa = StrongArm::new();
         assert_eq!(sa.bridge_cycles(1, true), 374);
         // 1500 B = 24 MPs, full copy.
         let c = sa.bridge_cycles(24, false);
@@ -718,7 +705,7 @@ mod tests {
 
     #[test]
     fn interrupts_cost_more() {
-        let mut sa = StrongArm::new(SaCosts::default());
+        let mut sa = StrongArm::new();
         let polling = sa.local_cycles(u32::MAX);
         sa.use_interrupts = true;
         assert!(sa.local_cycles(u32::MAX) > polling);
@@ -726,7 +713,7 @@ mod tests {
 
     #[test]
     fn delay_loop_adds_cycles() {
-        let mut sa = StrongArm::new(SaCosts::default());
+        let mut sa = StrongArm::new();
         sa.delay_loop_cycles = 100;
         assert_eq!(sa.local_cycles(u32::MAX), 380 + 100);
         assert_eq!(sa.bridge_cycles(1, true), 374 + 100);
@@ -734,7 +721,7 @@ mod tests {
 
     #[test]
     fn forwarder_cycles_included() {
-        let mut sa = StrongArm::new(SaCosts::default());
+        let mut sa = StrongArm::new();
         sa.forwarders.push(SaForwarder {
             name: "full-ip".into(),
             cycles: 660,

@@ -138,6 +138,30 @@ fn me_trap_storm_quarantines_the_forwarder() {
 }
 
 #[test]
+fn a_queue_outside_the_queue_set_is_the_forwarders_trap() {
+    // Verified code, yet it names queue 4000 of 10: a queue read from
+    // flow state (as `table5`'s full-IP forwarder loads it) can say
+    // anything. Rings and qm alike discard the override, charge it to
+    // the forwarder as a trap, and route the packet as before.
+    let qm = RouterConfig::per_flow_qos(npr_core::AqmKind::DropTail);
+    for cfg in [RouterConfig::line_rate(), qm] {
+        let mut r = Router::new(cfg);
+        r.health.trap_threshold = 4;
+        let mut a = npr_vrp::Asm::new("bad-queue");
+        a.imm(1, 4000).set_queue(npr_vrp::Src::Reg(1)).done();
+        let prog = a.finish(0).unwrap();
+        r.install(Key::All, InstallRequest::Me { prog }, None)
+            .expect("verified forwarder admitted");
+        r.attach_cbr(0, 0.9, 300, 1);
+        r.run_until(ms(4));
+        settle(&mut r);
+        assert!(r.world.me_traps[0] >= 4, "{:?}", r.world.me_traps);
+        assert_eq!(r.health.quarantined, vec![(WhereRun::Me, 0)]);
+        assert_eq!(r.ixp.hw.ports[1].tx_frames, 300, "routed port kept");
+    }
+}
+
+#[test]
 fn wedge_reset_replays_installs_down_the_control_path() {
     use npr_sim::{FaultClass, FaultPlan};
     let mut cfg = RouterConfig::line_rate();

@@ -32,7 +32,13 @@ use npr_sim::{cycles_to_ps, FaultClass, FaultPlan, Server, Time};
 
 use crate::hash::HashUnit;
 use crate::mem::{MemCtl, MemKind, Rw};
-use crate::params::{ChipConfig, CTX_PER_ME, NUM_CTX, NUM_MICROENGINES};
+use crate::params::{
+    dma_occupancy_ps, dma_tx_occupancy_ps, ChipConfig, CTX_PER_ME, CTX_SWAP_CYCLES,
+    DMA_RX_CMD_CYCLES, DRAM_BPS, DRAM_READ_CYCLES, DRAM_WRITE_CYCLES, MUTEX_GRANT_CYCLES,
+    MUTEX_HANDOFF_CYCLES, NUM_CTX, NUM_MICROENGINES, PORT_RATES_BPS, PORT_RX_BUF_MPS, SCRATCH_BPS,
+    SCRATCH_READ_CYCLES, SCRATCH_WRITE_CYCLES, SRAM_BPS, SRAM_READ_CYCLES, SRAM_WRITE_CYCLES,
+    TOKEN_PASS_CYCLES,
+};
 use crate::port::{PortData, PortId, TrafficSource};
 
 /// Context index (0..24). Context `c` lives on MicroEngine `c / 4`.
@@ -320,30 +326,19 @@ mod fault_mag {
 impl<W> Ixp<W> {
     /// Builds a machine from `cfg` with no programs loaded.
     pub fn new(cfg: ChipConfig) -> Self {
-        let ports = cfg
-            .port_rates_bps
+        let ports = PORT_RATES_BPS
             .iter()
-            .map(|&r| PortData::new(r, cfg.port_rx_buf_mps))
+            .map(|&r| PortData::new(r, PORT_RX_BUF_MPS))
             .collect::<Vec<_>>();
         let nports = ports.len();
         Self {
-            dram: MemCtl::new(
-                "dram",
-                cfg.dram_read_cycles,
-                cfg.dram_write_cycles,
-                cfg.dram_bps,
-            ),
-            sram: MemCtl::new(
-                "sram",
-                cfg.sram_read_cycles,
-                cfg.sram_write_cycles,
-                cfg.sram_bps,
-            ),
+            dram: MemCtl::new("dram", DRAM_READ_CYCLES, DRAM_WRITE_CYCLES, DRAM_BPS),
+            sram: MemCtl::new("sram", SRAM_READ_CYCLES, SRAM_WRITE_CYCLES, SRAM_BPS),
             scratch: MemCtl::new(
                 "scratch",
-                cfg.scratch_read_cycles,
-                cfg.scratch_write_cycles,
-                cfg.scratch_bps,
+                SCRATCH_READ_CYCLES,
+                SCRATCH_WRITE_CYCLES,
+                SCRATCH_BPS,
             ),
             dma: Server::new("ix-dma-rx"),
             dma_tx: Server::new("ix-dma-tx"),
@@ -536,7 +531,7 @@ impl<W> Ixp<W> {
         self.mes[me].current = None;
         if !self.mes[me].ready.is_empty() {
             self.post(
-                sched.now() + cycles_to_ps(self.cfg.ctx_swap_cycles),
+                sched.now() + cycles_to_ps(CTX_SWAP_CYCLES),
                 IxpEv::MeDispatch(me),
                 sched,
             );
@@ -620,7 +615,7 @@ impl<W> Ixp<W> {
                     debug_assert_eq!(ring.members[ring.pos], c);
                     ring.pos = (ring.pos + 1) % ring.members.len();
                     ring.state = RingState::Moving;
-                    let nominal = sched.now() + cycles_to_ps(self.cfg.token_pass_cycles);
+                    let nominal = sched.now() + cycles_to_ps(TOKEN_PASS_CYCLES);
                     let (mut arrive, mut dup) = (nominal, false);
                     if let Some(f) = self.faults.as_mut() {
                         if f.roll(FaultClass::TokenDrop) {
@@ -671,7 +666,7 @@ impl<W> Ixp<W> {
                         let done = self
                             .sram
                             .access(now, Rw::Read, 4)
-                            .max(now + cycles_to_ps(self.cfg.mutex_grant_cycles));
+                            .max(now + cycles_to_ps(MUTEX_GRANT_CYCLES));
                         self.block(c, CtxStatus::Blocked, sched);
                         self.post(done, IxpEv::CtxBlockDone(c), sched);
                     } else {
@@ -698,7 +693,7 @@ impl<W> Ixp<W> {
                         let done = self
                             .sram
                             .access(now, Rw::Write, 4)
-                            .max(now + cycles_to_ps(self.cfg.mutex_handoff_cycles));
+                            .max(now + cycles_to_ps(MUTEX_HANDOFF_CYCLES));
                         self.mutexes[m].wait_ps += done.saturating_sub(since);
                         self.ctx_status[w] = CtxStatus::Blocked;
                         self.post(done, IxpEv::CtxBlockDone(w), sched);
@@ -719,7 +714,7 @@ impl<W> Ixp<W> {
                             .pop_front()
                             .expect("DmaRxToFifo on empty port (check port_rdy)")
                     };
-                    let mut occ = self.cfg.dma_occupancy_ps(mp.len.max(1) as usize);
+                    let mut occ = dma_occupancy_ps(mp.len.max(1) as usize);
                     if let Some(f) = self.faults.as_mut() {
                         if f.roll(FaultClass::MpCorrupt) {
                             // A corrupted MAC status word mislabels the
@@ -734,7 +729,7 @@ impl<W> Ixp<W> {
                             occ *= x;
                         }
                     }
-                    let lat = occ + cycles_to_ps(self.cfg.dma_rx_cmd_cycles);
+                    let lat = occ + cycles_to_ps(DMA_RX_CMD_CYCLES);
                     let done = self.dma.admit(now, occ, lat);
                     self.hw.in_fifo[slot].push_back(mp);
                     self.block(c, CtxStatus::Blocked, sched);
@@ -746,7 +741,7 @@ impl<W> Ixp<W> {
                     let mp = self.hw.out_fifo[slot]
                         .pop_front()
                         .expect("DmaTxToPort from empty FIFO slot");
-                    let mut occ = self.cfg.dma_tx_occupancy_ps(mp.len.max(1) as usize);
+                    let mut occ = dma_tx_occupancy_ps(mp.len.max(1) as usize);
                     if let Some(f) = self.faults.as_mut() {
                         if f.roll(FaultClass::DmaSlow) {
                             let x = fault_mag::DMA_SLOW_MIN_X
@@ -760,8 +755,7 @@ impl<W> Ixp<W> {
                     }
                     let mut done = done;
                     if !self.cfg.ideal_ports {
-                        let cap = self.cfg.port_rx_buf_mps;
-                        let (_, release) = self.hw.ports[port].admit_tx(&self.cfg, done, &mp, cap);
+                        let (_, release) = self.hw.ports[port].admit_tx(done, &mp, PORT_RX_BUF_MPS);
                         done = done.max(release);
                     } else {
                         // Ideal mode still counts transmissions.
@@ -860,7 +854,7 @@ impl<W> Ixp<W> {
         if self.hw.ports[p].rx_due.is_some() {
             return;
         }
-        if let Some(t) = self.hw.ports[p].refill_pending(&self.cfg, p) {
+        if let Some(t) = self.hw.ports[p].refill_pending(p) {
             // A source attached mid-run may stamp its first frame in
             // this machine's past: deliver it now rather than then.
             let t = t.max(sched.now());

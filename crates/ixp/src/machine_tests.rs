@@ -260,7 +260,7 @@ fn dma_is_serialized_across_contexts() {
     let mut w = World::default();
     let end = run(&mut ixp, &mut w, 1_000_000_000);
     // Each transfer occupies setup + 60 B / 4 Gbps; two must serialize.
-    let one = ixp.cfg.dma_occupancy_ps(60);
+    let one = dma_occupancy_ps(60);
     assert!(end >= 2 * one, "end {end} < {}", 2 * one);
 }
 
@@ -271,11 +271,7 @@ fn repriming_a_port_mid_frame_leaves_its_mps_on_schedule() {
     // whenever it has delivered a frame, which may be at any instant.
     // Re-priming must not schedule a second arrival for a port that
     // has one outstanding, or the MPs behind it land early.
-    let cfg = ChipConfig {
-        ideal_ports: false,
-        ..ChipConfig::default()
-    };
-    let mut ixp: Ixp<World> = Ixp::new(cfg);
+    let mut ixp: Ixp<World> = Ixp::new(ChipConfig::default());
     let mut sent = false;
     ixp.set_source(
         0,

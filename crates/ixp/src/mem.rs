@@ -158,11 +158,10 @@ impl MemCtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ChipConfig;
+    use crate::params::*;
 
     fn dram() -> MemCtl {
-        let c = ChipConfig::default();
-        MemCtl::new("dram", c.dram_read_cycles, c.dram_write_cycles, c.dram_bps)
+        MemCtl::new("dram", DRAM_READ_CYCLES, DRAM_WRITE_CYCLES, DRAM_BPS)
     }
 
     #[test]
@@ -244,15 +243,14 @@ mod tests {
 
     #[test]
     fn scratch_is_fastest() {
-        let c = ChipConfig::default();
         let mut s = MemCtl::new(
             "scratch",
-            c.scratch_read_cycles,
-            c.scratch_write_cycles,
-            c.scratch_bps,
+            SCRATCH_READ_CYCLES,
+            SCRATCH_WRITE_CYCLES,
+            SCRATCH_BPS,
         );
         assert_eq!(s.access(0, Rw::Read, 4), 80_000); // 16 cycles.
-        let mut sr = MemCtl::new("sram", c.sram_read_cycles, c.sram_write_cycles, c.sram_bps);
+        let mut sr = MemCtl::new("sram", SRAM_READ_CYCLES, SRAM_WRITE_CYCLES, SRAM_BPS);
         assert_eq!(sr.access(0, Rw::Read, 4), 110_000); // 22 cycles.
     }
 }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use npr_packet::{Frame, Mp};
 use npr_sim::Time;
 
-use crate::params::ChipConfig;
+use crate::params::WIRE_OVERHEAD_BYTES;
 
 /// Index of a MAC port on the board.
 pub type PortId = usize;
@@ -141,12 +141,12 @@ impl PortData {
     /// pending (or the source is exhausted). Returns the arrival time of
     /// the next pending MP, if any. `id_base` disambiguates frame ids
     /// across ports.
-    pub(crate) fn refill_pending(&mut self, cfg: &ChipConfig, port: PortId) -> Option<Time> {
+    pub(crate) fn refill_pending(&mut self, port: PortId) -> Option<Time> {
         while self.pending.is_empty() {
             let src = self.source.as_mut()?;
             let (start, frame) = src.next_frame()?;
             let start = start.max(self.last_frame_end);
-            let wire_total = frame_wire_ps(cfg, self.rate_bps, frame.len());
+            let wire_total = frame_wire_ps(self.rate_bps, frame.len());
             let fid = (port as u64) << 48 | self.frame_seq;
             self.frame_seq += 1;
             let mps = Mp::segment(&frame, port as u8, fid);
@@ -204,15 +204,9 @@ impl PortData {
     /// buffer (`cap_mps` MPs deep) is full, the DMA stalls until there
     /// is room, which is how output-port congestion backs up into the
     /// queues.
-    pub fn admit_tx(
-        &mut self,
-        cfg: &ChipConfig,
-        ready: Time,
-        mp: &Mp,
-        cap_mps: usize,
-    ) -> (Time, Time) {
+    pub fn admit_tx(&mut self, ready: Time, mp: &Mp, cap_mps: usize) -> (Time, Time) {
         let backlog_before = self.tx_free_at;
-        let wire_done = self.transmit_mp(cfg, ready, mp);
+        let wire_done = self.transmit_mp(ready, mp);
         let cap_ps = bytes_ps(self.rate_bps, 64 * cap_mps.max(1));
         let dma_release = ready.max(backlog_before.saturating_sub(cap_ps));
         (wire_done, dma_release)
@@ -221,11 +215,11 @@ impl PortData {
     /// Accounts one MP handed to the transmit side at `ready` (when its
     /// DMA from the output FIFO completes). Returns the time the MP is
     /// fully on the wire.
-    pub fn transmit_mp(&mut self, cfg: &ChipConfig, ready: Time, mp: &Mp) -> Time {
+    pub fn transmit_mp(&mut self, ready: Time, mp: &Mp) -> Time {
         let ends = mp.tag.ends_packet();
         // Frame overhead (preamble/IFG/FCS) is charged with the final MP.
         let wire = if ends {
-            bytes_ps(self.rate_bps, mp.len as usize + cfg.wire_overhead_bytes)
+            bytes_ps(self.rate_bps, mp.len as usize + WIRE_OVERHEAD_BYTES)
         } else {
             bytes_ps(self.rate_bps, mp.len as usize)
         };
@@ -245,17 +239,13 @@ fn bytes_ps(rate_bps: u64, bytes: usize) -> Time {
 }
 
 /// Wire time of a whole frame including overhead.
-fn frame_wire_ps(cfg: &ChipConfig, rate_bps: u64, len: usize) -> Time {
-    bytes_ps(rate_bps, len + cfg.wire_overhead_bytes)
+fn frame_wire_ps(rate_bps: u64, len: usize) -> Time {
+    bytes_ps(rate_bps, len + WIRE_OVERHEAD_BYTES)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> ChipConfig {
-        ChipConfig::default()
-    }
 
     /// A source emitting `n` min-sized frames back-to-back from t = 0.
     fn burst(n: usize) -> Box<dyn TrafficSource> {
@@ -273,13 +263,13 @@ mod tests {
     fn min_frames_arrive_at_line_rate() {
         let mut p = PortData::new(100_000_000, 64);
         p.source = Some(burst(3));
-        let t0 = p.refill_pending(&cfg(), 0).unwrap();
+        let t0 = p.refill_pending(0).unwrap();
         assert_eq!(t0, 6_720_000); // 84 bytes at 100 Mbps.
         let mut now = t0;
         let t1 = p.deliver_pending(now).unwrap_or(0);
         // Next frame's MP lands one frame-time later.
         assert_eq!(t1, 0); // Pending drained; must refill.
-        let t1 = p.refill_pending(&cfg(), 0).unwrap();
+        let t1 = p.refill_pending(0).unwrap();
         assert_eq!(t1, 2 * 6_720_000);
         now = t1;
         p.deliver_pending(now);
@@ -299,7 +289,7 @@ mod tests {
                 Some((0, vec![0u8; 150]))
             }
         }));
-        let t0 = p.refill_pending(&cfg(), 3).unwrap();
+        let t0 = p.refill_pending(3).unwrap();
         // First MP after 64 bytes: 5.12 us.
         assert_eq!(t0, 5_120_000);
         assert_eq!(p.pending.len(), 3);
@@ -312,11 +302,11 @@ mod tests {
     fn overflow_drops_whole_frame() {
         let mut p = PortData::new(100_000_000, 1);
         p.source = Some(burst(3));
-        let mut t = p.refill_pending(&cfg(), 0);
+        let mut t = p.refill_pending(0);
         for _ in 0..3 {
             let now = t.unwrap();
             p.deliver_pending(now);
-            t = p.refill_pending(&cfg(), 0);
+            t = p.refill_pending(0);
         }
         // Buffer holds 1 MP; the other two frames were dropped whole.
         assert_eq!(p.rx_frames, 1);
@@ -331,11 +321,11 @@ mod tests {
         // Down past the first two frame arrivals (6.72 us, 13.44 us).
         p.inject_flap(0, 15_000_000);
         assert_eq!(p.flaps, 1);
-        let mut t = p.refill_pending(&cfg(), 0);
+        let mut t = p.refill_pending(0);
         for _ in 0..3 {
             let now = t.unwrap();
             p.deliver_pending(now);
-            t = p.refill_pending(&cfg(), 0);
+            t = p.refill_pending(0);
         }
         // Frames landing at 6.72 us and 13.44 us are lost; the third
         // (20.16 us) arrives after the link comes back.
@@ -348,8 +338,8 @@ mod tests {
     fn transmit_serializes_at_wire_rate() {
         let mut p = PortData::new(100_000_000, 8);
         let mp = Mp::segment(&[0u8; 60], 0, 1).pop().unwrap();
-        let d0 = p.transmit_mp(&cfg(), 0, &mp);
-        let d1 = p.transmit_mp(&cfg(), 0, &mp);
+        let d0 = p.transmit_mp(0, &mp);
+        let d1 = p.transmit_mp(0, &mp);
         assert_eq!(d0, 6_720_000);
         assert_eq!(d1, 2 * 6_720_000);
         assert_eq!(p.tx_frames, 2);
@@ -360,7 +350,7 @@ mod tests {
         let mut p = PortData::new(1_000_000_000, 8);
         let mps = Mp::segment(&[0u8; 128], 0, 1);
         for mp in &mps {
-            p.transmit_mp(&cfg(), 0, mp);
+            p.transmit_mp(0, mp);
         }
         assert_eq!(p.tx_frames, 1);
         assert_eq!(p.tx_mps, 2);
@@ -375,6 +365,6 @@ mod tests {
             n += 1;
             (n <= 2).then(|| (0, vec![0u8; 60]))
         }));
-        assert!(p.refill_pending(&cfg(), 0).is_some());
+        assert!(p.refill_pending(0).is_some());
     }
 }

@@ -411,7 +411,7 @@ impl<W> Ixp<W> {
         tallies.clear();
         let max_off = (|| {
             let st = &self.spin.rings[r];
-            if now <= st.armed_at + cycles_to_ps(self.cfg.ctx_swap_cycles) {
+            if now <= st.armed_at + cycles_to_ps(crate::params::CTX_SWAP_CYCLES) {
                 return None;
             }
             #[cfg(debug_assertions)]

@@ -143,11 +143,7 @@ impl CtxProgram<()> for Poll {
 /// (each a member list; member `i` checks its port for `4 + i` cycles,
 /// so the members are not interchangeable).
 fn machine(rings: &[&[CtxId]]) -> (Ixp<()>, Vec<Arc<Tally>>) {
-    let cfg = ChipConfig {
-        ideal_ports: false,
-        ..ChipConfig::default()
-    };
-    let mut ixp: Ixp<()> = Ixp::new(cfg);
+    let mut ixp: Ixp<()> = Ixp::new(ChipConfig::default());
     let mut tallies = Vec::new();
     for members in rings {
         let ring = ixp.add_ring(members.to_vec());
@@ -391,11 +387,7 @@ fn a_jump_lands_before_the_arrival_not_on_it() {
     // Two probing members that look for `checks` cycles; one frame,
     // landing at `land`.
     let build = |checks: [u32; 2], land: Option<Time>| {
-        let cfg = ChipConfig {
-            ideal_ports: false,
-            ..ChipConfig::default()
-        };
-        let mut ixp: Ixp<()> = Ixp::new(cfg);
+        let mut ixp: Ixp<()> = Ixp::new(ChipConfig::default());
         let ring = ixp.add_ring(vec![0, 4]);
         let mut tallies = Vec::new();
         for (i, c) in [0, 4].into_iter().enumerate() {
