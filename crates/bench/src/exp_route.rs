@@ -242,6 +242,12 @@ fn zipf_router(alpha: f64, invalidation: Invalidation) -> Router {
     r
 }
 
+/// Route-cache hit rate since `before`, a lifetime `(hits, misses)` read.
+fn hit_rate_since(r: &Router, (h0, m0): (u64, u64)) -> f64 {
+    let (h, m) = r.world.table.cache_stats();
+    (h - h0) as f64 / (h - h0 + m - m0).max(1) as f64
+}
+
 /// Cache hit rate under Zipf mixes: quiet control plane, sweep alpha.
 pub fn zipf_hit_rate(warmup: Time, window: Time) -> Vec<ZipfPoint> {
     ZIPF_ALPHAS
@@ -250,13 +256,12 @@ pub fn zipf_hit_rate(warmup: Time, window: Time) -> Vec<ZipfPoint> {
             let mut r = zipf_router(alpha, Invalidation::FullFlush);
             r.run_until(warmup);
             r.mark();
-            let _ = r.world.table.take_cache_stats();
+            let before = r.world.table.cache_stats();
             r.run_until(warmup + window);
             let rep = r.report();
-            let (h, m) = r.world.table.take_cache_stats();
             ZipfPoint {
                 alpha,
-                hit_rate: h as f64 / (h + m).max(1) as f64,
+                hit_rate: hit_rate_since(&r, before),
                 forward_mpps: rep.forward_mpps,
                 queue_drops: rep.queue_drops,
                 escalation_drops: rep.escalation_drops,
@@ -300,7 +305,7 @@ pub fn churn_storm(warmup: Time, window: Time) -> Vec<ChurnPoint> {
                 .expect("updater admits");
             r.run_until(warmup);
             r.mark();
-            let _ = r.world.table.take_cache_stats();
+            let before = r.world.table.cache_stats();
             let interval = PS_PER_SEC / ups;
             let t_end = warmup + window;
             let mut t = warmup;
@@ -327,7 +332,6 @@ pub fn churn_storm(warmup: Time, window: Time) -> Vec<ChurnPoint> {
                 r.run_until(t);
             }
             let rep = r.report();
-            let (h, m) = r.world.table.take_cache_stats();
             out.push(ChurnPoint {
                 mode: match mode {
                     Invalidation::Targeted => "targeted",
@@ -335,7 +339,7 @@ pub fn churn_storm(warmup: Time, window: Time) -> Vec<ChurnPoint> {
                 },
                 updates_per_s: ups,
                 ctl_ops: rep.ctl_ops,
-                hit_rate: h as f64 / (h + m).max(1) as f64,
+                hit_rate: hit_rate_since(&r, before),
                 forward_mpps: rep.forward_mpps,
             });
         }

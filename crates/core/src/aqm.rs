@@ -49,42 +49,29 @@ impl AqmKind {
     }
 }
 
-/// RED parameters. Occupancy thresholds are in packets; the EWMA is kept in
-/// 8-bit fixed point with gain `2^-wq_shift`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RedParams {
-    pub min_pkts: u32,
-    pub max_pkts: u32,
-    /// Maximum early-drop probability, in permille, reached at `max_pkts`.
-    pub pmax_permille: u32,
-    pub wq_shift: u32,
-}
+/// RED occupancy below which no packet is dropped early, in packets.
+pub const RED_MIN_PKTS: u32 = 8;
 
-impl Default for RedParams {
-    fn default() -> Self {
-        RedParams { min_pkts: 8, max_pkts: 24, pmax_permille: 250, wq_shift: 2 }
-    }
-}
+/// RED occupancy at and above which every packet is dropped, in packets.
+pub const RED_MAX_PKTS: u32 = 24;
 
-/// CoDel parameters, both on the simulated clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodelParams {
-    /// Acceptable standing sojourn time.
-    pub target_ps: Time,
-    /// Initial spacing between drops once above target.
-    pub interval_ps: Time,
-}
+/// RED's maximum early-drop probability, in permille, reached at
+/// [`RED_MAX_PKTS`].
+pub const RED_PMAX_PERMILLE: u32 = 250;
 
-impl Default for CodelParams {
-    fn default() -> Self {
-        // Scaled to 100 Mbps ports (6.7 µs serialization per 60-byte
-        // packet): interval ≈ 30 packet-times, target ≈ 7. The ratio
-        // (target = 25% of interval) follows the CoDel guidance of
-        // target ≪ interval; the absolute values keep the control loop
-        // fast enough to matter within millisecond experiment windows.
-        CodelParams { target_ps: us(50), interval_ps: us(200) }
-    }
-}
+/// The RED occupancy EWMA's gain is `2^-RED_WQ_SHIFT`.
+pub const RED_WQ_SHIFT: u32 = 2;
+
+/// CoDel's acceptable standing sojourn time. Both CoDel figures are on
+/// the simulated clock, scaled to 100 Mbps ports (6.7 µs serialization
+/// per 60-byte packet): interval ≈ 30 packet-times, target ≈ 7. The
+/// ratio (target = 25% of interval) follows the CoDel guidance of
+/// target ≪ interval; the absolute values keep the control loop fast
+/// enough to matter within millisecond experiment windows.
+pub const CODEL_TARGET_PS: Time = us(50);
+
+/// CoDel's initial spacing between drops once above target.
+pub const CODEL_INTERVAL_PS: Time = us(200);
 
 /// Fixed-point shift for the RED occupancy EWMA.
 const RED_FP: u32 = 8;
@@ -111,8 +98,6 @@ struct CodelQueue {
 #[derive(Debug, Clone)]
 pub struct Aqm {
     kind: AqmKind,
-    red: RedParams,
-    codel: CodelParams,
     redq: Vec<RedQueue>,
     codelq: Vec<CodelQueue>,
     rng: XorShift64,
@@ -133,11 +118,9 @@ fn isqrt(v: u64) -> u64 {
 }
 
 impl Aqm {
-    pub fn new(kind: AqmKind, red: RedParams, codel: CodelParams, nflows: usize, seed: u64) -> Self {
+    pub fn new(kind: AqmKind, nflows: usize, seed: u64) -> Self {
         Aqm {
             kind,
-            red,
-            codel,
             redq: vec![RedQueue::default(); if kind == AqmKind::Red { nflows } else { 0 }],
             codelq: vec![CodelQueue::default(); if kind == AqmKind::Codel { nflows } else { 0 }],
             // Never seed XorShift64 with 0 (it would stick at 0).
@@ -157,18 +140,18 @@ impl Aqm {
         }
         let rq = &mut self.redq[q];
         let sample = (cur_len as u64) << RED_FP;
-        // avg += (sample - avg) * 2^-wq_shift, in fixed point.
+        // avg += (sample - avg) * 2^-RED_WQ_SHIFT, in fixed point.
         let delta = sample as i64 - rq.avg_fp as i64;
-        rq.avg_fp = (rq.avg_fp as i64 + (delta >> self.red.wq_shift)) as u64;
-        let min_fp = u64::from(self.red.min_pkts) << RED_FP;
-        let max_fp = u64::from(self.red.max_pkts) << RED_FP;
+        rq.avg_fp = (rq.avg_fp as i64 + (delta >> RED_WQ_SHIFT)) as u64;
+        let min_fp = u64::from(RED_MIN_PKTS) << RED_FP;
+        let max_fp = u64::from(RED_MAX_PKTS) << RED_FP;
         if rq.avg_fp >= max_fp {
             return true;
         }
         if rq.avg_fp < min_fp {
             return false;
         }
-        let p = u64::from(self.red.pmax_permille) * (rq.avg_fp - min_fp) / (max_fp - min_fp);
+        let p = u64::from(RED_PMAX_PERMILLE) * (rq.avg_fp - min_fp) / (max_fp - min_fp);
         self.rng.below(1000) < p
     }
 
@@ -180,7 +163,7 @@ impl Aqm {
             return false;
         }
         let c = &mut self.codelq[q];
-        if sojourn < self.codel.target_ps {
+        if sojourn < CODEL_TARGET_PS {
             // Below target: disarm and leave any dropping episode.
             c.first_above = 0;
             c.dropping = false;
@@ -188,7 +171,7 @@ impl Aqm {
         }
         if !c.dropping {
             if c.first_above == 0 {
-                c.first_above = now + self.codel.interval_ps;
+                c.first_above = now + CODEL_INTERVAL_PS;
                 return false;
             }
             if now < c.first_above {
@@ -199,12 +182,12 @@ impl Aqm {
             // count reuse) so a persistent flow is controlled quickly.
             c.dropping = true;
             c.count = if c.count > 2 { c.count - 2 } else { 1 };
-            c.drop_next = now + self.codel.interval_ps / isqrt(u64::from(c.count));
+            c.drop_next = now + CODEL_INTERVAL_PS / isqrt(u64::from(c.count));
             return true;
         }
         if now >= c.drop_next {
             c.count += 1;
-            c.drop_next += self.codel.interval_ps / isqrt(u64::from(c.count));
+            c.drop_next += CODEL_INTERVAL_PS / isqrt(u64::from(c.count));
             return true;
         }
         false
@@ -241,7 +224,7 @@ mod tests {
 
     #[test]
     fn drop_tail_never_intervenes() {
-        let mut a = Aqm::new(AqmKind::DropTail, RedParams::default(), CodelParams::default(), 8, 1);
+        let mut a = Aqm::new(AqmKind::DropTail, 8, 1);
         for len in 0..100 {
             assert!(!a.on_enqueue(0, len));
             assert!(!a.on_dequeue(0, ms(10), ms(20)));
@@ -250,7 +233,7 @@ mod tests {
 
     #[test]
     fn red_drops_ramp_with_occupancy() {
-        let mut a = Aqm::new(AqmKind::Red, RedParams::default(), CodelParams::default(), 4, 42);
+        let mut a = Aqm::new(AqmKind::Red, 4, 42);
         // Low occupancy: never drops.
         for _ in 0..200 {
             assert!(!a.on_enqueue(1, 2));
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn red_state_is_per_flow_queue() {
-        let mut a = Aqm::new(AqmKind::Red, RedParams::default(), CodelParams::default(), 4, 42);
+        let mut a = Aqm::new(AqmKind::Red, 4, 42);
         for _ in 0..100 {
             a.on_enqueue(2, 64);
         }
@@ -285,7 +268,7 @@ mod tests {
     #[test]
     fn red_decisions_replay_bit_identically() {
         let run = || {
-            let mut a = Aqm::new(AqmKind::Red, RedParams::default(), CodelParams::default(), 2, 7);
+            let mut a = Aqm::new(AqmKind::Red, 2, 7);
             (0..500).map(|i| a.on_enqueue(i % 2, 12 + (i % 8))).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -293,37 +276,35 @@ mod tests {
 
     #[test]
     fn codel_tolerates_short_spikes_but_controls_standing_queues() {
-        let p = CodelParams::default();
-        let mut a = Aqm::new(AqmKind::Codel, RedParams::default(), p, 2, 1);
+        let mut a = Aqm::new(AqmKind::Codel, 2, 1);
         // A single above-target sojourn arms the controller but does not drop.
-        assert!(!a.on_dequeue(0, p.target_ps * 2, us(10)));
+        assert!(!a.on_dequeue(0, CODEL_TARGET_PS * 2, us(10)));
         // Sojourn back under target: disarmed, still no drops.
-        assert!(!a.on_dequeue(0, p.target_ps / 2, us(20)));
-        assert!(!a.on_dequeue(0, p.target_ps * 2, us(30)));
+        assert!(!a.on_dequeue(0, CODEL_TARGET_PS / 2, us(20)));
+        assert!(!a.on_dequeue(0, CODEL_TARGET_PS * 2, us(30)));
         // Standing queue: above target for a full interval -> dropping starts.
         let mut now = us(30);
         let mut drops = 0;
         for _ in 0..200 {
             now += us(10);
-            if a.on_dequeue(0, p.target_ps * 3, now) {
+            if a.on_dequeue(0, CODEL_TARGET_PS * 3, now) {
                 drops += 1;
             }
         }
         assert!(drops > 2, "standing queue must be controlled, got {drops} drops");
         assert!(drops < 200, "CoDel paces drops, it does not drop-all");
         // Once sojourn recovers the episode ends.
-        assert!(!a.on_dequeue(0, p.target_ps / 4, now + us(10)));
+        assert!(!a.on_dequeue(0, CODEL_TARGET_PS / 4, now + us(10)));
     }
 
     #[test]
     fn codel_drop_rate_accelerates_within_episode() {
-        let p = CodelParams { target_ps: us(50), interval_ps: us(400) };
-        let mut a = Aqm::new(AqmKind::Codel, RedParams::default(), p, 1, 1);
+        let mut a = Aqm::new(AqmKind::Codel, 1, 1);
         let mut now = 0;
         let mut drop_times = vec![];
         for _ in 0..4000 {
             now += us(2);
-            if a.on_dequeue(0, p.target_ps * 10, now) {
+            if a.on_dequeue(0, CODEL_TARGET_PS * 10, now) {
                 drop_times.push(now);
             }
         }

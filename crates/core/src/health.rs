@@ -217,9 +217,6 @@ struct Ladder {
 /// escalation ladders.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    /// Traps per epoch that count as an offending epoch for one ME
-    /// forwarder ([`TRAP_THRESHOLD`] unless a test lowers it).
-    pub trap_threshold: u64,
     pub(crate) next_epoch: Time,
     /// Lifetime totals.
     pub stats: HealthStats,
@@ -246,7 +243,6 @@ impl Default for HealthMonitor {
     /// An armed monitor whose first epoch ends at [`EPOCH_PS`].
     fn default() -> Self {
         Self {
-            trap_threshold: TRAP_THRESHOLD,
             next_epoch: EPOCH_PS,
             stats: HealthStats::default(),
             sa_stalled: 0,
@@ -406,7 +402,7 @@ impl Router {
         }
     }
 
-    /// Trap detector: an ME forwarder producing `trap_threshold`+
+    /// Trap detector: an ME forwarder producing [`TRAP_THRESHOLD`]+
     /// interpreter traps in one epoch bypassed verification somehow.
     /// Unattributed traps (measurement pads) are counted in
     /// `Counters::vrp_traps` but never escalate.
@@ -417,7 +413,7 @@ impl Router {
         for i in 0..n {
             let delta = self.world.me_traps[i] - self.health.me_trap_snapshot[i];
             self.health.me_trap_snapshot[i] = self.world.me_traps[i];
-            let over = delta >= self.health.trap_threshold;
+            let over = delta >= TRAP_THRESHOLD;
             self.escalate(WhereRun::Me, i as u32, over, at);
         }
     }

@@ -13,6 +13,7 @@ use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, MacAddr, Mp};
 use npr_vrp::VrpAction;
 
 use crate::classify::{FlowKey, WhereRun};
+use crate::config::RouterConfig;
 use crate::costs::{InputCosts, QM_ENQUEUE_CYCLES, WFQ_LEVEL_CYCLES};
 use crate::install::{CLASSIFIER_CYCLES, CLASSIFIER_SRAM_TRANSFERS};
 use crate::queues::InputDiscipline;
@@ -70,6 +71,12 @@ pub struct InputLoop {
     /// Test-and-set spin locks instead of blocking hardware mutexes
     /// (the section 3.4.2 ablation).
     spinlock: bool,
+    /// Permille of packets diverted to the Pentium
+    /// (`RouterConfig::divert_pe_permille`; 0 = none).
+    divert_pe_permille: u32,
+    /// Permille of packets diverted to the StrongARM
+    /// (`RouterConfig::divert_sa_permille`; 0 = none).
+    divert_sa_permille: u32,
     /// Index of this context among input contexts (private-queue slot).
     input_index: usize,
     discipline: InputDiscipline,
@@ -93,24 +100,23 @@ pub struct InputLoop {
 
     // Statistics.
     /// Register cycles issued by this context.
-    pub reg_issued: u64,
+    reg_issued: u64,
     /// Register count already published to the world counter.
     reg_published: u64,
-    /// MPs completed.
-    pub mps_done: u64,
 }
 
 impl InputLoop {
     /// Creates the program. `input_index` selects the private queue
-    /// priority slot under [`InputDiscipline::PrivatePerCtx`].
+    /// priority slot under [`InputDiscipline::PrivatePerCtx`]; the
+    /// discipline, spin locks and diversion rates come from `cfg`.
     pub fn new(
         port: PortId,
         slot: usize,
         ring: RingId,
         input_index: usize,
-        discipline: InputDiscipline,
-        spinlock: bool,
+        cfg: &RouterConfig,
     ) -> Self {
+        let discipline = cfg.in_discipline;
         let costs = match discipline {
             InputDiscipline::PrivatePerCtx => InputCosts::PRIVATE,
             InputDiscipline::ProtectedShared => InputCosts::PROTECTED,
@@ -119,7 +125,9 @@ impl InputLoop {
             port,
             slot,
             ring,
-            spinlock,
+            spinlock: cfg.chip.spinlock_mutexes,
+            divert_pe_permille: cfg.divert_pe_permille,
+            divert_sa_permille: cfg.divert_sa_permille,
             input_index,
             discipline,
             costs,
@@ -137,7 +145,6 @@ impl InputLoop {
             vrp_sram_left: 0,
             reg_issued: 0,
             reg_published: 0,
-            mps_done: 0,
         }
     }
 
@@ -218,15 +225,15 @@ impl InputLoop {
             // an evenly spaced deterministic stride of the configured
             // permille of packets. ---
             let mut divert: Option<Escalation> = None;
-            if w.divert_pe_permille > 0 {
-                w.divert_ctr += w.divert_pe_permille;
+            if self.divert_pe_permille > 0 {
+                w.divert_ctr += self.divert_pe_permille;
                 if w.divert_ctr >= 1000 {
                     w.divert_ctr -= 1000;
                     divert = Some(Escalation::Pe { fwdr: u32::MAX });
                 }
             }
-            if divert.is_none() && w.divert_sa_permille > 0 {
-                w.divert_ctr_sa += w.divert_sa_permille;
+            if divert.is_none() && self.divert_sa_permille > 0 {
+                w.divert_ctr_sa += self.divert_sa_permille;
                 if w.divert_ctr_sa >= 1000 {
                     w.divert_ctr_sa -= 1000;
                     divert = Some(Escalation::SaLocal { fwdr: u32::MAX });
@@ -800,7 +807,6 @@ impl CtxProgram<RouterWorld> for InputLoop {
                     return Op::MemWrite(MemKind::Scratch, 4);
                 }
                 Phase::LoopEnd => {
-                    self.mps_done += 1;
                     env.world.counters.input_mps.inc();
                     let delta =
                         self.reg_issued + u64::from(self.costs.loop_ctl) - self.reg_published;

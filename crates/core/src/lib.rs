@@ -55,7 +55,7 @@ pub mod trace;
 pub mod wfq;
 pub mod world;
 
-pub use aqm::{AqmKind, CodelParams, RedParams};
+pub use aqm::AqmKind;
 pub use classify::{Classifier, FlowKey, Key, WhereRun};
 pub use config::{RouterConfig, TrafficTemplate};
 pub use control::InstalledEntry;

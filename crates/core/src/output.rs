@@ -84,13 +84,9 @@ pub struct OutputLoop {
     wait_polls: u32,
 
     /// Register cycles issued.
-    pub reg_issued: u64,
+    reg_issued: u64,
     /// Register count already published to the world counter.
     reg_published: u64,
-    /// MPs transmitted.
-    pub mps_done: u64,
-    /// Packets completed.
-    pub pkts_done: u64,
 }
 
 impl OutputLoop {
@@ -125,8 +121,6 @@ impl OutputLoop {
             wait_polls: 0,
             reg_issued: 0,
             reg_published: 0,
-            mps_done: 0,
-            pkts_done: 0,
         }
     }
 
@@ -225,7 +219,6 @@ impl OutputLoop {
                 .clone()
                 .expect("output-only mode needs a template");
             mp.tag = MpTag::Only;
-            w.synth_ctr = w.synth_ctr.wrapping_add(1);
             self.staged_tag = MpTag::Only;
             self.pending_mp = Some(mp);
             return Ok(true);
@@ -281,9 +274,7 @@ impl OutputLoop {
 
     /// Advances packet progress after a transmitted MP.
     fn advance(&mut self, w: &mut RouterWorld, sent: MpTag, now: npr_sim::Time) {
-        self.mps_done += 1;
         if w.mode == RunMode::OutputOnly {
-            self.pkts_done += 1;
             return;
         }
         if let Some(wfq) = &mut w.wfq {
@@ -291,7 +282,6 @@ impl OutputLoop {
             wfq.mapper.on_service(64);
         }
         if sent.ends_packet() {
-            self.pkts_done += 1;
             w.counters.tx_pkts.inc();
             if let Some(c) = self.current.take() {
                 let meta = *w.meta_of(c.buf);

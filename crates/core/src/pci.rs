@@ -49,8 +49,6 @@ pub struct Pci {
     errors: u64,
     retries: u64,
     exhausted: u64,
-    /// Retry cap before escalation to a locked transaction.
-    pub max_retries: u32,
 }
 
 impl Pci {
@@ -65,7 +63,6 @@ impl Pci {
             errors: 0,
             retries: 0,
             exhausted: 0,
-            max_retries: PCI_MAX_RETRIES,
         }
     }
 
@@ -86,7 +83,7 @@ impl Pci {
     /// [`Pci::transfer`] under the fault plane: each attempt may be
     /// aborted (`FaultClass::PciError`), in which case the doomed
     /// transaction still occupies the bus for its full slot, the master
-    /// backs off, and the DMA is retried. After `max_retries` attempts
+    /// backs off, and the DMA is retried. After [`PCI_MAX_RETRIES`] attempts
     /// the transaction abandons the retry path — counted exactly once
     /// in `exhausted` — and the bridge escalates to a locked
     /// transaction, so the transfer always completes: errors waste bus
@@ -102,13 +99,13 @@ impl Pci {
         };
         let mut at = now;
         let mut attempts = 0u32;
-        while attempts < self.max_retries && f.roll(FaultClass::PciError) {
+        while attempts < PCI_MAX_RETRIES && f.roll(FaultClass::PciError) {
             self.errors += 1;
             let occ = Self::occupancy_ps(bytes);
             at = self.bus.admit(at, occ, occ) + PCI_RETRY_BACKOFF_PS;
             attempts += 1;
         }
-        if attempts == self.max_retries && self.max_retries > 0 {
+        if attempts == PCI_MAX_RETRIES {
             self.exhausted += 1;
         }
         self.retries += u64::from(attempts);
@@ -235,19 +232,14 @@ mod tests {
     fn exhaustion_counts_once_per_abandoned_transaction() {
         // At a 100% error rate every transfer burns its whole retry
         // budget and is abandoned to the locked path: the exhaustion
-        // counter must advance by exactly one per transaction, for any
-        // configured cap.
-        for cap in [1u32, 2, 4, 7] {
-            let mut p = Pci::new(4);
-            p.max_retries = cap;
-            let mut plan =
-                FaultPlan::new(11).with_rate(FaultClass::PciError, npr_sim::fault::PPM);
-            for n in 1..=5u64 {
-                let _ = p.transfer_faulty(0, 64, Some(&mut plan));
-                assert_eq!(p.exhausted(), n, "cap {cap}: once per transaction");
-            }
-            assert_eq!(p.errors(), 5 * u64::from(cap));
+        // counter must advance by exactly one per transaction.
+        let mut p = Pci::new(4);
+        let mut plan = FaultPlan::new(11).with_rate(FaultClass::PciError, npr_sim::fault::PPM);
+        for n in 1..=5u64 {
+            let _ = p.transfer_faulty(0, 64, Some(&mut plan));
+            assert_eq!(p.exhausted(), n, "once per transaction");
         }
+        assert_eq!(p.errors(), 5 * u64::from(PCI_MAX_RETRIES));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct Pentium {
     /// with a packet and a control op at once).
     pub ctl_current: Option<ControlOp>,
     /// Extra delay-loop cycles per packet (spare-cycle probing).
-    pub delay_loop_cycles: u64,
+    delay_loop_cycles: u64,
     /// Busy picoseconds.
     pub busy_ps: Time,
     /// Packets completed.
@@ -104,9 +104,13 @@ pub struct Pentium {
 }
 
 impl Pentium {
-    /// Creates an idle Pentium.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an idle Pentium that spins `delay_loop_cycles` extra
+    /// cycles per packet (`RouterConfig::pe_delay_loop`).
+    pub fn new(delay_loop_cycles: u64) -> Self {
+        Self {
+            delay_loop_cycles,
+            ..Self::default()
+        }
     }
 
     /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
@@ -277,17 +281,22 @@ mod tests {
 
     #[test]
     fn null_cost_matches_calibration() {
-        let pe = Pentium::new();
+        let pe = Pentium::new(0);
         assert_eq!(pe.cycles_for(&item()), 872);
     }
 
     #[test]
     fn full_body_costs_more() {
-        let pe = Pentium::new();
+        let pe = Pentium::new(0);
         let mut it = item();
         it.mps = 24;
         it.lazy = false;
         assert!(pe.cycles_for(&it) > 872);
+    }
+
+    #[test]
+    fn delay_loop_adds_cycles() {
+        assert_eq!(Pentium::new(100).cycles_for(&item()), 872 + 100);
     }
 
     #[test]
@@ -302,7 +311,7 @@ mod tests {
             assert!(staging.enqueue(desc, 0));
             assert!(staging.enqueue(desc, 1));
         }
-        let mut pe = Pentium::new();
+        let mut pe = Pentium::new(0);
         for _ in 0..200 {
             let queues = &staging.queues;
             let q = staging.share.pick(|q| !queues[q].is_empty()).unwrap();
@@ -319,7 +328,7 @@ mod tests {
 
     #[test]
     fn pick_on_empty_returns_none() {
-        let mut pe = Pentium::new();
+        let mut pe = Pentium::new(0);
         assert!(pe.pick().is_none());
         assert_eq!(pe.backlog(), 0);
     }

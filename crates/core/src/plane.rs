@@ -50,7 +50,6 @@
 use npr_ixp::{Ixp, IxpEv, Rw, Sched};
 use npr_sim::{EventQueue, FaultPlan, Time, Wakeup};
 
-use crate::config::RouterConfig;
 use crate::install::Fid;
 use crate::pci::Pci;
 use crate::pe::PeItem;
@@ -449,8 +448,6 @@ pub struct Bus<'a> {
     pub pci: &'a mut Pci,
     /// The narrow port onto the IXP machine.
     pub chip: Chip<'a>,
-    /// Router configuration.
-    pub cfg: &'a RouterConfig,
     /// Control-plane accounting.
     pub ctl: &'a mut CtlStats,
     pub(crate) events: &'a mut PlaneQueue,

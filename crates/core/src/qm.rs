@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use npr_sim::{LogHistogram, Time};
 
-use crate::aqm::{Aqm, CodelParams, RedParams};
+use crate::aqm::Aqm;
 use crate::classify::FlowKey;
 use crate::config::RouterConfig;
 use crate::qm_sched::WheelSched;
@@ -88,8 +88,6 @@ impl FlowPlane {
             sched: WheelSched::new(nflows, QUANTUM_BYTES * crate::wfq::VSCALE),
             aqm: Aqm::new(
                 cfg.qm_aqm,
-                RedParams::default(),
-                CodelParams::default(),
                 nflows,
                 cfg.qm_seed ^ (port as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ),

@@ -22,10 +22,6 @@ pub struct Report {
     pub input_mpps: f64,
     /// Packets transmitted (or stage-equivalent), Mpps.
     pub forward_mpps: f64,
-    /// MPs through the input process, M/s.
-    pub input_mmps: f64,
-    /// MPs through the output process, M/s.
-    pub output_mmps: f64,
     /// Measured mean register cycles per MP, input loop.
     pub input_reg_per_mp: f64,
     /// Measured mean register cycles per MP, output loop.
@@ -38,7 +34,9 @@ pub struct Report {
     pub sa_spare_cycles: f64,
     /// Spare Pentium cycles per Pentium packet.
     pub pe_spare_cycles: f64,
-    /// Output-queue drops in the window.
+    /// Output-queue drops in the window: ring overflows, or under the
+    /// per-flow queue manager every flow-queue discard (the sum of the
+    /// three `qm_*_drops` below).
     pub queue_drops: u64,
     /// StrongARM/Pentium staging-queue drops.
     pub escalation_drops: u64,
@@ -101,10 +99,6 @@ pub struct Report {
     pub qm_cap_drops: u64,
     /// Per-flow queue manager: CoDel sojourn drops at dequeue.
     pub qm_sojourn_drops: u64,
-    /// Median queue sojourn through the per-flow plane, microseconds.
-    pub qm_sojourn_p50_us: f64,
-    /// 99th-percentile queue sojourn, microseconds.
-    pub qm_sojourn_p99_us: f64,
     /// Packets served through the per-flow plane in the window.
     pub qm_served: u64,
 }
@@ -388,7 +382,7 @@ impl Router {
             latency_samples: c.latency_samples.total(),
             tx_frames: ports.iter().map(|p| p.tx_frames).sum(),
             port_drops: ports.iter().map(|p| p.rx_frames_dropped).sum(),
-            queue_drops: self.world.queues.total_drops(),
+            queue_drops: self.world.queues.total_drops() + qm.map_or(0, |q| q.total_drops()),
             escalation_drops: self.escalation_drops(),
             mutex_wait_ps,
             mutex_acq,
@@ -482,13 +476,10 @@ impl Router {
             recovery_latency_sum_ps: t.health.recovery_latency_sum_ps
                 - m.health.recovery_latency_sum_ps,
         };
-        let qm = self.world.qm.as_ref();
         Report {
             window_ps: w,
             input_mpps: input_pkts / secs / 1e6,
             forward_mpps: forward / secs / 1e6,
-            input_mmps: in_mps / secs / 1e6,
-            output_mmps: out_mps / secs / 1e6,
             input_reg_per_mp: if in_mps > 0.0 {
                 (t.input_reg_cycles - m.input_reg_cycles) as f64 / in_mps
             } else {
@@ -549,8 +540,6 @@ impl Router {
             qm_early_drops: t.qm_early_drops - m.qm_early_drops,
             qm_cap_drops: t.qm_cap_drops - m.qm_cap_drops,
             qm_sojourn_drops: t.qm_sojourn_drops - m.qm_sojourn_drops,
-            qm_sojourn_p50_us: qm.map_or(0.0, |q| q.sojourn_hist().percentile(50.0) as f64 / 1e6),
-            qm_sojourn_p99_us: qm.map_or(0.0, |q| q.sojourn_hist().percentile(99.0) as f64 / 1e6),
             qm_served: t.qm_served - m.qm_served,
         }
     }

@@ -142,8 +142,6 @@ impl Router {
             };
             world.table.load(npr_route::gen::synth_table(&spec));
         }
-        world.divert_pe_permille = cfg.divert_pe_permille;
-        world.divert_sa_permille = cfg.divert_sa_permille;
         world.qm = crate::qm::QmPlane::from_config(&cfg, NUM_PORTS);
 
         // Routes: 10.p.0.0/16 -> port p.
@@ -227,14 +225,7 @@ impl Router {
         for (pos, &ctx) in input_ids.iter().enumerate() {
             let port: PortId = pos % cfg.ports_in_use;
             let slot = ctx % npr_ixp::params::IN_FIFO_SLOTS;
-            let prog = InputLoop::new(
-                port,
-                slot,
-                input_ring,
-                pos,
-                cfg.in_discipline,
-                cfg.chip.spinlock_mutexes,
-            );
+            let prog = InputLoop::new(port, slot, input_ring, pos, &cfg);
             ixp.set_program(ctx, Box::new(prog));
         }
         // Output programs.
@@ -245,11 +236,8 @@ impl Router {
             ixp.set_program(ctx, Box::new(prog));
         }
 
-        let mut sa = StrongArm::new();
-        sa.use_interrupts = cfg.sa_interrupts;
-        sa.synth_feed = cfg.sa_synth_feed;
-        let mut pe = Pentium::new();
-        pe.delay_loop_cycles = cfg.pe_delay_loop;
+        let sa = StrongArm::new(cfg.sa_interrupts, cfg.sa_synth_feed);
+        let pe = Pentium::new(cfg.pe_delay_loop);
         let pci = Pci::new(PE_BUFFERS);
         let fast = FastPath {
             input_mes: cfg.input_ctxs.div_ceil(4),
@@ -417,7 +405,7 @@ impl Router {
             epoch: 0,
         };
         ixp.start(world, &mut s);
-        if self.sa.synth_feed.is_some() {
+        if self.cfg.sa_synth_feed.is_some() {
             let now = self.events.now();
             if self.sa_waker.request(now) {
                 self.events.schedule(now, PlaneEvent::SaPoll);
@@ -528,7 +516,6 @@ impl Router {
             sa_waker,
             pe_waker,
             ctl,
-            cfg,
             health,
             ..
         } = self;
@@ -536,7 +523,6 @@ impl Router {
             world,
             pci,
             chip: Chip::new(ixp),
-            cfg,
             ctl,
             events,
             epoch: health.next_epoch,

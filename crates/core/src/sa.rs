@@ -179,14 +179,12 @@ pub enum SaJob {
 pub struct StrongArm {
     /// Currently executing job (None = idle).
     pub job: Option<SaJob>,
-    /// Extra per-packet delay-loop cycles (spare-cycle probing).
-    pub delay_loop_cycles: u64,
     /// Use interrupts instead of polling (slower; section 3.6).
-    pub use_interrupts: bool,
+    use_interrupts: bool,
     /// Local forwarder jump table.
     pub forwarders: Vec<SaForwarder>,
     /// Synthetic feed's frame length; `None` = disabled.
-    pub synth_feed: Option<usize>,
+    synth_feed: Option<usize>,
     /// Busy picoseconds (for spare-cycle accounting).
     pub busy_ps: Time,
     /// Packets completed (any packet job kind; control ops are counted
@@ -209,9 +207,16 @@ pub struct StrongArm {
 }
 
 impl StrongArm {
-    /// Creates an idle StrongARM.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an idle StrongARM that takes interrupts instead of
+    /// polling when `use_interrupts`, and manufactures packets of
+    /// `synth_feed` bytes for the Pentium when that is set
+    /// (`RouterConfig::{sa_interrupts, sa_synth_feed}`).
+    pub fn new(use_interrupts: bool, synth_feed: Option<usize>) -> Self {
+        Self {
+            use_interrupts,
+            synth_feed,
+            ..Self::default()
+        }
     }
 
     /// Declared per-packet cost of jump-table entry `fwdr` (0 for the
@@ -233,7 +238,7 @@ impl StrongArm {
         } else {
             0
         };
-        base + intr + self.delay_loop_cycles
+        base + intr
     }
 
     /// Cycles for a local job running jump-table entry `fwdr`.
@@ -244,7 +249,7 @@ impl StrongArm {
         } else {
             0
         };
-        SA_LOCAL_BASE + f + intr + self.delay_loop_cycles
+        SA_LOCAL_BASE + f + intr
     }
 
     /// Cycles for a route-miss job touching `levels` trie levels.
@@ -694,7 +699,7 @@ mod tests {
 
     #[test]
     fn bridge_cycles_match_table4_calibration() {
-        let sa = StrongArm::new();
+        let sa = StrongArm::new(false, None);
         assert_eq!(sa.bridge_cycles(1, true), 374);
         // 1500 B = 24 MPs, full copy.
         let c = sa.bridge_cycles(24, false);
@@ -705,23 +710,13 @@ mod tests {
 
     #[test]
     fn interrupts_cost_more() {
-        let mut sa = StrongArm::new();
-        let polling = sa.local_cycles(u32::MAX);
-        sa.use_interrupts = true;
-        assert!(sa.local_cycles(u32::MAX) > polling);
-    }
-
-    #[test]
-    fn delay_loop_adds_cycles() {
-        let mut sa = StrongArm::new();
-        sa.delay_loop_cycles = 100;
-        assert_eq!(sa.local_cycles(u32::MAX), 380 + 100);
-        assert_eq!(sa.bridge_cycles(1, true), 374 + 100);
+        let polling = StrongArm::new(false, None).local_cycles(u32::MAX);
+        assert!(StrongArm::new(true, None).local_cycles(u32::MAX) > polling);
     }
 
     #[test]
     fn forwarder_cycles_included() {
-        let mut sa = StrongArm::new();
+        let mut sa = StrongArm::new(false, None);
         sa.forwarders.push(SaForwarder {
             name: "full-ip".into(),
             cycles: 660,

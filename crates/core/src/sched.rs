@@ -66,12 +66,6 @@ impl Stride {
         self.flows.len() - 1
     }
 
-    /// Updates a flow's ticket allocation.
-    pub fn set_tickets(&mut self, flow: usize, tickets: u64) {
-        assert!(tickets > 0, "zero tickets");
-        self.flows[flow].tickets = tickets;
-    }
-
     /// The ready flow (per `ready`) with minimum pass, without charging
     /// it. Returns `None` if no flow is ready.
     pub fn peek(&self, ready: impl Fn(usize) -> bool) -> Option<usize> {
@@ -141,18 +135,5 @@ mod tests {
         }
         // b joined at the current virtual time: near-equal service.
         assert!(count[a] >= 40 && count[b] >= 40, "{count:?}");
-    }
-
-    #[test]
-    fn ticket_update_changes_share() {
-        let mut s = Stride::new();
-        let a = s.add_flow(1);
-        let b = s.add_flow(1);
-        s.set_tickets(a, 9);
-        let mut count = [0u32; 2];
-        for _ in 0..1000 {
-            count[s.pick(|_| true).unwrap()] += 1;
-        }
-        assert!(count[a] > count[b] * 7, "{count:?}");
     }
 }

@@ -245,15 +245,11 @@ pub struct RouterWorld {
     pub port_assembly: Vec<Option<u64>>,
     /// Counters.
     pub counters: Counters,
-    /// Divert this fraction (out of 1000) of packets to the Pentium
-    /// (experiment control; 0 = disabled). Diversion is an evenly
-    /// spaced deterministic stride, not random.
-    pub divert_pe_permille: u32,
-    /// Divert fraction to the StrongARM (out of 1000; 0 = disabled).
-    pub divert_sa_permille: u32,
-    /// Divert accumulator state.
+    /// Stride accumulator of the Pentium diversion, shared by every
+    /// input context: diversion is an evenly spaced deterministic
+    /// stride of `RouterConfig::divert_pe_permille`, not random.
     pub divert_ctr: u32,
-    /// Second accumulator (SA diverts).
+    /// Second accumulator (StrongARM diverts).
     pub divert_ctr_sa: u32,
     /// Synthetic VRP padding injected directly into
     /// `protocol_processing` (the Figure 9/10 methodology): program and
@@ -262,8 +258,6 @@ pub struct RouterWorld {
     pub vrp_pad: Option<(npr_vrp::VrpProgram, Vec<u8>)>,
     /// Template packet for output-only synthesis.
     pub out_template: Option<Mp>,
-    /// Synthesized-descriptor counter for output-only mode.
-    pub synth_ctr: u32,
 }
 
 impl RouterWorld {
@@ -300,13 +294,10 @@ impl RouterWorld {
             assembly: HashMap::new(),
             port_assembly: vec![None; ports],
             counters: Counters::default(),
-            divert_pe_permille: 0,
-            divert_sa_permille: 0,
             divert_ctr: 0,
             divert_ctr_sa: 0,
             vrp_pad: None,
             out_template: None,
-            synth_ctr: 0,
         }
     }
 

@@ -186,6 +186,35 @@ fn qm_drops_land_in_exactly_one_counter() {
     }
 }
 
+/// Under the per-flow queue manager the flow queues are the output
+/// queues, so `Report::queue_drops` counts their discards: over a
+/// window that starts at boot it equals the ledger's queue term.
+#[test]
+fn report_queue_drops_count_flow_queue_discards() {
+    use npr_core::AqmKind;
+    for aqm in [AqmKind::DropTail, AqmKind::Codel] {
+        let cfg = RouterConfig {
+            qm_flow_cap: 4,
+            ..RouterConfig::per_flow_qos(aqm)
+        };
+        let mut r = Router::new(cfg);
+        // Four ports at 0.9 converge on port 5: 3.6x its wire.
+        for p in 0..4 {
+            r.attach_cbr(p, 0.9, 2_000, 5);
+        }
+        r.run_until(ms(2));
+        let rep = r.report();
+        let ledger = r.conservation().queue_drops;
+        assert!(ledger > 0, "{aqm:?}: 3.6x overload must shed packets");
+        assert_eq!(rep.queue_drops, ledger, "{aqm:?}: {rep:?}");
+        assert_eq!(
+            rep.queue_drops,
+            rep.qm_early_drops + rep.qm_cap_drops + rep.qm_sojourn_drops,
+            "{aqm:?}"
+        );
+    }
+}
+
 /// The no-route counter still accounts packets that miss the table
 /// when no exception handler is installed (regression guard for the
 /// audit: this site was already correct and must stay so).

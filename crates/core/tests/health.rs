@@ -5,6 +5,7 @@
 //! it, and a fixed quarantine order for forwarders that offend in
 //! lockstep. Companion to the wedge-detection pins in `faults.rs`.
 
+use npr_core::health::TRAP_THRESHOLD;
 use npr_core::{ms, us, FlowKey, InstallRequest, Key, Router, RouterConfig, WhereRun};
 use npr_forwarders::slow::{full_ip_sa, tcp_proxy_pe, FULL_IP_CYCLES};
 
@@ -102,7 +103,6 @@ fn rotted() -> npr_vrp::VrpProgram {
 #[test]
 fn me_trap_storm_quarantines_the_forwarder() {
     let mut r = Router::new(RouterConfig::line_rate());
-    r.health.trap_threshold = 4;
     let fid = r
         .install(
             Key::All,
@@ -120,6 +120,7 @@ fn me_trap_storm_quarantines_the_forwarder() {
     assert!(!rotted.is_compiled(), "unverifiable program must not compile");
     r.world.me_forwarders[0].exec = rotted;
     r.attach_cbr(0, 0.9, 300, 1);
+    r.attach_cbr(2, 0.9, 300, 3);
     r.run_until(ms(4));
     settle(&mut r);
     let s = r.health.stats;
@@ -128,7 +129,7 @@ fn me_trap_storm_quarantines_the_forwarder() {
     assert_eq!(s.throttles, 0, "{s:?}");
     assert_eq!(r.health.quarantined, vec![(WhereRun::Me, 0)]);
     // The traps were attributed to the rotted forwarder and counted.
-    assert!(r.world.me_traps[0] >= 4);
+    assert!(r.world.me_traps[0] >= TRAP_THRESHOLD);
     assert!(r.world.counters.vrp_traps.total() >= r.world.me_traps[0]);
     // Quarantine unbound it: the fid is gone from the classifier and
     // traffic kept moving on the default path afterwards.
@@ -146,18 +147,19 @@ fn a_queue_outside_the_queue_set_is_the_forwarders_trap() {
     let qm = RouterConfig::per_flow_qos(npr_core::AqmKind::DropTail);
     for cfg in [RouterConfig::line_rate(), qm] {
         let mut r = Router::new(cfg);
-        r.health.trap_threshold = 4;
         let mut a = npr_vrp::Asm::new("bad-queue");
         a.imm(1, 4000).set_queue(npr_vrp::Src::Reg(1)).done();
         let prog = a.finish(0).unwrap();
         r.install(Key::All, InstallRequest::Me { prog }, None)
             .expect("verified forwarder admitted");
         r.attach_cbr(0, 0.9, 300, 1);
+        r.attach_cbr(2, 0.9, 300, 3);
         r.run_until(ms(4));
         settle(&mut r);
-        assert!(r.world.me_traps[0] >= 4, "{:?}", r.world.me_traps);
+        assert!(r.world.me_traps[0] >= TRAP_THRESHOLD, "{:?}", r.world.me_traps);
         assert_eq!(r.health.quarantined, vec![(WhereRun::Me, 0)]);
         assert_eq!(r.ixp.hw.ports[1].tx_frames, 300, "routed port kept");
+        assert_eq!(r.ixp.hw.ports[3].tx_frames, 300, "routed port kept");
     }
 }
 

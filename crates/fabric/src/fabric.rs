@@ -32,7 +32,9 @@ use npr_packet::{EthernetFrame, Frame, Ipv4Header, MacAddr, Mp};
 use npr_route::NextHop;
 use npr_sim::{run_threads, EngineStats, Outbox, Shard, Time};
 
-use crate::topology::{FabricConfig, Steer, Topology, Wire, SWITCH_LATENCY_PS, UPLINK_PORT};
+use crate::topology::{
+    FabricConfig, Steer, Topology, Wire, REASSEMBLY_AGE_PS, SWITCH_LATENCY_PS, UPLINK_PORT,
+};
 use crate::Link;
 
 /// One frame on its way to a member port.
@@ -133,8 +135,6 @@ pub struct MemberShard {
     /// keyed by (fabric-port index, frame id); the `Time` is the last
     /// MP's completion, for age-out.
     pub(crate) partial: HashMap<(usize, u64), (Time, Vec<Mp>)>,
-    /// Age after which an incomplete reassembly is abandoned.
-    pub(crate) reassembly_age_ps: Time,
     /// Frames abandoned mid-reassembly (closing MP never arrived —
     /// e.g. a corrupted position tag carried through cut-through).
     pub(crate) assembly_drops: u64,
@@ -159,7 +159,7 @@ impl MemberShard {
     /// member through `out`, counting unroutable ones as switch drops
     /// and down-link ones in the link's own ledger.
     /// `now` drives the reassembly age-out: an entry untouched for
-    /// `reassembly_age_ps` is abandoned and counted, so a frame whose
+    /// [`REASSEMBLY_AGE_PS`] is abandoned and counted, so a frame whose
     /// closing MP never arrives (a corrupted position tag carried
     /// through cut-through) can't pin switch state forever.
     fn collect_switched(&mut self, now: Time, out: &mut Outbox<<Self as Shard>::Msg>) {
@@ -197,9 +197,8 @@ impl MemberShard {
             }
             self.router.ixp.hw.ports[port].tx_capture = Some(cap);
         }
-        let age = self.reassembly_age_ps;
         let before = self.partial.len();
-        self.partial.retain(|_, (touched, _)| *touched + age > now);
+        self.partial.retain(|_, (touched, _)| *touched + REASSEMBLY_AGE_PS > now);
         self.assembly_drops += (before - self.partial.len()) as u64;
     }
 
@@ -379,7 +378,6 @@ impl Fabric {
                 gen_cell,
                 fenced,
                 partial: HashMap::new(),
-                reassembly_age_ps: cfg.reassembly_age_ps,
                 switched: 0,
                 switch_drops: 0,
                 assembly_drops: 0,

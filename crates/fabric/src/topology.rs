@@ -30,7 +30,7 @@ pub const SWITCH_LATENCY_PS: Time = 2_000_000; // 2 us.
 /// ring and spine/leaf topologies.
 pub const GIGABIT_BPS: u64 = 1_000_000_000;
 
-/// Default age after which the switch layer abandons an incomplete
+/// Age after which the switch layer abandons an incomplete
 /// uplink reassembly (a frame whose closing MP never arrived — e.g. a
 /// corrupted position tag carried through the cut-through path) and
 /// counts the frame as an assembly drop. Generous: a legitimate
@@ -226,11 +226,6 @@ pub struct FabricConfig {
     /// an infinitely fast link (arrival is exactly
     /// `tx done + SWITCH_LATENCY_PS` — the pre-refactor behavior).
     pub link_capacity_bps: u64,
-    /// Switch-layer reassembly age-out (see [`REASSEMBLY_AGE_PS`]):
-    /// an uplink frame still incomplete this long after its last MP is
-    /// dropped and counted, so a corrupted tag can't pin switch state
-    /// forever.
-    pub reassembly_age_ps: Time,
 }
 
 impl FabricConfig {
@@ -241,7 +236,6 @@ impl FabricConfig {
             topology: Topology::SingleSwitch,
             members: vec![base; n],
             link_capacity_bps: 0,
-            reassembly_age_ps: REASSEMBLY_AGE_PS,
         }
     }
 
@@ -251,7 +245,6 @@ impl FabricConfig {
             topology: Topology::Ring,
             members: vec![base; n],
             link_capacity_bps: GIGABIT_BPS,
-            reassembly_age_ps: REASSEMBLY_AGE_PS,
         }
     }
 
@@ -261,7 +254,6 @@ impl FabricConfig {
             topology: Topology::SpineLeaf { spines: 2 },
             members: vec![base; n],
             link_capacity_bps: GIGABIT_BPS,
-            reassembly_age_ps: REASSEMBLY_AGE_PS,
         }
     }
 }

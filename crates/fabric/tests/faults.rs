@@ -98,15 +98,11 @@ fn every_fault_class_is_contained_to_the_armed_chassis() {
         let mut base = RouterConfig::line_rate();
         base.divert_sa_permille = 200;
         base.divert_pe_permille = 100;
-        let mut cfg = match i % 3 {
+        let cfg = match i % 3 {
             0 => FabricConfig::single_switch(3, base),
             1 => FabricConfig::ring(3, base),
             _ => FabricConfig::spine_leaf(3, base),
         };
-        // Age abandoned reassemblies out quickly (MpCorrupt can strand
-        // a never-ending frame at the switch layer) so the drain below
-        // converges inside its budget.
-        cfg.reassembly_age_ps = ms(1);
         let name = cfg.topology.name();
         let mut f = Fabric::new(cfg);
         attach_ring_traffic(&mut f, FRAMES);

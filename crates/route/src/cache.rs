@@ -45,8 +45,6 @@ pub struct RouteCache {
     live: usize,
     hits: u64,
     misses: u64,
-    epoch_hits: u64,
-    epoch_misses: u64,
 }
 
 impl RouteCache {
@@ -70,8 +68,6 @@ impl RouteCache {
             live: 0,
             hits: 0,
             misses: 0,
-            epoch_hits: 0,
-            epoch_misses: 0,
         }
     }
 
@@ -86,11 +82,9 @@ impl RouteCache {
         let s = self.slots[i];
         if s.valid && s.addr == addr {
             self.hits += 1;
-            self.epoch_hits += 1;
             Some(s.nh)
         } else {
             self.misses += 1;
-            self.epoch_misses += 1;
             None
         }
     }
@@ -140,23 +134,11 @@ impl RouteCache {
         }
     }
 
-    /// Lifetime `(hits, misses)` totals since construction. Neither
-    /// [`flush`](Self::flush) nor [`take_stats`](Self::take_stats)
-    /// resets these; use `take_stats` for per-window curves that stay
-    /// honest across churn episodes.
+    /// Lifetime `(hits, misses)` totals since construction;
+    /// [`flush`](Self::flush) does not reset them. A window's figures
+    /// are the difference of two reads.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// `(hits, misses)` since the previous `take_stats` call (or
-    /// construction), then starts a new epoch. Benchmark churn curves
-    /// are built from these windows so a mid-run flush cannot smear one
-    /// episode's misses across another's hit rate.
-    pub fn take_stats(&mut self) -> (u64, u64) {
-        let out = (self.epoch_hits, self.epoch_misses);
-        self.epoch_hits = 0;
-        self.epoch_misses = 0;
-        out
     }
 
     /// Lifetime hit rate in `[0, 1]`.
@@ -289,20 +271,15 @@ mod tests {
     }
 
     #[test]
-    fn epoch_stats_reset_lifetime_stats_do_not() {
+    fn lifetime_stats_survive_flush() {
         let mut c = RouteCache::new(64);
         c.lookup(1); // miss
         c.install(1, 9);
         c.lookup(1); // hit
-        assert_eq!(c.take_stats(), (1, 1));
-        // New epoch: only what happened after the take.
-        c.lookup(1); // hit
+        assert_eq!(c.stats(), (1, 1));
         c.flush();
         c.lookup(1); // miss
-        assert_eq!(c.take_stats(), (1, 1));
-        assert_eq!(c.take_stats(), (0, 0));
-        // Lifetime totals kept accumulating through both epochs.
-        assert_eq!(c.stats(), (2, 2));
+        assert_eq!(c.stats(), (1, 2));
     }
 
     #[test]

@@ -304,12 +304,6 @@ impl RoutingTable {
         self.cache.stats()
     }
 
-    /// Cache `(hits, misses)` for the window since the previous call;
-    /// see [`RouteCache::take_stats`].
-    pub fn take_cache_stats(&mut self) -> (u64, u64) {
-        self.cache.take_stats()
-    }
-
     /// Trie shape / memory / lookup statistics.
     pub fn trie_stats(&self) -> TrieStats {
         self.trie.stats()
