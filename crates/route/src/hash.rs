@@ -1,18 +1,19 @@
-//! The deterministic hasher behind the crate's route maps.
+//! The deterministic hasher behind `RouteMap`, which keys one map: the
+//! next-hop index.
 //!
-//! `PrefixTrie::routes` keys on `(addr, plen)` and
-//! `RoutingTable::index` on a 7-byte [`NextHop`] — values this program
-//! mints itself, a million at a time — so SipHash's flooding resistance
-//! buys nothing and costs most of a table build.
+//! `RoutingTable`'s next-hop index keys on a 7-byte [`NextHop`], a value
+//! this program mints itself, so SipHash's flooding resistance buys
+//! nothing and costs lookups on every route update. (Routes need no
+//! map: the trie keeps each node's routes in sorted lists.)
 //! This is a multiply-rotate fold finished by SplitMix64's finaliser
-//! (`npr_check::rng::mix`). The finaliser is not optional: a prefix's
-//! host bits are zero, so after the multiply the low bits of the state
-//! are zero too, and those are the bits hashbrown takes its bucket index
-//! from.
+//! (`npr_check::rng::mix`). The finaliser is not optional: for a key
+//! whose low bits are zero, as a prefix's host bits are, the low bits of
+//! the state after the multiply are zero too, and those are the bits
+//! hashbrown takes its bucket index from; the tests hold both key
+//! shapes to an even spread.
 //!
-//! Neither map is ever iterated for anything observable
-//! (`lookup_naive`'s `max_by_key` is over distinct prefix lengths), so
-//! the hasher can change bucket order and nothing else.
+//! The map is never iterated for anything observable, so the hasher can
+//! change bucket order and nothing else.
 //!
 //! [`NextHop`]: crate::NextHop
 

@@ -8,12 +8,13 @@
 //! per packet (section 4.4). This crate implements both, at BGP scale:
 //!
 //! * [`PrefixTrie`]: a controlled-prefix-expansion multibit trie with
-//!   configurable strides, flat-arena node storage sized for ~1M
-//!   prefixes, targeted (non-rebuilding) removal, plus a naive
-//!   linear-scan oracle used to property-test it;
+//!   configurable strides, run-compressed nodes sized for ~1M prefixes,
+//!   each node's routes kept in a sorted list beside it, targeted
+//!   (non-rebuilding) removal, plus a naive linear-scan oracle used to
+//!   property-test it;
 //! * [`RouteCache`]: a direct-mapped cache of exact
 //!   destination-to-next-hop bindings keyed by the hardware hash, with
-//!   full-flush or targeted invalidation and per-window epoch stats;
+//!   full-flush or targeted invalidation and lifetime hit and miss totals;
 //! * [`RoutingTable`]: the control-plane view (insert / remove / bulk
 //!   load) the OSPF-ish control forwarder mutates, with a refcounted
 //!   next-hop arena;

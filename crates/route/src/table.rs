@@ -45,13 +45,15 @@ pub struct Route {
 }
 
 /// A route `RoutingTable::load` has recorded but not yet expanded into
-/// the trie: the masked prefix and its next-hop slot. The same layout
-/// as a [`Route`], so collecting these from a `Vec<Route>` reuses its
-/// buffer.
+/// the trie: the masked prefix, its place in the caller's order and its
+/// next-hop slot. The same layout as a [`Route`], so collecting these
+/// from a `Vec<Route>` reuses its buffer.
 #[derive(Clone, Copy)]
 struct Recorded {
     addr: u32,
-    plen: u8,
+    /// The prefix length in the top 8 bits, the route's position in
+    /// the load in the `POS_BITS` below.
+    tag: u32,
     idx: u32,
 }
 
@@ -60,10 +62,85 @@ const _: () = assert!(
         && std::mem::align_of::<Recorded>() == std::mem::align_of::<Route>()
 );
 
+/// Bits of `Recorded::tag` that hold the position.
+const POS_BITS: u32 = 24;
+
 impl Recorded {
-    /// Address order, and one prefix's records side by side.
+    fn new(r: Route, pos: usize, idx: u32) -> Self {
+        assert!(pos < 1 << POS_BITS, "a load holds at most 2^24 routes");
+        Self {
+            addr: mask(r.addr, r.plen),
+            tag: u32::from(r.plen) << POS_BITS | pos as u32,
+            idx,
+        }
+    }
+
+    fn plen(&self) -> u8 {
+        (self.tag >> POS_BITS) as u8
+    }
+
+    fn pos(&self) -> u32 {
+        self.tag & ((1 << POS_BITS) - 1)
+    }
+
+    /// Address order, one prefix's records side by side in the caller's
+    /// order.
     fn key(&self) -> u64 {
-        u64::from(self.addr) << 8 | u64::from(self.plen)
+        u64::from(self.addr) << 32 | u64::from(self.tag)
+    }
+
+    /// Address order, then length.
+    fn prefix(&self) -> u64 {
+        u64::from(self.addr) << 8 | u64::from(self.plen())
+    }
+}
+
+/// The refcounted next-hop arena: each live next hop once, in a slot the
+/// trie and the cache carry.
+#[derive(Debug, Clone, Default)]
+struct NextHops {
+    slots: Vec<NextHop>,
+    /// Routes referencing each slot; 0 marks a free slot.
+    refs: Vec<u32>,
+    /// Free slots, reused before the array grows.
+    free: Vec<u32>,
+    /// Dedup index over live next hops.
+    index: RouteMap<NextHop, u32>,
+}
+
+impl NextHops {
+    /// Takes a reference to `next_hop`'s slot, filling a free slot (or a
+    /// new one) if it has none.
+    fn acquire(&mut self, next_hop: NextHop) -> u32 {
+        if let Some(&i) = self.index.get(&next_hop) {
+            self.refs[i as usize] += 1;
+            return i;
+        }
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = next_hop;
+                self.refs[i as usize] = 1;
+                i
+            }
+            None => {
+                self.slots.push(next_hop);
+                self.refs.push(1);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(next_hop, i);
+        i
+    }
+
+    /// Drops a reference to slot `i`, freeing the slot with its last.
+    fn release(&mut self, i: u32) {
+        let r = &mut self.refs[i as usize];
+        debug_assert!(*r > 0, "release of a free next-hop slot");
+        *r -= 1;
+        if *r == 0 {
+            self.index.remove(&self.slots[i as usize]);
+            self.free.push(i);
+        }
     }
 }
 
@@ -95,13 +172,7 @@ pub enum Invalidation {
 #[derive(Debug)]
 pub struct RoutingTable {
     trie: PrefixTrie,
-    next_hops: Vec<NextHop>,
-    /// Routes referencing each next-hop slot; 0 marks a free slot.
-    refs: Vec<u32>,
-    /// Free next-hop slots, reused before the array grows.
-    free: Vec<u32>,
-    /// Dedup index over live next hops.
-    index: RouteMap<NextHop, u32>,
+    next_hops: NextHops,
     cache: RouteCache,
     invalidation: Invalidation,
 }
@@ -118,10 +189,7 @@ impl RoutingTable {
     pub fn with_config(strides: &[u8], cache_slots: usize, invalidation: Invalidation) -> Self {
         Self {
             trie: PrefixTrie::new(strides),
-            next_hops: Vec::new(),
-            refs: Vec::new(),
-            free: Vec::new(),
-            index: RouteMap::default(),
+            next_hops: NextHops::default(),
             cache: RouteCache::new(cache_slots),
             invalidation,
         }
@@ -138,37 +206,6 @@ impl RoutingTable {
         self.invalidation
     }
 
-    fn acquire(&mut self, next_hop: NextHop) -> u32 {
-        if let Some(&i) = self.index.get(&next_hop) {
-            self.refs[i as usize] += 1;
-            return i;
-        }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.next_hops[i as usize] = next_hop;
-                self.refs[i as usize] = 1;
-                i
-            }
-            None => {
-                self.next_hops.push(next_hop);
-                self.refs.push(1);
-                (self.next_hops.len() - 1) as u32
-            }
-        };
-        self.index.insert(next_hop, i);
-        i
-    }
-
-    fn release(&mut self, i: u32) {
-        let r = &mut self.refs[i as usize];
-        debug_assert!(*r > 0, "release of a free next-hop slot");
-        *r -= 1;
-        if *r == 0 {
-            self.index.remove(&self.next_hops[i as usize]);
-            self.free.push(i);
-        }
-    }
-
     fn invalidate(&mut self, addr: u32, plen: u8) {
         match self.invalidation {
             Invalidation::FullFlush => self.cache.flush(),
@@ -179,9 +216,9 @@ impl RoutingTable {
     /// Installs (or replaces) a route, then invalidates the covered
     /// cache bindings (all of them under full flush).
     pub fn insert(&mut self, addr: u32, plen: u8, next_hop: NextHop) {
-        let idx = self.acquire(next_hop);
+        let idx = self.next_hops.acquire(next_hop);
         if let Some(old) = self.trie.insert(addr, plen, idx) {
-            self.release(old);
+            self.next_hops.release(old);
         }
         self.invalidate(addr, plen);
     }
@@ -192,7 +229,7 @@ impl RoutingTable {
     pub fn remove(&mut self, addr: u32, plen: u8) -> bool {
         match self.trie.remove(addr, plen) {
             Some(idx) => {
-                self.release(idx);
+                self.next_hops.release(idx);
                 self.invalidate(addr, plen);
                 true
             }
@@ -202,51 +239,88 @@ impl RoutingTable {
 
     /// Bulk-installs routes (synthetic table preload): observably the
     /// same `insert`s in order — table, next-hop arena, cache contents
-    /// and cache statistics — with the route map grown once up front
-    /// from the iterator's `size_hint`. Into a cold cache that costs a
-    /// route-map insert and an expansion per route plus one sort; a warm
-    /// cache still pays its invalidation pass per route (see
+    /// and cache statistics. Into a cold table it costs a next-hop
+    /// acquire and an expansion per route plus one sort; a warm cache
+    /// still pays its invalidation pass per route (see
     /// [`RouteCache::invalidate_covered`]).
     ///
-    /// It runs in two passes. The first, in the caller's order, does
-    /// everything `insert` does but touch the trie's nodes, so next-hop
-    /// slots, reference counts and the cache end exactly as after the
-    /// `insert`s. The second expands the recorded prefixes into the trie
-    /// in address order, so each node is written while it is open and
-    /// encoded once. Fills answer alike in any order (see
-    /// `PrefixTrie::fill`), and a prefix the load repeats is filled once,
-    /// with the value the first pass left it, its last. Given a `Vec`,
-    /// the records reuse its buffer.
+    /// It runs in two passes. The first, in the caller's order, acquires
+    /// each route's next hop, invalidates what the route covers, and
+    /// records the masked prefix, its position and the slot. That is
+    /// exactly what the `insert`s do to the next-hop arena and the cache
+    /// as long as no route replaces another; if one does (the load
+    /// repeats a prefix, or the trie already holds it), `replay` redoes
+    /// the arena's part with the releases in their places. The
+    /// second pass expands the records into the trie in address order,
+    /// so each node is written while it is open and encoded once, and
+    /// each route list is appended to and boxed once. Fills answer alike
+    /// in any order (see `PrefixTrie::fill`), and a prefix the load
+    /// repeats is filled once, with its last binding. Given a `Vec`, the
+    /// records reuse its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the load holds more than 2^24 routes.
     pub fn load<I: IntoIterator<Item = Route>>(&mut self, routes: I) {
-        let routes = routes.into_iter();
-        self.trie.reserve_routes(routes.size_hint().0);
+        let before = self.next_hops.clone();
         let mut recorded: Vec<Recorded> = routes
-            .map(|r| {
-                let idx = self.acquire(r.next_hop);
-                if let Some(old) = self.trie.record(r.addr, r.plen, idx) {
-                    self.release(old);
-                }
+            .into_iter()
+            .enumerate()
+            .map(|(pos, r)| {
+                let idx = self.next_hops.acquire(r.next_hop);
                 self.invalidate(r.addr, r.plen);
-                Recorded {
-                    addr: mask(r.addr, r.plen),
-                    plen: r.plen,
-                    idx,
-                }
+                Recorded::new(r, pos, idx)
             })
             .collect();
         recorded.sort_unstable_by_key(Recorded::key);
+        let replaces = recorded.windows(2).any(|w| w[0].prefix() == w[1].prefix())
+            || (self.trie.route_count() > 0
+                && recorded
+                    .iter()
+                    .any(|r| self.trie.route(r.addr, r.plen()).is_some()));
+        if replaces {
+            self.replay(&mut recorded, before);
+        }
         recorded.dedup_by(|later, kept| {
-            let repeat = later.key() == kept.key();
+            let repeat = later.prefix() == kept.prefix();
             if repeat {
-                kept.idx = self
-                    .trie
-                    .route(kept.addr, kept.plen)
-                    .expect("recorded in the first pass");
+                kept.idx = later.idx;
             }
             repeat
         });
         self.trie
-            .fill(recorded.iter().map(|r| (r.addr, r.plen, r.idx)));
+            .fill(recorded.iter().map(|r| (r.addr, r.plen(), r.idx)));
+    }
+
+    /// Redoes the arena's part of `load`'s first pass from the arena as
+    /// it was `before` the load, now releasing what each route replaces: in the caller's
+    /// order, each route acquires its next hop (the provisional pass,
+    /// which released nothing, left every record's slot holding it) and
+    /// releases the slot of the binding it replaces: its prefix's
+    /// previous route in the load (kept for the repeated prefixes only)
+    /// or the route the trie holds. Leaves `recorded` in key order with
+    /// each record's slot as the `insert`s number it.
+    fn replay(&mut self, recorded: &mut [Recorded], before: NextHops) {
+        let provisional = std::mem::replace(&mut self.next_hops, before).slots;
+        // The last slot of each prefix the load repeats, so far.
+        let mut repeated: Vec<(u64, Option<u32>)> = recorded
+            .windows(2)
+            .filter(|w| w[0].prefix() == w[1].prefix())
+            .map(|w| (w[0].prefix(), None))
+            .collect();
+        repeated.dedup();
+        recorded.sort_unstable_by_key(Recorded::pos);
+        for r in recorded.iter_mut() {
+            r.idx = self.next_hops.acquire(provisional[r.idx as usize]);
+            let earlier = match repeated.binary_search_by_key(&r.prefix(), |&(p, _)| p) {
+                Ok(i) => repeated[i].1.replace(r.idx),
+                Err(_) => None,
+            };
+            if let Some(old) = earlier.or_else(|| self.trie.route(r.addr, r.plen())) {
+                self.next_hops.release(old);
+            }
+        }
+        recorded.sort_unstable_by_key(Recorded::key);
     }
 
     /// Fast-path lookup: route-cache only. `None` means the packet is
@@ -255,14 +329,14 @@ impl RoutingTable {
     /// two neighbors on one port cannot alias.
     pub fn lookup_fast(&mut self, dst: u32) -> Option<NextHop> {
         let idx = self.cache.lookup(dst)?;
-        Some(self.next_hops[idx as usize])
+        Some(self.next_hops.slots[idx as usize])
     }
 
     /// Slow-path lookup via the trie: returns the next hop and the number
     /// of trie levels touched (for cycle accounting).
     pub fn lookup_slow(&self, dst: u32) -> (Option<NextHop>, u32) {
         let (v, levels) = self.trie.lookup(dst);
-        (v.map(|i| self.next_hops[i as usize]), levels)
+        (v.map(|i| self.next_hops.slots[i as usize]), levels)
     }
 
     /// Slow-path lookup that also installs the result in the cache (the
@@ -272,7 +346,7 @@ impl RoutingTable {
         match v {
             Some(idx) => {
                 self.cache.install(dst, idx);
-                (Some(self.next_hops[idx as usize]), levels)
+                (Some(self.next_hops.slots[idx as usize]), levels)
             }
             None => (None, levels),
         }
@@ -285,18 +359,18 @@ impl RoutingTable {
 
     /// Number of live (referenced) next hops.
     pub fn next_hop_count(&self) -> usize {
-        self.index.len()
+        self.next_hops.index.len()
     }
 
     /// Total next-hop slots allocated, live or free — bounded by the
     /// peak number of *concurrent* neighbors, not by churn volume.
     pub fn next_hop_slots(&self) -> usize {
-        self.next_hops.len()
+        self.next_hops.slots.len()
     }
 
     /// Whether any installed route still resolves to `next_hop`.
     pub fn has_next_hop(&self, next_hop: &NextHop) -> bool {
-        self.index.contains_key(next_hop)
+        self.next_hops.index.contains_key(next_hop)
     }
 
     /// Lifetime cache `(hits, misses)`.
@@ -307,6 +381,12 @@ impl RoutingTable {
     /// Trie shape / memory / lookup statistics.
     pub fn trie_stats(&self) -> TrieStats {
         self.trie.stats()
+    }
+
+    /// Resident bytes of the trie's route store
+    /// ([`PrefixTrie::route_bytes`]).
+    pub fn route_bytes(&self) -> usize {
+        self.trie.route_bytes()
     }
 
     /// Mean trie levels touched per slow-path lookup so far.
@@ -392,6 +472,60 @@ mod tests {
                 prop_assert_eq!(loaded.trie_stats(), twin.trie_stats());
             }
         }
+    }
+
+    /// A bulk load into a warm targeted cache drops exactly the bindings
+    /// the same `insert`s drop, and leaves the same table. The load
+    /// rebinds prefixes the table holds and repeats some of its own, and
+    /// a /20 over every seventh cached destination makes sure bindings
+    /// both go and stay.
+    #[test]
+    fn warm_targeted_load_drops_what_the_inserts_drop() {
+        let base = crate::gen::synth_table(&crate::gen::TableSpec::internet(2_000, 21));
+        let mut batch = crate::gen::synth_table(&crate::gen::TableSpec::internet(300, 22));
+        let dsts = sample_dsts(&base, 2_000, 23);
+        batch.extend(dsts.iter().step_by(7).map(|&d| Route {
+            addr: mask(d, 20),
+            plen: 20,
+            next_hop: nh(6),
+        }));
+        batch.extend(base.iter().step_by(40).map(|&r| Route {
+            next_hop: nh(7),
+            ..r
+        }));
+        batch.extend(batch.clone().iter().step_by(10).map(|&r| Route {
+            next_hop: nh(5),
+            ..r
+        }));
+
+        let warm = || {
+            let mut t = RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
+            t.load(base.iter().copied());
+            for &d in &dsts {
+                t.lookup_and_fill(d);
+            }
+            t
+        };
+        let (mut loaded, mut twin) = (warm(), warm());
+        loaded.load(batch.iter().copied());
+        for r in &batch {
+            twin.insert(r.addr, r.plen, r.next_hop);
+        }
+
+        let hits: Vec<Option<NextHop>> = dsts.iter().map(|&d| loaded.lookup_fast(d)).collect();
+        for (&d, &hit) in dsts.iter().zip(&hits) {
+            assert_eq!(hit, twin.lookup_fast(d), "dst {d:#x}");
+        }
+        let kept = hits.iter().filter(|h| h.is_some()).count();
+        assert!(
+            kept > 0 && kept < dsts.len(),
+            "{kept} of {} bindings kept",
+            dsts.len()
+        );
+        assert_eq!(loaded.cache_stats(), twin.cache_stats());
+        assert_eq!(loaded.next_hop_slots(), twin.next_hop_slots());
+        assert_eq!(loaded.trie_stats(), twin.trie_stats());
+        assert_eq!(loaded.route_bytes(), twin.route_bytes());
     }
 
     #[test]

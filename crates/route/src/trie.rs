@@ -49,12 +49,37 @@
 //! Nodes freed by route withdrawal drop their runs and their ids are
 //! reused by later inserts, so a full-table churn storm does not grow
 //! the trie without bound. `stats().bytes` reports the resident size.
-
-use crate::hash::RouteMap;
+//!
+//! # Route store
+//!
+//! The trie is its own list of routes. Every node keeps the exact
+//! routes that end in it (the node their expansion writes) as a sorted
+//! boxed slice of one word each:
+//!
+//! ```text
+//! bits 38..64   bits 32..38            bits 0..32
+//! span start    prefix bits fixed      value
+//!               within the node
+//! ```
+//!
+//! sorted by start, then fixed bits. The trie keeps one set of lists
+//! per level, apart from the heads and runs a lookup reads: a
+//! below-root level's by node id, as it indexes heads and runs, and the
+//! root's one per 256 entries, so an update at the root edits a list of
+//! a few hundred words. An update edits one list per level in an open
+//! copy, boxed again, exactly, when the update moves on or the public
+//! call returns, and a fill in address order appends to each list and
+//! boxes it once.
+//! Withdrawal repairs a span from its node's list alone: a shorter
+//! route covers the whole span (one probe per shorter length), a longer
+//! one starts inside it (one stretch of the list). `route_bytes()`
+//! reports the store's resident size.
 
 mod level;
+mod routes;
 
 use level::Level;
+use routes::{route_key, route_word, word_fixed, word_start, word_value, RouteLists};
 
 const VALUE_MASK: u64 = 0xFFFF_FFFF;
 const HAS_VALUE: u64 = 1 << 32;
@@ -65,6 +90,8 @@ const CHILD_MASK: u64 = 0xFF_FFFF << CHILD_SHIFT;
 const HAS_CHILD: u64 = 1 << 63;
 /// Below-root nodes the child field can address.
 const MAX_NODES: usize = (CHILD_MASK >> CHILD_SHIFT) as usize + 1;
+/// Root entries per root route list, as a power of two.
+const ROOT_LIST_BITS: u8 = 8;
 
 #[inline]
 fn entry_value(e: u64) -> Option<u32> {
@@ -123,6 +150,64 @@ fn node_id(n: usize) -> u32 {
     n as u32
 }
 
+/// The index of `addr`'s entry in a node of `stride` bits below
+/// `consumed` bits of levels above.
+#[inline]
+fn index(addr: u32, consumed: u8, stride: u8) -> usize {
+    ((addr >> (32 - consumed - stride)) as usize) & ((1usize << stride) - 1)
+}
+
+/// Entries a route fixing `fixed` of a node's `stride` bits expands to.
+#[inline]
+fn span(stride: u8, fixed: u8) -> usize {
+    1 << (stride - fixed)
+}
+
+/// Writes `value` for a route of length `plen` over `entries`, its span,
+/// wherever no longer route's value stands: longest-prefix priority, so
+/// routes may be painted in any order.
+fn paint(entries: &mut [u64], value: u32, plen: u8) {
+    for e in entries {
+        if *e & HAS_VALUE == 0 || entry_plen(*e) <= plen {
+            *e = with_value(*e, value, plen);
+        }
+    }
+}
+
+/// The list of `node` at `level` that holds the routes whose span
+/// starts at entry `start`.
+#[inline]
+fn list_of(level: usize, node: u32, start: usize) -> usize {
+    match level {
+        0 => start >> ROOT_LIST_BITS,
+        _ => node as usize,
+    }
+}
+
+/// Where a prefix ends: the node its expansion writes and its span
+/// there.
+#[derive(Clone, Copy)]
+struct Place {
+    level: usize,
+    node: u32,
+    /// Bits the levels above the node consume.
+    consumed: u8,
+    /// Prefix bits fixed within the node.
+    fixed: u8,
+    /// The span's first entry.
+    start: usize,
+}
+
+impl Place {
+    fn list(&self) -> usize {
+        list_of(self.level, self.node, self.start)
+    }
+
+    fn key(&self) -> u64 {
+        route_key(self.start, self.fixed)
+    }
+}
+
 /// Statistics describing trie shape and lookup effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrieStats {
@@ -132,10 +217,11 @@ pub struct TrieStats {
     /// Logical expanded entries across live nodes: `2^stride` per node,
     /// however few words its encoding holds.
     pub entries: usize,
-    /// Resident bytes: the root, each live below-root node's head, runs
-    /// and slice header, and the per-level open-node buffers. A freed
-    /// id's slot (its stale head and an empty header, reused by the
-    /// level's next allocation) is not counted.
+    /// Resident bytes of the lookup structure: the root, each live
+    /// below-root node's head, runs and slice header, and the per-level
+    /// open-node buffers. A freed id's slot (its stale head and an empty
+    /// header, reused by the level's next allocation) is not counted,
+    /// nor is the route store ([`PrefixTrie::route_bytes`]).
     pub bytes: usize,
     /// Lookups performed.
     pub lookups: u64,
@@ -176,11 +262,12 @@ pub struct PrefixTrie {
     root: Vec<u64>,
     /// The below-root levels: `levels[level - 1]`.
     levels: Vec<Level>,
+    /// The routes that end in each level's nodes: `routes[level]`, by
+    /// node id below the root and one list per `2^ROOT_LIST_BITS`
+    /// entries at it.
+    routes: Vec<RouteLists>,
     stats_lookups: std::cell::Cell<u64>,
     stats_levels: std::cell::Cell<u64>,
-    /// Installed (un-expanded) routes: the source of truth for targeted
-    /// removal repair and the naive oracle.
-    routes: RouteMap<(u32, u8), u32>,
 }
 
 impl PrefixTrie {
@@ -188,7 +275,8 @@ impl PrefixTrie {
     ///
     /// # Panics
     ///
-    /// Panics if the strides do not sum to 32 or any stride is 0.
+    /// Panics if the strides do not sum to 32, any stride is 0, or any
+    /// is wider than a route word's span start holds (26 bits).
     pub fn new(strides: &[u8]) -> Self {
         assert_eq!(
             strides.iter().map(|&s| u32::from(s)).sum::<u32>(),
@@ -196,13 +284,20 @@ impl PrefixTrie {
             "strides must cover 32 bits"
         );
         assert!(strides.iter().all(|&s| s > 0), "zero stride");
+        assert!(
+            strides.iter().all(|&s| s <= routes::MAX_START_BITS),
+            "stride wider than a route word's span start"
+        );
+        let root = 1usize << strides[0];
         Self {
             strides: strides.to_vec(),
-            root: vec![0; 1 << strides[0]],
+            root: vec![0; root],
             levels: strides[1..].iter().map(|&s| Level::new(s)).collect(),
+            routes: std::iter::once(RouteLists::new(root.div_ceil(1 << ROOT_LIST_BITS)))
+                .chain(strides[1..].iter().map(|_| RouteLists::default()))
+                .collect(),
             stats_lookups: std::cell::Cell::new(0),
             stats_levels: std::cell::Cell::new(0),
-            routes: RouteMap::default(),
         }
     }
 
@@ -229,10 +324,10 @@ impl PrefixTrie {
         }
     }
 
-    /// Makes room in the route map for `additional` more routes, so a
-    /// bulk load grows it once instead of rehashing at every doubling.
-    pub(crate) fn reserve_routes(&mut self, additional: usize) {
-        self.routes.reserve(additional);
+    /// Re-encodes every open node and boxes every open route list.
+    fn close(&mut self) {
+        self.levels.iter_mut().for_each(Level::close);
+        self.routes.iter_mut().for_each(RouteLists::close);
     }
 
     /// Inserts `addr/plen -> value`, expanding the prefix to stride
@@ -243,66 +338,56 @@ impl PrefixTrie {
     ///
     /// Panics if `plen > 32`.
     pub fn insert(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
-        let old = self.record(addr, plen, value);
-        self.fill([(addr, plen, value)]);
+        let old = self.expand(addr, plen, value);
+        self.close();
         old
     }
 
-    /// The route-map half of [`insert`](Self::insert): records
-    /// `addr/plen -> value` and returns the value it replaced. Lookups
-    /// do not see the route until [`fill`](Self::fill) runs.
+    /// [`insert`](Self::insert) for many routes: expands each
+    /// `addr/plen -> value` (host bits ignored), then re-encodes the open
+    /// nodes. An entry keeps the longest prefix's value, so a set of
+    /// fills in any order answers every lookup alike and leaves the same
+    /// [`stats`](Self::stats) and route store, except that of two fills
+    /// of one prefix the later wins. In address order each node is
+    /// encoded, and each route list boxed, once.
     ///
     /// # Panics
     ///
-    /// Panics if `plen > 32`.
-    pub(crate) fn record(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
-        assert!(plen <= 32, "prefix length out of range");
-        self.routes.insert((mask(addr, plen), plen), value)
-    }
-
-    /// The trie half of [`insert`](Self::insert), for many routes:
-    /// expands each `addr/plen -> value` (host bits ignored) over its
-    /// span of the node it ends in, allocating the path down to that
-    /// node, then re-encodes the open nodes. An entry keeps the longest
-    /// prefix's value, so a set of fills in any order answers every
-    /// lookup alike and leaves the same [`stats`](Self::stats), except
-    /// that of two fills of one prefix the later wins. In address order
-    /// each node is encoded once.
+    /// Panics if a `plen > 32`.
     pub(crate) fn fill<I: IntoIterator<Item = (u32, u8, u32)>>(&mut self, routes: I) {
         for (addr, plen, value) in routes {
             self.expand(addr, plen, value);
         }
-        self.levels.iter_mut().for_each(Level::close);
+        self.close();
     }
 
-    /// Expands one route into the open nodes (see [`fill`](Self::fill)).
-    fn expand(&mut self, addr: u32, plen: u8, value: u32) {
+    /// Expands one route over its span of the node it ends in, allocating
+    /// the path down to that node, and puts it in that node's route
+    /// list; returns the value it replaced there.
+    fn expand(&mut self, addr: u32, plen: u8, value: u32) -> Option<u32> {
+        assert!(plen <= 32, "prefix length out of range");
         let mut node = 0u32;
         let mut consumed = 0u8;
         for level in 0..self.strides.len() {
             let stride = self.strides[level];
-            let shift = u32::from(32 - consumed - stride);
+            let idx = index(addr, consumed, stride);
             if plen <= consumed + stride {
-                // The prefix ends within this node: expand over all
-                // entries whose index shares the prefix's leading bits.
                 let fixed = plen - consumed;
-                let span = 1usize << (stride - fixed);
-                let base =
-                    (((addr >> shift) as usize) & ((1usize << stride) - 1)) & !(span - 1);
-                for e in &mut self.node_mut(level, node)[base..base + span] {
-                    // Longest-prefix priority among expanded entries.
-                    if *e & HAS_VALUE == 0 || entry_plen(*e) <= plen {
-                        *e = with_value(*e, value, plen);
-                    }
-                }
-                return;
+                let start = idx & !(span(stride, fixed) - 1);
+                let entries = &mut self.node_mut(level, node)[start..start + span(stride, fixed)];
+                paint(entries, value, plen);
+                let word = route_word(start, fixed, value);
+                return self.routes[level].upsert(list_of(level, node, start), word);
             }
             // Descend (allocating the child if needed).
-            let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
             node = match entry_child(self.entry(level, node, idx)) {
                 Some(c) => c,
                 None => {
                     let c = self.levels[level].alloc();
+                    let lists = &mut self.routes[level + 1];
+                    if c as usize == lists.len() {
+                        lists.push();
+                    }
                     let slot = &mut self.node_mut(level, node)[idx];
                     *slot = with_child(*slot, c);
                     c
@@ -313,89 +398,118 @@ impl PrefixTrie {
         unreachable!("strides sum to 32, so every prefix terminates");
     }
 
+    /// Where `addr/plen` ends, following existing children only, or
+    /// `None` if the path stops short; `passed` sees each parent entry
+    /// on the way down as `(node, idx)`.
+    fn place(&self, addr: u32, plen: u8, mut passed: impl FnMut(u32, usize)) -> Option<Place> {
+        assert!(plen <= 32, "prefix length out of range");
+        let (mut level, mut node, mut consumed) = (0, 0u32, 0u8);
+        while plen > consumed + self.strides[level] {
+            let idx = index(addr, consumed, self.strides[level]);
+            passed(node, idx);
+            node = entry_child(self.entry(level, node, idx))?;
+            consumed += self.strides[level];
+            level += 1;
+        }
+        let (stride, fixed) = (self.strides[level], plen - consumed);
+        Some(Place {
+            level,
+            node,
+            consumed,
+            fixed,
+            start: index(addr, consumed, stride) & !(span(stride, fixed) - 1),
+        })
+    }
+
     /// Removes `addr/plen`; returns the stored value if it was present.
     ///
     /// Removal is targeted: only the expanded span of the dead prefix is
     /// repaired (each entry falls back to its longest surviving covering
-    /// prefix, probed from the route map), and nodes emptied by the
+    /// prefix, read from the node's route list), and nodes emptied by the
     /// repair are freed. The paper's control plane rebuilt the whole
     /// table on update; at 1M prefixes that is a multi-hundred-millisecond
     /// stall, so the repair touches `O(2^stride)` entries instead, and
     /// decodes and re-encodes at most one node per level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plen > 32`.
     pub fn remove(&mut self, addr: u32, plen: u8) -> Option<u32> {
-        assert!(plen <= 32, "prefix length out of range");
-        let addr = mask(addr, plen);
-        let old = self.routes.remove(&(addr, plen))?;
-
-        // Descend to the node the prefix terminates in, recording the
-        // path so emptied nodes can be unlinked on the way back up.
-        let mut node = 0u32;
-        let mut consumed = 0u8;
-        let mut level = 0usize;
+        // The path, so emptied nodes can be unlinked on the way back up.
         let mut path: Vec<(u32, usize)> = Vec::new();
-        loop {
-            let stride = self.strides[level];
-            if plen <= consumed + stride {
-                break;
-            }
-            let shift = u32::from(32 - consumed - stride);
-            let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
-            path.push((node, idx));
-            let e = self.entry(level, node, idx);
-            node = entry_child(e).expect("route map and trie agree on structure");
-            consumed += stride;
-            level += 1;
-        }
+        let at = self.place(addr, plen, |node, idx| path.push((node, idx)))?;
+        let old = self.routes[at.level].remove(at.list(), at.key())?;
 
-        self.repair_span(node, level, consumed, addr, plen);
+        self.repair_span(at);
 
         // Free nodes emptied by the repair, bottom-up; the root stays.
         // Each candidate is open: the repair or the unlink wrote it.
-        let mut lvl = level;
-        let mut candidate = node;
+        let mut lvl = at.level;
+        let mut candidate = at.node;
         while lvl > 0 && self.node_mut(lvl, candidate).iter().all(|&e| e == 0) {
             self.levels[lvl - 1].release(candidate);
+            self.routes[lvl].release(candidate as usize);
             let (parent, idx) = path[lvl - 1];
             let slot = &mut self.node_mut(lvl - 1, parent)[idx];
             *slot = without_child(*slot);
             candidate = parent;
             lvl -= 1;
         }
-        self.levels.iter_mut().for_each(Level::close);
+        self.close();
         Some(old)
     }
 
-    /// Recomputes every entry in the expanded span of `addr/plen` inside
-    /// `node` from the surviving route map: each entry takes the longest
-    /// prefix terminating in this node that still covers it, or loses
-    /// its value.
-    fn repair_span(&mut self, node: u32, level: usize, consumed: u8, addr: u32, plen: u8) {
+    /// Recomputes every entry of the span at `at` from the routes left in
+    /// its node's lists: each entry takes the longest route ending in
+    /// this node that covers it, or loses its value. A shorter route
+    /// covers the whole span and starts at its block's first entry, so
+    /// each shorter length is one probe; a route as long or longer
+    /// starts inside the span, so those are one stretch of the sorted
+    /// list (of each root list the span reaches). Shorter routes that
+    /// end in an ancestor win through the lookup's running best.
+    fn repair_span(&mut self, at: Place) {
+        let Place {
+            level,
+            node,
+            consumed,
+            fixed,
+            start,
+        } = at;
         let stride = self.strides[level];
-        let shift = u32::from(32 - consumed - stride);
-        let fixed = plen - consumed;
-        let span = 1usize << (stride - fixed);
-        let base = (((addr >> shift) as usize) & ((1usize << stride) - 1)) & !(span - 1);
-        let node_prefix = mask(addr, consumed);
-        // Prefixes with plen in this range terminate in this node;
-        // shorter ones live in an ancestor and win via the lookup's
-        // running best. plen 0 (the default route) terminates in the
-        // root.
-        let lo = if level == 0 { 0 } else { consumed + 1 };
-        for i in 0..span {
-            let idx = base + i;
-            let entry_addr = node_prefix | ((idx as u32) << shift);
-            let mut repl: Option<(u32, u8)> = None;
-            for p in (lo..=consumed + stride).rev() {
-                if let Some(&v) = self.routes.get(&(mask(entry_addr, p), p)) {
-                    repl = Some((v, p));
-                    break;
-                }
-            }
-            let e = &mut self.node_mut(level, node)[idx];
-            *e = match repl {
+        let end = start + span(stride, fixed);
+        let lists = &self.routes[level];
+        // Only the default route fixes no bits: it ends in the root.
+        let shortest = if level == 0 { 0 } else { 1 };
+        let cover = (shortest..fixed).rev().find_map(|f| {
+            let block = start & !(span(stride, f) - 1);
+            let v = lists.find(list_of(level, node, block), route_key(block, f))?;
+            Some((v, consumed + f))
+        });
+        let (lo, hi) = (route_key(start, fixed), route_key(end, 0));
+        let inner: Vec<u64> = (list_of(level, node, start)..=list_of(level, node, end - 1))
+            .flat_map(|i| {
+                let list = lists.get(i);
+                let from = list.partition_point(|&w| w >> 32 < lo);
+                let to = list.partition_point(|&w| w >> 32 < hi);
+                &list[from..to]
+            })
+            .copied()
+            .collect();
+
+        let entries = self.node_mut(level, node);
+        for e in &mut entries[start..end] {
+            *e = match cover {
                 Some((v, p)) => with_value(*e, v, p),
                 None => without_value(*e),
             };
+        }
+        for w in inner {
+            let (s, f) = (word_start(w), word_fixed(w));
+            paint(
+                &mut entries[s..s + span(stride, f)],
+                word_value(w),
+                consumed + f,
+            );
         }
     }
 
@@ -407,9 +521,7 @@ impl PrefixTrie {
         let mut levels = 0u32;
         for (level, &stride) in self.strides.iter().enumerate() {
             levels += 1;
-            let shift = u32::from(32 - consumed - stride);
-            let idx = ((addr >> shift) as usize) & ((1usize << stride) - 1);
-            let e = self.entry(level, node, idx);
+            let e = self.entry(level, node, index(addr, consumed, stride));
             if let Some(v) = entry_value(e) {
                 best = Some(v);
             }
@@ -427,14 +539,27 @@ impl PrefixTrie {
         (best, levels)
     }
 
-    /// The value recorded for the exact prefix `addr/plen`, if any.
+    /// The value installed for the exact prefix `addr/plen`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plen > 32`.
     pub(crate) fn route(&self, addr: u32, plen: u8) -> Option<u32> {
-        self.routes.get(&(mask(addr, plen), plen)).copied()
+        let at = self.place(addr, plen, |_, _| {})?;
+        self.routes[at.level].find(at.list(), at.key())
     }
 
     /// Number of installed (un-expanded) routes.
     pub fn route_count(&self) -> usize {
-        self.routes.len()
+        self.routes.iter().map(RouteLists::words).sum()
+    }
+
+    /// Resident bytes of the route store: every route's word, and the
+    /// slice header of each root list and each live node's list.
+    pub fn route_bytes(&self) -> usize {
+        let root = &self.routes[0];
+        let below = self.routes[1..].iter().zip(&self.levels);
+        root.bytes(root.len()) + below.map(|(r, l)| r.bytes(l.live())).sum::<usize>()
     }
 
     /// Shape and lookup statistics.
@@ -450,14 +575,39 @@ impl PrefixTrie {
         }
     }
 
-    /// Naive linear-scan longest-prefix match over the route list: the
-    /// correctness oracle for property tests.
+    /// Naive longest-prefix match: scans, whole, the route list of every
+    /// node on `addr`'s path (every root list at the root) for the
+    /// longest route covering `addr`, reading no expanded value. The
+    /// correctness oracle for [`lookup`](Self::lookup) in property tests.
     pub fn lookup_naive(&self, addr: u32) -> Option<u32> {
-        self.routes
-            .iter()
-            .filter(|&(&(a, l), _)| mask(addr, l) == a)
-            .max_by_key(|&(&(_, l), _)| l)
-            .map(|(_, &v)| v)
+        let mut best = None;
+        let mut node = 0u32;
+        let mut consumed = 0u8;
+        for (level, &stride) in self.strides.iter().enumerate() {
+            let idx = index(addr, consumed, stride);
+            let lists = &self.routes[level];
+            let ids = match level {
+                0 => 0..lists.len(),
+                _ => node as usize..node as usize + 1,
+            };
+            let covering = ids
+                .flat_map(|i| lists.get(i))
+                .filter(|&&w| {
+                    (word_start(w)..word_start(w) + span(stride, word_fixed(w))).contains(&idx)
+                })
+                .max_by_key(|&&w| word_fixed(w));
+            if let Some(&w) = covering {
+                best = Some(word_value(w));
+            }
+            match entry_child(self.entry(level, node, idx)) {
+                Some(c) => {
+                    node = c;
+                    consumed += stride;
+                }
+                None => break,
+            }
+        }
+        best
     }
 }
 
@@ -471,277 +621,4 @@ pub(crate) fn mask(addr: u32, plen: u8) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use npr_check::prelude::*;
-    use npr_check::sample::Index;
-
-    /// The stride sets `exp_ablations::trie_strides` compares.
-    const STRIDE_SETS: [&[u8]; 4] = [&[16, 8, 8], &[24, 8], &[8, 8, 8, 8], &[16, 16]];
-
-    /// Probe addresses: each even draw is its raw `u32`, each odd one
-    /// lands under a drawn route (its masked address with the draw's
-    /// bits as host bits), since uniform probes almost never fall inside
-    /// a long prefix's span.
-    fn probes(routes: &[(u32, u8, u32)], draws: &[(u32, Index)]) -> Vec<u32> {
-        draws
-            .iter()
-            .enumerate()
-            .map(|(k, &(bits, pick))| {
-                if k % 2 == 0 || routes.is_empty() {
-                    return bits;
-                }
-                let (a, l, _) = routes[pick.index(routes.len())];
-                mask(a, l) | (bits & !mask(u32::MAX, l))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn empty_trie_matches_nothing() {
-        let t = PrefixTrie::ipv4_default();
-        assert_eq!(t.lookup(0x01020304).0, None);
-    }
-
-    #[test]
-    fn default_route_matches_everything() {
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0, 0, 99);
-        assert_eq!(t.lookup(0).0, Some(99));
-        assert_eq!(t.lookup(u32::MAX).0, Some(99));
-    }
-
-    #[test]
-    fn longest_prefix_wins() {
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x0a000000, 8, 1);
-        t.insert(0x0a0a0000, 16, 2);
-        t.insert(0x0a0a0a00, 24, 3);
-        t.insert(0x0a0a0a0a, 32, 4);
-        assert_eq!(t.lookup(0x0a010101).0, Some(1));
-        assert_eq!(t.lookup(0x0a0a0101).0, Some(2));
-        assert_eq!(t.lookup(0x0a0a0a01).0, Some(3));
-        assert_eq!(t.lookup(0x0a0a0a0a).0, Some(4));
-    }
-
-    #[test]
-    fn insert_order_is_irrelevant() {
-        let mut a = PrefixTrie::ipv4_default();
-        let mut b = PrefixTrie::ipv4_default();
-        let routes = [(0x0a000000u32, 8u8, 1u32), (0x0a0a0000, 16, 2), (0, 0, 9)];
-        for &(ad, l, v) in &routes {
-            a.insert(ad, l, v);
-        }
-        for &(ad, l, v) in routes.iter().rev() {
-            b.insert(ad, l, v);
-        }
-        for probe in [0x0a0a0001u32, 0x0a000001, 0x01020304, 0xffffffff] {
-            assert_eq!(a.lookup(probe).0, b.lookup(probe).0);
-        }
-    }
-
-    #[test]
-    fn reinsert_overwrites_and_returns_old() {
-        let mut t = PrefixTrie::ipv4_default();
-        assert_eq!(t.insert(0x0a000000, 8, 1), None);
-        assert_eq!(t.insert(0x0a000000, 8, 7), Some(1));
-        assert_eq!(t.lookup(0x0a123456).0, Some(7));
-        assert_eq!(t.route_count(), 1);
-    }
-
-    #[test]
-    fn remove_falls_back_to_shorter_prefix() {
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x0a000000, 8, 1);
-        t.insert(0x0a0a0000, 16, 2);
-        assert_eq!(t.remove(0x0a0a0000, 16), Some(2));
-        assert_eq!(t.lookup(0x0a0a0101).0, Some(1));
-        assert_eq!(t.remove(0x0a0a0000, 16), None);
-    }
-
-    #[test]
-    fn remove_repairs_between_specifics() {
-        // /24 routes survive the removal of the /16 between them.
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x0a0a0000, 16, 1);
-        t.insert(0x0a0a0a00, 24, 2);
-        t.insert(0x0a0a0b00, 24, 3);
-        assert_eq!(t.remove(0x0a0a0000, 16), Some(1));
-        assert_eq!(t.lookup(0x0a0a0a01).0, Some(2));
-        assert_eq!(t.lookup(0x0a0a0b01).0, Some(3));
-        assert_eq!(t.lookup(0x0a0a0c01).0, None);
-    }
-
-    #[test]
-    fn remove_reencodes_the_node_it_repairs() {
-        // Two /28s share a level-2 node: withdrawing one leaves that node
-        // encoded exactly as if the other had been installed alone.
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x0a0a0a00, 28, 1);
-        t.insert(0x0a0a0a10, 28, 2);
-        assert_eq!(t.remove(0x0a0a0a10, 28), Some(2));
-        let mut alone = PrefixTrie::ipv4_default();
-        alone.insert(0x0a0a0a00, 28, 1);
-        assert_eq!(t.stats(), alone.stats());
-    }
-
-    #[test]
-    fn lookup_levels_bounded_by_strides() {
-        let mut t = PrefixTrie::new(&[8, 8, 8, 8]);
-        t.insert(0x0a0a0a0a, 32, 1);
-        let (_, levels) = t.lookup(0x0a0a0a0a);
-        assert_eq!(levels, 4);
-        let (_, levels) = t.lookup(0xffffffff);
-        assert_eq!(levels, 1);
-    }
-
-    #[test]
-    fn short_prefix_within_first_stride_is_one_level() {
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x80000000, 1, 5);
-        let (v, levels) = t.lookup(0xdeadbeef);
-        assert_eq!(v, Some(5));
-        assert_eq!(levels, 1);
-    }
-
-    #[test]
-    fn stats_track_shape() {
-        let mut t = PrefixTrie::ipv4_default();
-        assert_eq!(t.stats().nodes, 1);
-        t.insert(0x0a0a0a0a, 32, 1); // Needs two child nodes.
-        assert_eq!(t.stats().nodes, 3);
-        t.lookup(0);
-        t.lookup(0x0a0a0a0a);
-        let s = t.stats();
-        assert_eq!(s.lookups, 2);
-        assert!(s.mean_levels() > 1.0);
-        assert_eq!(s.entries, (1 << 16) + 2 * 256);
-        // Each child is three runs (zeros, the one set entry, zeros)
-        // behind a six-word head (four bitmap words, two of rank
-        // lanes); the two open-node buffers stay.
-        let words = (1 << 16) + 2 * 256 + 2 * (6 + 3);
-        assert_eq!(s.bytes, words * 8 + 2 * std::mem::size_of::<Box<[u64]>>());
-    }
-
-    #[test]
-    fn churn_reuses_freed_nodes() {
-        let mut t = PrefixTrie::ipv4_default();
-        let flat = t.stats();
-        for round in 0..50u32 {
-            t.insert(0x0a0a0a00, 24, round);
-            t.insert(0x0a0a0a0a, 32, round);
-            assert_eq!(t.stats().nodes, 3);
-            assert!(t.remove(0x0a0a0a00, 24).is_some());
-            assert!(t.remove(0x0a0a0a0a, 32).is_some());
-            // Both child nodes are freed, storage and all...
-            assert_eq!(t.stats().nodes, 1);
-            assert_eq!(t.stats().entries, flat.entries);
-            assert_eq!(t.stats().bytes, flat.bytes);
-        }
-        // ...and their ids, one per level, are all the churn allocated.
-        assert!(t.levels.iter().all(|l| l.slots() == 1));
-    }
-
-    #[test]
-    fn full_value_range_roundtrips() {
-        let mut t = PrefixTrie::ipv4_default();
-        t.insert(0x0a000000, 8, u32::MAX);
-        assert_eq!(t.lookup(0x0affffff).0, Some(u32::MAX));
-    }
-
-    #[test]
-    fn the_largest_node_id_packs_without_loss() {
-        let id = node_id(MAX_NODES - 1);
-        let e = with_child(with_value(0, u32::MAX, 32), id);
-        assert_eq!(entry_child(e), Some((1 << 24) - 1));
-        assert_eq!((entry_value(e), entry_plen(e)), (Some(u32::MAX), 32));
-        assert_eq!(entry_child(without_value(e)), Some(id));
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows the child field")]
-    fn a_node_id_past_the_child_field_panics() {
-        node_id(MAX_NODES);
-    }
-
-    proptest! {
-        // A short route fills much of the `[24, 8]` root's 2^24 entries,
-        // which a debug build does ~10x slower.
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 64 }))]
-        #[test]
-        fn trie_matches_naive_oracle(
-            routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 0..64),
-            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 0..64),
-        ) {
-            for strides in STRIDE_SETS {
-                let mut t = PrefixTrie::new(strides);
-                for &(a, l, v) in &routes {
-                    t.insert(a, l, v);
-                }
-                for p in probes(&routes, &draws) {
-                    prop_assert_eq!(t.lookup(p).0, t.lookup_naive(p), "{:?} probe {:#x}", strides, p);
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn removal_matches_fresh_build(
-            routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 1..32),
-            kill in any::<Index>(),
-            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 0..32),
-        ) {
-            let mut t = PrefixTrie::ipv4_default();
-            for &(a, l, v) in &routes {
-                t.insert(a, l, v);
-            }
-            let (ka, kl, _) = routes[kill.index(routes.len())];
-            t.remove(ka, kl);
-            // A trie freshly built from the surviving routes must agree.
-            let mut fresh = PrefixTrie::ipv4_default();
-            let masked = |a: u32, l: u8| super::mask(a, l);
-            for &(a, l, v) in &routes {
-                if masked(a, l) == masked(ka, kl) && l == kl {
-                    continue;
-                }
-                fresh.insert(a, l, v);
-            }
-            // The same nodes, each re-encoded to the same runs.
-            let shape = |s: TrieStats| (s.nodes, s.entries, s.bytes);
-            prop_assert_eq!(shape(t.stats()), shape(fresh.stats()));
-            for p in probes(&routes, &draws) {
-                prop_assert_eq!(t.lookup(p).0, fresh.lookup(p).0);
-            }
-        }
-
-        /// Satellite coverage: a whole interleaved insert/remove history
-        /// of overlapping prefixes, checked after every removal — the
-        /// repaired entries must always fall back to the correct shorter
-        /// match (the naive oracle over the surviving route map).
-        #[test]
-        fn interleaved_churn_falls_back_correctly(
-            routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 1..24),
-            ops in npr_check::collection::vec((any::<Index>(), any::<bool>()), 1..48),
-            draws in npr_check::collection::vec((any::<u32>(), any::<Index>()), 1..16),
-        ) {
-            let mut t = PrefixTrie::ipv4_default();
-            let probes = probes(&routes, &draws);
-            for (i, insert) in &ops {
-                let (a, l, _) = routes[i.index(routes.len())];
-                if *insert {
-                    t.insert(a, l, u32::from(l) + 1);
-                } else {
-                    t.remove(a, l);
-                }
-                for &p in &probes {
-                    prop_assert_eq!(t.lookup(p).0, t.lookup_naive(p), "probe {:#x}", p);
-                }
-                // Probe the churned prefix's own span too: host bits set.
-                let edge = super::mask(a, l) | !super::mask(u32::MAX, l);
-                prop_assert_eq!(t.lookup(edge).0, t.lookup_naive(edge));
-            }
-        }
-    }
-}
+mod tests;

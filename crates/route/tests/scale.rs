@@ -17,6 +17,7 @@ fn million_prefix_build_lookup_teardown() {
 
     let mut table = RoutingTable::with_config(&[16, 8, 8], 4096, Invalidation::Targeted);
     let fresh = table.trie_stats();
+    let fresh_routes = table.route_bytes();
     table.load(routes.iter().cloned());
     assert_eq!(table.route_count(), routes.len());
 
@@ -46,8 +47,8 @@ fn million_prefix_build_lookup_teardown() {
     }
 
     // Teardown: withdrawing everything must free every node, its run
-    // storage and every next-hop slot (the leak fix), leaving only the
-    // permanent root.
+    // storage, its route list and every next-hop slot (the leak fix),
+    // leaving only the permanent root and its empty route lists.
     for r in &routes {
         assert!(table.remove(r.addr, r.plen));
     }
@@ -56,6 +57,7 @@ fn million_prefix_build_lookup_teardown() {
     let empty = table.trie_stats();
     assert_eq!(empty.nodes, 1, "non-root nodes leaked");
     assert_eq!(empty.bytes, fresh.bytes, "node storage leaked");
+    assert_eq!(table.route_bytes(), fresh_routes, "route store leaked");
     for dst in sample_dsts(&routes, 100, 8) {
         assert!(table.lookup_slow(dst).0.is_none());
     }
