@@ -109,16 +109,6 @@ pub struct FlowEntry {
     pub out_port: Option<u8>,
 }
 
-/// Result of classifying one packet.
-#[derive(Debug, Clone, Default)]
-pub struct ClassResult {
-    /// The matching per-flow forwarder, if any (at most one; the paper
-    /// limits per-flow forwarders per packet to one).
-    pub per_flow: Option<FlowEntry>,
-    /// General forwarders, in installation order (IP-- last).
-    pub general: Vec<FlowEntry>,
-}
-
 /// The classifier's flow table, plus the tuple-space 5-tuple rule layer
 /// (`npr_route::classify`). With zero rules installed the rule layer is
 /// never consulted and costs nothing — the pre-rules fast path (and its
@@ -156,15 +146,16 @@ impl Classifier {
 
     /// Classifies a packet by its flow key, using (and charging) the
     /// hardware hash unit: the dual-hash table probe of section 4.5.
-    pub fn classify(&self, key: &FlowKey, hash: &mut HashUnit) -> ClassResult {
+    /// Returns the matching per-flow forwarder, if any (at most one;
+    /// the paper limits per-flow forwarders per packet to one); the
+    /// general forwarders run on every packet, in the order of
+    /// [`Classifier::general_entries`].
+    pub fn classify(&self, key: &FlowKey, hash: &mut HashUnit) -> Option<FlowEntry> {
         // The real table is indexed by the combined hash; the HashMap
         // probe stands in for the bucket walk. The hash cost is charged
         // to the hash unit either way.
         let _ = hash.hash_flow(key.src, key.dst, key.sport, key.dport);
-        ClassResult {
-            per_flow: self.flows.get(key).copied(),
-            general: self.general.clone(),
-        }
+        self.flows.get(key).copied()
     }
 
     /// Number of bound per-flow forwarders.
@@ -177,8 +168,14 @@ impl Classifier {
         self.general.len()
     }
 
-    /// Iterates over general entries (admission control sums their
-    /// budgets, since they run serially).
+    /// General forwarder `i`, in installation order (IP-- last): the
+    /// input loop walks them in place, by index.
+    pub(crate) fn general(&self, i: usize) -> FlowEntry {
+        self.general[i]
+    }
+
+    /// Iterates over general entries, in installation order (admission
+    /// control sums their budgets, since they run serially).
     pub fn general_entries(&self) -> impl Iterator<Item = &FlowEntry> {
         self.general.iter()
     }
@@ -248,8 +245,8 @@ mod tests {
         let mut c = Classifier::new();
         c.bind_flow(key(1), entry(10));
         let mut h = HashUnit::default();
-        assert_eq!(c.classify(&key(1), &mut h).per_flow.unwrap().fid, 10);
-        assert!(c.classify(&key(2), &mut h).per_flow.is_none());
+        assert_eq!(c.classify(&key(1), &mut h).unwrap().fid, 10);
+        assert!(c.classify(&key(2), &mut h).is_none());
     }
 
     #[test]
@@ -258,10 +255,10 @@ mod tests {
         c.bind_general(entry(1));
         c.bind_general(entry(2));
         c.bind_general(entry(3));
-        let mut h = HashUnit::default();
-        let r = c.classify(&key(0), &mut h);
-        let fids: Vec<u32> = r.general.iter().map(|e| e.fid).collect();
+        let fids: Vec<u32> = c.general_entries().map(|e| e.fid).collect();
         assert_eq!(fids, vec![1, 2, 3]);
+        let by_index: Vec<u32> = (0..c.general_count()).map(|i| c.general(i).fid).collect();
+        assert_eq!(by_index, fids);
     }
 
     #[test]

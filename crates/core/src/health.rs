@@ -318,7 +318,7 @@ impl Router {
             self.health.stats.recovery_latency_sum_ps +=
                 at.saturating_sub(self.health.sa_stall_from);
             self.health.sa_stalled = 0;
-            let (_, sa, _, mut bus) = self.planes();
+            let (sa, _, mut bus) = self.planes();
             sa.soft_reset(&mut bus);
             self.replay_installs();
         }

@@ -10,9 +10,9 @@
 
 use npr_ixp::{CtxProgram, Env, HwData, MemKind, MutexId, Op, PortId, RingId};
 use npr_packet::{BufferHandle, EthernetFrame, Ipv4Header, MacAddr, Mp};
-use npr_vrp::VrpAction;
+use npr_vrp::{RunResult, VrpAction};
 
-use crate::classify::{FlowKey, WhereRun};
+use crate::classify::{FlowEntry, FlowKey, WhereRun};
 use crate::config::RouterConfig;
 use crate::costs::{InputCosts, QM_ENQUEUE_CYCLES, WFQ_LEVEL_CYCLES};
 use crate::install::{CLASSIFIER_CYCLES, CLASSIFIER_SRAM_TRANSFERS};
@@ -249,14 +249,14 @@ impl InputLoop {
             let fkey = FlowKey::of(&mp.data[..usize::from(mp.len)], ip, mpls_label);
             self.flow_key = Some(fkey);
             let has_extensions = w.classifier.flow_count() + w.classifier.general_count() > 0;
-            let class = if has_extensions {
+            let per_flow = if has_extensions {
                 // 56-instruction extensible classifier, 20 B of SRAM —
                 // charged as part of the protocol budget below.
                 self.vrp_cycles += CLASSIFIER_CYCLES;
                 self.vrp_sram_left += CLASSIFIER_SRAM_TRANSFERS;
                 w.classifier.classify(&fkey, &mut env.hw.hash)
             } else {
-                Default::default()
+                None
             };
 
             // --- Tuple-space 5-tuple rules: probed only when any rule
@@ -285,7 +285,7 @@ impl InputLoop {
             // by their forwarder's queue selection). A cache hit yields
             // the full next hop — port and rewrite MAC — so neighbors
             // sharing a port cannot alias.
-            let bound_port = class.per_flow.and_then(|e| e.out_port).or(rule_port);
+            let bound_port = per_flow.and_then(|e| e.out_port).or(rule_port);
             let routed = match (bound_port, ip) {
                 (Some(p), _) => Some(p),
                 (None, Some(ip)) => {
@@ -310,46 +310,39 @@ impl InputLoop {
                 }
             }
 
-            // --- Run VRP forwarders (per-flow first, then generals). ---
+            // --- Run VRP forwarders: per-flow first, then the generals
+            // in installation order, read in place by index. ---
             let mut action = VrpAction::Forward;
             let mut queue_override = None;
             let mut sa_fwdr = u32::MAX;
             let mut pe_fwdr = u32::MAX;
-            let to_run: Vec<_> = class
-                .per_flow
-                .iter()
-                .chain(class.general.iter())
-                .copied()
-                .collect();
-            for e in to_run {
+            for i in 0..=w.classifier.general_count() {
+                let e = match (i, per_flow) {
+                    (0, Some(e)) => e,
+                    (0, None) => continue,
+                    _ => w.classifier.general(i - 1),
+                };
                 match e.where_run {
                     WhereRun::Me => {
-                        // Dispatch through the installed Executable:
-                        // the compiled chain when admission lowered
-                        // one, the interpreter otherwise. Either way
-                        // the RunResult — and so the simulated clock —
-                        // is bit-identical.
-                        let exec = &w.me_forwarders[e.fwdr_index as usize].exec;
-                        let state = &mut w.flow_state[e.state_idx as usize];
-                        match exec.run(&mut mp.data, state) {
-                            Ok(r) => {
-                                self.vrp_cycles += r.cycles;
-                                self.vrp_sram_left += r.sram_reads + r.sram_writes;
-                                // A queue past the configured set is the
-                                // forwarder's trap; the packet keeps its route.
-                                match r.queue_override {
-                                    Some(q) if (q as usize) < w.queues.len() => {
-                                        queue_override = Some(q)
-                                    }
-                                    Some(_) => w.count_vrp_trap(Some(e.fwdr_index)),
-                                    None => {}
-                                }
-                                if r.action != VrpAction::Forward {
-                                    action = r.action;
-                                    break;
-                                }
-                            }
-                            Err(_) => w.count_vrp_trap(Some(e.fwdr_index)),
+                        let Some(r) = run_me_forwarder(
+                            w,
+                            &e,
+                            &mut mp.data,
+                            &mut self.vrp_cycles,
+                            &mut self.vrp_sram_left,
+                        ) else {
+                            continue;
+                        };
+                        // A queue past the configured set is the
+                        // forwarder's trap; the packet keeps its route.
+                        match r.queue_override {
+                            Some(q) if (q as usize) < w.queues.len() => queue_override = Some(q),
+                            Some(_) => w.count_vrp_trap(Some(e.fwdr_index)),
+                            None => {}
+                        }
+                        if r.action != VrpAction::Forward {
+                            action = r.action;
+                            break;
                         }
                     }
                     WhereRun::Sa => {
@@ -467,18 +460,16 @@ impl InputLoop {
                     self.mp_index = idx;
                     // General ME forwarders also see continuation MPs
                     // (whole-packet transformations).
-                    let gen: Vec<_> = w.classifier.general_entries().copied().collect();
-                    for e in gen {
+                    for i in 0..w.classifier.general_count() {
+                        let e = w.classifier.general(i);
                         if e.where_run == WhereRun::Me {
-                            let exec = &w.me_forwarders[e.fwdr_index as usize].exec;
-                            let state = &mut w.flow_state[e.state_idx as usize];
-                            match exec.run(&mut mp.data, state) {
-                                Ok(r) => {
-                                    self.vrp_cycles += r.cycles;
-                                    self.vrp_sram_left += r.sram_reads + r.sram_writes;
-                                }
-                                Err(_) => w.count_vrp_trap(Some(e.fwdr_index)),
-                            }
+                            run_me_forwarder(
+                                w,
+                                &e,
+                                &mut mp.data,
+                                &mut self.vrp_cycles,
+                                &mut self.vrp_sram_left,
+                            );
                         }
                     }
                 }
@@ -583,7 +574,7 @@ impl InputLoop {
                     Escalation::Pe { fwdr } => w.sa_pe_q.enqueue(desc, fwdr),
                 };
                 if queued {
-                    w.signals.push(crate::plane::PlaneSignal::WakeSa);
+                    w.wake_sa = true;
                 }
                 match esc {
                     Escalation::Pe { .. } => w.counters.to_pe.inc(),
@@ -592,6 +583,34 @@ impl InputLoop {
                 w.counters.input_pkts.inc();
             }
             Verdict::Drop => {}
+        }
+    }
+}
+
+/// Runs installed ME forwarder `e` over one MP through its
+/// Executable — the compiled chain when admission lowered one, the
+/// interpreter otherwise; either way the result, and so the simulated
+/// clock, is bit-identical. Adds its cycles and SRAM transfers to
+/// `cycles` and `sram`; a trap is counted against the forwarder and
+/// yields `None`.
+fn run_me_forwarder(
+    w: &mut RouterWorld,
+    e: &FlowEntry,
+    data: &mut [u8; 64],
+    cycles: &mut u32,
+    sram: &mut u32,
+) -> Option<RunResult> {
+    let exec = &w.me_forwarders[e.fwdr_index as usize].exec;
+    let state = &mut w.flow_state[e.state_idx as usize];
+    match exec.run(data, state) {
+        Ok(r) => {
+            *cycles += r.cycles;
+            *sram += r.sram_reads + r.sram_writes;
+            Some(r)
+        }
+        Err(_) => {
+            w.count_vrp_trap(Some(e.fwdr_index));
+            None
         }
     }
 }

@@ -63,10 +63,7 @@ pub use costs::{InputCosts, OutputCosts, INPUT_MEM_OPS, OUTPUT_MEM_OPS};
 pub use health::{HealthMonitor, HealthStats};
 pub use install::{AdmitError, Fid, InstallRequest};
 pub use pe::PeAction;
-pub use plane::{
-    Bus, Chip, ControlOp, ControlVerb, CtlStats, Plane, PlaneEvent, PlaneId, PlaneSignal,
-    EVENT_KINDS,
-};
+pub use plane::{Bus, Chip, ControlOp, ControlVerb, CtlStats, PlaneEvent, EVENT_KINDS};
 pub use qm::QmPlane;
 pub use qm_sched::WheelSched;
 pub use queues::{InputDiscipline, OutputDiscipline, PacketQueue, QueuePlane};

@@ -11,7 +11,7 @@ use npr_sim::Time;
 
 use crate::costs::{CTL_DESC_BYTES, CTL_PE_CYCLES, PE_NULL_BASE, PE_PER_EXTRA_MP};
 use crate::health::Policer;
-use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
+use crate::plane::{Bus, ControlOp, PlaneEvent};
 use crate::world::RouterWorld;
 
 /// Signature of a Pentium forwarder: the lazily-fetched head bytes plus
@@ -140,7 +140,21 @@ impl Pentium {
         self.inbound.len()
     }
 
-    fn wake(&mut self, bus: &mut Bus<'_>) {
+    /// [`PlaneEvent::PeArrive`]: a packet arrived over PCI.
+    pub(crate) fn arrive(&mut self, item: PeItem, bus: &mut Bus<'_>) {
+        self.inbound.push_back(item);
+        bus.wake_pe_in(0);
+    }
+
+    /// [`PlaneEvent::CtlSubmit`]: the operator submitted a control op.
+    pub(crate) fn submit(&mut self, op: ControlOp, bus: &mut Bus<'_>) {
+        self.ctl_q.push_back(op);
+        bus.wake_pe_in(0);
+    }
+
+    /// [`PlaneEvent::PeWake`]: starts the next job when idle, control
+    /// ops first.
+    pub(crate) fn wake(&mut self, bus: &mut Bus<'_>) {
         if self.current.is_some() || self.ctl_current.is_some() {
             return;
         }
@@ -164,7 +178,8 @@ impl Pentium {
         bus.send_in(dur, PlaneEvent::PeDone);
     }
 
-    fn finish(&mut self, bus: &mut Bus<'_>) {
+    /// [`PlaneEvent::PeDone`]: the current job finished.
+    pub(crate) fn finish(&mut self, bus: &mut Bus<'_>) {
         let now = bus.now();
         // A marshalled control op heads down the bus to the StrongARM.
         // Control descriptors do not claim I2O packet buffers.
@@ -225,7 +240,9 @@ impl Pentium {
         bus.wake_pe_in(0);
     }
 
-    fn writeback(&mut self, bus: &mut Bus<'_>, desc: u32, head: &[u8; 64]) {
+    /// [`PlaneEvent::PeWriteback`]: a forwarded head crossed the bus
+    /// back; releases its I2O buffer and queues the packet for output.
+    pub(crate) fn writeback(&mut self, bus: &mut Bus<'_>, desc: u32, head: &[u8; 64]) {
         bus.pci.release_buffer();
         let h = BufferHandle::from_descriptor(desc);
         if bus.world.pool.read(h).is_some() {
@@ -242,25 +259,6 @@ impl Pentium {
             bus.world.counters.lap_losses.inc();
         }
         bus.wake_sa_in(0);
-    }
-}
-
-impl Plane for Pentium {
-    fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
-        match ev {
-            PlaneEvent::PeArrive(item) => {
-                self.inbound.push_back(*item);
-                bus.wake_pe_in(0);
-            }
-            PlaneEvent::PeWake => self.wake(bus),
-            PlaneEvent::PeDone => self.finish(bus),
-            PlaneEvent::PeWriteback { desc, head } => self.writeback(bus, desc, &head),
-            PlaneEvent::CtlSubmit(op) => {
-                self.ctl_q.push_back(*op);
-                bus.wake_pe_in(0);
-            }
-            other => debug_assert!(false, "misrouted event {other:?}"),
-        }
     }
 }
 

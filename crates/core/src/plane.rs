@@ -1,21 +1,21 @@
-//! Processor-level planes and the typed inter-plane message fabric.
+//! The typed event set of the processor hierarchy and the shared
+//! hardware its handlers borrow.
 //!
-//! The router is three processors behind one event loop. Each level is
-//! a [`Plane`]: the MicroEngines ([`FastPath`]), the StrongARM
-//! ([`crate::sa::StrongArm`]), and the Pentium
-//! ([`crate::pe::Pentium`]). A plane owns only its level-local state;
-//! the hardware every level shares — the packet world, the PCI bus, the
-//! event queue, and a narrow [`Chip`] port onto the IXP machine —
-//! travels through a [`Bus`] borrowed for the duration of one
-//! [`Plane::step`].
+//! The router is three processors behind one event loop: the
+//! MicroEngines, whose programs run inside the machine model; the
+//! StrongARM ([`crate::sa::StrongArm`]); and the Pentium
+//! ([`crate::pe::Pentium`]). Each level owns only its level-local
+//! state; the hardware every level shares — the packet world, the PCI
+//! bus, the event queue, and a narrow [`Chip`] port onto the IXP
+//! machine — travels through a [`Bus`] borrowed for one event.
 //!
-//! Inter-plane communication is a [`PlaneEvent`] scheduled on the
-//! shared queue; [`PlaneEvent::dest`] names the receiving plane, so the
-//! composition root (`Router::dispatch`) is a three-way match with no
-//! knowledge of what the messages mean. Context programs running
-//! inside the machine model only see the world, so they raise
-//! [`PlaneSignal`]s there; the dispatcher drains them into events after
-//! every step (this replaces the old `world.sa_signal` bool).
+//! A [`PlaneEvent`] is the instruction set: `Router::dispatch` is one
+//! exhaustive match from each variant to its handler, so an event with
+//! no handler is a compile error. Context
+//! programs running inside the machine model only see the world, so an
+//! input context that stages an escalated packet raises
+//! `RouterWorld::wake_sa`, and the dispatcher turns it into one
+//! StrongARM wakeup after the step.
 //!
 //! # The simulated control path
 //!
@@ -54,17 +54,6 @@ use crate::install::Fid;
 use crate::pci::Pci;
 use crate::pe::PeItem;
 use crate::world::RouterWorld;
-
-/// The three processor levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneId {
-    /// MicroEngines: the line-rate fast path.
-    Fast,
-    /// The StrongARM: bridge, local forwarders, route-miss handler.
-    StrongArm,
-    /// The Pentium: control forwarders and the operator interface.
-    Pentium,
-}
 
 /// What a control operation does once it reaches its level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,8 +162,8 @@ pub enum PlaneEvent {
     CtlAdmit(Box<ControlOp>),
     /// Watchdog pulse: scheduled by the health monitor when it first
     /// observes a stall, so detection happens at the configured bound
-    /// even if the event queue would otherwise go quiet. A no-op at the
-    /// plane (the monitor samples after every dispatched event). Never
+    /// even if the event queue would otherwise go quiet. Dispatch does
+    /// nothing with it (the monitor samples after every event). Never
     /// scheduled on a healthy run — the fault-free schedule stays
     /// bit-identical.
     HealthPulse,
@@ -196,34 +185,6 @@ pub enum PlaneEvent {
     },
     /// Pentium: the operator submitted a control op.
     CtlSubmit(Box<ControlOp>),
-}
-
-impl PlaneEvent {
-    /// The plane this event is delivered to.
-    pub fn dest(&self) -> PlaneId {
-        match self {
-            PlaneEvent::Machine(_) | PlaneEvent::CtlApply(_) => PlaneId::Fast,
-            PlaneEvent::SaPoll
-            | PlaneEvent::SaDone { .. }
-            | PlaneEvent::CtlAdmit(_)
-            | PlaneEvent::HealthPulse => PlaneId::StrongArm,
-            PlaneEvent::PeArrive(_)
-            | PlaneEvent::PeWake
-            | PlaneEvent::PeDone
-            | PlaneEvent::PeWriteback { .. }
-            | PlaneEvent::CtlSubmit(_) => PlaneId::Pentium,
-        }
-    }
-}
-
-/// Signals raised by context programs running inside the machine model.
-/// Programs only see the world (they cannot schedule events), so they
-/// leave a typed note that the dispatcher converts into a [`PlaneEvent`]
-/// after the step completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneSignal {
-    /// An input context staged an escalated packet for the StrongARM.
-    WakeSa,
 }
 
 /// Control-plane accounting: totals since construction. `Router::mark`
@@ -437,8 +398,8 @@ impl<'a> Chip<'a> {
     }
 }
 
-/// The hardware all planes share, borrowed for one step. Level-local
-/// state stays on the plane (`&mut self`); everything cross-cutting —
+/// The hardware all levels share, borrowed for one event. Level-local
+/// state stays on the level's handler (`&mut self`); everything cross-cutting —
 /// packet world, PCI bus, chip port, clock, wakers, control accounting
 /// — goes through here.
 pub struct Bus<'a> {
@@ -518,44 +479,6 @@ impl Bus<'_> {
         let now = self.events.now();
         self.pci.transfer(now, bytes)
     }
-
-    /// Converts signals left in the world by context programs into
-    /// events. Called by the dispatcher after every plane step.
-    pub fn drain_signals(&mut self) {
-        while let Some(sig) = self.world.signals.pop() {
-            match sig {
-                PlaneSignal::WakeSa => self.wake_sa_in(0),
-            }
-        }
-    }
-}
-
-/// A processor level: reacts to its own [`PlaneEvent`]s, touching
-/// shared hardware only through the [`Bus`].
-pub trait Plane {
-    /// Handles one event addressed to this plane at time `at`.
-    fn step(&mut self, at: Time, ev: PlaneEvent, bus: &mut Bus<'_>);
-}
-
-/// The MicroEngine level. The actual fast-path work lives in the
-/// context programs inside the machine model; this plane routes
-/// machine events in. Its [`PlaneEvent::CtlApply`], which freezes the
-/// input engines, is landed by the composition root
-/// (`Router::apply_ctl`), not through the [`Bus`].
-#[derive(Debug)]
-pub struct FastPath {
-    /// Input MicroEngines mirroring the instruction store (frozen for
-    /// the duration of a store write).
-    pub input_mes: usize,
-}
-
-impl Plane for FastPath {
-    fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
-        match ev {
-            PlaneEvent::Machine(e) => bus.machine(e),
-            other => debug_assert!(false, "misrouted event {other:?}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -613,24 +536,6 @@ mod tests {
         }
         // `PeArrive` needs a whole `PeItem`; it is the one left.
         assert_eq!(seen.iter().filter(|s| !**s).count(), 1);
-    }
-
-    #[test]
-    fn events_route_to_their_level() {
-        assert_eq!(PlaneEvent::SaPoll.dest(), PlaneId::StrongArm);
-        assert_eq!(PlaneEvent::PeDone.dest(), PlaneId::Pentium);
-        assert_eq!(
-            PlaneEvent::CtlSubmit(op(ControlVerb::GetData { fid: 1, bytes: 4 })).dest(),
-            PlaneId::Pentium
-        );
-        assert_eq!(
-            PlaneEvent::CtlAdmit(op(ControlVerb::SetData { fid: 1, bytes: 4 })).dest(),
-            PlaneId::StrongArm
-        );
-        assert_eq!(
-            PlaneEvent::CtlApply(op(ControlVerb::Install { fid: 1, slots: 9 })).dest(),
-            PlaneId::Fast
-        );
     }
 
     #[test]

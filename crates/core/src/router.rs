@@ -1,9 +1,9 @@
-//! The composition root: builds the three processor planes over one
-//! event loop and routes each [`PlaneEvent`] to its level.
+//! The composition root: builds the three processor levels over one
+//! event loop and hands each [`PlaneEvent`] to its handler.
 //!
-//! The levels themselves live elsewhere — the MicroEngine fast path in
-//! [`crate::plane::FastPath`], the StrongARM in [`crate::sa`], the
-//! Pentium in [`crate::pe`]. The control interface is in
+//! The levels themselves live elsewhere — the MicroEngine programs in
+//! [`crate::input`] and [`crate::output`], the StrongARM in
+//! [`crate::sa`], the Pentium in [`crate::pe`]. The control interface is in
 //! [`crate::control`], measurement in [`crate::report`]. This module
 //! only assembles them: construction from a [`RouterConfig`], traffic
 //! attachment, and the dispatch loop.
@@ -24,10 +24,7 @@ use crate::install::{Fid, InstallRecord};
 use crate::output::OutputLoop;
 use crate::pci::{Pci, PE_BUFFERS};
 use crate::pe::Pentium;
-use crate::plane::{
-    Bus, Chip, ControlOp, CtlStats, FastPath, IxpSched, Plane, PlaneEvent, PlaneId, PlaneQueue,
-    EVENT_KINDS,
-};
+use crate::plane::{Bus, Chip, ControlOp, CtlStats, IxpSched, PlaneEvent, PlaneQueue, EVENT_KINDS};
 use crate::queues::InputDiscipline;
 use crate::report::Totals;
 use crate::sa::StrongArm;
@@ -71,9 +68,6 @@ pub struct Router {
     pub ixp: Ixp<RouterWorld>,
     /// Shared data-plane state.
     pub world: RouterWorld,
-    /// The MicroEngine plane (the programs themselves run inside the
-    /// machine model; the plane lands control writes).
-    pub fast: FastPath,
     /// StrongARM level.
     pub sa: StrongArm,
     /// Pentium level.
@@ -239,14 +233,10 @@ impl Router {
         let sa = StrongArm::new(cfg.sa_interrupts, cfg.sa_synth_feed);
         let pe = Pentium::new(cfg.pe_delay_loop);
         let pci = Pci::new(PE_BUFFERS);
-        let fast = FastPath {
-            input_mes: cfg.input_ctxs.div_ceil(4),
-        };
 
         Self {
             ixp,
             world,
-            fast,
             sa,
             pe,
             pci,
@@ -461,27 +451,42 @@ impl Router {
         self.events.deadline = 0;
     }
 
-    /// Routes one event to its plane. This is the only place the three
-    /// levels meet: everything they share crosses through the [`Bus`]
-    /// built here for the duration of the step.
+    /// Hands one event to its handler: one arm per [`PlaneEvent`]
+    /// variant, so an event nobody handles does not compile. This is
+    /// the only place the three levels meet: everything they share
+    /// crosses through the [`Bus`] built here for the event.
     fn dispatch(&mut self, at: Time, ev: PlaneEvent) {
-        // Retire coalescing wakers before the step so a handler can
-        // request the next wakeup at the same timestamp.
+        let (sa, pe, mut bus) = self.planes();
         match ev {
-            PlaneEvent::SaPoll => self.sa_waker.fire(at),
-            PlaneEvent::PeWake => self.pe_waker.fire(at),
+            PlaneEvent::Machine(e) => bus.machine(e),
             // The one event that stops the MicroEngines lands here, not
-            // through the `Bus`: no plane can freeze an engine.
+            // through the `Bus`: no level can freeze an engine.
             PlaneEvent::CtlApply(op) => return self.apply_ctl(at, &op),
-            _ => {}
+            // A coalescing waker retires before its handler runs, so the
+            // handler can request the next wakeup at the same timestamp.
+            PlaneEvent::SaPoll => {
+                bus.sa_waker.fire(at);
+                sa.poll(&mut bus);
+            }
+            PlaneEvent::SaDone { gen } => sa.done(gen, &mut bus),
+            PlaneEvent::CtlAdmit(op) => sa.admit(*op, &mut bus),
+            // The pulse exists to advance the clock to the watchdog
+            // deadline; the monitor samples after the dispatch.
+            PlaneEvent::HealthPulse => {}
+            PlaneEvent::PeArrive(item) => pe.arrive(*item, &mut bus),
+            PlaneEvent::PeWake => {
+                bus.pe_waker.fire(at);
+                pe.wake(&mut bus);
+            }
+            PlaneEvent::PeDone => pe.finish(&mut bus),
+            PlaneEvent::PeWriteback { desc, head } => pe.writeback(&mut bus, desc, &head),
+            PlaneEvent::CtlSubmit(op) => pe.submit(*op, &mut bus),
         }
-        let (fast, sa, pe, mut bus) = self.planes();
-        match ev.dest() {
-            PlaneId::Fast => fast.step(at, ev, &mut bus),
-            PlaneId::StrongArm => sa.step(at, ev, &mut bus),
-            PlaneId::Pentium => pe.step(at, ev, &mut bus),
+        // An input context staged an escalated packet: one poll serves
+        // however many did (the waker coalesces repeats anyway).
+        if std::mem::take(&mut bus.world.wake_sa) {
+            bus.wake_sa_in(0);
         }
-        bus.drain_signals();
     }
 
     /// Lands an admitted ME-code op in the instruction store. Writing
@@ -495,20 +500,20 @@ impl Router {
     #[inline(never)]
     fn apply_ctl(&mut self, at: Time, op: &ControlOp) {
         let until = at + cycles_to_ps(IStore::install_cycles(op.istore_slots()));
-        for me in 0..self.fast.input_mes {
+        // Input contexts fill whole MicroEngines from engine 0.
+        for me in 0..self.cfg.input_ctxs.div_ceil(4) {
             self.ixp.freeze_me(me, until);
         }
         self.ctl.complete(op, until);
         self.events.me_code_ops -= 1;
     }
 
-    /// Splits the router into its three planes and the [`Bus`] they
-    /// share: the one place a `Bus` is built.
-    pub(crate) fn planes(&mut self) -> (&mut FastPath, &mut StrongArm, &mut Pentium, Bus<'_>) {
+    /// Splits the router into its two slow-path levels and the [`Bus`]
+    /// they share: the one place a `Bus` is built.
+    pub(crate) fn planes(&mut self) -> (&mut StrongArm, &mut Pentium, Bus<'_>) {
         let Self {
             ixp,
             world,
-            fast,
             sa,
             pe,
             pci,
@@ -529,7 +534,7 @@ impl Router {
             sa_waker,
             pe_waker,
         };
-        (fast, sa, pe, bus)
+        (sa, pe, bus)
     }
 
     /// Arms the packet tracer for IPv4 destination `dst` (records up to

@@ -12,9 +12,9 @@
 //! over everything: they are rare, and bounding their latency is what
 //! makes the operator interface usable.
 //!
-//! [`StrongArm`] is the plane for this level: it owns the job state and
-//! jump table, and reacts to its [`PlaneEvent`]s through the shared
-//! [`Bus`].
+//! [`StrongArm`] is this level: it owns the job state and jump table,
+//! and `Router::dispatch` hands it its [`PlaneEvent`]s (`SaPoll`,
+//! `SaDone`, `CtlAdmit`) with the shared [`Bus`].
 
 use std::collections::VecDeque;
 
@@ -29,7 +29,7 @@ use crate::costs::{
 use crate::health::Policer;
 use crate::pci::ROUTING_HEADER_BYTES;
 use crate::pe::PeItem;
-use crate::plane::{Bus, ControlOp, Plane, PlaneEvent};
+use crate::plane::{Bus, ControlOp, PlaneEvent};
 use crate::queues::PacketQueue;
 use crate::router::build_udp_frame;
 use crate::sched::Stride;
@@ -267,10 +267,19 @@ fn assembled(world: &RouterWorld, desc: u32) -> bool {
     m.mps_total != 0 && m.mps_written >= m.mps_total
 }
 
-/// The packet's IPv4 destination; `None` once its buffer lapped.
-fn dst_of(world: &mut RouterWorld, h: BufferHandle) -> Option<u32> {
-    world.pool.read(h).and_then(crate::router::parse_dst)
+/// The packet's IPv4 destination (`None` for a frame without one), or
+/// `Err(Lapped)` once its buffer was reused.
+fn dst_of(world: &mut RouterWorld, h: BufferHandle) -> Result<Option<u32>, Lapped> {
+    world
+        .pool
+        .read(h)
+        .map(crate::router::parse_dst)
+        .ok_or(Lapped)
 }
+
+/// A packet's buffer was reused while the packet waited: its bytes and
+/// metadata now belong to another packet.
+struct Lapped;
 
 impl StrongArm {
     /// Holds back an escalated packet whose MPs are not all in DRAM:
@@ -296,7 +305,8 @@ impl StrongArm {
         false
     }
 
-    fn poll(&mut self, bus: &mut Bus<'_>) {
+    /// [`PlaneEvent::SaPoll`]: starts the most urgent job when idle.
+    pub(crate) fn poll(&mut self, bus: &mut Bus<'_>) {
         if self.job.is_some() {
             return;
         }
@@ -339,7 +349,10 @@ impl StrongArm {
             // The job is charged for the trie levels it will walk; the
             // lookup itself, which fills the route cache, happens when
             // the job completes (`route`).
-            let dst = dst_of(bus.world, BufferHandle::from_descriptor(desc)).unwrap_or(0);
+            let dst = dst_of(bus.world, BufferHandle::from_descriptor(desc))
+                .ok()
+                .flatten()
+                .unwrap_or(0);
             let (_, levels) = bus.world.table.lookup_slow(dst);
             let cycles = self.miss_cycles(levels);
             self.begin_job(bus, SaJob::Miss { desc }, cycles, now);
@@ -441,12 +454,18 @@ impl StrongArm {
 
     /// Routes an escalated packet whose classification missed the
     /// cache. Returns `false` (and counts the drop) when it has no
-    /// route.
+    /// route, or when its buffer lapped. After a lap `needs_route` is
+    /// the slot's next packet's; read either way, the stale handle ends
+    /// as one lap loss, here or at the caller's own read.
     fn resolve_route(bus: &mut Bus<'_>, h: BufferHandle) -> bool {
         if !bus.world.meta_of(h).needs_route {
             return true;
         }
-        let routed = dst_of(bus.world, h).is_some_and(|dst| Self::route(bus, h, dst));
+        let Ok(dst) = dst_of(bus.world, h) else {
+            bus.world.counters.lap_losses.inc();
+            return false;
+        };
+        let routed = dst.is_some_and(|dst| Self::route(bus, h, dst));
         if !routed {
             bus.world.counters.no_route_drops.inc();
         }
@@ -651,8 +670,12 @@ impl StrongArm {
             }
             SaJob::Miss { desc } => {
                 let h = BufferHandle::from_descriptor(desc);
-                let dst = dst_of(bus.world, h).unwrap_or(0);
-                if Self::route(bus, h, dst) {
+                let Ok(dst) = dst_of(bus.world, h) else {
+                    bus.world.counters.lap_losses.inc();
+                    bus.wake_sa_in(0);
+                    return;
+                };
+                if dst.is_some_and(|dst| Self::route(bus, h, dst)) {
                     bus.world.enqueue_out(desc, None, now);
                     bus.world.counters.sa_local_done.inc();
                 } else if bus.world.exception_sa_fwdr != u32::MAX {
@@ -671,25 +694,21 @@ impl StrongArm {
         }
         bus.wake_sa_in(0);
     }
-}
 
-impl Plane for StrongArm {
-    fn step(&mut self, _at: Time, ev: PlaneEvent, bus: &mut Bus<'_>) {
-        match ev {
-            PlaneEvent::SaPoll => self.poll(bus),
-            // Completions from a pre-reset generation are stale: the
-            // job they would finish was requeued by the soft reset.
-            PlaneEvent::SaDone { gen } if gen == self.gen => self.finish(bus),
-            PlaneEvent::SaDone { .. } => {}
-            // The pulse exists to advance the clock to the watchdog
-            // deadline; the monitor itself samples after the dispatch.
-            PlaneEvent::HealthPulse => {}
-            PlaneEvent::CtlAdmit(op) => {
-                self.ctl_q.push_back(*op);
-                bus.wake_sa_in(0);
-            }
-            other => debug_assert!(false, "misrouted event {other:?}"),
+    /// [`PlaneEvent::SaDone`]: finishes the current job, unless the
+    /// completion is from a pre-reset generation and so stale: the job
+    /// it would finish was requeued by the soft reset.
+    pub(crate) fn done(&mut self, gen: u64, bus: &mut Bus<'_>) {
+        if gen == self.gen {
+            self.finish(bus);
         }
+    }
+
+    /// [`PlaneEvent::CtlAdmit`]: queues a control op that crossed the
+    /// bus from the Pentium.
+    pub(crate) fn admit(&mut self, op: ControlOp, bus: &mut Bus<'_>) {
+        self.ctl_q.push_back(op);
+        bus.wake_sa_in(0);
     }
 }
 

@@ -211,10 +211,11 @@ pub struct RouterWorld {
     /// Pentium-bound staging queues, one per installed Pentium
     /// forwarder plus the null forwarder's, shared by their tickets.
     pub sa_pe_q: crate::sa::PeStaging,
-    /// Signals raised by context programs (which can only see the
-    /// world); the dispatcher drains these into typed plane events
-    /// after every step.
-    pub signals: Vec<crate::plane::PlaneSignal>,
+    /// An input context staged an escalated packet for the StrongARM.
+    /// Context programs only see the world, so they raise this, and
+    /// `Router::dispatch` takes it after the step and wakes the
+    /// StrongARM once.
+    pub wake_sa: bool,
     /// StrongARM jump-table index handling exceptional packets (TTL
     /// expiry, IP options) when no installed forwarder claimed them.
     /// `u32::MAX` = the null handler (forward unmodified).
@@ -284,7 +285,7 @@ impl RouterWorld {
             sa_local_q: PacketQueue::new(512),
             sa_miss_q: PacketQueue::new(256),
             sa_pe_q: Default::default(),
-            signals: Vec::new(),
+            wake_sa: false,
             exception_sa_fwdr: u32::MAX,
             wfq: None,
             qm: None,

@@ -236,3 +236,35 @@ fn no_route_packets_are_counted_once() {
     assert!(c.no_route_drops > 0, "expected no-route drops: {c:?}");
     assert_eq!(c.transmitted, 0, "{c:?}");
 }
+
+/// A route-miss packet whose buffer laps while it waits at the
+/// StrongARM is a lap loss, not a no-route drop: a tiny pool wraps
+/// under eight ports of minimum-size frames to destinations that miss
+/// a 16-slot route cache, and every destination has a route.
+#[test]
+fn lapped_route_misses_are_lap_losses() {
+    let mut cfg = RouterConfig::line_rate();
+    cfg.pool_bufs = 32;
+    cfg.route_cache_slots = 16;
+    let mut r = Router::new(cfg);
+    for p in 0..8u32 {
+        let frames: Vec<_> = (0..200u32)
+            .map(|i| {
+                let spec = npr_traffic::FrameSpec {
+                    dst: u32::from_be_bytes([10, ((p + 1) % 8) as u8, p as u8, i as u8]),
+                    src: 0x0A00_0002 + p,
+                    ..Default::default()
+                };
+                (u64::from(i) * 7_000_000, npr_traffic::udp_frame(&spec, &[]))
+            })
+            .collect();
+        r.attach_source(p as usize, Box::new(npr_traffic::TraceSource::new(frames)));
+    }
+    let c = drain_and_check(&mut r, "lapped-route-misses");
+    assert_eq!(c.no_route_drops, 0, "every destination is routable: {c:?}");
+    assert!(c.lap_losses > 0, "expected lapped route misses: {c:?}");
+    assert!(
+        c.lap_losses <= c.stale_reads,
+        "one-lap invariant: each lap loss is backed by a stale read, {c:?}"
+    );
+}

@@ -16,11 +16,11 @@
 //! it in `(arrival, source)` order, and only once that order is
 //! settled (see [`Inbox`]).
 //!
-//! Frames delivered to a member are tagged with the member's current
-//! *generation*; [`Fabric::rejoin_chassis`] bumps it, so anything
-//! addressed to a previous incarnation is fenced at the queue (counted,
-//! never delivered) — the same generation-fence idiom the StrongARM
-//! soft reset uses inside one chassis.
+//! A member's *generation* counts its incarnations.
+//! [`Fabric::rejoin_chassis`] bumps it between two lock-step runs and
+//! fences what the old incarnation left in its inboxes: counted, never
+//! delivered. Delivery happens only inside a run, so nothing addressed
+//! to the old incarnation can arrive after the fence.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,8 +43,6 @@ pub(crate) struct Arrival {
     at: Time,
     /// The member that sent it.
     src: usize,
-    /// The receiving member's incarnation it was addressed to.
-    generation: u64,
     frame: Frame,
 }
 
@@ -70,29 +68,20 @@ pub(crate) struct Inbox {
 type SharedInbox = Arc<Mutex<Inbox>>;
 
 /// A pull source backed by a shared inbox the fabric pushes into.
-/// Frames tagged with a stale generation (their target incarnation was
-/// torn down by a chassis re-join) are fenced here: counted, skipped,
-/// never delivered to the new incarnation.
 struct InboxSource {
     inbox: SharedInbox,
-    generation: Arc<AtomicU64>,
     taken: Arc<AtomicU64>,
-    fenced: Arc<AtomicU64>,
 }
 
 impl TrafficSource for InboxSource {
     fn next_frame(&mut self) -> Option<(Time, Frame)> {
         let mut inbox = self.inbox.lock().expect("uplink inbox poisoned");
-        let cur = self.generation.load(Ordering::Relaxed);
-        while inbox.head_settled() {
-            let a = inbox.frames.pop_front().expect("head checked");
-            if a.generation == cur {
-                self.taken.fetch_add(1, Ordering::Relaxed);
-                return Some((a.at, a.frame));
-            }
-            self.fenced.fetch_add(1, Ordering::Relaxed);
+        if !inbox.head_settled() {
+            return None;
         }
-        None
+        let a = inbox.frames.pop_front().expect("head checked");
+        self.taken.fetch_add(1, Ordering::Relaxed);
+        Some((a.at, a.frame))
     }
 }
 
@@ -127,10 +116,9 @@ pub struct MemberShard {
     pub(crate) ports: Vec<FabricPort>,
     /// Current incarnation; bumped by [`Fabric::rejoin_chassis`].
     pub(crate) generation: u64,
-    /// Shared with every port source (they read it when fencing).
-    pub(crate) gen_cell: Arc<AtomicU64>,
-    /// Stale-generation frames fenced at this member's queues.
-    pub(crate) fenced: Arc<AtomicU64>,
+    /// Frames an earlier incarnation left in this member's inboxes,
+    /// fenced by [`Fabric::rejoin_chassis`].
+    pub(crate) fenced: u64,
     /// Partial frames being reassembled from captured uplink MPs,
     /// keyed by (fabric-port index, frame id); the `Time` is the last
     /// MP's completion, for age-out.
@@ -258,20 +246,11 @@ impl Shard for MemberShard {
         self.collect_switched(horizon, out);
     }
 
-    /// Files the frame in its port's inbox, tagged with this member's
-    /// current generation.
+    /// Files the frame in its port's inbox.
     fn deliver(&mut self, at: Time, (ix, src, frame): Self::Msg) {
         let mut inbox = self.ports[ix].inbox.lock().expect("uplink inbox poisoned");
         let after = inbox.frames.partition_point(|a| (a.at, a.src) <= (at, src));
-        inbox.frames.insert(
-            after,
-            Arrival {
-                at,
-                src,
-                generation: self.gen_cell.load(Ordering::Relaxed),
-                frame,
-            },
-        );
+        inbox.frames.insert(after, Arrival { at, src, frame });
     }
 
     /// Every member has reached `horizon` and its frames are in:
@@ -355,9 +334,7 @@ impl Fabric {
                 .iter()
                 .map(|_| (SharedInbox::default(), Arc::new(AtomicU64::new(0))))
                 .collect();
-            let gen_cell = Arc::new(AtomicU64::new(0));
-            let fenced = Arc::new(AtomicU64::new(0));
-            let (router, routes) = fabric.boot_member(k, n, &fports, &channels, &gen_cell, &fenced);
+            let (router, routes) = fabric.boot_member(k, n, &fports, &channels);
             fabric.routes[k] = routes;
             fabric.shards.push(MemberShard {
                 router,
@@ -375,8 +352,7 @@ impl Fabric {
                     })
                     .collect(),
                 generation: 0,
-                gen_cell,
-                fenced,
+                fenced: 0,
                 partial: HashMap::new(),
                 switched: 0,
                 switch_drops: 0,
@@ -408,8 +384,6 @@ impl Fabric {
         n: usize,
         fports: &[usize],
         channels: &[(SharedInbox, Arc<AtomicU64>)],
-        gen_cell: &Arc<AtomicU64>,
-        fenced: &Arc<AtomicU64>,
     ) -> (Router, Vec<Option<u8>>) {
         let mut cfg = self.cfgs[k].clone();
         if !fports.is_empty() {
@@ -451,9 +425,7 @@ impl Fabric {
                 UPLINK_PORT + ix,
                 Box::new(InboxSource {
                     inbox: Arc::clone(q),
-                    generation: Arc::clone(gen_cell),
                     taken: Arc::clone(taken),
-                    fenced: Arc::clone(fenced),
                 }),
             );
         }
@@ -520,10 +492,7 @@ impl Fabric {
 
     /// Stale-generation frames fenced at re-joined members' queues.
     pub fn fenced_drops(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.fenced.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| s.fenced).sum()
     }
 
     /// Uplink frames abandoned mid-reassembly by the switch-layer
@@ -618,10 +587,9 @@ impl Fabric {
             mix(s.switch_drops);
             mix(s.partial.values().map(|(_, v)| v.len() as u64).sum());
             let link_drops = s.link_drops();
-            let fenced = s.fenced.load(Ordering::Relaxed);
-            if link_drops | fenced | s.generation | s.assembly_drops != 0 {
+            if link_drops | s.fenced | s.generation | s.assembly_drops != 0 {
                 mix(link_drops);
-                mix(fenced);
+                mix(s.fenced);
                 mix(s.generation);
                 mix(s.assembly_drops);
             }

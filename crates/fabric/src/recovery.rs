@@ -17,9 +17,10 @@
 //!   neighbors' tables, so the loss is visible in their `no_route`
 //!   ledgers — never silent.
 //! * **Re-join** — [`Fabric::rejoin_chassis`] fences the old
-//!   incarnation (generation bump: anything still queued for it is
-//!   counted and discarded, exactly like the StrongARM soft-reset
-//!   fence), boots a fresh router from the member's config through the
+//!   incarnation (a generation bump, and whatever still waits in its
+//!   inboxes is counted and discarded; it runs between lock-step runs,
+//!   so nothing addressed to the old incarnation can arrive later),
+//!   boots a fresh router from the member's config through the
 //!   same path as first boot, replays the member's provisioning
 //!   (installs registered via [`Fabric::set_provision`]) through the
 //!   new incarnation's control path, and steers the cluster back.
@@ -97,16 +98,11 @@ impl Fabric {
         // Fence the old incarnation.
         let s = &mut self.shards[m];
         s.generation += 1;
-        s.gen_cell
-            .store(s.generation, std::sync::atomic::Ordering::Relaxed);
-        let mut stale = 0u64;
         for p in &s.ports {
             let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
-            stale += inbox.frames.len() as u64;
+            s.fenced += inbox.frames.len() as u64;
             inbox.frames.clear();
         }
-        s.fenced
-            .fetch_add(stale, std::sync::atomic::Ordering::Relaxed);
         // Carry the old incarnation's fabric-port totals into the
         // conservation ledger before its counters vanish.
         s.rx_carry = s.fabric_rx();
@@ -127,9 +123,7 @@ impl Fabric {
                 (p.inbox.clone(), p.taken.clone())
             })
             .collect();
-        let gen_cell = self.shards[m].gen_cell.clone();
-        let fenced = self.shards[m].fenced.clone();
-        let (mut r, routes) = self.boot_member(m, n, &fports, &channels, &gen_cell, &fenced);
+        let (mut r, routes) = self.boot_member(m, n, &fports, &channels);
         // Align the fresh router with fabric time so its frames never
         // land in a neighbor's past.
         r.run_until(self.clock);
