@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn soak_conserves_on_every_topology() {
-        let horizon = ms(if cfg!(debug_assertions) { 2 } else { 6 });
+        let horizon = ms(6);
         for t in [
             Topology::SingleSwitch,
             Topology::Ring,

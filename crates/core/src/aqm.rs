@@ -193,10 +193,15 @@ impl Aqm {
         false
     }
 
-    /// Bytes of controller state (for the memory-budget math).
-    pub fn mem_bytes(&self) -> usize {
-        self.redq.len() * core::mem::size_of::<RedQueue>()
-            + self.codelq.len() * core::mem::size_of::<CodelQueue>()
+    /// Bytes of controller state [`Aqm::new`] allocates for `nflows`
+    /// flow queues under `kind` (for the memory-budget math).
+    pub fn mem_bytes(kind: AqmKind, nflows: usize) -> usize {
+        nflows
+            * match kind {
+                AqmKind::DropTail => 0,
+                AqmKind::Red => core::mem::size_of::<RedQueue>(),
+                AqmKind::Codel => core::mem::size_of::<CodelQueue>(),
+            }
     }
 }
 

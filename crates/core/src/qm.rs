@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use npr_sim::{LogHistogram, Time};
 
-use crate::aqm::Aqm;
+use crate::aqm::{Aqm, AqmKind};
 use crate::classify::FlowKey;
 use crate::config::RouterConfig;
 use crate::qm_sched::WheelSched;
@@ -113,18 +113,20 @@ pub struct QmPlane {
     sojourn_samples: u64,
 }
 
-/// Worst-case backing bytes for one port at `flows` queues of `cap` packets:
-/// per queued packet a 4-byte descriptor plus a 16-byte (time, len) stamp
-/// (the tuple pads to 16), per queue the `PacketQueue`/`VecDeque`
-/// bookkeeping, plus the wheel's bitmap and finish-time arrays (8 bytes of
-/// words + 8 of finish + ~2 of slot/ready per flow, 64 summary words). See
-/// DESIGN.md §16.
-pub fn port_mem_bytes(flows: usize, cap: usize) -> usize {
+/// Worst-case backing bytes for one port at `flows` queues of `cap` packets
+/// under discipline `aqm`: per queued packet a 4-byte descriptor plus a
+/// 16-byte (time, len) stamp (the tuple pads to 16), per queue the
+/// `PacketQueue`/`VecDeque` bookkeeping and two u32 AQM drop counters, plus
+/// the wheel's bitmaps and finish times and the AQM's per-flow controller
+/// state. The budget clamp holds this figure and [`QmPlane::mem_bytes`]
+/// reports it. See DESIGN.md §16.
+pub fn port_mem_bytes(flows: usize, cap: usize, aqm: AqmKind) -> usize {
     const QUEUE_OVERHEAD: usize = 96; // PacketQueue + two VecDeque headers
     let per_packet = 4 + 16;
-    let sched = flows * 18 + 64 * 8 + 64;
-    let attribution = flows * 8; // two u32 AQM drop counters per flow
-    flows * (cap * per_packet + QUEUE_OVERHEAD) + sched + attribution
+    let attribution = 8; // two u32 AQM drop counters per flow
+    flows * (cap * per_packet + QUEUE_OVERHEAD + attribution)
+        + WheelSched::mem_bytes(flows)
+        + Aqm::mem_bytes(aqm, flows)
 }
 
 impl QmPlane {
@@ -136,25 +138,15 @@ impl QmPlane {
         }
         let mut nflows = cfg.qm_flows_per_port.next_power_of_two().min(crate::qm_sched::MAX_FLOWS);
         // Hard memory budget: halve the flow count until the worst case fits.
-        while nflows > MIN_FLOWS_PER_PORT
-            && ports * port_mem_bytes(nflows, cfg.qm_flow_cap) > cfg.qm_mem_budget_bytes
-        {
+        let plane_bytes = |nflows| ports * port_mem_bytes(nflows, cfg.qm_flow_cap, cfg.qm_aqm);
+        while nflows > MIN_FLOWS_PER_PORT && plane_bytes(nflows) > cfg.qm_mem_budget_bytes {
             nflows /= 2;
         }
-        let planes = (0..ports).map(|p| FlowPlane::new(cfg, p, nflows)).collect::<Vec<_>>();
-        let mem = planes
-            .iter()
-            .map(|fp| {
-                fp.sched.mem_bytes()
-                    + fp.aqm.mem_bytes()
-                    + fp.queues.len() * (cfg.qm_flow_cap * 20 + 96 + 8)
-            })
-            .sum();
         Some(QmPlane {
-            ports: planes,
+            ports: (0..ports).map(|p| FlowPlane::new(cfg, p, nflows)).collect(),
             nflows,
             flow_cap: cfg.qm_flow_cap,
-            mem_bytes: mem,
+            mem_bytes: plane_bytes(nflows),
             sojourn_hist: LogHistogram::new(),
             sojourn_sum_ps: 0,
             sojourn_samples: 0,
@@ -369,11 +361,36 @@ mod tests {
         let qm = QmPlane::from_config(&cfg, 8).unwrap();
         assert!(qm.nflows_per_port() < 4096, "budget must clamp");
         assert!(qm.nflows_per_port() >= MIN_FLOWS_PER_PORT);
-        assert!(
-            8 * port_mem_bytes(qm.nflows_per_port(), qm.flow_cap()) <= 64 * 1024
-                || qm.nflows_per_port() == MIN_FLOWS_PER_PORT
-        );
         assert!(qm.mem_bytes() > 0);
+        // The budget is hard for every discipline, cap and budget: above
+        // the floor, the reported bytes (AQM state included) fit it, and
+        // the clamp kept the largest power of two that does.
+        for aqm in [AqmKind::DropTail, AqmKind::Red, AqmKind::Codel] {
+            for cap in [4, 8, 32, 64] {
+                for budget in [64 * 1024, 1_960_000, 2 << 20, 8 << 20] {
+                    for ports in [8, 10] {
+                        let cfg = RouterConfig {
+                            qm_flows_per_port: 256,
+                            qm_flow_cap: cap,
+                            qm_mem_budget_bytes: budget,
+                            qm_aqm: aqm,
+                            ..RouterConfig::default()
+                        };
+                        let qm = QmPlane::from_config(&cfg, ports).unwrap();
+                        let n = qm.nflows_per_port();
+                        let what =
+                            format!("{aqm:?} cap {cap} budget {budget} ports {ports}: {n} flows");
+                        assert_eq!(qm.mem_bytes(), ports * port_mem_bytes(n, cap, aqm), "{what}");
+                        if n > MIN_FLOWS_PER_PORT {
+                            assert!(qm.mem_bytes() <= budget, "{what} hold {} B", qm.mem_bytes());
+                        }
+                        if n < 256 {
+                            assert!(ports * port_mem_bytes(2 * n, cap, aqm) > budget, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,13 +178,12 @@ impl WheelSched {
         }
     }
 
-    /// Bytes of backing storage (for the memory-budget math in DESIGN §16).
-    pub fn mem_bytes(&self) -> usize {
-        self.summary.len() * 8
-            + self.words.len() * 8
-            + self.finish.len() * 8
-            + self.slot.len()
-            + self.ready.len()
+    /// Bytes of backing storage a wheel over `nflows` flows allocates in
+    /// [`WheelSched::new`] (for the memory-budget math in DESIGN §16):
+    /// the summary and payload bitmaps, 8 bytes of finish time and 2 of
+    /// slot/ready per flow.
+    pub fn mem_bytes(nflows: usize) -> usize {
+        WHEEL_SLOTS * 8 + WHEEL_SLOTS * nflows.div_ceil(64) * 8 + nflows * (8 + 1 + 1)
     }
 }
 
@@ -261,8 +260,8 @@ mod tests {
 
     #[test]
     fn mem_bytes_scales_linearly_with_flows() {
-        let small = WheelSched::new(64, 1500 * VSCALE).mem_bytes();
-        let big = WheelSched::new(4096, 1500 * VSCALE).mem_bytes();
+        let small = WheelSched::mem_bytes(64);
+        let big = WheelSched::mem_bytes(4096);
         assert!(big > small);
         assert!(big < 64 * small, "hierarchical bitmap should stay compact: {big}");
     }

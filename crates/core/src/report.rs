@@ -104,13 +104,17 @@ pub struct Report {
 }
 
 /// Packet-conservation ledger: every packet the input process admitted
-/// must be transmitted, claimed by exactly one terminal drop counter,
-/// or still visibly in flight. Built by [`Router::conservation`];
-/// checked continuously by the fault-injection suite.
+/// or the router minted must be transmitted, claimed by exactly one
+/// terminal drop counter, or still visibly in flight. Built by
+/// [`Router::conservation`]; checked continuously by the
+/// fault-injection suite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Conservation {
     /// Packets admitted by the input process (`input_pkts`).
     pub admitted: u64,
+    /// Packets minted past the input process: synthetic-feed packets
+    /// and the extra fragments of slow-path fragmentation (`minted`).
+    pub minted: u64,
     /// Packets transmitted (`tx_pkts`).
     pub transmitted: u64,
     /// Output-queue overflow drops.
@@ -162,10 +166,11 @@ impl Conservation {
         self.terminal() + self.in_flight
     }
 
-    /// Admitted minus accounted: positive means packets vanished
-    /// without a counter; negative means something double-counted.
+    /// Admitted plus minted, minus accounted: positive means packets
+    /// vanished without a counter; negative means something
+    /// double-counted.
     pub fn deficit(&self) -> i64 {
-        self.admitted as i64 - self.accounted() as i64
+        (self.admitted + self.minted) as i64 - self.accounted() as i64
     }
 
     /// The conservation and one-lap invariants together.
@@ -223,12 +228,9 @@ impl Router {
 
     /// Builds the packet-conservation ledger from lifetime totals.
     ///
-    /// Not valid on runs that use slow-path fragmentation or the
-    /// synthetic StrongARM feed (both mint packets that were never
-    /// admitted by the input process). Control operations live on
-    /// their own ledger ([`Router::ctl_stats`]) and never appear here —
-    /// a StrongARM or Pentium server busy with a control op holds no
-    /// packet.
+    /// Control operations live on their own ledger
+    /// ([`Router::ctl_stats`]) and never appear here — a StrongARM or
+    /// Pentium server busy with a control op holds no packet.
     pub fn conservation(&self) -> Conservation {
         let c = &self.world.counters;
         let pe_q = &self.world.sa_pe_q.queues;
@@ -255,6 +257,7 @@ impl Router {
             + usize::from(self.pe.current.is_some());
         Conservation {
             admitted: c.input_pkts.total(),
+            minted: c.minted.total(),
             transmitted: c.tx_pkts.total(),
             queue_drops: self.world.queues.total_drops() + qm_drops,
             escalation_drops,
@@ -335,6 +338,11 @@ impl Router {
             mix(qm.cap_drops());
             mix(qm.sojourn_drops());
             mix(qm.total_queued() as u64);
+        }
+        // Mixed only when non-zero, so every fingerprint pinned on a run
+        // that mints nothing still holds.
+        if c.minted > 0 {
+            mix(c.minted);
         }
         h.finish()
     }

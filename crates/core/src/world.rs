@@ -106,6 +106,10 @@ pub enum Escalation {
 pub struct Counters {
     /// Packets completed by the input process (enqueued or escalated).
     pub input_pkts: Counter,
+    /// Packets the router made itself, past the input process: one per
+    /// synthetic-feed packet, and `k - 1` per datagram the StrongARM
+    /// cuts into `k` fragments. The ledger's second source.
+    pub minted: Counter,
     /// MPs completed by the input process.
     pub input_mps: Counter,
     /// Packets dropped by VRP `Drop` actions.

@@ -4,8 +4,8 @@
 //! identical digest whether installed programs run through the VRP
 //! interpreter or the compile-on-verify chain. This is the system-level
 //! half of the oracle policy (`crates/vrp/tests/differential.rs` is the
-//! per-program half); `scripts/verify.sh` runs it explicitly and fails
-//! if it executed zero tests.
+//! per-program half); `scripts/verify.sh` fails if tier-1's run of it
+//! executes zero tests.
 
 use npr_check::rng::Fnv1a;
 use npr_core::{ms, us, InstallRequest, Key, Router, RouterConfig};
@@ -13,12 +13,12 @@ use npr_sim::fault::FAULT_CLASSES;
 use npr_sim::{FaultClass, FaultPlan, XorShift64};
 use npr_vrp::VrpBackend;
 
-const SEEDS: u64 = if cfg!(debug_assertions) { 2 } else { 6 };
-const CBR_FRAMES: u64 = if cfg!(debug_assertions) { 60 } else { 150 };
-const BIG_FRAMES: u64 = if cfg!(debug_assertions) { 20 } else { 60 };
+const SEEDS: u64 = 6;
+const CBR_FRAMES: u64 = 150;
+const BIG_FRAMES: u64 = 60;
 
 fn horizon() -> npr_sim::Time {
-    ms(if cfg!(debug_assertions) { 2 } else { 4 })
+    ms(4)
 }
 
 /// The faults.rs traffic shape with a stack of Table 5 forwarders in

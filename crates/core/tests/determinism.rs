@@ -176,14 +176,8 @@ fn interpreter_backend_matches_the_same_pinned_digest() {
     );
 }
 
-/// Thread counts the golden digest is held to. Debug builds run the
-/// scenario ~10x slower, so the matrix is trimmed there; the release
-/// sweep (scripts/verify.sh) runs the full {1, 2, 4, 8}.
-const THREAD_MATRIX: &[usize] = if cfg!(debug_assertions) {
-    &[1, 2]
-} else {
-    &[1, 2, 4, 8]
-};
+/// Thread counts the golden digest is held to.
+const THREAD_MATRIX: &[usize] = &[1, 2, 4, 8];
 
 #[test]
 fn golden_digest_holds_at_every_thread_count() {
@@ -228,7 +222,7 @@ fn golden_digest_holds_stepped_one_timestamp_at_a_time() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 2 } else { 8 }))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn golden_digest_holds_cut_at_random_instants(seed: u64) {

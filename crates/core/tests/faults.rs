@@ -13,16 +13,14 @@ use npr_core::{ms, us, Router, RouterConfig};
 use npr_sim::fault::FAULT_CLASSES;
 use npr_sim::{FaultClass, FaultPlan, XorShift64};
 
-/// Debug builds run the simulation ~10x slower; `cargo test` stays
-/// fast while the release sweep (scripts/verify.sh) runs the full
-/// 64 seeded scenarios per fault class.
-const CASES: u32 = if cfg!(debug_assertions) { 4 } else { 64 };
-const CBR_FRAMES: u64 = if cfg!(debug_assertions) { 60 } else { 150 };
-const BIG_FRAMES: u64 = if cfg!(debug_assertions) { 20 } else { 60 };
+/// Seeded scenarios per fault class.
+const CASES: u32 = 64;
+const CBR_FRAMES: u64 = 150;
+const BIG_FRAMES: u64 = 60;
 
 /// Traffic window: the CBR tails off well before this.
 fn horizon() -> npr_sim::Time {
-    ms(if cfg!(debug_assertions) { 2 } else { 4 })
+    ms(4)
 }
 
 /// Builds the shared fault scenario: two min-frame CBR ports, one port
@@ -345,7 +343,7 @@ fn decoy_payload_is_inert_without_faults() {
 fn sa_wedge_is_detected_and_reset_within_bound() {
     // SA-heavy variant of the shared scenario: a third of the traffic
     // bridges through the StrongARM so the wedge injector sees enough
-    // jobs to fire even over the short debug horizon.
+    // jobs to fire within the horizon.
     let mut cfg = RouterConfig::line_rate();
     cfg.divert_sa_permille = 300;
     let mut r = Router::new(cfg);

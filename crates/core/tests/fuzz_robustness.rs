@@ -10,10 +10,9 @@ use npr_check::prelude::*;
 use npr_core::{ms, InstallRequest, Key, Router, RouterConfig};
 use npr_sim::XorShift64;
 
-/// Debug builds run the simulation ~10x slower; scale the fuzz effort
-/// so `cargo test` stays fast while release/CI runs the full sweep.
-const CASES: u32 = if cfg!(debug_assertions) { 3 } else { 64 };
-const FRAMES: u64 = if cfg!(debug_assertions) { 120 } else { 300 };
+/// Fuzzed routers per property, and frames per router.
+const CASES: u32 = 64;
+const FRAMES: u64 = 300;
 
 fn random_frame(rng: &mut XorShift64) -> Vec<u8> {
     let class = rng.below(4);
@@ -73,7 +72,7 @@ fn garbage_traffic_case(seed: u64) -> Result<(), String> {
         .map(|i| (i * 5_000_000, random_frame(&mut rng)))
         .collect();
     r.attach_source(0, Box::new(npr_traffic::TraceSource::new(frames)));
-    r.run_until(ms(if cfg!(debug_assertions) { 25 } else { 60 }));
+    r.run_until(ms(60));
 
     // Conservation: every frame that reached the input process is
     // accounted for exactly once — forwarded, escalated, or dropped

@@ -260,7 +260,7 @@ fn report_surfaces_health_counters() {
 }
 
 /// Fresh routers per lockstep test: each must agree with the first.
-const ROUTERS: usize = if cfg!(debug_assertions) { 4 } else { 16 };
+const ROUTERS: usize = 16;
 
 /// Two forwarders on slow plane `wr`, each bound to its own flow
 /// (port p to net p + 2), given the same overrun at the same instant:

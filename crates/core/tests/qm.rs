@@ -16,8 +16,8 @@
 //! 4. A qm-enabled chaos soak over all 8 fault classes with the
 //!    conservation ledger holding.
 //!
-//! `scripts/verify.sh` runs this in release with a zero-tests-ran
-//! check and gates the release build on it.
+//! `scripts/verify.sh` fails if tier-1's run of this suite executes
+//! zero tests.
 
 use npr_check::prelude::*;
 use npr_core::qm_sched::{WheelSched, WHEEL_SLOTS};
@@ -345,8 +345,7 @@ fn qm_sweep_scenario(i: usize) -> u64 {
 fn aqm_decisions_are_thread_invariant() {
     let n = 2 * FAULT_CLASSES.len(); // every class, alternating AQMs
     let oracle = scatter(n, 1, qm_sweep_scenario);
-    let threads: &[usize] = if cfg!(debug_assertions) { &[2, 4] } else { &[2, 4, 8] };
-    for &t in threads {
+    for t in [2, 4, 8] {
         assert_eq!(
             scatter(n, t, qm_sweep_scenario),
             oracle,
@@ -379,7 +378,7 @@ fn chaos_soak_with_per_flow_queues_conserves() {
 }
 
 fn qm_chaos_soak(aqm: AqmKind) {
-    let horizon = ms(if cfg!(debug_assertions) { 2 } else { 8 });
+    let horizon = ms(8);
     let mut r = Router::new(RouterConfig::per_flow_qos(aqm));
     // Route exactly one flow (the port-3 CBR) through a StrongARM
     // forwarder so SaWedge/PciError have real jobs to corrupt, while

@@ -13,7 +13,10 @@
 //!    under a wall-clock cap; a livelock or runaway retry loop fails
 //!    loudly rather than hanging CI.
 //!
-//! `scripts/verify.sh` runs this in release as the chaos gate. The
+//! Tier-1's `cargo test` runs it once, the full 20 ms horizon at the
+//! dev profile's opt-level 1, and `scripts/verify.sh` fails if that
+//! run executes zero tests. The router runs on one thread, so unlike
+//! the fabric edition it has no `NPR_SIM_THREADS` setting. The
 //! fabric edition (the same chaos across a whole multi-chassis
 //! cluster) lives with the fabric: `crates/fabric/tests/soak.rs`.
 
@@ -23,9 +26,9 @@ use npr_core::{ms, us, InstallRequest, Key, Router, RouterConfig};
 use npr_sim::fault::FAULT_CLASSES;
 use npr_sim::{FaultClass, FaultPlan, Time};
 
-const HORIZON_MS: u64 = if cfg!(debug_assertions) { 4 } else { 20 };
-const CBR_FRAMES: u64 = if cfg!(debug_assertions) { 240 } else { 1_300 };
-const BIG_FRAMES: u64 = if cfg!(debug_assertions) { 50 } else { 300 };
+const HORIZON_MS: u64 = 20;
+const CBR_FRAMES: u64 = 1_300;
+const BIG_FRAMES: u64 = 300;
 const WALL_CAP: Duration = Duration::from_secs(90);
 
 /// Compound injection rates, scaled like `faults.rs` but with a hotter

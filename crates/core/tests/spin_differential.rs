@@ -120,7 +120,7 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
         RouterConfig::line_rate()
     };
     cfg.input_ctxs = [1, 2, 4, 8, 16][rng.below(5) as usize];
-    let end = us(if cfg!(debug_assertions) { 300 } else { 1_200 });
+    let end = us(1_200);
     let mailbox_port = rng.below(8) as usize;
     // A few ports stay silent, so the ring has long idle stretches.
     let traces: Vec<_> = (0..8)
@@ -360,7 +360,7 @@ fn run_pair(sc: &Scenario, cuts: Cuts) -> Result<u64, String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 24 }))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn compressed_matches_the_oracle_under_one_deadline(seed: u64) {
@@ -389,7 +389,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 1 } else { 4 }))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
     fn compressed_matches_the_oracle_cut_at_every_event(seed: u64) {
@@ -414,7 +414,7 @@ fn an_idle_line_rate_router_skips_most_of_its_events() {
         for p in 0..8 {
             r.attach_cbr(p, 0.10, u64::MAX, ((p + 1) % 8) as u8);
         }
-        r.run_until(us(if cfg!(debug_assertions) { 300 } else { 2_500 }));
+        r.run_until(us(2_500));
         r
     };
     let (fast, slow) = (run(true), run(false));
@@ -459,7 +459,7 @@ fn a_busy_strongarm_does_not_cut_idle_jumps_short() {
     // does, within 2 %.
     let (from, until) = (
         us(200),
-        us(if cfg!(debug_assertions) { 600 } else { 2_500 }),
+        us(2_500),
     );
     let run = |divert_sa_permille: u32, compressed: bool| {
         let mut cfg = RouterConfig::line_rate();

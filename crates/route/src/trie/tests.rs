@@ -206,9 +206,7 @@ fn a_node_id_past_the_child_field_panics() {
 }
 
 proptest! {
-    // A short route fills much of the `[24, 8]` root's 2^24 entries,
-    // which a debug build does ~10x slower.
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 64 }))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn trie_matches_naive_oracle(
         routes in npr_check::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 0..64),
@@ -306,9 +304,7 @@ fn nested_addr(bits: u8) -> u32 {
 }
 
 proptest! {
-    // As in `trie_matches_naive_oracle`, a short route fills much of the
-    // `[24, 8]` root.
-    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 64 }))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
     /// The route store against a model that shares no code with it: any
     /// history of inserts, re-inserts of installed prefixes, removals
     /// (present or not) and fills that repeat a prefix, over lengths

@@ -185,9 +185,7 @@ fn check_scenario(seed: u64) -> Result<(), String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(debug_assertions) { 16 } else { 48 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn parallel_engine_matches_sequential_oracle_on_seeded_scenarios(seed: u64) {

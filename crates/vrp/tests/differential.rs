@@ -6,8 +6,7 @@
 //!
 //! This is the compilation tier's admission gate, in the same spirit as
 //! the calendar-queue/oracle differential suite in `npr-sim`:
-//! `scripts/verify.sh` runs it explicitly and fails if it executed zero
-//! tests.
+//! `scripts/verify.sh` fails if tier-1's run of it executes zero tests.
 
 use npr_vrp::{
     analyze, compile, gen, run, Executable, RunError, RunResult, VrpBackend, VrpProgram,
