@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use npr_core::pe::PeAction;
-use npr_core::{ms, FlowKey, InstallRequest, Key, Router, RouterConfig};
+use npr_core::{ms, us, FlowKey, InstallRequest, Key, Router, RouterConfig};
 use npr_traffic::{udp_frame, CbrSource, FrameSpec, TraceSource};
 
 #[test]
@@ -561,4 +561,9 @@ fn slow_path_fragments_oversized_packets() {
     assert_eq!(frags.len(), 3);
     let whole = npr_packet::ipv4::reassemble(&frags).unwrap();
     assert_eq!(whole.len(), 1400, "payload reassembles completely");
+    // The ledger counts the two extra fragments as minted packets.
+    assert!(r.drain(us(100), 600), "failed to quiesce");
+    let c = r.conservation();
+    assert!(c.holds(), "deficit={} {c:?}", c.deficit());
+    assert_eq!((c.admitted, c.minted, c.transmitted), (1, 2, 3), "{c:?}");
 }
