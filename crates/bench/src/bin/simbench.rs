@@ -4,29 +4,32 @@
 //! `OracleQueue` reference heap, hold model on a large and on a
 //! router-shaped population), events/sec on the golden scenario,
 //! per-experiment wall-clock, and the parallel-delivery `threads` axis
-//! (fault-sweep wall-clock at 1/2/4/8 worker threads), then writes
-//! `BENCH_sim.json` — the recorded perf trajectory that later PRs must
-//! not regress. Before timing anything it runs lock-step differential
-//! checks and refuses to emit numbers from a scheduler — or a parallel
-//! sweep — that diverges from its sequential oracle.
+//! (fault-sweep wall-clock at 1/2/4/8 worker threads, and a lockstep
+//! fabric at 1 and 2), then writes `BENCH_sim.json` — the recorded
+//! perf trajectory that later PRs must not regress. Before timing
+//! anything it runs lock-step differential checks and refuses to emit
+//! numbers from a scheduler — or a parallel sweep or fabric — that
+//! diverges from its sequential oracle.
 //!
 //! ```text
 //! simbench [--quick] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks repetitions and windows for CI; `--out` writes the
-//! JSON file (without it only the text lines print). Two gates run on
-//! the published numbers and exit nonzero when they fail: the calendar
-//! queue must not lose to the heap on the router-shaped population,
-//! and on a host with at least 4 cores the parallel sweep must be at
-//! least 2x the sequential one.
+//! JSON file (without it only the text lines print). Gates run on the
+//! published numbers and exit nonzero when they fail: the calendar
+//! queue must not lose to the heap on the router-shaped population, on
+//! a host with at least 4 cores the parallel sweep must be at least 2x
+//! the sequential one, and on a host with at least 2 the lockstep
+//! fabric at 2 threads may take at most 1.5x its 1-thread wall.
 
 use std::time::Instant;
 
 use npr_bench::{gate, write_out, BENCH_WINDOW};
 use npr_check::json::{fixed, Value};
 use npr_check::obj;
-use npr_core::{ms, us, FlowKey, Key, Router, RouterConfig};
+use npr_core::{ms, us, AqmKind, FlowKey, Key, Router, RouterConfig};
+use npr_fabric::FabricConfig;
 use npr_forwarders::slow::route_updater_pe;
 use npr_sim::{CalendarQueue, OracleQueue, Time, XorShift64};
 use npr_traffic::{udp_frame, CbrSource, FrameSpec, MixSource, TraceSource};
@@ -43,6 +46,11 @@ const PENDING: usize = 8192;
 /// entry carries there.
 const ROUTER_PENDING: usize = 40;
 type RouterPayload = [u64; 3];
+
+/// Members of the `fabric_lockstep` row's spine/leaf fabric, and the
+/// simulated span each of its runs covers.
+const LOCKSTEP_CHASSIS: usize = 4;
+const LOCKSTEP_SPAN: Time = ms(2);
 
 /// A delay distribution shaped like the simulator's: mostly short
 /// compute/memory latencies within the wheel horizon, a tail of
@@ -525,6 +533,38 @@ fn main() {
     }
     println!(", best speedup {sweep_speedup_max:.2}x, bit-identical OK");
 
+    // 3d. The lockstep fabric at 1 and 2 threads over the same span:
+    //     4-chassis spine/leaf on per-flow CoDel queues, Zipf mixes on
+    //     every port. Best of three runs per count, alternating; no
+    //     wall is published unless both fingerprints match.
+    let mut lockstep = [(f64::MAX, 0, 0u64); 2];
+    for _ in 0..3 {
+        for (threads, best) in [1, 2].into_iter().zip(&mut lockstep) {
+            let mut f = npr_bench::exp_fabric::zipf_fabric(FabricConfig::spine_leaf(
+                LOCKSTEP_CHASSIS,
+                RouterConfig::per_flow_qos(AqmKind::Codel),
+            ));
+            let t0 = Instant::now();
+            let stats = f.run_lockstep(LOCKSTEP_SPAN, threads);
+            let wall = t0.elapsed().as_secs_f64() * 1e3;
+            *best = (best.0.min(wall), stats.epochs, f.fingerprint());
+        }
+    }
+    let [(seq_ms, epochs, seq_fp), (par_ms, _, par_fp)] = lockstep;
+    if par_fp != seq_fp {
+        eprintln!(
+            "simbench: LOCKSTEP FABRIC DIVERGED at 2 threads ({par_fp:016x} != {seq_fp:016x}): \
+             refusing to emit numbers"
+        );
+        std::process::exit(1);
+    }
+    let par_over_seq = fixed(par_ms / seq_ms, 3);
+    println!(
+        "lockstep fabric ({LOCKSTEP_CHASSIS} chassis, {} sim us, {epochs} epochs): \
+         1t={seq_ms:.0}ms 2t={par_ms:.0}ms, par_over_seq {par_over_seq}, bit-identical OK",
+        LOCKSTEP_SPAN / us(1)
+    );
+
     // 4. Publish: the JSON record, then the gates on the two speedups
     //    and the two event rates as it prints them.
     let (rs_speedup, sweep_speedup) = (fixed(rs_speedup, 3), fixed(sweep_speedup_max, 3));
@@ -585,6 +625,12 @@ fn main() {
                 "wall_ms" => sweep_walls.iter().map(|&w| fixed(w, 1)).collect::<Value>(),
                 "speedup_max" => sweep_speedup.clone(), "bit_identical" => true,
             },
+            "fabric_lockstep" => obj! {
+                "chassis" => LOCKSTEP_CHASSIS, "span_us" => LOCKSTEP_SPAN / us(1),
+                "threads" => [1usize, 2].into_iter().collect::<Value>(),
+                "wall_ms" => [seq_ms, par_ms].map(|w| fixed(w, 1)).into_iter().collect::<Value>(),
+                "epochs" => epochs, "par_over_seq" => par_over_seq.clone(), "bit_identical" => true,
+            },
         },
         "experiments" => experiments.collect::<Value>(),
     };
@@ -592,6 +638,7 @@ fn main() {
 
     gate(calendar_gate(&rs_speedup));
     gate(sweep_gate(&sweep_speedup, host_cores));
+    gate(lockstep_gate(&par_over_seq, host_cores));
     gate(sa_busy_gate(&sa_busy_rate, &idle_rate));
 }
 
@@ -646,6 +693,24 @@ fn sweep_gate(speedup: &Value, host_cores: usize) -> Result<String, String> {
     }
 }
 
+/// On a host with at least 2 cores the lockstep fabric at 2 threads
+/// may take at most 1.5x the wall of its 1-thread run: a threaded run
+/// that pays more for its barriers than it gains from its workers is
+/// a defect of the engine. A 1-core host can only lose, so there the
+/// ratio is printed, not judged. `par_over_seq` as published.
+fn lockstep_gate(par_over_seq: &Value, host_cores: usize) -> Result<String, String> {
+    if host_cores >= 2 && par_over_seq.as_f64() > 1.5 {
+        Err(format!(
+            "lockstep fabric at 2 threads takes {par_over_seq}x its 1-thread wall \
+             (> 1.5x) on {host_cores} cores"
+        ))
+    } else {
+        Ok(format!(
+            "lockstep fabric: par_over_seq={par_over_seq}x on {host_cores} host cores"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,5 +751,23 @@ mod tests {
         assert_eq!(sweep_gate(&fixed(1.47, 3), 2).unwrap(), ok);
         let slow = "parallel fault-sweep speedup 1.900x < 2x on 4 cores";
         assert_eq!(sweep_gate(&fixed(1.9, 3), 4).unwrap_err(), slow);
+    }
+
+    #[test]
+    fn lockstep_gate_judges_only_hosts_with_two_cores() {
+        let ok = "lockstep fabric: par_over_seq=0.870x on 2 host cores";
+        assert_eq!(lockstep_gate(&fixed(0.87, 3), 2).unwrap(), ok);
+        // Workers spawned at every epoch barrier read ~2.2.
+        let slow =
+            "lockstep fabric at 2 threads takes 2.200x its 1-thread wall (> 1.5x) on 2 cores";
+        assert_eq!(lockstep_gate(&fixed(2.2, 3), 2).unwrap_err(), slow);
+        assert!(
+            lockstep_gate(&fixed(2.2, 3), 1).is_ok(),
+            "1 core: printed only"
+        );
+        assert!(
+            lockstep_gate(&fixed(1.5004, 3), 2).is_ok(),
+            "judged as printed: 1.500"
+        );
     }
 }

@@ -85,14 +85,12 @@ pub struct FabricResult {
     pub soak: Vec<FabricSoakPoint>,
 }
 
-fn build(topology: Topology, n: usize) -> Fabric {
-    let base = RouterConfig::line_rate();
-    let cfg = match topology {
+fn config(topology: Topology, n: usize, base: RouterConfig) -> FabricConfig {
+    match topology {
         Topology::SingleSwitch => FabricConfig::single_switch(n, base),
         Topology::Ring => FabricConfig::ring(n, base),
         Topology::SpineLeaf { .. } => FabricConfig::spine_leaf(n, base),
-    };
-    Fabric::new(cfg)
+    }
 }
 
 /// Destination universe spanning every member's subnets: 16 hosts per
@@ -104,15 +102,11 @@ fn fabric_dsts(n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// One scaling measurement: Zipf mixes on every external port of every
-/// member, warmup, then a marked window under the lockstep engine.
-pub fn fabric_scale_point(
-    topology: Topology,
-    n: usize,
-    warmup: Time,
-    window: Time,
-) -> FabricScalePoint {
-    let mut f = build(topology, n);
+/// The fabric `cfg` describes with a Zipf mix on every external port of
+/// every member, addressed across every member's subnets.
+pub fn zipf_fabric(cfg: FabricConfig) -> Fabric {
+    let n = cfg.members.len();
+    let mut f = Fabric::new(cfg);
     let dsts = fabric_dsts(n);
     for k in 0..n {
         for p in 0..8 {
@@ -129,6 +123,18 @@ pub fn fabric_scale_point(
             );
         }
     }
+    f
+}
+
+/// One scaling measurement: Zipf mixes on every external port of every
+/// member, warmup, then a marked window under the lockstep engine.
+pub fn fabric_scale_point(
+    topology: Topology,
+    n: usize,
+    warmup: Time,
+    window: Time,
+) -> FabricScalePoint {
+    let mut f = zipf_fabric(config(topology, n, RouterConfig::line_rate()));
     let threads = n.min(8);
     f.run_lockstep(warmup, threads);
     f.mark();
@@ -190,12 +196,7 @@ pub fn fabric_soak_point(topology: Topology, n: usize, horizon: Time) -> FabricS
     // injectors have real targets (same diversion as the soak tests).
     base.divert_sa_permille = 100;
     base.divert_pe_permille = 30;
-    let cfg = match topology {
-        Topology::SingleSwitch => FabricConfig::single_switch(n, base),
-        Topology::Ring => FabricConfig::ring(n, base),
-        Topology::SpineLeaf { .. } => FabricConfig::spine_leaf(n, base),
-    };
-    let mut f = Fabric::new(cfg);
+    let mut f = Fabric::new(config(topology, n, base));
     for k in 0..n {
         let dst_net = (((k + 1) % n) * 8) as u8;
         f.member_mut(k).attach_source(

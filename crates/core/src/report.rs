@@ -125,7 +125,8 @@ pub struct Conservation {
     pub no_route_drops: u64,
     /// Post-admission buffer-lap losses.
     pub lap_losses: u64,
-    /// StrongARM forwarder rejections.
+    /// StrongARM local-path drops: forwarder rejections and DF-set
+    /// datagrams over the fragment MTU.
     pub sa_fwdr_drops: u64,
     /// Pentium forwarder drops.
     pub pe_drops: u64,
@@ -276,7 +277,7 @@ impl Router {
     /// clock, full conservation ledger, per-port tx/drop counts,
     /// lifetime control-plane accounting, and lifetime health decisions
     /// (including the quarantine order). Two runs of the same scenario
-    /// under different delivery strategies must agree on this exactly —
+    /// at different delivery thread counts must agree on this exactly —
     /// it is the equality the parallel differential suites assert, one
     /// number per router instead of a field-by-field walk.
     pub fn fingerprint(&self) -> u64 {

@@ -556,8 +556,9 @@ impl StrongArm {
                         bus.world.counters.sa_local_done.inc();
                         return;
                     }
-                    // DF set or unfragmentable: drop.
-                    bus.world.counters.validation_drops.inc();
+                    // DF set or unfragmentable: the local path drops
+                    // an admitted packet, a fate on the ledger.
+                    bus.world.counters.sa_fwdr_drops.inc();
                     return;
                 }
             }

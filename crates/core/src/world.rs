@@ -139,8 +139,9 @@ pub struct Counters {
     /// corrupted). An MP-level ledger: the packet-level drop was
     /// already counted where the first MP died.
     pub orphan_mp_drops: Counter,
-    /// Packets discarded by a StrongARM-local forwarder returning
-    /// `false` (the forwarder consumed or rejected the packet).
+    /// Packets the StrongARM's local path discarded: a local forwarder
+    /// returned `false` (it consumed or rejected the packet), or the
+    /// datagram needed fragmenting and could not be cut (DF set).
     pub sa_fwdr_drops: Counter,
     /// Packets a Pentium forwarder explicitly dropped.
     pub pe_drops: Counter,

@@ -496,10 +496,10 @@ fn tracer_follows_the_pentium_path() {
     );
 }
 
-#[test]
-fn slow_path_fragments_oversized_packets() {
-    // MTU 576 on the egress: a 1400-byte datagram escalates via the
-    // IP-- MTU check and the StrongARM fragments it.
+/// MTU 576 on the egress and one 1420-byte datagram offered, DF set
+/// or clear, run for 3 ms: the datagram escalates via the IP-- MTU
+/// check and the StrongARM fragments it, or drops it if DF is set.
+fn one_oversized_datagram(df: bool) -> Router {
     let mut r = Router::new(RouterConfig::line_rate());
     r.world.fragment_mtu = Some(576);
     let fid = r
@@ -526,13 +526,18 @@ fn slow_path_fragments_oversized_packets() {
         },
         &[],
     );
-    // Clear DF so fragmentation is allowed.
     let mut ip = npr_packet::Ipv4Header::parse(&frame[14..]).unwrap();
-    ip.flags_frag = 0;
+    ip.flags_frag = if df { 0x4000 } else { 0 };
     ip.write(&mut frame[14..]);
 
     r.attach_source(0, Box::new(TraceSource::new(vec![(0, frame)])));
     r.run_until(ms(3));
+    r
+}
+
+#[test]
+fn slow_path_fragments_oversized_packets() {
+    let mut r = one_oversized_datagram(false);
 
     // Three fragments of <= 576 bytes each left on port 3.
     let tx = r.ixp.hw.ports[3].tx_frames;
@@ -566,4 +571,16 @@ fn slow_path_fragments_oversized_packets() {
     let c = r.conservation();
     assert!(c.holds(), "deficit={} {c:?}", c.deficit());
     assert_eq!((c.admitted, c.minted, c.transmitted), (1, 2, 3), "{c:?}");
+
+    // DF set: the StrongARM may not cut it, and the drop is on the
+    // ledger like any other fate of an admitted packet.
+    let mut r = one_oversized_datagram(true);
+    assert!(r.drain(us(100), 600), "DF-set datagram: failed to quiesce");
+    let c = r.conservation();
+    assert!(c.holds(), "deficit={} {c:?}", c.deficit());
+    assert_eq!(
+        (c.admitted, c.minted, c.transmitted, c.drops()),
+        (1, 0, 0, 1),
+        "{c:?}"
+    );
 }

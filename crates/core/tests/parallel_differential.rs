@@ -3,9 +3,9 @@
 //! produce exactly the fingerprints of the sequential sweep — the
 //! equality the parallel fault-sweep benchmark rests on.
 //!
-//! The fabric-level twin (whole multi-chassis fabrics under the
-//! `Parallel` strategy across the full fault corpus) lives with the
-//! fabric itself: `crates/fabric/tests/parallel_differential.rs`.
+//! The fabric-level twin (whole multi-chassis fabrics run threaded
+//! across the full fault corpus) lives with the fabric itself:
+//! `crates/fabric/tests/parallel_differential.rs`.
 //!
 //! `scripts/verify.sh` fails if tier-1's run of this suite executes
 //! zero tests, like the other differential gates.

@@ -16,9 +16,9 @@
 //! Tier-1's `cargo test` runs it once, the full 20 ms horizon at the
 //! dev profile's opt-level 1, and `scripts/verify.sh` fails if that
 //! run executes zero tests. The router runs on one thread, so unlike
-//! the fabric edition it has no `NPR_SIM_THREADS` setting. The
-//! fabric edition (the same chaos across a whole multi-chassis
-//! cluster) lives with the fabric: `crates/fabric/tests/soak.rs`.
+//! the fabric edition it has no threaded pass. The fabric edition (the
+//! same chaos across a whole multi-chassis cluster, at 1 and 3
+//! threads) lives with the fabric: `crates/fabric/tests/soak.rs`.
 
 use std::time::{Duration, Instant};
 

@@ -512,10 +512,11 @@ impl Fabric {
     }
 
     /// Runs the whole fabric until `t` under the conservative parallel
-    /// engine: epoch grid = the link latency (the cross-chassis
-    /// lookahead; serialization on a finite-capacity link only pushes
-    /// arrivals later), `threads` ≤ 1 selects the lock-step sequential
-    /// oracle, larger counts the `Parallel` strategy.
+    /// engine (`npr_sim::run_threads`): epoch grid = the link latency
+    /// (the cross-chassis lookahead; serialization on a finite-capacity
+    /// link only pushes arrivals later). `threads` ≤ 1 is the lock-step
+    /// sequential oracle; a larger count advances the members on up to
+    /// that many threads, whose workers live for this one call.
     ///
     /// Bit-identical at every thread count, and however the span up to
     /// `t` is cut into calls (each call ends in a barrier at its `t`) —

@@ -1,8 +1,8 @@
 //! Fabric-level lock-step differential for the parallel delivery
-//! engine: a multi-chassis fabric run under `Parallel` at threads
-//! {2, 4, 8} must be bit-identical to the single-threaded sequential
-//! oracle — same packet counts and digests (via [`Router::fingerprint`]
-//! folded into `Fabric::fingerprint`), same drop ledgers, same health
+//! engine: a multi-chassis fabric run at threads {2, 4, 8} must be
+//! bit-identical to the single-threaded sequential oracle — same
+//! packet counts and digests (via [`Router::fingerprint`] folded into
+//! `Fabric::fingerprint`), same drop ledgers, same health
 //! decisions (including the order of quarantines), across the full
 //! 8-class fault corpus and every topology. The engine-level twin
 //! (`crates/sim/tests/parallel_differential.rs`) isolates the engine;

@@ -37,8 +37,9 @@ const CASES: u32 = 2;
 /// Random cuts per segment (before the failure, while the link is
 /// down, after the restore).
 const CUTS: u64 = 24;
-/// Timestamps the parallel strategies step one at a time (they spawn
-/// their workers per barrier; the sequential oracle steps them all).
+/// Timestamps the threaded runs step one at a time: each fine slice is
+/// one `run_lockstep` call, and each call spawns its own workers (the
+/// one-thread oracle spawns none and steps them all).
 const PAR_STEPS: u64 = 3_000;
 
 /// What a scenario is, apart from how it is sliced.

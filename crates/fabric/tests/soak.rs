@@ -1,20 +1,19 @@
 //! Chaos soak, fabric edition: a 3-chassis fabric with every fault
-//! class armed on every member, run under the lockstep engine at the
-//! thread count named by `NPR_SIM_THREADS` (default 1). The properties
-//! of the single-router soak (`crates/core/tests/soak.rs`) must hold
+//! class armed on every member, run under the lockstep engine at 1
+//! thread and again at 3 (one thread per chassis). The properties of
+//! the single-router soak (`crates/core/tests/soak.rs`) must hold
 //! cluster-wide:
 //!
 //! 1. **Conservation** — per-member ledgers and the whole-fabric switch
 //!    equations balance, no matter what was injected.
 //! 2. **Detection** — at least one wedge trips a member's watchdog.
-//! 3. **Thread invariance** — when run threaded, the fingerprint must
-//!    match an in-process sequential oracle.
-//! 4. **Termination** — the run (including the final drain) completes
-//!    under a wall-clock cap.
+//! 3. **Thread invariance** — the threaded run's fingerprint must
+//!    match the sequential oracle's, in-process.
+//! 4. **Termination** — both runs (and the final drain) complete under
+//!    a wall-clock cap.
 //!
-//! Tier-1's `cargo test` runs it at the default of 1 thread, and
-//! `scripts/verify.sh` runs it once more at the host's thread ceiling
-//! (capped at 8).
+//! Tier-1's `cargo test` runs it once; the audits read the threaded
+//! run.
 
 use std::time::{Duration, Instant};
 
@@ -26,6 +25,8 @@ use npr_sim::{FaultClass, FaultPlan, Time};
 const HORIZON_MS: u64 = 20;
 const CBR_FRAMES: u64 = 1_300;
 const WALL_CAP: Duration = Duration::from_secs(90);
+/// Lockstep threads of the threaded run: one per chassis.
+const THREADS: usize = 3;
 
 /// Compound injection rates, matching the single-router soak.
 fn rate_for(class: FaultClass) -> u32 {
@@ -39,20 +40,6 @@ fn rate_for(class: FaultClass) -> u32 {
         FaultClass::PciError => 50_000,
         FaultClass::SaWedge => 30_000,
     }
-}
-
-/// Lockstep thread count from `NPR_SIM_THREADS` (default 1).
-/// Tier-1 runs this suite at the default; `scripts/verify.sh` runs it
-/// again at the host's thread ceiling, so the same chaos scenario soaks
-/// both under the sequential oracle and under the parallel engine —
-/// and the parallel run is additionally checked against the oracle
-/// fingerprint in-process.
-fn lockstep_threads() -> usize {
-    std::env::var("NPR_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// A 3-chassis single-switch fabric with ring cross-traffic, local
@@ -99,29 +86,27 @@ fn chaos_fabric() -> Fabric {
     f
 }
 
-#[test]
-fn chaos_soak_fabric_lockstep_is_thread_invariant_and_conserves() {
-    let wall = Instant::now();
-    let threads = lockstep_threads();
+/// The chaos fabric run to the horizon and through a grace window at
+/// `threads`.
+fn soaked(threads: usize) -> Fabric {
     let horizon: Time = ms((HORIZON_MS / 2).max(2));
-    let grace = horizon + us(200);
-
     let mut f = chaos_fabric();
     f.run_lockstep(horizon, threads);
     // Grace window: let in-flight switch traffic land before auditing.
-    f.run_lockstep(grace, threads);
-    let fp = f.fingerprint();
+    f.run_lockstep(horizon + us(200), threads);
+    f
+}
 
-    if threads != 1 {
-        let mut oracle = chaos_fabric();
-        oracle.run_lockstep(horizon, 1);
-        oracle.run_lockstep(grace, 1);
-        assert_eq!(
-            fp,
-            oracle.fingerprint(),
-            "lockstep at {threads} threads diverged from the sequential oracle"
-        );
-    }
+#[test]
+fn chaos_soak_fabric_lockstep_is_thread_invariant_and_conserves() {
+    let wall = Instant::now();
+    let oracle = soaked(1).fingerprint();
+    let mut f = soaked(THREADS);
+    assert_eq!(
+        f.fingerprint(),
+        oracle,
+        "lockstep at {THREADS} threads diverged from the sequential oracle"
+    );
 
     let injected: u64 = f
         .members()

@@ -4,14 +4,14 @@
 //! The engine here parallelizes a simulation that has been partitioned
 //! into [`Shard`]s — independently steppable sequential sub-simulations
 //! (one chassis of a fabric, one scenario of a sweep) that interact
-//! only through timestamped cross-shard messages. Two pieces compose,
-//! following the routing/delivery split idiom: the epoch engine
-//! ([`run`]) decides *when* each shard may safely advance and *where*
-//! each message goes; a swappable [`Delivery`] strategy decides
-//! *sequential vs parallel* execution of the independent per-epoch
-//! work. [`Sequential`] is the lock-step oracle; [`Parallel`] fans the
-//! same work out over `std::thread` workers. Both must produce
-//! bit-identical results — the differential suites
+//! only through timestamped cross-shard messages. [`run_threads`] is
+//! the one entry: it decides *when* each shard may safely advance and
+//! *where* each message goes, and the thread count decides only which
+//! thread advances which shard. At one thread every shard advances on
+//! the calling thread — the lock-step oracle; at more, contiguous
+//! chunks of shards advance on scoped `std::thread` workers that live
+//! for the whole call. Every thread count must produce bit-identical
+//! results — the differential suites
 //! (`crates/sim/tests/parallel_differential.rs` and
 //! `crates/core/tests/parallel_differential.rs`) hold them to it.
 //!
@@ -50,14 +50,15 @@
 //! 2. Outboxes are indexed by *source shard*, not by completion order,
 //!    so the set of emitted messages is identified the same way no
 //!    matter which worker finished first.
-//! 3. At the barrier, messages are merged and delivered in
-//!    `(arrival, source shard, emission seq)` order — a total order
-//!    built entirely from simulation-assigned keys. Two same-timestamp
-//!    messages from different shards can therefore never reorder, and
-//!    the destination's own `(at, seq)` FIFO numbering (assigned at
-//!    delivery) is reproducible.
+//! 3. At the barrier, back on the calling thread, messages are merged
+//!    and delivered in `(arrival, source shard, emission seq)` order —
+//!    a total order built entirely from simulation-assigned keys. Two
+//!    same-timestamp messages from different shards can therefore
+//!    never reorder, and the destination's own `(at, seq)` FIFO
+//!    numbering (assigned at delivery) is reproducible.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread;
 
 use crate::time::Time;
@@ -66,8 +67,8 @@ use crate::time::Time;
 ///
 /// A shard owns its own event queue and state; it interacts with other
 /// shards only through timestamped messages routed by the epoch engine.
-/// `Send` is required so the [`Parallel`] strategy may execute a shard
-/// on a worker thread; a shard is only ever touched by one thread at a
+/// `Send` is required so [`run_threads`] may lend a shard to a worker
+/// thread for an epoch; a shard is only ever touched by one thread at a
 /// time.
 pub trait Shard: Send {
     /// The cross-shard message type.
@@ -125,94 +126,8 @@ impl<M> Outbox<M> {
     }
 }
 
-/// A delivery strategy: how one epoch's worth of independent shard work
-/// is executed. Implementations must call `advance(horizon, outbox)`
-/// exactly once per shard, pairing shard `i` with `outboxes[i]`; they
-/// choose only *where* (which thread) each call runs.
-pub trait Delivery {
-    /// Executes one epoch: every shard advances to `horizon`.
-    fn epoch<S: Shard>(
-        &mut self,
-        shards: &mut [S],
-        horizon: Time,
-        outboxes: &mut [Outbox<S::Msg>],
-    );
-
-    /// Worker count this strategy uses (1 for the sequential oracle).
-    fn threads(&self) -> usize;
-}
-
-/// The lock-step sequential oracle: shards advance one at a time in
-/// index order on the calling thread. Every parallel run is required
-/// to be bit-identical to this strategy (DESIGN.md §13) — the same
-/// differential policy as the calendar queue's `OracleQueue` and the
-/// VRP compiler's interpreter tier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sequential;
-
-impl Delivery for Sequential {
-    fn epoch<S: Shard>(
-        &mut self,
-        shards: &mut [S],
-        horizon: Time,
-        outboxes: &mut [Outbox<S::Msg>],
-    ) {
-        for (s, out) in shards.iter_mut().zip(outboxes.iter_mut()) {
-            s.advance(horizon, out);
-        }
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-}
-
-/// Conservative parallel delivery: shards are split into contiguous
-/// chunks, one scoped `std::thread` worker per chunk. Hermetic — no
-/// thread pool dependency; workers live for one epoch, which keeps the
-/// strategy trivially free of cross-epoch thread state. Chunking is by
-/// index, so the shard-to-worker map is deterministic too (it cannot
-/// affect results either way, but it keeps wall-clock reproducible).
-#[derive(Debug, Clone, Copy)]
-pub struct Parallel {
-    threads: usize,
-}
-
-impl Parallel {
-    /// A strategy over `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl Delivery for Parallel {
-    fn epoch<S: Shard>(
-        &mut self,
-        shards: &mut [S],
-        horizon: Time,
-        outboxes: &mut [Outbox<S::Msg>],
-    ) {
-        let per = shards.len().div_ceil(self.threads).max(1);
-        thread::scope(|scope| {
-            for (sh, ob) in shards.chunks_mut(per).zip(outboxes.chunks_mut(per)) {
-                scope.spawn(move || {
-                    for (s, out) in sh.iter_mut().zip(ob.iter_mut()) {
-                        s.advance(horizon, out);
-                    }
-                });
-            }
-        });
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// Counters describing one [`run`] (progress evidence for tests and
-/// benches; not part of the simulated state).
+/// Counters describing one [`run_threads`] call (progress evidence for
+/// tests and benches; not part of the simulated state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Epochs executed (barriers crossed).
@@ -221,8 +136,27 @@ pub struct EngineStats {
     pub delivered: u64,
 }
 
-/// Runs `shards` under delivery strategy `d` until every event with
+/// A contiguous run of shards and their outboxes: the unit one thread
+/// advances in an epoch.
+type Chunk<'a, S> = (&'a mut [S], &'a mut [Outbox<<S as Shard>::Msg>]);
+
+fn advance<S: Shard>((shards, outboxes): &mut Chunk<'_, S>, horizon: Time) {
+    for (s, out) in shards.iter_mut().zip(outboxes.iter_mut()) {
+        s.advance(horizon, out);
+    }
+}
+
+/// Runs `shards` on up to `threads` threads until every event with
 /// timestamp `<= until` has executed.
+///
+/// The shards are cut by index into at most `threads` contiguous
+/// chunks. The calling thread advances the first; each other chunk has
+/// one scoped worker for the whole call, which is lent its chunk over a
+/// channel at every epoch and hands it back. Merge, delivery and
+/// `flush` run on the calling thread between epochs. `0` or `1` thread
+/// is one chunk, no worker and no channel: the lock-step oracle. The
+/// count is the caller's argument (`Fabric::run_lockstep(t, threads)`
+/// passes its own through); no configuration field carries it.
 ///
 /// `lookahead` is the epoch grid width in picoseconds; it must not
 /// exceed the minimum cross-shard link latency (see the module docs for
@@ -232,92 +166,116 @@ pub struct EngineStats {
 ///
 /// # Panics
 ///
-/// Panics if `lookahead` is zero, or if a shard emits a message that
+/// Panics if `lookahead` is zero, if a shard emits a message that
 /// arrives at or before the horizon it was emitted under (a lookahead
-/// violation — the model's cross-shard latency floor is wrong).
-pub fn run<D: Delivery, S: Shard>(
-    d: &mut D,
-    shards: &mut [S],
-    lookahead: Time,
-    until: Time,
-) -> EngineStats {
-    assert!(lookahead > 0, "lookahead must be positive");
-    let mut stats = EngineStats::default();
-    // One outbox per source shard and one merge buffer, drained and
-    // reused at every barrier: the lockstep path allocates only while
-    // an epoch's traffic exceeds every earlier epoch's.
-    let mut outboxes: Vec<Outbox<S::Msg>> = (0..shards.len()).map(|_| Outbox::new()).collect();
-    let mut merged: Vec<(Time, usize, usize, usize, S::Msg)> = Vec::new();
-    loop {
-        // Globally earliest pending event; index order makes the min
-        // deterministic (ties collapse to the same value anyway).
-        let Some(earliest) = shards.iter().filter_map(Shard::next_time).min() else {
-            break;
-        };
-        if earliest > until {
-            break;
-        }
-        // Smallest grid multiple at or after `earliest`, capped at
-        // `until` (a short final epoch is always safe — shrinking an
-        // epoch only strengthens the lookahead guarantee).
-        let horizon = earliest
-            .div_ceil(lookahead)
-            .saturating_mul(lookahead)
-            .min(until);
-
-        d.epoch(shards, horizon, &mut outboxes);
-        stats.epochs += 1;
-
-        // Barrier: merge every outbox into (arrival, src, emission-seq)
-        // order — a total order over simulation-assigned keys, so the
-        // destination sees the same delivery sequence no matter which
-        // worker finished first (the cross-shard tie-break audit lives
-        // in the parallel differential suites).
-        for (src, out) in outboxes.iter_mut().enumerate() {
-            for (emit, (dest, at, msg)) in out.msgs.drain(..).enumerate() {
-                assert!(
-                    at > horizon,
-                    "lookahead violation: shard {src} emitted a message arriving at \
-                     {at} ps, at or before the epoch horizon {horizon} ps \
-                     (lookahead {lookahead} ps exceeds the real link latency)"
-                );
-                assert!(
-                    dest < shards.len(),
-                    "shard {src} addressed nonexistent shard {dest}"
-                );
-                merged.push((at, src, emit, dest, msg));
-            }
-        }
-        merged.sort_by_key(|&(at, src, emit, _, _)| (at, src, emit));
-        for (at, _, _, dest, msg) in merged.drain(..) {
-            shards[dest].deliver(at, msg);
-            stats.delivered += 1;
-        }
-        for s in shards.iter_mut() {
-            s.flush(horizon);
-        }
-    }
-    stats
-}
-
-/// Runs `shards` with the strategy a thread count selects: `0` or `1`
-/// is the [`Sequential`] oracle, anything larger is [`Parallel`]. The
-/// count is the caller's argument (`Fabric::run_lockstep(t, threads)`
-/// passes its own through); no configuration field carries it.
+/// violation — the model's cross-shard latency floor is wrong), or if
+/// a shard panics on a worker.
 pub fn run_threads<S: Shard>(
     threads: usize,
     shards: &mut [S],
     lookahead: Time,
     until: Time,
 ) -> EngineStats {
-    if threads <= 1 {
-        run(&mut Sequential, shards, lookahead, until)
-    } else {
-        run(&mut Parallel::new(threads), shards, lookahead, until)
-    }
+    assert!(lookahead > 0, "lookahead must be positive");
+    let n = shards.len();
+    let mut stats = EngineStats::default();
+    // One outbox per source shard and one merge buffer, drained and
+    // reused at every barrier: the lockstep path allocates only while
+    // an epoch's traffic exceeds every earlier epoch's.
+    let mut outboxes: Vec<Outbox<S::Msg>> = (0..n).map(|_| Outbox::new()).collect();
+    let mut merged: Vec<(Time, usize, usize, usize, S::Msg)> = Vec::new();
+    let per = n.div_ceil(threads.max(1)).max(1);
+    let mut chunks: Vec<Chunk<'_, S>> = shards
+        .chunks_mut(per)
+        .zip(outboxes.chunks_mut(per))
+        .collect();
+    thread::scope(|scope| {
+        // The channels live inside the scope, so a panic on this thread
+        // drops them and every idle worker's loop ends before the scope
+        // joins it. One thread is one chunk: no worker, no channel.
+        let workers: Vec<_> = (1..chunks.len())
+            .map(|_| {
+                let (lend, lent) = mpsc::channel::<(Time, Chunk<'_, S>)>();
+                let (give_back, given_back) = mpsc::channel();
+                scope.spawn(move || {
+                    for (horizon, mut chunk) in lent {
+                        advance(&mut chunk, horizon);
+                        if give_back.send(chunk).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (lend, given_back)
+            })
+            .collect();
+        loop {
+            // Globally earliest pending event; index order makes the min
+            // deterministic (ties collapse to the same value anyway).
+            let earliest = chunks
+                .iter()
+                .filter_map(|(sh, _)| sh.iter().filter_map(Shard::next_time).min())
+                .min();
+            let Some(earliest) = earliest else {
+                break;
+            };
+            if earliest > until {
+                break;
+            }
+            // Smallest grid multiple at or after `earliest`, capped at
+            // `until` (a short final epoch is always safe — shrinking an
+            // epoch only strengthens the lookahead guarantee).
+            let horizon = earliest
+                .div_ceil(lookahead)
+                .saturating_mul(lookahead)
+                .min(until);
+
+            let (first, rest) = chunks
+                .split_first_mut()
+                .expect("a pending event has a shard");
+            for ((lend, _), chunk) in workers.iter().zip(rest.iter_mut()) {
+                lend.send((horizon, std::mem::take(chunk)))
+                    .expect("a delivery worker panicked");
+            }
+            advance(first, horizon);
+            for ((_, given_back), chunk) in workers.iter().zip(rest.iter_mut()) {
+                *chunk = given_back.recv().expect("a delivery worker panicked");
+            }
+            stats.epochs += 1;
+
+            // Barrier: merge every outbox into (arrival, src, emission-seq)
+            // order — a total order over simulation-assigned keys, so the
+            // destination sees the same delivery sequence no matter which
+            // worker finished first (the cross-shard tie-break audit lives
+            // in the parallel differential suites).
+            for (c, (_, ob)) in chunks.iter_mut().enumerate() {
+                for (j, out) in ob.iter_mut().enumerate() {
+                    let src = c * per + j;
+                    for (emit, (dest, at, msg)) in out.msgs.drain(..).enumerate() {
+                        assert!(
+                            at > horizon,
+                            "lookahead violation: shard {src} emitted a message arriving at \
+                             {at} ps, at or before the epoch horizon {horizon} ps \
+                             (lookahead {lookahead} ps exceeds the real link latency)"
+                        );
+                        assert!(dest < n, "shard {src} addressed nonexistent shard {dest}");
+                        merged.push((at, src, emit, dest, msg));
+                    }
+                }
+            }
+            merged.sort_by_key(|&(at, src, emit, _, _)| (at, src, emit));
+            for (at, _, _, dest, msg) in merged.drain(..) {
+                chunks[dest / per].0[dest % per].deliver(at, msg);
+                stats.delivered += 1;
+            }
+            for (sh, _) in chunks.iter_mut() {
+                sh.iter_mut().for_each(|s| s.flush(horizon));
+            }
+        }
+    });
+    stats
 }
 
-/// Host parallelism available to delivery strategies (1 when the
+/// Host parallelism available to the engine (1 when the
 /// platform cannot say). The CI gate uses this to decide whether a
 /// wall-clock speedup is even physically possible on the host.
 pub fn auto_threads() -> usize {
@@ -462,23 +420,49 @@ mod tests {
     fn parallel_matches_the_sequential_oracle() {
         let until = 50_000_000;
         let mut seq = build(5, 0xA5);
-        let s_stats = run(&mut Sequential, &mut seq, LINK_PS, until);
+        let s_stats = run_threads(1, &mut seq, LINK_PS, until);
         for threads in [2, 4, 8] {
             let mut par = build(5, 0xA5);
-            let p_stats = run(&mut Parallel::new(threads), &mut par, LINK_PS, until);
+            let p_stats = run_threads(threads, &mut par, LINK_PS, until);
             assert_eq!(fingerprint(&seq), fingerprint(&par), "threads={threads}");
             assert_eq!(s_stats, p_stats, "threads={threads}");
         }
         assert!(s_stats.delivered > 0, "the model never crossed a shard");
     }
 
+    /// Panics in `advance` at its `at`-th call, with nothing to say
+    /// before that.
+    struct Faulty {
+        calls: u32,
+        at: Option<u32>,
+    }
+
+    impl Faulty {
+        fn new(at: Option<u32>) -> Self {
+            Self { calls: 0, at }
+        }
+    }
+
+    impl Shard for Faulty {
+        type Msg = ();
+        fn next_time(&self) -> Option<Time> {
+            Some(Time::from(self.calls) * LINK_PS + 1)
+        }
+        fn advance(&mut self, _horizon: Time, _out: &mut Outbox<()>) {
+            self.calls += 1;
+            assert_ne!(Some(self.calls), self.at, "shard failed in advance");
+        }
+        fn deliver(&mut self, _at: Time, _msg: ()) {}
+    }
+
     #[test]
-    fn run_threads_selects_oracle_at_one() {
-        let mut a = build(3, 9);
-        let mut b = build(3, 9);
-        run_threads(1, &mut a, LINK_PS, 10_000_000);
-        run(&mut Sequential, &mut b, LINK_PS, 10_000_000);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
+    #[should_panic(expected = "a delivery worker panicked")]
+    fn a_shard_panicking_on_a_worker_fails_the_run() {
+        // Shard 1 is the second chunk's at threads 2, so it fails on
+        // the worker, three epochs in: the run must panic, not wait
+        // forever for the chunk to come back.
+        let mut shards = [Faulty::new(None), Faulty::new(Some(3))];
+        run_threads(2, &mut shards, LINK_PS, 10 * LINK_PS);
     }
 
     #[test]
@@ -500,36 +484,48 @@ mod tests {
         q.schedule(5, ());
         q.schedule(1_000_000_000_000, ());
         let mut shards = [Sparse(q)];
-        let stats = run(&mut Sequential, &mut shards, LINK_PS, 2_000_000_000_000);
+        let stats = run_threads(1, &mut shards, LINK_PS, 2_000_000_000_000);
         assert!(stats.epochs <= 2, "epochs {}", stats.epochs);
         assert!(shards[0].0.is_empty());
+    }
+
+    /// Unless already spent, emits one message that arrives at the
+    /// horizon instead of beyond it.
+    struct Cheater(bool);
+
+    impl Shard for Cheater {
+        type Msg = ();
+        fn next_time(&self) -> Option<Time> {
+            (!self.0).then_some(10)
+        }
+        fn advance(&mut self, horizon: Time, out: &mut Outbox<()>) {
+            if !self.0 {
+                self.0 = true;
+                out.send(0, horizon, ());
+            }
+        }
+        fn deliver(&mut self, _at: Time, _msg: ()) {}
     }
 
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn too_cheap_a_link_is_a_loud_failure() {
-        struct Cheater(bool);
-        impl Shard for Cheater {
-            type Msg = ();
-            fn next_time(&self) -> Option<Time> {
-                (!self.0).then_some(10)
-            }
-            fn advance(&mut self, horizon: Time, out: &mut Outbox<()>) {
-                self.0 = true;
-                // Arrives at the horizon instead of beyond it.
-                out.send(0, horizon, ());
-            }
-            fn deliver(&mut self, _at: Time, _msg: ()) {}
-        }
-        let mut shards = [Cheater(false)];
-        run(&mut Sequential, &mut shards, LINK_PS, 10_000_000);
+        run_threads(1, &mut [Cheater(false)], LINK_PS, 10_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation: shard 1")]
+    fn too_cheap_a_link_on_a_worker_is_a_loud_failure() {
+        // Shard 1 advances on the worker; the check is the same merge.
+        let mut shards = [Cheater(true), Cheater(false)];
+        run_threads(2, &mut shards, LINK_PS, 10_000_000);
     }
 
     #[test]
     fn same_timestamp_cross_shard_messages_never_reorder() {
         // Regression for the (at, seq) tie-break audit: shards 0 and 1
         // both emit to shard 2 at the *same* arrival timestamp; the
-        // merge must order them (src 0, src 1) under every strategy, so
+        // merge must order them (src 0, src 1) at every thread count, so
         // the destination digests identically. Emission order within a
         // source is preserved too.
         struct Tie {
@@ -569,11 +565,11 @@ mod tests {
             (3 * LINK_PS, 11),
         ];
         let mut seq = mk();
-        run(&mut Sequential, &mut seq, LINK_PS, 10 * LINK_PS);
+        run_threads(1, &mut seq, LINK_PS, 10 * LINK_PS);
         assert_eq!(seq[2].got, expect);
         for threads in [2, 3, 8] {
             let mut par = mk();
-            run(&mut Parallel::new(threads), &mut par, LINK_PS, 10 * LINK_PS);
+            run_threads(threads, &mut par, LINK_PS, 10 * LINK_PS);
             assert_eq!(par[2].got, expect, "threads={threads}");
         }
     }

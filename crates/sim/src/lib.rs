@@ -14,9 +14,9 @@
 //! heap survives as [`OracleQueue`], the reference implementation the
 //! calendar is differentially tested against (DESIGN.md §6).
 //!
-//! [`delivery`] adds conservative parallel execution over [`Shard`]s
-//! behind the [`Delivery`] strategy trait; [`Sequential`] is the
-//! lock-step oracle every parallel run must match bit-for-bit
+//! [`delivery`] adds conservative parallel execution over [`Shard`]s:
+//! [`run_threads`] is its one epoch loop, and its one-thread run is the
+//! lock-step oracle every threaded run must match bit-for-bit
 //! (DESIGN.md §13).
 
 pub mod delivery;
@@ -27,10 +27,7 @@ pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use delivery::{
-    auto_threads, run as run_shards, run_threads, scatter, Delivery, EngineStats, Outbox,
-    Parallel, Sequential, Shard,
-};
+pub use delivery::{auto_threads, run_threads, scatter, EngineStats, Outbox, Shard};
 pub use fault::{FaultClass, FaultPlan};
 pub use queue::{CalendarQueue, EventQueue, OracleQueue};
 pub use rng::XorShift64;

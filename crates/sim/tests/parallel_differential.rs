@@ -1,6 +1,6 @@
 //! Lock-step differential suite for the parallel delivery engine:
-//! [`Parallel`] at every thread count must be observationally identical
-//! to the [`Sequential`] oracle — same per-shard *event order* (full
+//! `run_threads` at every thread count must be observationally
+//! identical to its one-thread oracle — same per-shard *event order* (full
 //! trace, not just a digest), same cross-shard deliveries, same final
 //! clocks, same engine stats. Scenarios come from a seeded generator
 //! (topology, rates, fault perturbations from the `FaultPlan` class
@@ -13,10 +13,7 @@
 
 use npr_check::prelude::*;
 use npr_sim::fault::FAULT_CLASSES;
-use npr_sim::{
-    run_shards, EventQueue, FaultClass, FaultPlan, Outbox, Parallel, Sequential, Shard, Time,
-    XorShift64,
-};
+use npr_sim::{run_threads, EventQueue, FaultClass, FaultPlan, Outbox, Shard, Time, XorShift64};
 
 /// Minimum cross-shard link latency of the generated scenarios, and
 /// the engine lookahead derived from it.
@@ -149,11 +146,7 @@ struct RunResult {
 
 fn run_with(sc: &Scenario, threads: usize) -> RunResult {
     let mut nodes: Vec<Node> = (0..sc.shards).map(|i| Node::new(i, sc)).collect();
-    let stats = if threads <= 1 {
-        run_shards(&mut Sequential, &mut nodes, LINK_PS, sc.until)
-    } else {
-        run_shards(&mut Parallel::new(threads), &mut nodes, LINK_PS, sc.until)
-    };
+    let stats = run_threads(threads, &mut nodes, LINK_PS, sc.until);
     RunResult {
         traces: nodes.iter().map(|s| s.trace.clone()).collect(),
         delivered: nodes.iter().map(|s| s.delivered.clone()).collect(),
@@ -196,7 +189,7 @@ proptest! {
 /// Each fault class alone (plus all at once) through the differential:
 /// per-class streams are drawn *inside* shard code, so this pins that
 /// fault injection stays on the shard's own thread-independent stream
-/// regardless of delivery strategy.
+/// at every thread count.
 #[test]
 fn every_fault_class_is_thread_invariant() {
     for (i, class) in FAULT_CLASSES.into_iter().enumerate() {
@@ -207,7 +200,7 @@ fn every_fault_class_is_thread_invariant() {
             n.faults.set_rate(class, 200_000);
         }
         let oracle = {
-            let stats = run_shards(&mut Sequential, &mut nodes, LINK_PS, sc.until);
+            let stats = run_threads(1, &mut nodes, LINK_PS, sc.until);
             (
                 nodes.iter().map(|s| s.trace.clone()).collect::<Vec<_>>(),
                 nodes.iter().map(|s| s.faults.injected(class)).collect::<Vec<_>>(),
@@ -219,7 +212,7 @@ fn every_fault_class_is_thread_invariant() {
             for n in &mut nodes {
                 n.faults.set_rate(class, 200_000);
             }
-            let stats = run_shards(&mut Parallel::new(threads), &mut nodes, LINK_PS, sc.until);
+            let stats = run_threads(threads, &mut nodes, LINK_PS, sc.until);
             let got = (
                 nodes.iter().map(|s| s.trace.clone()).collect::<Vec<_>>(),
                 nodes.iter().map(|s| s.faults.injected(class)).collect::<Vec<_>>(),
@@ -254,3 +247,22 @@ fn pinned_seed_with_cross_shard_timestamp_ties_is_stable() {
     }
 }
 
+/// More threads than shards: every chunk is one shard, and the threads
+/// past the shard count get no worker (3 shards at 8 threads is the
+/// calling thread and two workers; 1 shard at 4 is the calling thread
+/// alone).
+#[test]
+fn more_threads_than_shards_match_the_oracle() {
+    for (shards, threads) in [(3, 8), (1, 4)] {
+        let mut sc = scenario(0x7EAD_5EED);
+        sc.shards = shards;
+        sc.seeds = (0..shards as u64).map(|i| 0x5EED ^ i).collect();
+        let oracle = run_with(&sc, 1);
+        assert!(oracle.messages > 0, "{shards} shards exchanged nothing");
+        assert_eq!(
+            run_with(&sc, threads),
+            oracle,
+            "{shards} shards at {threads} threads"
+        );
+    }
+}

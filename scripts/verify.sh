@@ -166,7 +166,8 @@ gate() {
 #   invariance (§13), the 64-scenarios-per-class fault corpus, the
 #   queue manager, and the 20 ms chaos soak;
 # - npr-fabric: the pinned fingerprints, slicing, per-chassis fault
-#   containment, the parallel differential and the fabric chaos soak;
+#   containment, the parallel differential and the fabric chaos soak
+#   (sequential and threaded in one run);
 # - npr-route: the trie oracles and the million-prefix table.
 declare -A oracle_suites=(
     [npr-sim]="tests/differential.rs tests/parallel_differential.rs"
@@ -214,18 +215,6 @@ step "tier-1 tests" tier1_tests
 # Keep every example compiling (they are not run by `cargo test`, so
 # build them explicitly).
 step "examples build" cargo build --release --offline --examples
-
-# The fabric chaos soak once more at the host's thread ceiling (capped
-# at 8): tier-1 ran it under the sequential oracle, and this run puts
-# the parallel engine under the same chaos, checked in-process against
-# the oracle fingerprint. The router soak has no thread setting, so it
-# runs once, in tier-1.
-soak_threads="$(nproc 2>/dev/null || echo 1)"
-[ "$soak_threads" -le 8 ] || soak_threads=8
-if [ "$soak_threads" -gt 1 ]; then
-    NPR_SIM_THREADS=$soak_threads step "fabric soak at NPR_SIM_THREADS=$soak_threads" \
-        gate "fabric chaos soak at NPR_SIM_THREADS=$soak_threads" -p npr-fabric --test soak
-fi
 
 # Record the scheduler perf baseline: events/sec (calendar vs oracle,
 # on a large and on a router-shaped population; golden scenario end to
