@@ -332,11 +332,13 @@ impl Router {
         self.ixp.fault_plan()
     }
 
-    /// Re-arms a port's receive schedule after its source gained new
-    /// frames (fabric use: sources backed by shared queues go dry and
-    /// must be poked when refilled).
-    pub fn poke_port(&mut self, port: PortId) {
+    /// Hands `frame` to `port`'s receive wire, its first bit at `at`
+    /// or when the port's previous frame ends, and re-arms the port
+    /// (fabric use: a member's uplinks are fed from outside, frame by
+    /// frame, as each arrival becomes final).
+    pub fn offer_frame(&mut self, port: PortId, at: Time, frame: &[u8]) {
         self.start();
+        self.ixp.hw.ports[port].offer(port, at, frame);
         self.reprime_port(port);
     }
 
@@ -379,7 +381,7 @@ impl Router {
     }
 
     /// Primes the port schedules and StrongARM feed (idempotent).
-    /// `run_until`/`poke_port` call this implicitly; `npr-fabric` calls
+    /// `run_until`/`offer_frame` call this implicitly; `npr-fabric` calls
     /// it explicitly before handing members to the delivery engine,
     /// whose `next_time` probe would see an unstarted router as idle.
     pub fn start(&mut self) {

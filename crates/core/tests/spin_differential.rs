@@ -17,7 +17,7 @@
 //! the ring may jump: port loads from idle to 95 %, minimum-size and
 //! multi-MP frames, bursts separated by gaps of 0–200 us, an
 //! `install`/`remove` inside a gap (so `freeze_me` lands inside an
-//! orbit), `attach_source` and `poke_port` inside a gap, rings of
+//! orbit), `attach_source` and `offer_frame` inside a gap, rings of
 //! 1–16 input contexts, the per-flow queue manager, a StrongARM
 //! forwarder the health monitor polices (its decisions are stamped with
 //! the instant of the first event after an epoch boundary), and an
@@ -30,28 +30,13 @@
 //! included, assert `events_skipped() > 0`, so the suite cannot pass
 //! vacuously.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
 use npr_check::prelude::*;
 use npr_check::CheckRng;
 use npr_core::router::build_udp_frame;
 use npr_core::{us, AqmKind, FlowKey, InstallRequest, Key, Router, RouterConfig};
 use npr_forwarders::slow::{full_ip_sa, FULL_IP_CYCLES};
-use npr_ixp::TrafficSource;
 use npr_sim::{FaultClass, FaultPlan, Time};
 use npr_traffic::TraceSource;
-
-/// A source fed from outside the router, as a fabric link feeds one:
-/// it runs dry, is refilled, and the port is poked.
-#[derive(Clone, Default)]
-struct Mailbox(Arc<Mutex<VecDeque<(Time, Vec<u8>)>>>);
-
-impl TrafficSource for Mailbox {
-    fn next_frame(&mut self) -> Option<(Time, Vec<u8>)> {
-        self.0.lock().expect("single-threaded test").pop_front()
-    }
-}
 
 /// Something done to the router between two `run_until` calls.
 #[derive(Clone, Debug)]
@@ -66,8 +51,9 @@ enum Action {
     Data(bool),
     /// Attach a fresh trace to `port`, whose first one has ended.
     Attach(usize, Vec<(Time, Vec<u8>)>),
-    /// Refill `port`'s mailbox and poke it.
-    Poke(usize, Vec<(Time, Vec<u8>)>),
+    /// Hand `port` these frames from outside, as a fabric link feeds
+    /// one (`Router::offer_frame`): its first frames have run out.
+    Offer(usize, Vec<(Time, Vec<u8>)>),
 }
 
 #[derive(Clone, Debug)]
@@ -75,8 +61,9 @@ struct Scenario {
     cfg: RouterConfig,
     /// Per port, the trace attached before the run.
     traces: Vec<Vec<(Time, Vec<u8>)>>,
-    /// The port fed through a mailbox instead (its trace goes there).
-    mailbox_port: usize,
+    /// The port fed from outside instead (its trace is offered before
+    /// the run).
+    fed_port: usize,
     actions: Vec<(Time, Action)>,
     faults: Option<FaultPlan>,
     /// Every packet takes a StrongARM forwarder that overruns its
@@ -121,7 +108,7 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
     };
     cfg.input_ctxs = [1, 2, 4, 8, 16][rng.below(5) as usize];
     let end = us(1_200);
-    let mailbox_port = rng.below(8) as usize;
+    let fed_port = rng.below(8) as usize;
     // A few ports stay silent, so the ring has long idle stretches.
     let traces: Vec<_> = (0..8)
         .map(|p| match rng.below(3) {
@@ -135,13 +122,13 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
     actions.push((install_at + us(60) + rng.below(end / 3), Action::Remove));
     let p = rng.below(8) as usize;
     let at = end / 2 + rng.below(end / 4);
-    if p != mailbox_port {
+    if p != fed_port {
         actions.push((at, Action::Attach(p, bursts(&mut rng, p, at, end))));
     }
     let at = end / 2 + rng.below(end / 4);
     actions.push((
         at,
-        Action::Poke(mailbox_port, bursts(&mut rng, mailbox_port, at, end)),
+        Action::Offer(fed_port, bursts(&mut rng, fed_port, at, end)),
     ));
     // The slow planes busy through the gaps: diverted packets on the
     // StrongARM, data ops in flight, and up to two of them submitted
@@ -174,7 +161,7 @@ fn scenario(seed: u64, faulty: bool) -> Scenario {
     Scenario {
         cfg,
         traces,
-        mailbox_port,
+        fed_port,
         actions,
         faults,
         sa_overrun: rng.below(3) == 0,
@@ -194,7 +181,6 @@ fn unused_flow() -> Key {
 
 struct Run {
     router: Router,
-    mailbox: Mailbox,
     fid: Option<npr_core::Fid>,
     /// The StrongARM forwarder `Action::Data` reads and writes.
     data_fid: npr_core::Fid,
@@ -214,18 +200,16 @@ impl Run {
         let data_fid = router
             .install(unused_flow(), full_ip_sa(), None)
             .expect("per-flow SA forwarder admitted");
-        let mailbox = Mailbox::default();
         for (p, trace) in sc.traces.iter().enumerate() {
-            if p == sc.mailbox_port {
-                mailbox.0.lock().unwrap().extend(trace.iter().cloned());
-                router.attach_source(p, Box::new(mailbox.clone()));
-            } else {
+            if p != sc.fed_port {
                 router.attach_source(p, Box::new(TraceSource::new(trace.clone())));
             }
         }
+        for (at, frame) in &sc.traces[sc.fed_port] {
+            router.offer_frame(sc.fed_port, *at, frame);
+        }
         Self {
             router,
-            mailbox,
             fid: None,
             data_fid,
         }
@@ -260,13 +244,10 @@ impl Run {
                 self.router
                     .attach_source(*p, Box::new(TraceSource::new(trace.clone())));
             }
-            Action::Poke(p, frames) => {
-                self.mailbox
-                    .0
-                    .lock()
-                    .unwrap()
-                    .extend(frames.iter().cloned());
-                self.router.poke_port(*p);
+            Action::Offer(p, frames) => {
+                for (at, frame) in frames {
+                    self.router.offer_frame(*p, *at, frame);
+                }
             }
         }
     }

@@ -11,23 +11,23 @@
 //! `(arrival, source, emission)`, so every thread count is
 //! bit-identical to the single-threaded oracle (DESIGN.md §13).
 //!
-//! The outcome does not depend on where the barriers fall either, so
-//! a run may be cut at any instant: a port takes the frames bound for
-//! it in `(arrival, source)` order, and only once that order is
-//! settled (see [`Inbox`]).
+//! A shard shares nothing: it owns its router, the inboxes of its
+//! uplink ports and its half of the switch, and the engine lends it to
+//! one worker at a time. The outcome does not depend on where the
+//! barriers fall either, so a run may be cut at any instant: a port is
+//! handed the frames bound for it in `(arrival, source)` order, and
+//! only once that order is final (see [`FabricPort::inbox`]).
 //!
 //! A member's *generation* counts its incarnations.
 //! [`Fabric::rejoin_chassis`] bumps it between two lock-step runs and
-//! fences what the old incarnation left in its inboxes: counted, never
-//! delivered. Delivery happens only inside a run, so nothing addressed
-//! to the old incarnation can arrive after the fence.
+//! fences what the old incarnation had not yet received: frames in its
+//! inboxes and frames on an uplink wire none of whose MPs had arrived
+//! — counted, never delivered. Delivery happens only inside a run, so
+//! nothing addressed to the old incarnation can arrive after the fence.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use npr_core::{Router, RouterConfig};
-use npr_ixp::TrafficSource;
 use npr_packet::{EthernetFrame, Frame, Ipv4Header, MacAddr, Mp};
 use npr_route::NextHop;
 use npr_sim::{run_threads, EngineStats, Outbox, Shard, Time};
@@ -46,51 +46,6 @@ pub(crate) struct Arrival {
     frame: Frame,
 }
 
-/// The frames bound for one member port, in the order the port takes
-/// them: by `(arrival, source)`, first in first out within a key.
-///
-/// Barriers deliver frames in emission order, not arrival order (a
-/// frame held up on a busy link lands after one sent later on an idle
-/// one), so what sits here at a given instant depends on where the
-/// barriers fell. The arrivals at or before `settled` do not: once
-/// every member has advanced to `b`, anything still unsent arrives
-/// after `b` plus the link latency. The port is offered only those, so
-/// the sequence it takes is a function of the traffic alone.
-#[derive(Default)]
-pub(crate) struct Inbox {
-    pub(crate) frames: VecDeque<Arrival>,
-    settled: Time,
-}
-
-/// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` so a shard (and the
-/// router inside it) is `Send`; the lock is never contended — only the
-/// thread currently stepping the owning shard touches it.
-type SharedInbox = Arc<Mutex<Inbox>>;
-
-/// A pull source backed by a shared inbox the fabric pushes into.
-struct InboxSource {
-    inbox: SharedInbox,
-    taken: Arc<AtomicU64>,
-}
-
-impl TrafficSource for InboxSource {
-    fn next_frame(&mut self) -> Option<(Time, Frame)> {
-        let mut inbox = self.inbox.lock().expect("uplink inbox poisoned");
-        if !inbox.head_settled() {
-            return None;
-        }
-        let a = inbox.frames.pop_front().expect("head checked");
-        self.taken.fetch_add(1, Ordering::Relaxed);
-        Some((a.at, a.frame))
-    }
-}
-
-impl Inbox {
-    fn head_settled(&self) -> bool {
-        self.frames.front().is_some_and(|a| a.at <= self.settled)
-    }
-}
-
 /// One member fabric port: the physical port, where its wire leads,
 /// the modeled link it transmits onto, and the inbox frames arrive in.
 pub(crate) struct FabricPort {
@@ -98,10 +53,17 @@ pub(crate) struct FabricPort {
     pub(crate) port: usize,
     pub(crate) wire: Wire,
     pub(crate) link: Link,
-    /// Frames switched toward this member, pulled by the port source.
-    pub(crate) inbox: SharedInbox,
-    /// Frames the source actually delivered into the router.
-    pub(crate) taken: Arc<AtomicU64>,
+    /// Frames switched toward this member and not yet handed to the
+    /// port, by `(arrival, source)`, first in first out within a key.
+    ///
+    /// Barriers deliver frames in emission order, not arrival order (a
+    /// frame held up on a busy link lands after one sent later on an
+    /// idle one), so what sits here at an instant depends on where the
+    /// barriers fell. What leaves does not: once every member has
+    /// advanced to barrier `b`, anything still unsent arrives after
+    /// `b` plus the link latency, so the flush at `b` hands the port
+    /// every arrival up to there, in its final order.
+    pub(crate) inbox: VecDeque<Arrival>,
 }
 
 /// One chassis as a delivery shard: the router, its fabric ports, and
@@ -116,8 +78,8 @@ pub struct MemberShard {
     pub(crate) ports: Vec<FabricPort>,
     /// Current incarnation; bumped by [`Fabric::rejoin_chassis`].
     pub(crate) generation: u64,
-    /// Frames an earlier incarnation left in this member's inboxes,
-    /// fenced by [`Fabric::rejoin_chassis`].
+    /// Frames earlier incarnations had not received (in an inbox, or
+    /// whole on an uplink wire), fenced by [`Fabric::rejoin_chassis`].
     pub(crate) fenced: u64,
     /// Partial frames being reassembled from captured uplink MPs,
     /// keyed by (fabric-port index, frame id); the `Time` is the last
@@ -130,11 +92,15 @@ pub struct MemberShard {
     pub(crate) switched: u64,
     /// Frames from this member that no one owns.
     pub(crate) switch_drops: u64,
-    /// Fabric-port rx/tx totals of previous incarnations (a re-join
-    /// rebuilds the router and zeroes its counters; conservation
-    /// carries them forward).
+    /// Frames this incarnation's flushes handed to its uplink ports.
+    pub(crate) handed: u64,
+    /// Fabric-port rx/tx, external tx and member-drop totals of
+    /// previous incarnations (a re-join rebuilds the router and zeroes
+    /// its counters; the ledgers carry them forward).
     pub(crate) rx_carry: u64,
     pub(crate) tx_carry: u64,
+    pub(crate) ext_tx_carry: u64,
+    pub(crate) drop_carry: u64,
     /// The resident route-updater, installed lazily on first re-steer.
     pub(crate) updater: Option<npr_core::Fid>,
 }
@@ -190,24 +156,43 @@ impl MemberShard {
         self.assembly_drops += (before - self.partial.len()) as u64;
     }
 
+    /// Frames switched toward this member that it has not received:
+    /// in an inbox, or handed to an uplink port with none of their MPs
+    /// off the wire yet.
     pub(crate) fn queued(&self) -> u64 {
         self.ports
             .iter()
-            .map(|p| p.inbox.lock().expect("uplink inbox poisoned").frames.len() as u64)
+            .map(|p| (p.inbox.len() + self.router.ixp.hw.ports[p.port].on_wire().1) as u64)
             .sum()
+    }
+
+    /// Nothing on its way into the router: no frame in an inbox, no MP
+    /// pending on an uplink wire, and every MP a port received has been
+    /// through the input loop (none waits in a receive buffer or sits
+    /// in an input context short of admission). Ideal ports make MPs
+    /// without receiving them, hence `<=`; such a member never idles.
+    pub(crate) fn inbound_idle(&self) -> bool {
+        let ports = &self.router.ixp.hw.ports;
+        let received: u64 = ports.iter().map(|p| p.rx_mps).sum();
+        self.ports
+            .iter()
+            .all(|p| p.inbox.is_empty() && ports[p.port].on_wire().0 == 0)
+            && received <= self.router.world.counters.input_mps.total()
     }
 
     pub(crate) fn link_drops(&self) -> u64 {
         self.ports.iter().map(|p| p.link.drops).sum()
     }
 
+    /// Frames received off the fabric, across incarnations: every frame
+    /// handed to an uplink port, less those still whole on its wire.
     pub(crate) fn fabric_rx(&self) -> u64 {
-        self.rx_carry
-            + self
-                .ports
-                .iter()
-                .map(|p| p.taken.load(Ordering::Relaxed))
-                .sum::<u64>()
+        let waiting: usize = self
+            .ports
+            .iter()
+            .map(|p| self.router.ixp.hw.ports[p.port].on_wire().1)
+            .sum();
+        self.rx_carry + self.handed - waiting as u64
     }
 
     pub(crate) fn fabric_tx(&self) -> u64 {
@@ -216,6 +201,30 @@ impl MemberShard {
                 .ports
                 .iter()
                 .map(|p| self.router.ixp.hw.ports[p.port].tx_frames)
+                .sum::<u64>()
+    }
+
+    /// Frames transmitted on external ports, across incarnations.
+    pub(crate) fn external_tx(&self) -> u64 {
+        let live = &self.router.ixp.hw.ports[..8];
+        self.ext_tx_carry + live.iter().map(|p| p.tx_frames).sum::<u64>()
+    }
+
+    /// The member router's drops, across incarnations (see
+    /// [`Fabric::total_drops`]).
+    pub(crate) fn member_drops(&self) -> u64 {
+        let r = &self.router;
+        let c = &r.world.counters;
+        self.drop_carry
+            + r.conservation().drops()
+            + c.validation_drops.total()
+            + c.vrp_drops.total()
+            + c.input_lap_drops.total()
+            + r.ixp
+                .hw
+                .ports
+                .iter()
+                .map(|p| p.rx_frames_dropped)
                 .sum::<u64>()
     }
 }
@@ -227,13 +236,12 @@ impl Shard for MemberShard {
     /// The router's next event, or the instant the next held-back
     /// arrival settles (one lookahead before it lands) if that comes
     /// first: with every member idle, nothing else would bring the
-    /// barrier that offers it to its port in time.
+    /// barrier that hands it to its port in time.
     fn next_time(&self) -> Option<Time> {
-        let settles = self.ports.iter().filter_map(|p| {
-            let inbox = p.inbox.lock().expect("uplink inbox poisoned");
-            let head = inbox.frames.front()?;
-            (head.at > inbox.settled).then(|| head.at - SWITCH_LATENCY_PS)
-        });
+        let settles = self
+            .ports
+            .iter()
+            .filter_map(|p| Some(p.inbox.front()?.at - SWITCH_LATENCY_PS));
         self.router
             .next_event_time()
             .into_iter()
@@ -248,23 +256,22 @@ impl Shard for MemberShard {
 
     /// Files the frame in its port's inbox.
     fn deliver(&mut self, at: Time, (ix, src, frame): Self::Msg) {
-        let mut inbox = self.ports[ix].inbox.lock().expect("uplink inbox poisoned");
-        let after = inbox.frames.partition_point(|a| (a.at, a.src) <= (at, src));
-        inbox.frames.insert(after, Arrival { at, src, frame });
+        let inbox = &mut self.ports[ix].inbox;
+        let after = inbox.partition_point(|a| (a.at, a.src) <= (at, src));
+        inbox.insert(after, Arrival { at, src, frame });
     }
 
     /// Every member has reached `horizon` and its frames are in:
-    /// arrivals up to one link latency past it are settled. Offers them
-    /// to the ports, re-arming any that had run dry.
+    /// arrivals up to one link latency past it are settled. Hands them
+    /// to the ports; what stays in an inbox arrives later, and so does
+    /// every frame a later barrier delivers.
     fn flush(&mut self, horizon: Time) {
         let settled = horizon + SWITCH_LATENCY_PS;
-        for p in &self.ports {
-            let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
-            inbox.settled = settled;
-            let ready = inbox.head_settled();
-            drop(inbox);
-            if ready {
-                self.router.poke_port(p.port);
+        for p in &mut self.ports {
+            while p.inbox.front().is_some_and(|a| a.at <= settled) {
+                let a = p.inbox.pop_front().expect("head checked");
+                self.router.offer_frame(p.port, a.at, &a.frame);
+                self.handed += 1;
             }
         }
     }
@@ -330,11 +337,7 @@ impl Fabric {
             mark_external_tx: 0,
         };
         for k in 0..n {
-            let channels: Vec<_> = fports
-                .iter()
-                .map(|_| (SharedInbox::default(), Arc::new(AtomicU64::new(0))))
-                .collect();
-            let (router, routes) = fabric.boot_member(k, n, &fports, &channels);
+            let (router, routes) = fabric.boot_member(k, n, &fports);
             fabric.routes[k] = routes;
             fabric.shards.push(MemberShard {
                 router,
@@ -342,13 +345,11 @@ impl Fabric {
                 n,
                 ports: fports
                     .iter()
-                    .zip(&channels)
-                    .map(|(&ix, (q, taken))| FabricPort {
+                    .map(|&ix| FabricPort {
                         port: UPLINK_PORT + ix,
                         wire: fabric.topology.wire(k, ix, n),
                         link: Link::new(SWITCH_LATENCY_PS, fabric.link_capacity_bps),
-                        inbox: Arc::clone(q),
-                        taken: Arc::clone(taken),
+                        inbox: VecDeque::new(),
                     })
                     .collect(),
                 generation: 0,
@@ -357,8 +358,11 @@ impl Fabric {
                 switched: 0,
                 switch_drops: 0,
                 assembly_drops: 0,
+                handed: 0,
                 rx_carry: 0,
                 tx_carry: 0,
+                ext_tx_carry: 0,
+                drop_carry: 0,
                 updater: None,
             });
         }
@@ -374,16 +378,15 @@ impl Fabric {
     /// Boots one member router: RI capacity budgeted for the internal
     /// links, fabric routes programmed per the topology's *current*
     /// steering (all links up at first boot; the live view on
-    /// re-join), uplink tx captured, and the shared inbox queues
-    /// attached as pull sources. Returns the router and its programmed
-    /// route shadow. Used both at construction and by
+    /// re-join) and uplink tx captured; the shard hands the uplinks
+    /// their frames. Returns the router and its programmed route
+    /// shadow. Used both at construction and by
     /// [`Fabric::rejoin_chassis`] (same boot path, fresh incarnation).
     pub(crate) fn boot_member(
         &self,
         k: usize,
         n: usize,
         fports: &[usize],
-        channels: &[(SharedInbox, Arc<AtomicU64>)],
     ) -> (Router, Vec<Option<u8>>) {
         let mut cfg = self.cfgs[k].clone();
         if !fports.is_empty() {
@@ -419,15 +422,8 @@ impl Fabric {
             routes[usize::from(net)] = port;
         }
         // Capture uplink transmissions for the fabric.
-        for (&ix, (q, taken)) in fports.iter().zip(channels) {
+        for &ix in fports {
             r.ixp.hw.ports[UPLINK_PORT + ix].tx_capture = Some(Vec::new());
-            r.attach_source(
-                UPLINK_PORT + ix,
-                Box::new(InboxSource {
-                    inbox: Arc::clone(q),
-                    taken: Arc::clone(taken),
-                }),
-            );
         }
         (r, routes)
     }
@@ -501,7 +497,8 @@ impl Fabric {
         self.shards.iter().map(|s| s.assembly_drops).sum()
     }
 
-    /// Frames sitting in fabric inboxes, not yet pulled by a member.
+    /// Frames switched toward members and not yet received: in fabric
+    /// inboxes, or whole on an uplink wire.
     pub fn queued_frames(&self) -> u64 {
         self.shards.iter().map(|s| s.queued()).sum()
     }
@@ -538,38 +535,23 @@ impl Fabric {
         self.shards[k].partial.values().map(|(_, v)| v.len()).sum()
     }
 
-    /// Total frames transmitted on external ports across all members.
+    /// Total frames transmitted on external ports across all members
+    /// and all their incarnations.
     pub fn external_tx(&self) -> u64 {
-        self.members()
-            .map(|r| r.ixp.hw.ports[..8].iter().map(|p| p.tx_frames).sum::<u64>())
-            .sum()
+        self.shards.iter().map(|s| s.external_tx()).sum()
     }
 
-    /// Total drops anywhere in the fabric: the switch layer's, and each
-    /// member's ledger drops (queue and flow-queue, escalation,
-    /// no-route, lap, forwarder, truncation) plus the ones before
-    /// admission (port rx, validation, VRP, input lap).
+    /// Total drops anywhere in the fabric, across incarnations: the
+    /// switch layer's (fenced frames included), and each member's
+    /// ledger drops (queue and flow-queue, escalation, no-route, lap,
+    /// forwarder, truncation) plus the ones before admission (port rx,
+    /// validation, VRP, input lap).
     pub fn total_drops(&self) -> u64 {
         self.switch_drops()
             + self.link_drops()
             + self.fenced_drops()
             + self.assembly_drops()
-            + self
-                .members()
-                .map(|r| {
-                    let c = &r.world.counters;
-                    r.conservation().drops()
-                        + c.validation_drops.total()
-                        + c.vrp_drops.total()
-                        + c.input_lap_drops.total()
-                        + r.ixp
-                            .hw
-                            .ports
-                            .iter()
-                            .map(|p| p.rx_frames_dropped)
-                            .sum::<u64>()
-                })
-                .sum::<u64>()
+            + self.shards.iter().map(|s| s.member_drops()).sum::<u64>()
     }
 
     /// FNV-fold of every member's [`Router::fingerprint`] plus the

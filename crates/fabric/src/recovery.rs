@@ -12,14 +12,17 @@
 //!   cost that contends with data traffic).
 //! * **Chassis drain** — [`Fabric::drain_chassis`] re-steers every
 //!   other member's routes away from the victim, then steps the fabric
-//!   until the victim has quiesced (in-flight zero, fabric queues
-//!   empty). Traffic to the drained member's subnets is removed from
-//!   neighbors' tables, so the loss is visible in their `no_route`
-//!   ledgers — never silent.
+//!   until the victim has quiesced (every packet at a terminal fate,
+//!   nothing in its inboxes, on an uplink's receive wire or anywhere
+//!   short of admission). Traffic to the drained member's subnets is
+//!   removed from neighbors' tables, so the loss is visible in their
+//!   `no_route` ledgers — never silent.
 //! * **Re-join** — [`Fabric::rejoin_chassis`] fences the old
-//!   incarnation (a generation bump, and whatever still waits in its
-//!   inboxes is counted and discarded; it runs between lock-step runs,
-//!   so nothing addressed to the old incarnation can arrive later),
+//!   incarnation (a generation bump, and every frame it had not yet
+//!   received — in an inbox, or whole on an uplink wire — is counted
+//!   and discarded; it runs between lock-step runs, so nothing
+//!   addressed to the old incarnation can arrive later), carries its
+//!   totals into the fabric's ledgers,
 //!   boots a fresh router from the member's config through the
 //!   same path as first boot, replays the member's provisioning
 //!   (installs registered via [`Fabric::set_provision`]) through the
@@ -76,17 +79,18 @@ impl Fabric {
     /// Whether member `m` is fabric-quiet: every admitted packet has
     /// reached a terminal fate (the same condition [`Router::drain`]
     /// requires — `in_flight == 0` alone would miss a packet held by
-    /// the output loop, e.g. waiting out a port flap), nothing queued
-    /// on its fabric inboxes, no partial reassembly of its outbound
-    /// frames.
+    /// the output loop, e.g. waiting out a port flap), nothing on its
+    /// way in (an inbox, an uplink's receive wire, any receive buffer,
+    /// an input context short of admission), no partial reassembly of
+    /// its outbound frames.
     pub fn chassis_quiet(&self, m: usize) -> bool {
         let s = &self.shards[m];
         let c = s.router.conservation();
-        c.in_flight == 0 && c.holds() && s.queued() == 0 && s.partial.is_empty()
+        c.in_flight == 0 && c.holds() && s.inbound_idle() && s.partial.is_empty()
     }
 
     /// Re-joins the drained member `m` as a fresh incarnation:
-    /// generation-fenced (stale queued frames are counted and
+    /// generation-fenced (frames it had not yet received are counted and
     /// discarded), booted through the same path as first boot, its
     /// registered provisioning replayed through the new control path,
     /// and the cluster steered back toward it. External traffic
@@ -95,35 +99,30 @@ impl Fabric {
     pub fn rejoin_chassis(&mut self, m: usize) {
         assert_eq!(self.drained, Some(m), "rejoin without a drain");
         let n = self.cfgs.len();
-        // Fence the old incarnation.
+        // Fence the old incarnation: its inboxes, and the frames on its
+        // uplink wires that the router goes down with.
         let s = &mut self.shards[m];
         s.generation += 1;
-        for p in &s.ports {
-            let mut inbox = p.inbox.lock().expect("uplink inbox poisoned");
-            s.fenced += inbox.frames.len() as u64;
-            inbox.frames.clear();
-        }
-        // Carry the old incarnation's fabric-port totals into the
-        // conservation ledger before its counters vanish.
+        s.fenced += s.queued();
+        // Carry the old incarnation's totals into the ledgers before
+        // its counters vanish.
         s.rx_carry = s.fabric_rx();
         s.tx_carry = s.fabric_tx();
+        s.ext_tx_carry = s.external_tx();
+        s.drop_carry = s.member_drops();
+        s.handed = 0;
+        for p in &mut s.ports {
+            p.inbox.clear();
+        }
         // A drain normally leaves no partial reassembly; anything still
         // here is abandoned with the incarnation — counted, not lost.
         s.assembly_drops += s.partial.len() as u64;
         s.partial.clear();
         s.updater = None;
-        // Fresh boot through the first-boot path, wired to the same
-        // shared queues (the cables didn't move).
+        // Fresh boot through the first-boot path, on the same fabric
+        // ports (the cables didn't move).
         let fports: Vec<usize> = self.shards[m].ports.iter().map(|p| p.port - UPLINK_PORT).collect();
-        let channels: Vec<_> = self.shards[m]
-            .ports
-            .iter()
-            .map(|p| {
-                p.taken.store(0, std::sync::atomic::Ordering::Relaxed);
-                (p.inbox.clone(), p.taken.clone())
-            })
-            .collect();
-        let (mut r, routes) = self.boot_member(m, n, &fports, &channels);
+        let (mut r, routes) = self.boot_member(m, n, &fports);
         // Align the fresh router with fabric time so its frames never
         // land in a neighbor's past.
         r.run_until(self.clock);

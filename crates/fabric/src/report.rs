@@ -14,8 +14,9 @@ pub struct FabricReport {
     /// Per-member reports, index = member.
     pub members: Vec<Report>,
     /// Aggregate *external* forwarding rate over the measurement
-    /// window (frames out ports 0–7 across the cluster; uplink hops
-    /// excluded so cross-chassis frames count once).
+    /// window (frames out ports 0–7 across the cluster and across
+    /// incarnations; uplink hops excluded so cross-chassis frames count
+    /// once).
     pub external_mpps: f64,
     /// Control-path operations (installs, setdata, …) summed.
     pub ctl_ops: u64,
@@ -62,10 +63,12 @@ pub struct FabricConservation {
     /// Frames completed on uplink ports (reassembled at the switch
     /// layer), across all incarnations.
     pub uplink_tx: u64,
-    /// Frames delivered into members off fabric inboxes, across all
-    /// incarnations.
+    /// Frames members received off the fabric, across all
+    /// incarnations: handed to an uplink port, less those still whole
+    /// on its wire.
     pub fabric_rx: u64,
-    /// Frames still sitting in fabric inboxes.
+    /// Frames switched toward members and not yet received: in fabric
+    /// inboxes, or on an uplink wire with none of their MPs arrived.
     pub queued: u64,
     /// MPs still awaiting reassembly at the switch layer.
     pub pending_mps: u64,
@@ -110,10 +113,7 @@ impl Fabric {
     pub fn report(&self) -> FabricReport {
         let members: Vec<Report> = self.members().map(|r| r.report()).collect();
         let window = self.clock.saturating_sub(self.mark_clock).max(1) as f64;
-        // Saturating: a member re-joined since the mark restarts its
-        // port totals from zero.
-        let external_mpps =
-            self.external_tx().saturating_sub(self.mark_external_tx) as f64 / window * 1e6;
+        let external_mpps = (self.external_tx() - self.mark_external_tx) as f64 / window * 1e6;
         let sum = |f: &dyn Fn(&Report) -> u64| members.iter().map(f).sum::<u64>();
         FabricReport {
             external_mpps,

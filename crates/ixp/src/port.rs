@@ -2,7 +2,8 @@
 //! serialization on transmit, bounded receive buffering with whole-frame
 //! drops on overflow.
 //!
-//! A port pulls frames from a [`TrafficSource`]; each frame is broken
+//! A port pulls frames from a [`TrafficSource`], or is handed them one
+//! at a time ([`PortData::offer`]); each frame is broken
 //! into 64-byte MPs whose arrival times follow the wire rate (including
 //! the 24 bytes of preamble/IFG/FCS overhead per frame, which is what
 //! makes 148.8 Kpps the theoretical maximum for minimum-sized packets at
@@ -139,33 +140,50 @@ impl PortData {
 
     /// Pulls frames from the source until at least one MP arrival is
     /// pending (or the source is exhausted). Returns the arrival time of
-    /// the next pending MP, if any. `id_base` disambiguates frame ids
-    /// across ports.
+    /// the next pending MP, if any.
     pub(crate) fn refill_pending(&mut self, port: PortId) -> Option<Time> {
         while self.pending.is_empty() {
-            let src = self.source.as_mut()?;
-            let (start, frame) = src.next_frame()?;
-            let start = start.max(self.last_frame_end);
-            let wire_total = frame_wire_ps(self.rate_bps, frame.len());
-            let fid = (port as u64) << 48 | self.frame_seq;
-            self.frame_seq += 1;
-            let mps = Mp::segment(&frame, port as u8, fid);
-            let n = mps.len();
-            for (k, mp) in mps.into_iter().enumerate() {
-                // MP k is complete when its last byte has arrived; the
-                // final MP lands when the whole frame (incl. overhead
-                // trailer) has.
-                let bytes_done = ((k + 1) * 64).min(frame.len());
-                let t = if k == n - 1 {
-                    start + wire_total
-                } else {
-                    start + bytes_ps(self.rate_bps, bytes_done)
-                };
-                self.pending.push_back((t, mp));
-            }
-            self.last_frame_end = start + wire_total;
+            let (at, frame) = self.source.as_mut()?.next_frame()?;
+            self.offer(port, at, &frame);
         }
         self.pending.front().map(|&(t, _)| t)
+    }
+
+    /// Puts `frame` on `port`'s wire: its first bit at `at` or when the
+    /// previous frame ends, whichever is later, each 64-byte MP pending
+    /// until its last byte has arrived. `port` makes the frame id
+    /// unique across ports. The caller re-arms the receive schedule.
+    pub fn offer(&mut self, port: PortId, at: Time, frame: &[u8]) {
+        let start = at.max(self.last_frame_end);
+        let wire_total = frame_wire_ps(self.rate_bps, frame.len());
+        let fid = (port as u64) << 48 | self.frame_seq;
+        self.frame_seq += 1;
+        let mps = Mp::segment(frame, port as u8, fid);
+        let n = mps.len();
+        for (k, mp) in mps.into_iter().enumerate() {
+            // MP k is complete when its last byte has arrived; the
+            // final MP lands when the whole frame (incl. overhead
+            // trailer) has.
+            let bytes_done = ((k + 1) * 64).min(frame.len());
+            let t = if k == n - 1 {
+                start + wire_total
+            } else {
+                start + bytes_ps(self.rate_bps, bytes_done)
+            };
+            self.pending.push_back((t, mp));
+        }
+        self.last_frame_end = start + wire_total;
+    }
+
+    /// What is still on the receive wire: the MPs pending, and the
+    /// frames none of whose MPs have arrived yet.
+    pub fn on_wire(&self) -> (usize, usize) {
+        let whole = self
+            .pending
+            .iter()
+            .filter(|(_, mp)| mp.tag.starts_packet())
+            .count();
+        (self.pending.len(), whole)
     }
 
     /// Delivers the pending MP due at `now` into the rx buffer (or drops

@@ -121,6 +121,13 @@ source_gates() {
         echo "ERROR: an engine is frozen outside the CtlApply arm of Router::dispatch" >&2
         exit 1
     fi
+    # A fabric member shard shares nothing (DESIGN.md §15): it owns its
+    # router, its inboxes and its half of the switch, so the fabric
+    # crate needs no lock, shared pointer, atomic or interior mutability.
+    if grep -rnE 'Arc|Mutex|RwLock|RefCell|Cell<|Atomic' crates/fabric/src; then
+        echo "ERROR: crates/fabric/src shares state between shards: a member shard owns everything it touches" >&2
+        exit 1
+    fi
     # Every BENCH file goes through the one writer, npr_check::json
     # (DESIGN.md, hermetic build): a quoted key in a Rust string literal is
     # a hand-rolled JSON writer coming back.
